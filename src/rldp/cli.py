@@ -88,9 +88,14 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     cfg["kind"] = kind
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     budget = cfg.get("budget")
-    if budget is not None and budget <= 0:
-        raise ConfigError("budget must be positive")
+    if budget is not None and (isinstance(budget, bool)
+                               or not isinstance(budget, (int, float))
+                               or not budget > 0):
+        raise ConfigError(f"budget must be a positive number, got {budget!r}")
     return cfg
 
 
@@ -101,7 +106,19 @@ def _build_common(cfg: dict):
         grid = TimeGrid(float(grid_cfg["horizon"]), int(grid_cfg["n_steps"]))
     except (KeyError, TypeError, InputError) as exc:
         raise ConfigError(f"invalid model/grid block: {exc}") from exc
+    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
+        raise ConfigError(f"grid horizon {grid.horizon} differs from model "
+                          f"horizon {model.horizon}")
     return model, grid
+
+
+def _functional(run: dict):
+    if "functional" not in run:
+        raise ConfigError("run.functional is required for this kind")
+    try:
+        return functional_from_config(run["functional"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid run.functional: {exc}") from exc
 
 
 # -- run kinds -------------------------------------------------------------------
@@ -169,7 +186,7 @@ def _run_chaos(cfg, model, grid, out: Path):
 
 def _run_laplace(cfg, model, grid, out: Path):
     run = cfg["run"]
-    functional = functional_from_config(run["functional"])
+    functional = _functional(run)
     est = ldp.laplace_functional_mc(
         model, functional, int(run.get("n_particles", 32)), grid,
         int(run.get("n_replicas", 64)), seed=cfg["seed"],
@@ -189,7 +206,7 @@ def _run_laplace(cfg, model, grid, out: Path):
 
 def _run_variational(cfg, model, grid, out: Path):
     run = cfg["run"]
-    functional = functional_from_config(run["functional"])
+    functional = _functional(run)
     policy = policy_from_config(run.get("policy", {"policy": "zero"}),
                                 grid, model.d, model.d1)
     est = ldp.variational_objective(

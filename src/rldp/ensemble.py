@@ -4,14 +4,24 @@ Stepping is explicit Euler with start-of-step empirical coupling: at each
 node the shared measure summary is computed from the current states, the
 policy is evaluated per particle, and all particles advance one projected
 step.  Noise is pre-assigned per (replica, particle) substream, so results
-do not depend on execution order or worker count.
+do not depend on execution order or worker count.  The Philox keys of a
+replica's particles are derived in one batch (``rng.substream_keys``) and
+are bit-identical to the per-particle ``SeedSequence`` keys of
+``rng.substream``.  ``Ensemble.noises`` is a read-only view of a
+particle-major buffer and need not be contiguous.
+
+Inside ``shared_replica_draws`` each replica's initial states and noise are
+drawn once and reused by every simulation of the same (model, seed,
+replica, N, grid), which is how the optimizer's common random numbers avoid
+redrawing them on every evaluation.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +48,7 @@ class Ensemble:
     reflection: np.ndarray    # (n+1, N, d) accumulated boundary displacement
     local_time: np.ndarray    # (n+1, N)
     boundary_hits: np.ndarray  # (n, N) bool
-    noises: np.ndarray        # (n, N, d1) Brownian increments
+    noises: np.ndarray        # (n, N, d1) Brownian increments, read-only view
     controls: np.ndarray      # (n, N, d1) applied h values per cell
     policy_id: str
     init_kind: str
@@ -101,12 +111,60 @@ def _check_budget(n_particles: int, n_steps: int, budget: int | None):
 
 def _particle_noise(seed: int, replica: int, n_particles: int, n_steps: int,
                     d1: int, dt: float) -> np.ndarray:
-    """Pre-assigned increments, one substream per (replica, particle)."""
-    out = np.empty((n_steps, n_particles, d1))
-    for i in range(n_particles):
-        gen = rngmod.substream(seed, rngmod.NOISE, replica, i)
-        out[:, i, :] = brownian_increments(gen, n_steps, d1, dt)
-    return out
+    """Pre-assigned increments, one substream per (replica, particle).
+
+    Drawn particle-major into an (N, n, d1) buffer; the (n, N, d1) result is
+    its read-only transposed view, not a copy.
+    """
+    buf = np.empty((n_particles, n_steps, d1))
+    gens = rngmod.iter_substreams(seed, rngmod.NOISE, replica,
+                                  last=np.arange(n_particles))
+    for i, gen in enumerate(gens):
+        buf[i] = brownian_increments(gen, n_steps, d1, dt)
+    buf.flags.writeable = False
+    return buf.transpose(1, 0, 2)
+
+
+# Memo of the active shared_replica_draws scope, or None outside one.
+_REPLICA_DRAWS: ContextVar[dict | None] = ContextVar("rldp_replica_draws",
+                                                     default=None)
+
+
+@contextmanager
+def shared_replica_draws():
+    """Scope in which each replica's initial states and noise are drawn once.
+
+    Within it, ``simulate_particle_system`` reuses the draws of an earlier
+    call with the same model object, seed, replica, particle count and grid;
+    the results are bit-identical to drawing afresh.  Entering while a scope
+    is active joins that scope.  The draws are dropped when the outermost
+    scope exits.
+    """
+    if _REPLICA_DRAWS.get() is not None:
+        yield
+        return
+    token = _REPLICA_DRAWS.set({})
+    try:
+        yield
+    finally:
+        _REPLICA_DRAWS.reset(token)
+
+
+def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
+                   seed: int, replica: int):
+    """Initial states and noise of one replica, memoized inside a scope."""
+    memo = _REPLICA_DRAWS.get()
+    key = (id(model), seed, replica, n_particles, grid)
+    if memo is not None and key in memo:
+        return memo[key][1:]
+    init_rng = rngmod.substream(seed, rngmod.INIT, replica)
+    states0 = model.initial_states(n_particles, init_rng)
+    noises = _particle_noise(seed, replica, n_particles, grid.n_steps,
+                             model.d1, grid.dt)
+    if memo is not None:
+        states0.flags.writeable = False
+        memo[key] = (model, states0, noises)  # the model pins its id
+    return states0, noises
 
 
 def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
@@ -161,10 +219,7 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
     if n_particles < 1:
         raise InputError("need at least one particle")
     _check_budget(n_particles, grid.n_steps, budget)
-    init_rng = rngmod.substream(seed, rngmod.INIT, replica)
-    states0 = model.initial_states(n_particles, init_rng)
-    noises = _particle_noise(seed, replica, n_particles, grid.n_steps,
-                             model.d1, grid.dt)
+    states0, noises = _replica_draws(model, grid, n_particles, seed, replica)
     states, reflection, local_time, hits, controls = _advance(
         model, grid, states0, noises, policy, mu_flow=None)
     return Ensemble(
@@ -265,15 +320,3 @@ def write_paths_csv(ens: Ensemble, path: str):
                     + [repr(float(v)) for v in ens.states[k, i]]
                     + [repr(float(ens.local_time[k, i]))])
 
-
-def run_manifest(ens: Ensemble, config: dict, outputs: list[str]) -> dict:
-    from .cli import config_hash  # deferred: cli owns the hashing convention
-    return {
-        "seed": ens.seed,
-        "model": ens.model_id,
-        "grid": {"horizon": ens.grid.horizon, "n_steps": ens.grid.n_steps},
-        "policy": ens.policy_id,
-        "config": config,
-        "config_hash": config_hash(config),
-        "outputs": outputs,
-    }

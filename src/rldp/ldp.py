@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from .controls import ControlPolicy, PolicyFamily, ensemble_cost
 from .ensemble import (Ensemble, MeasureFlow, marginal_flow,
-                       simulate_particle_system)
+                       shared_replica_draws, simulate_particle_system)
 from .errors import InputError
 from .integrator import TimeGrid
 from .measures import bl_distance
@@ -208,6 +208,7 @@ class _BudgetExhausted(Exception):
     pass
 
 
+@shared_replica_draws()
 def optimize_controls(model: ModelSpec, functional: Functional,
                       family: PolicyFamily, n_particles: int, grid: TimeGrid,
                       n_replicas: int, budget: int, seed: int = 0,
@@ -215,7 +216,9 @@ def optimize_controls(model: ModelSpec, functional: Functional,
     """Restarted Nelder-Mead over the family parameters.
 
     Common random numbers: every evaluation reuses the same replica
-    substreams, so objective differences reflect theta only.  The zero
+    substreams, so objective differences reflect theta only.  Each replica's
+    initial states and noise are drawn once and reused by every evaluation,
+    the final one included.  The zero
     parameter vector is always in the restart set, hence the returned
     objective never exceeds the zero-policy objective.
     """
@@ -294,6 +297,7 @@ def achieved_distance(model: ModelSpec, policy: ControlPolicy, target,
     return float(np.mean(vals))
 
 
+@shared_replica_draws()
 def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamily,
                   n_particles: int, grid: TimeGrid, n_replicas: int,
                   budget: int, seed: int = 0, radius: float = 0.1,
@@ -306,6 +310,8 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
     control cost at the largest lambda whose achieved distance is within
     the radius.  No feasible lambda means the target is unreachable for
     this family and budget (the inf-over-empty-set = infinity branch).
+    All optimizations and achieved distances share one draw of each
+    replica's initial states and noise.
     """
     lambdas = [float(l) for l in lambda_schedule]
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):

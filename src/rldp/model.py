@@ -143,6 +143,8 @@ def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary,
 def coefficients_batch(model: ModelSpec, t: float, x: np.ndarray,
                        mu: MeasureSummary):
     """Batched coefficient evaluation for the ensemble hot loop."""
+    if not 0.0 <= t <= model.horizon + 1e-12:
+        raise InputError(f"time {t} outside [0, {model.horizon}]")
     b = np.asarray(model.drift(t, x, mu), dtype=float)
     sig = np.asarray(model.diffusion(t, x, mu), dtype=float)
     b = np.broadcast_to(b, x.shape)

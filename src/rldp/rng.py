@@ -4,9 +4,19 @@ Every source of randomness in the package derives from a single master seed
 through named substreams, so that scaling the particle count or adding
 replicas never reuses or reorders noise.  A substream is identified by a
 namespace constant plus integer indices (typically replica and particle).
+
+A substream is a Philox generator at counter zero whose 128-bit key is
+``SeedSequence(master_seed, spawn_key=key).generate_state(2, np.uint64)``.
+Philox is counter-based, so the key alone fixes the stream.  For the many
+particles of one replica, ``substream_keys`` derives all keys in one
+vectorized pass and ``iter_substreams`` resets a single generator to each of
+them; both are bit-identical to building one ``substream`` per particle,
+which is the noise scheme (v1) that every seeded output depends on.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -19,13 +29,125 @@ SAMPLER = 3    # generic validation / diagnostic sampling
 OPT = 4        # optimizer restart points
 BRIDGE = 5     # Brownian-bridge refinement, keyed (BRIDGE, replica, particle, level)
 
+# numpy's SeedSequence hashing constants (O'Neill's seed_seq_fe, pool of four
+# 32-bit words).  substream_keys reproduces SeedSequence with them.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _check_nonnegative(master_seed: int, key) -> None:
+    if master_seed < 0:
+        raise ValueError("master seed must be a nonnegative integer")
+    if any(k < 0 for k in key):
+        raise ValueError("substream keys must be nonnegative integers")
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the generator for the substream named by ``key``.
 
     Deterministic in (master_seed, key) and independent across distinct keys.
     """
-    if any(k < 0 for k in key):
-        raise ValueError("substream keys must be nonnegative integers")
+    _check_nonnegative(master_seed, key)
     seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# -- batched key derivation ---------------------------------------------------
+
+def _words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative int (at least one)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiply) constant pairs of successive hashmix calls."""
+    const = init
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hashmix(value, constants):
+    """SeedSequence's hashmix on a Python int or a uint32 array."""
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix; ``x`` is a Python int, ``y`` an int or uint32 array."""
+    # x's product is reduced first so that numpy never sees an int above
+    # 2**32; the uint32 array arithmetic then wraps as SeedSequence's does.
+    result = (_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y & _MASK32
+    return result ^ (result >> 16)
+
+
+def substream_keys(master_seed: int, *key: int, last) -> np.ndarray:
+    """Philox keys of ``substream(master_seed, *key, i)`` for every i in ``last``.
+
+    Returns a ``(len(last), 2)`` uint64 array whose row j equals
+    ``SeedSequence(master_seed, spawn_key=(*key, last[j])).generate_state(2,
+    np.uint64)``.  The seed and ``key`` words are mixed once as Python ints;
+    only the final word, one per index, is hashed in uint32 arithmetic.
+    Indices must lie in [0, 2**32).
+    """
+    last = np.asarray(last)
+    _check_nonnegative(master_seed, key)
+    if last.ndim != 1 or (last.size and last.dtype.kind not in "iu"):
+        raise ValueError("last must be a 1-D array of integers")
+    if last.size and (last.min() < 0 or last.max() > _MASK32):
+        raise ValueError("substream keys must be integers in [0, 2**32)")
+
+    # Assembled entropy: the seed's words zero-padded to the pool size (as
+    # SeedSequence does whenever a spawn key is given), then the key words.
+    entropy = _words(int(master_seed))
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += [w for k in key for w in _words(int(k))]
+
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, constants) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, constants))
+    # The index word comes last, so everything above is shared by all i.
+    index = last.astype(np.uint32)
+    pool = [_mix(p, _hashmix(index, constants)) for p in pool]
+
+    # generate_state(2, np.uint64): one word per pool entry, the four paired
+    # little-endian into two uint64.
+    state = np.empty((index.size, _POOL_SIZE), dtype="<u4")
+    out_constants = _hash_constants(_INIT_B, _MULT_B)
+    for j, p in enumerate(pool):
+        state[:, j] = _hashmix(p, out_constants)
+    return state.view("<u8").astype(np.uint64)
+
+
+def iter_substreams(master_seed: int, *key: int,
+                    last) -> Iterator[np.random.Generator]:
+    """Yield ``substream(master_seed, *key, i)`` for every i in ``last``.
+
+    One Philox generator is built per call and, before each yield, reset to
+    the next key at counter zero with an empty buffer.  Each item is that same
+    generator, so draw from it before advancing the iterator.
+    """
+    keys = substream_keys(master_seed, *key, last=last)
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter zero, empty buffer
+    for k in keys:
+        fresh["state"]["key"] = k
+        bitgen.state = fresh
+        yield gen

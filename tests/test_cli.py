@@ -138,6 +138,57 @@ class TestErrorHandling:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+class TestConfigErrorsExit2:
+    """Malformed configs exit 2 with one JSON error line on stderr."""
+
+    def _run(self, tmp_path, capsys, kind, cfg):
+        code = main([kind, "--config", _write(tmp_path, "bad.json", cfg),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert json.loads(err)["error"] == "config"
+        return json.loads(err)["detail"]
+
+    def _cfg(self, **changes):
+        cfg = {"schema_version": 1, "seed": 1, "model": BASE_MODEL,
+               "grid": {"horizon": 0.5, "n_steps": 8},
+               "run": {"n_particles": 2, "n_replicas": 2}}
+        cfg.update(changes)
+        return cfg
+
+    @pytest.mark.parametrize("kind", ["laplace", "variational"])
+    def test_missing_functional(self, tmp_path, capsys, kind):
+        detail = self._run(tmp_path, capsys, kind, self._cfg())
+        assert "functional" in detail
+
+    def test_malformed_functional(self, tmp_path, capsys):
+        cfg = self._cfg(run={"functional": "constant", "n_replicas": 2})
+        self._run(tmp_path, capsys, "laplace", cfg)
+
+    def test_non_numeric_budget(self, tmp_path, capsys):
+        detail = self._run(tmp_path, capsys, "simulate", self._cfg(budget="big"))
+        assert "budget" in detail
+
+    @pytest.mark.parametrize("seed", [-3, "7", 1.5, True])
+    def test_bad_seed(self, tmp_path, capsys, seed):
+        detail = self._run(tmp_path, capsys, "simulate", self._cfg(seed=seed))
+        assert "seed" in detail
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        code = main(["simulate", "--config",
+                     _write(tmp_path, "ok.json", self._cfg()),
+                     "--seed", "-3", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("horizon", [2.0, 0.25])
+    def test_grid_horizon_differs_from_model(self, tmp_path, capsys, horizon):
+        cfg = self._cfg(grid={"horizon": horizon, "n_steps": 8})
+        detail = self._run(tmp_path, capsys, "simulate", cfg)
+        assert "horizon" in detail
+        assert not (tmp_path / "o" / "result.json").exists()
+
+
 class TestOtherKinds:
     def test_variational_and_rate_and_submartingale(self, tmp_path):
         common = {"schema_version": 1, "seed": 6, "model": BASE_MODEL,

@@ -3,17 +3,25 @@ import csv
 import numpy as np
 import pytest
 
+import rldp.ensemble as ensemble_mod
 from rldp.controls import ZeroPolicy
 from rldp.ensemble import (empirical_measure_at, marginal_flow,
-                           simulate_particle_system,
+                           shared_replica_draws, simulate_particle_system,
                            solve_mckean_vlasov_reference, write_paths_csv)
 from rldp.errors import BudgetError, InputError
 from rldp.geometry import ConvexDomain
-from rldp.integrator import TimeGrid, simulate_reflected_path
+from rldp.integrator import TimeGrid, brownian_increments, simulate_reflected_path
 from rldp.model import (MeasureSummary, ModelSpec, make_m1, make_m2)
 from rldp.rng import NOISE, substream
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
+BALL3 = ConvexDomain.ball([0.0, 0.0, 0.0], 1.0)
+
+
+def _substream_noise(seed, replica, i, grid, d1):
+    """Particle i's increments drawn from its own substream (scheme v1)."""
+    return brownian_increments(substream(seed, NOISE, replica, i),
+                               grid.n_steps, d1, grid.dt)
 
 
 class TestParticleSystem:
@@ -82,6 +90,76 @@ class TestParticleSystem:
         grid = TimeGrid(1.0, 64)
         ens = simulate_particle_system(m, 32, grid, seed=1)
         assert m.domain.contains_all(ens.states.reshape(-1, 1)).all()
+
+
+class TestNoiseContract:
+    @pytest.mark.parametrize("domain, replica", [(BOX1, 0), (BOX1, 2),
+                                                 (BALL3, 0), (BALL3, 5)])
+    def test_noises_equal_per_particle_substreams(self, domain, replica):
+        m = make_m2(domain, theta=0.5)
+        grid = TimeGrid(1.0, 12)
+        ens = simulate_particle_system(m, 300, grid, seed=41, replica=replica)
+        assert ens.noises.shape == (12, 300, m.d1)
+        for i in (0, 1, 17, 150, 299):
+            assert np.array_equal(ens.noises[:, i],
+                                  _substream_noise(41, replica, i, grid, m.d1))
+
+    def test_noises_read_only(self):
+        ens = simulate_particle_system(make_m1(BOX1), 4, TimeGrid(1.0, 4),
+                                       seed=0)
+        with pytest.raises(ValueError):
+            ens.noises[0, 0, 0] = 1.0
+
+    def test_picard_noise_equals_per_particle_substreams(self, monkeypatch):
+        seen = []
+        advance = ensemble_mod._advance
+
+        def recording_advance(model, grid, states0, noises, policy, mu_flow):
+            seen.append(noises)
+            return advance(model, grid, states0, noises, policy, mu_flow)
+
+        monkeypatch.setattr(ensemble_mod, "_advance", recording_advance)
+        m = make_m2(BALL3, theta=0.5)
+        grid = TimeGrid(1.0, 8)
+        solve_mckean_vlasov_reference(m, grid, method="picard", n_inner=64,
+                                      n_iter=2, seed=9)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        for i in (0, 33, 63):
+            assert np.array_equal(seen[0][:, i],
+                                  _substream_noise(9, 0, i, grid, m.d1))
+
+    def test_grid_past_model_horizon_rejected(self):
+        m = make_m1(BOX1, horizon=0.5)
+        with pytest.raises(InputError):
+            simulate_particle_system(m, 2, TimeGrid(2.0, 8), seed=0)
+
+
+class TestSharedReplicaDraws:
+    def test_draws_reused_and_bit_identical(self):
+        m = make_m2(BOX1, theta=0.5)
+        grid = TimeGrid(1.0, 16)
+        fresh = simulate_particle_system(m, 8, grid, seed=3, replica=1)
+        with shared_replica_draws():
+            a = simulate_particle_system(m, 8, grid, seed=3, replica=1)
+            with shared_replica_draws():  # nested scopes join the outer one
+                b = simulate_particle_system(m, 8, grid, seed=3, replica=1)
+            other = simulate_particle_system(m, 8, grid, seed=3, replica=2)
+        after = simulate_particle_system(m, 8, grid, seed=3, replica=1)
+        assert b.noises is a.noises
+        assert other.noises is not a.noises
+        assert after.noises is not a.noises
+        for ens in (a, b, after):
+            assert np.array_equal(ens.states, fresh.states)
+            assert np.array_equal(ens.noises, fresh.noises)
+
+    def test_key_includes_particle_count_and_grid(self):
+        m = make_m1(BOX1)
+        with shared_replica_draws():
+            a = simulate_particle_system(m, 4, TimeGrid(1.0, 8), seed=1)
+            b = simulate_particle_system(m, 6, TimeGrid(1.0, 8), seed=1)
+            c = simulate_particle_system(m, 4, TimeGrid(1.0, 16), seed=1)
+        assert b.noises.shape[1] == 6 and c.noises.shape[0] == 16
+        assert np.array_equal(b.noises[:, :4], a.noises)
 
 
 class TestEmpiricalMeasure:

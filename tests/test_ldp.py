@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rldp.ensemble as ensemble_mod
 from rldp.controls import ZeroPolicy, constant_family
 from rldp.ensemble import (marginal_flow, simulate_particle_system,
                            solve_mckean_vlasov_reference)
@@ -16,6 +17,29 @@ from rldp.ldp import (constant_functional, distance_to_target_functional,
 from rldp.model import MeasureSummary, ModelSpec, make_m1
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
+
+
+def _count_noise_draws(monkeypatch, reuse: bool) -> list:
+    """Count replica noise draws; with reuse=False every call draws afresh."""
+    calls = []
+    particle_noise = ensemble_mod._particle_noise
+    replica_draws = ensemble_mod._replica_draws
+
+    def counting_noise(*args):
+        calls.append(args)
+        return particle_noise(*args)
+
+    def unshared_draws(*args):
+        token = ensemble_mod._REPLICA_DRAWS.set(None)
+        try:
+            return replica_draws(*args)
+        finally:
+            ensemble_mod._REPLICA_DRAWS.reset(token)
+
+    monkeypatch.setattr(ensemble_mod, "_particle_noise", counting_noise)
+    if not reuse:
+        monkeypatch.setattr(ensemble_mod, "_replica_draws", unshared_draws)
+    return calls
 
 
 class TestFunctionals:
@@ -138,6 +162,49 @@ class TestOptimizer:
         res = optimize_controls(m, g, fam, 4, grid, 4, 30, seed=2)
         assert np.all(np.diff(res.trace) <= 0)
         assert res.n_evaluations <= 30
+
+
+class TestSharedDraws:
+    def _optimize(self):
+        m = make_m1(BOX1, sigma_scale=0.5)
+        g = terminal_mean_functional(scale=1.0)
+        fam = constant_family(1, bound=2.0)
+        return optimize_controls(m, g, fam, 4, TimeGrid(0.25, 8), 2, 12,
+                                 seed=5)
+
+    def test_optimizer_bit_identical_with_and_without_reuse(self, monkeypatch):
+        with monkeypatch.context() as mp:
+            calls = _count_noise_draws(mp, reuse=False)
+            plain = self._optimize()
+        assert len(calls) == 2 * (plain.n_evaluations + 1)
+        with monkeypatch.context() as mp:
+            calls = _count_noise_draws(mp, reuse=True)
+            shared = self._optimize()
+        assert len(calls) == 2  # one draw per replica for the whole run
+        assert plain.n_evaluations >= 10
+        assert np.array_equal(shared.theta, plain.theta)
+        assert np.array_equal(shared.trace, plain.trace)
+        for name in ("objective", "cost_part", "f_part", "n_evaluations",
+                     "budget_exhausted"):
+            assert getattr(shared, name) == getattr(plain, name)
+
+    def test_rate_bit_identical_with_and_without_reuse(self, monkeypatch):
+        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        target = MeasureSummary.dirac([0.6])
+        fam = constant_family(1, bound=2.0)
+
+        def rate():
+            return estimate_rate(m, target, [1.0, 4.0], fam, 4,
+                                 TimeGrid(0.25, 8), 2, 10, seed=3, radius=0.2)
+
+        with monkeypatch.context() as mp:
+            _count_noise_draws(mp, reuse=False)
+            plain = rate()
+        with monkeypatch.context() as mp:
+            calls = _count_noise_draws(mp, reuse=True)
+            shared = rate()
+        assert len(calls) == 2  # shared by both lambdas and their distances
+        assert shared == plain
 
 
 class TestRate:
