@@ -40,6 +40,8 @@ class MeasureSummary:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != (n,):
                 raise InputError("weights must match the number of support points")
+            if not np.all(np.isfinite(weights)):
+                raise InputError("weights must be finite")
             if np.any(weights < 0):
                 raise InputError("weights must be nonnegative")
             if abs(weights.sum() - 1.0) > _WEIGHT_TOL:

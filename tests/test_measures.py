@@ -3,8 +3,11 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
+from rldp import rng as rngmod
+from rldp.errors import InputError
 from rldp.integrator import TimeGrid
-from rldp.measures import (bl_distance, holder_statistic, path_bl_distance)
+from rldp.measures import (_bl_dictionary, _row_norm, bl_distance,
+                           holder_statistic, path_bl_distance)
 from rldp.model import MeasureSummary
 
 
@@ -33,6 +36,115 @@ def bl_lp_oracle(mu, nu):
     return min(2.0, max(0.0, -res.fun))
 
 
+def closure_bl_dictionary(mu, nu, size, seed):
+    """Reference for the d >= 2 dictionary bound: one closure per function,
+    each evaluated alone on both measures."""
+    d = mu.dimension
+    gen = rngmod.substream(seed, rngmod.DICT)
+    support = np.concatenate([mu.points, nu.points], axis=0)
+    lo, hi = support.min(axis=0), support.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+
+    funcs = []
+    n_affine = size // 2
+    dirs = gen.standard_normal((n_affine, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    centers = lo + gen.uniform(0.0, 1.0, size=(n_affine, d)) * span
+    for u, c in zip(dirs, centers):
+        funcs.append(lambda z, u=u, c=c: np.clip((z - c) @ u, -1.0, 1.0))
+    n_radial = size - n_affine
+    centers = lo + gen.uniform(0.0, 1.0, size=(n_radial, d)) * span
+    offsets = gen.uniform(0.0, 2.0, size=n_radial)
+    for c, a in zip(centers, offsets):
+        funcs.append(lambda z, c=c, a=a: np.clip(
+            a - np.linalg.norm(z - c, axis=-1), -1.0, 1.0))
+    gap = nu.mean - mu.mean
+    norm = np.linalg.norm(gap)
+    if norm > 0:
+        u = gap / norm
+        mid = (mu.mean + nu.mean) / 2.0
+        funcs.append(lambda z, u=u, mid=mid: np.clip((z - mid) @ u, -1.0, 1.0))
+
+    best = 0.0
+    for f in funcs:
+        val = abs(float(mu.weights @ f(mu.points) - nu.weights @ f(nu.points)))
+        best = max(best, val)
+    return min(2.0, best)
+
+
+def merged_signed_atoms_loop(mu, nu):
+    """Reference merge of two 1D supports: a stable sort, then a loop adding
+    the signed weights mu - nu of equal atoms in order."""
+    pts = np.concatenate([mu.points[:, 0], nu.points[:, 0]])
+    wts = np.concatenate([mu.weights, -nu.weights])
+    order = np.argsort(pts, kind="stable")
+    keep_pts, keep_wts = [], []
+    for p, w in zip(pts[order], wts[order]):
+        if keep_pts and p == keep_pts[-1]:
+            keep_wts[-1] += w
+        else:
+            keep_pts.append(p)
+            keep_wts.append(w)
+    return np.asarray(keep_pts), np.asarray(keep_wts)
+
+
+def _symmetric_cloud(rng, n, d):
+    """n atoms (n even) on a dyadic grid, symmetric about 0: the mean is 0
+    exactly whatever order the weighted sum runs in."""
+    half = rng.integers(-64, 65, size=(n // 2, d)) / 64.0
+    return MeasureSummary.from_points(np.concatenate([half, -half]))
+
+
+DICTIONARY_SIZES = (0, 1, 2, 255, 256, 257)
+
+
+class TestBLDictionaryBlocks:
+    """The blocked evaluator is bitwise the one-function-at-a-time one."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_closure_reference(self, d):
+        rng = np.random.default_rng(10 + d)
+        nu = MeasureSummary.from_points(rng.uniform(-1, 1, (4096, d)))
+        for n in (1, 7, 64, 1024):
+            mu = MeasureSummary.from_points(rng.uniform(-0.8, 1.2, (n, d)))
+            for size in DICTIONARY_SIZES:
+                for seed in (0, 7):
+                    assert _bl_dictionary(mu, nu, size, seed) == \
+                        closure_bl_dictionary(mu, nu, size, seed), (n, size, seed)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_closure_reference_equal_means(self, d):
+        rng = np.random.default_rng(20 + d)
+        nu = _symmetric_cloud(rng, 4096, d)
+        for mu in (MeasureSummary.dirac(np.zeros(d)),
+                   _symmetric_cloud(rng, 64, d)):
+            assert np.array_equal(mu.mean, nu.mean)  # no witness row
+            for size in DICTIONARY_SIZES:
+                got = _bl_dictionary(mu, nu, size, 3)
+                assert got == closure_bl_dictionary(mu, nu, size, 3)
+                if size == 0:
+                    assert got == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dirac_against_cloud(self, d):
+        rng = np.random.default_rng(30 + d)
+        nu = MeasureSummary.from_points(rng.uniform(-1, 1, (4096, d)))
+        mu = MeasureSummary.dirac(rng.uniform(-1, 1, d))
+        for size in DICTIONARY_SIZES:
+            assert _bl_dictionary(mu, nu, size, 1) == \
+                closure_bl_dictionary(mu, nu, size, 1)
+            assert _bl_dictionary(nu, mu, size, 1) == \
+                closure_bl_dictionary(nu, mu, size, 1)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_row_norm_is_numpy_norm(self, d):
+        # guards the left-to-right summation order of numpy's reduction
+        rng = np.random.default_rng(d)
+        for shape in ((37, d), (5, 37, d), (1, d), (3, 1, d)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, d)
+            assert np.array_equal(_row_norm(x), np.linalg.norm(x, axis=-1))
+
+
 class TestBLDistance:
     def test_identity(self):
         mu = MeasureSummary.from_points(np.array([[0.1], [0.7]]))
@@ -58,6 +170,31 @@ class TestBLDistance:
             nu = MeasureSummary.from_points(rng.uniform(0, 3, (n2, 1)))
             assert bl_distance(mu, nu).value == pytest.approx(
                 bl_lp_oracle(mu, nu), abs=1e-8)
+
+    def test_merged_support_matches_loop_reference(self, monkeypatch):
+        from rldp import measures
+        seen = []
+        real = measures.linprog
+
+        def spy(c, **kw):
+            seen.append((c, kw["b_ub"]))
+            return real(c, **kw)
+
+        monkeypatch.setattr(measures, "linprog", spy)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            grid = int(rng.integers(2, 12))  # a coarse grid: many equal atoms
+            n1, n2 = rng.integers(1, 40, size=2)
+            mu = MeasureSummary.from_points(rng.integers(0, grid, (n1, 1)) / grid,
+                                            rng.dirichlet(np.ones(n1)))
+            nu = MeasureSummary.from_points(rng.integers(0, grid, (n2, 1)) / grid)
+            atoms, delta = merged_signed_atoms_loop(mu, nu)
+            seen.clear()
+            measures._bl_exact_1d(mu, nu)
+            if len(atoms) > 1:
+                c, b_ub = seen[0]
+                assert (-c).tobytes() == delta.tobytes()
+                assert np.diff(atoms).tobytes() == b_ub[:len(atoms) - 1].tobytes()
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(1)
@@ -99,8 +236,22 @@ class TestBLDistance:
         assert 0.0 <= est.value <= 2.0
         assert est.method == "dictionary"
 
+    @pytest.mark.parametrize("size", [-1, 1.5, "8", None])
+    def test_bad_dictionary_size(self, size):
+        mu = MeasureSummary.from_points(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        nu = MeasureSummary.dirac([0.5, 0.5])
+        with pytest.raises(InputError):
+            bl_distance(mu, nu, dictionary_size=size)
+
+    def test_dictionary_size_zero_is_the_witness(self):
+        mu = MeasureSummary.from_points(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        nu = MeasureSummary.from_points(np.array([[0.0, 0.5], [1.0, 0.5]]))
+        est = bl_distance(mu, nu, dictionary_size=np.int64(0))
+        # only the witness along (0, 1): |int (z - mid) . u d(mu - nu)| = 0.5
+        assert est.value == pytest.approx(0.5, abs=1e-15)
+        assert est.dictionary_size == 0
+
     def test_dimension_mismatch(self):
-        from rldp.errors import InputError
         with pytest.raises(InputError):
             bl_distance(MeasureSummary.dirac([0.0]),
                         MeasureSummary.dirac([0.0, 0.0]))

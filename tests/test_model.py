@@ -30,6 +30,13 @@ class TestMeasureSummary:
             MeasureSummary.from_points(np.array([[0.0], [1.0]]),
                                        weights=[2.0, 2.0])
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0],
+                                         [np.inf, 0.0], [np.inf, np.nan]])
+    def test_nonfinite_weights_rejected(self, weights):
+        with pytest.raises(InputError):
+            MeasureSummary.from_points(np.array([[0.0], [1.0]]),
+                                       weights=weights)
+
 
 class TestEvalCoefficients:
     def test_constant_coefficients(self):
