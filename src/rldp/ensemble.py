@@ -3,8 +3,9 @@
 Stepping is explicit Euler with start-of-step empirical coupling: at each
 node the shared measure summary is computed from the current states, the
 policy is evaluated per particle, and all particles advance one projected
-step.  Noise is pre-assigned per (replica, particle) substream, so results
-do not depend on execution order or worker count.  The Philox keys of a
+step of ``integrator._advance``, the one stepping core, which the Picard
+flow runs as well.  Noise is pre-assigned per (replica, particle)
+substream, so results do not depend on execution order or worker count.  The Philox keys of a
 replica's particles are derived in one batch (``rng.substream_keys``) and
 are bit-identical to the per-particle ``SeedSequence`` keys of
 ``rng.substream``.  ``Ensemble.noises`` is a read-only view of a
@@ -27,10 +28,9 @@ import numpy as np
 
 from .controls import ControlPolicy
 from .errors import BudgetError, InputError
-from .geometry import ConvexDomain
-from .integrator import ReflectedPath, TimeGrid, brownian_increments
+from .integrator import ReflectedPath, TimeGrid, _advance, brownian_increments
 from .measures import bl_distance
-from .model import MeasureSummary, ModelSpec, coefficients_batch
+from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
 
 DEFAULT_STEP_BUDGET = 500_000_000  # particle-steps
@@ -167,50 +167,6 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
     return states0, noises
 
 
-def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
-             noises: np.ndarray, policy: ControlPolicy | None,
-             mu_flow: MeasureFlow | None):
-    """Shared stepping core.
-
-    When mu_flow is None the coefficients couple to the start-of-step
-    empirical measure (the interacting system); otherwise the given frozen
-    flow is used (i.i.d. paths driven by an external law).
-    """
-    n, n_particles = grid.n_steps, states0.shape[0]
-    d, d1 = model.d, model.d1
-    dt = grid.dt
-    domain = model.domain
-
-    states = np.empty((n + 1, n_particles, d))
-    reflection = np.zeros((n + 1, n_particles, d))
-    local_time = np.zeros((n + 1, n_particles))
-    hits = np.zeros((n, n_particles), dtype=bool)
-    controls = np.zeros((n, n_particles, d1))
-
-    x = states0.copy()
-    states[0] = x
-    for k in range(n):
-        t = grid.nodes[k]
-        mu = mu_flow[k] if mu_flow is not None else MeasureSummary.from_points(x)
-        b, sig = coefficients_batch(model, t, x, mu)
-        if policy is not None and not policy.is_zero():
-            h = policy.evaluate(t, x, mu)
-            controls[k] = h
-        else:
-            h = None
-        move = b * dt + np.einsum("nij,nj->ni", sig, noises[k])
-        if h is not None:
-            move += np.einsum("nij,nj->ni", sig, h) * dt
-        y = x + move
-        p, hit, disp = domain.project(y)
-        states[k + 1] = p
-        reflection[k + 1] = reflection[k] + (y - p)
-        local_time[k + 1] = local_time[k] + disp
-        hits[k] = hit
-        x = p
-    return states, reflection, local_time, hits, controls
-
-
 def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
                              policy: ControlPolicy | None = None, seed: int = 0,
                              replica: int = 0,
@@ -271,9 +227,7 @@ def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
         raise InputError("n_iter must be >= 1")
     _check_budget(n_inner, grid.n_steps * n_iter, budget)
 
-    init_rng = rngmod.substream(seed, rngmod.INIT, 0)
-    states0 = model.initial_states(n_inner, init_rng)
-    noises = _particle_noise(seed, 0, n_inner, grid.n_steps, model.d1, grid.dt)
+    states0, noises = _replica_draws(model, grid, n_inner, seed, 0)
     nu0 = MeasureSummary.from_points(states0)
     flow = MeasureFlow(grid=grid,
                        summaries=[nu0] * (grid.n_steps + 1), method="picard")

@@ -1,10 +1,15 @@
-"""Projected-Euler integration of a single reflected path.
+"""Projected-Euler integration of reflected paths: the one stepping core.
 
 Reflection is realized by Euclidean projection onto the closed domain: for
 convex domains the overshoot y - project(y) is parallel to the outward
 normal at the projected point, so the scheme's accumulated displacement is
 the discrete analogue of the boundary term and its magnitude plays the
 role of the local time (in scheme units).
+
+``_advance`` is the only stepping core: it chains ``_step`` (update,
+projection, overshoot) over the grid for a batch of particles.  The
+``ensemble`` system and Picard flow run on it, ``simulate_reflected_path``
+on a one-particle batch; ``step_reflected`` is one checked ``_step``.
 
 Controls are piecewise constant on grid cells, one value per cell.
 """
@@ -68,9 +73,63 @@ class ReflectedPath:
         return self.states[-1]
 
 
+def _step(domain: ConvexDomain, x, drift, control, noise, dt: float):
+    """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.
+
+    ``control`` (or None) and ``noise`` are already multiplied by sigma.
+    Returns (p, y - p, |y - p|, hit), with p the projection of y.
+    """
+    move = drift * dt + noise
+    if control is not None:
+        move += control * dt
+    y = x + move
+    p, hit, disp = domain.project(y)
+    return p, y - p, disp, hit
+
+
+def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
+             noises: np.ndarray, policy, mu_flow):
+    """The stepping core: chain ``_step`` along the grid for a batch.
+
+    ``policy`` is a ControlPolicy or None.  When mu_flow is None the
+    coefficients couple to the start-of-step empirical measure (the
+    interacting system); otherwise the frozen flow mu_flow[k] is used
+    (i.i.d. paths driven by an external law).
+    """
+    n, n_particles = grid.n_steps, states0.shape[0]
+    d, d1 = model.d, model.d1
+    dt, domain = grid.dt, model.domain
+
+    states = np.empty((n + 1, n_particles, d))
+    reflection = np.zeros((n + 1, n_particles, d))
+    local_time = np.zeros((n + 1, n_particles))
+    hits = np.zeros((n, n_particles), dtype=bool)
+    controls = np.zeros((n, n_particles, d1))
+
+    x = states0.copy()
+    states[0] = x
+    for k in range(n):
+        t = grid.nodes[k]
+        mu = mu_flow[k] if mu_flow is not None else MeasureSummary.from_points(x)
+        b, sig = coefficients_batch(model, t, x, mu)
+        if policy is not None and not policy.is_zero():
+            h = policy.evaluate(t, x, mu)
+            controls[k] = h
+            control = np.einsum("nij,nj->ni", sig, h)
+        else:
+            control = None
+        p, overshoot, disp, hits[k] = _step(
+            domain, x, b, control, np.einsum("nij,nj->ni", sig, noises[k]), dt)
+        states[k + 1] = p
+        reflection[k + 1] = reflection[k] + overshoot
+        local_time[k + 1] = local_time[k] + disp
+        x = p
+    return states, reflection, local_time, hits, controls
+
+
 def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
                    noise_term, dt: float):
-    """One projected-Euler step from a state inside the closed domain.
+    """One checked projected-Euler step from a state inside the closed domain.
 
     Returns (x_next, dK, d_abs_K, hit).
     """
@@ -83,58 +142,42 @@ def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
              for v in (drift_term, control_term, noise_term)]
     if not all(np.all(np.isfinite(v)) for v in terms):
         raise InputError("step terms must be finite")
-    drift, control, noise = terms
-    y = x + (drift + control) * dt + noise
-    p, hit, disp = domain.project(y)
-    return p, y - p, float(disp), bool(hit)
+    p, dK, disp, hit = _step(domain, x, *terms, dt)
+    return p, dK, float(disp), bool(hit)
 
 
 def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
                             mu_flow, control, noise, x0) -> ReflectedPath:
-    """Chain step_reflected along the grid under a frozen measure flow.
+    """One path under a frozen measure flow: a one-particle ``_advance``.
 
     mu_flow: one MeasureSummary per grid node (len n_steps + 1).
     control: per-cell h values, shape (n_steps, d1) (or None for zero).
     noise:   Brownian increments, shape (n_steps, d1).
     """
-    d, d1, n = model.d, model.d1, grid.n_steps
+    from .controls import PiecewiseConstantPolicy  # local import to avoid a cycle
+
+    d1, n = model.d1, grid.n_steps
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (n, d1):
         raise InputError(f"noise must have shape ({n}, {d1})")
-    if control is None:
-        control = np.zeros((n, d1))
-    control = np.asarray(control, dtype=float)
-    if control.shape == (n + 1, d1):
-        control = control[:-1]
-    if control.shape != (n, d1):
-        raise InputError(f"control must have shape ({n}, {d1})")
+    policy = None
+    if control is not None:
+        control = np.asarray(control, dtype=float)
+        if control.shape == (n + 1, d1):
+            control = control[:-1]
+        if control.shape != (n, d1):
+            raise InputError(f"control must have shape ({n}, {d1})")
+        policy = PiecewiseConstantPolicy(control, grid)
     if len(mu_flow) != n + 1:
         raise InputError("mu_flow must supply one summary per grid node")
-
-    dt = grid.dt
-    states = np.empty((n + 1, d))
-    reflection = np.zeros((n + 1, d))
-    local_time = np.zeros(n + 1)
-    hits = np.zeros(n, dtype=bool)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    if domain_excludes(model.domain, x):
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if model.domain.contains(x) == EXTERIOR:
         raise PreconditionError("initial state outside the closed domain")
-    states[0] = x
-    for k in range(n):
-        t = grid.nodes[k]
-        b, sig = coefficients_batch(model, t, x, mu_flow[k])
-        x, dK, dabs, hit = step_reflected(
-            model.domain, x, b, sig @ control[k], sig @ noise[k], dt)
-        states[k + 1] = x
-        reflection[k + 1] = reflection[k] + dK
-        local_time[k + 1] = local_time[k] + dabs
-        hits[k] = hit
-    return ReflectedPath(grid=grid, states=states, reflection=reflection,
-                         local_time=local_time, boundary_hits=hits)
-
-
-def domain_excludes(domain: ConvexDomain, x) -> bool:
-    return domain.contains(x) == EXTERIOR
+    states, reflection, local_time, hits, _ = _advance(
+        model, grid, x[None, :], noise[:, None, :], policy, mu_flow)
+    return ReflectedPath(grid=grid, states=states[:, 0],
+                         reflection=reflection[:, 0],
+                         local_time=local_time[:, 0], boundary_hits=hits[:, 0])
 
 
 # -- Brownian increment helpers -------------------------------------------------

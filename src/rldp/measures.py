@@ -129,11 +129,15 @@ def _bl_dictionary(mu: MeasureSummary, nu: MeasureSummary, size: int,
     return min(2.0, float(gaps.max(initial=0.0)))
 
 
+def _check_dictionary_size(size):
+    if not isinstance(size, (int, np.integer)) or size < 0:
+        raise InputError("dictionary_size must be a nonnegative integer")
+
+
 def bl_distance(mu: MeasureSummary, nu: MeasureSummary,
                 dictionary_size: int = 256, seed: int = 0) -> BLEstimate:
     """Bounded-Lipschitz distance: exact in d = 1, lower bound in d >= 2."""
-    if not isinstance(dictionary_size, (int, np.integer)) or dictionary_size < 0:
-        raise InputError("dictionary_size must be a nonnegative integer")
+    _check_dictionary_size(dictionary_size)
     if mu.dimension != nu.dimension:
         raise InputError("measures live on different-dimensional domains")
     # Dirac vs Dirac has the closed form min(2, |x - y|) in any dimension;
@@ -173,6 +177,7 @@ def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
     skeleton coordinates: f(phi) = clip(sum_j a_j phi_{c_j}(t_{k_j}) - c)
     with sum |a_j| <= 1, which is Lipschitz-1 for the sup metric.
     """
+    _check_dictionary_size(dictionary_size)
     p = _as_path_array(paths_p)
     q = _as_path_array(paths_q)
     if p.shape[1:] != q.shape[1:]:

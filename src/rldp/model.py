@@ -126,12 +126,9 @@ def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary,
     In strict mode asserts the declared bound |b| + ||sigma||_HS <= L.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not 0.0 <= t <= model.horizon + 1e-12:
-        raise InputError(f"time {t} outside [0, {model.horizon}]")
-    b = np.broadcast_to(np.asarray(model.drift(t, x, mu), dtype=float),
-                        (model.d,)).copy()
-    sig = np.broadcast_to(np.asarray(model.diffusion(t, x, mu), dtype=float),
-                          (model.d, model.d1)).copy()
+    if x.shape != (model.d,):
+        raise InputError(f"x must be a single state of dimension {model.d}")
+    b, sig = (v.copy() for v in coefficients_batch(model, t, x, mu))
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise ModelError(f"non-finite coefficients at t={t}, x={x}")
     if strict:

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rldp.controls import ConstantPolicy
+from rldp.ensemble import marginal_flow, simulate_particle_system
 from rldp.errors import InputError, PreconditionError
 from rldp.geometry import ConvexDomain, skorokhod_1d
 from rldp.integrator import (TimeGrid, brownian_increments,
                              coarsen_increments, refine_increments,
                              simulate_reflected_path, step_reflected)
-from rldp.model import MeasureSummary, ModelSpec, make_m1
+from rldp.model import (MeasureSummary, ModelSpec, make_drifted, make_m1,
+                        make_m2)
 from rldp.rng import NOISE, substream
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
+BOX2 = ConvexDomain.box([-1.0, 0.0], [1.0, 0.5])
+BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
+BALL3 = ConvexDomain.ball([0.0, 0.0, 0.0], 1.0)
 
 
 class TestTimeGrid:
@@ -56,6 +64,28 @@ class TestStepReflected:
                                           np.array([0.4, 0.0]), 1.0)
         assert np.allclose(x, [1.0, 0.0])
         assert np.allclose(dK, [0.2, 0.0])
+
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(InputError):
+            step_reflected(BOX1, [0.5], [0.0], [0.0], [0.0], dt)
+
+    @pytest.mark.parametrize("drift, control, noise", [
+        ([np.nan], [0.0], [0.0]),
+        ([0.0], [np.inf], [0.0]),
+        ([0.0], [0.0], [-np.inf]),
+    ])
+    def test_nonfinite_terms_rejected(self, drift, control, noise):
+        with pytest.raises(InputError):
+            step_reflected(BOX1, [0.5], drift, control, noise, 0.1)
+
+    @pytest.mark.parametrize("domain, x", [(BOX1, [1.5]),
+                                           (BALL2, [0.9, 0.9])])
+    def test_exterior_state_rejected(self, domain, x):
+        zero = np.zeros(domain.dimension)
+        with pytest.raises(PreconditionError):
+            step_reflected(domain, x, zero, zero, zero, 0.1)
 
 
 def _frozen_flow(grid, point):
@@ -125,6 +155,81 @@ class TestSimulateReflectedPath:
         with pytest.raises(PreconditionError):
             simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
                                     None, np.zeros((4, 1)), [1.5])
+
+
+    def test_control_with_terminal_row_matches_its_trim(self):
+        m = make_m2(BALL2, theta=0.5)
+        grid = TimeGrid(1.0, 32)
+        gen = np.random.default_rng(3)
+        noise = brownian_increments(gen, 32, 2, grid.dt)
+        control = gen.uniform(-2.0, 2.0, size=(33, 2))
+        flow = _frozen_flow(grid, [0.1, -0.2])
+        full = simulate_reflected_path(m, grid, flow, control, noise,
+                                       [0.3, 0.4])
+        trim = simulate_reflected_path(m, grid, flow, control[:-1], noise,
+                                       [0.3, 0.4])
+        assert np.array_equal(full.states, trim.states)
+        assert np.array_equal(full.local_time, trim.local_time)
+
+    def test_nan_drift_rejected(self):
+        def drift(t, x, mu):
+            return np.full(np.shape(x), np.nan)
+
+        m = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
+                      drift=drift, diffusion=make_m1(BOX1).diffusion,
+                      bound_L=2.0, lipschitz_K=1.0,
+                      init_points=np.array([[0.5]]), init_sampler=None,
+                      params={})
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(InputError):
+            simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
+                                    None, np.zeros((4, 1)), [0.5])
+
+
+class TestOneSteppingCore:
+    """A path under the ensemble's own flow and noise is its particle."""
+
+    @pytest.mark.parametrize("model, v", [
+        (make_drifted(BALL2, [0.8, -0.5]), None),
+        (make_m1(BOX1), [0.7]),
+        (make_m2(BALL3, theta=0.5), [0.4, -0.9, 0.3]),
+    ], ids=["drifted-ball2d", "m1-constant-1d", "m2-constant-ball3d"])
+    def test_path_equals_one_particle_system(self, model, v):
+        grid = TimeGrid(1.0, 64)
+        policy = None if v is None else ConstantPolicy(v)
+        ens = simulate_particle_system(model, 1, grid, policy=policy, seed=17)
+        control = None if v is None else np.tile(v, (grid.n_steps, 1))
+        path = simulate_reflected_path(model, grid, marginal_flow(ens),
+                                       control, ens.noises[:, 0],
+                                       ens.states[0, 0])
+        particle = ens.path(0)
+        assert np.array_equal(path.states, particle.states)
+        assert np.array_equal(path.reflection, particle.reflection)
+        assert np.array_equal(path.local_time, particle.local_time)
+        assert np.array_equal(path.boundary_hits, particle.boundary_hits)
+
+
+class TestReflectionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(domain=st.sampled_from([BOX2, BALL3]),
+           seed=st.integers(0, 2**32 - 1),
+           sigma=st.floats(0.0, 4.0),
+           drift=st.floats(-20.0, 20.0),
+           v=st.floats(-5.0, 5.0))
+    def test_states_contained_and_local_time_nondecreasing(
+            self, domain, seed, sigma, drift, v):
+        d = domain.dimension
+        m = make_drifted(domain, drift, sigma_scale=sigma)
+        grid = TimeGrid(1.0, 32)
+        gen = np.random.default_rng(seed)
+        x0 = domain.sample_interior(gen, 1)[0]
+        noise = brownian_increments(gen, 32, d, grid.dt)
+        control = np.full((32, d), v)
+        path = simulate_reflected_path(m, grid, _frozen_flow(grid, x0),
+                                       control, noise, x0)
+        assert domain.contains_all(path.states).all()
+        assert path.local_time[0] == 0.0
+        assert np.all(np.diff(path.local_time) >= 0.0)
 
 
 class TestBrownianCoupling:

@@ -270,6 +270,26 @@ class TestPathBL:
         p1 = np.ones((1, 9, 1))
         assert path_bl_distance(p0, p1, grid).value == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("size", [1.5, -1])
+    def test_bad_dictionary_size(self, size):
+        rng = np.random.default_rng(4)
+        p, q = rng.uniform(0, 1, (2, 4, 9, 1))
+        with pytest.raises(InputError):
+            path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=size)
+
+    def test_dictionary_size_zero_is_the_witness(self):
+        rng = np.random.default_rng(4)
+        p, q = rng.uniform(0, 1, (2, 4, 9, 1))
+        pf, qf = p[..., 0], q[..., 0]
+        j = np.argmax(np.abs(pf.mean(axis=0) - qf.mean(axis=0)))
+        c = (min(pf[:, j].min(), qf[:, j].min())
+             + max(pf[:, j].max(), qf[:, j].max())) / 2.0
+        witness = abs(np.clip(pf[:, j] - c, -1, 1).mean()
+                      - np.clip(qf[:, j] - c, -1, 1).mean())
+        est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=0)
+        assert est.value == witness > 0.0
+        assert est.dictionary_size == 0
+
     def test_sampling_noise_decreases_in_n(self):
         from rldp.ensemble import simulate_particle_system
         from rldp.geometry import ConvexDomain

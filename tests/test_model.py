@@ -60,6 +60,24 @@ class TestEvalCoefficients:
         _, sig = eval_coefficients(m, 0.0, [0.4], mu)
         assert np.allclose(sig, np.eye(1))
 
+    @pytest.mark.parametrize("t", [-0.1, 1.5])
+    def test_time_outside_horizon_rejected(self, t):
+        with pytest.raises(InputError):
+            eval_coefficients(make_m1(BOX1), t, [0.5],
+                              MeasureSummary.dirac([0.5]))
+
+    @pytest.mark.parametrize("x", [[0.2, 0.4], [[0.2], [0.4]]])
+    def test_not_a_single_state_rejected(self, x):
+        with pytest.raises(InputError):
+            eval_coefficients(make_m1(BOX1), 0.0, x,
+                              MeasureSummary.dirac([0.5]))
+
+    def test_returns_writable_copies(self):
+        b, sig = eval_coefficients(make_m1(BOX1), 0.0, [0.5],
+                                   MeasureSummary.dirac([0.5]))
+        assert b.shape == (1,) and sig.shape == (1, 1)
+        b[0] = sig[0, 0] = 2.0
+
     def test_strict_bound_violation_raises(self):
         def bad_drift(t, x, mu):
             return np.full(np.shape(x), 100.0)
