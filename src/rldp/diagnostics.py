@@ -216,13 +216,22 @@ def generator_apply(model: ModelSpec, f: TestFunction, t: float, x, y, z,
 def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
                      x: np.ndarray, y: np.ndarray, z: np.ndarray,
                      nu_t: MeasureSummary) -> np.ndarray:
+    """The generator at a batch of points (..., d); returns shape (...).
+
+    ``coefficients_batch`` hands back sigma broadcast over the batch when
+    the diffusion is one (d, d1) matrix, as it is for every zoo model.
+    sigma sigma^T is then formed once from that core and broadcast against
+    the Hessians, instead of once per point; a state-dependent sigma goes
+    through the same expression per point.  Both give the same bits.
+    """
     b, sig = coefficients_batch(model, t, x, nu_t)
     gx = f.grad_x(t, x, z)
     hxx = f.hess_xx(t, x, z)
     hxz = f.hess_xz(t, x, z)
     hzz = f.hess_zz(t, x, z)
     drift_term = np.einsum("...i,...i->...", b + np.einsum("...ij,...j->...i", sig, y), gx)
-    a = np.einsum("...ik,...jk->...ij", sig, sig)  # sigma sigma^T
+    core = sig[(0,) * (sig.ndim - 2)] if not any(sig.strides[:-2]) else sig
+    a = np.einsum("...ik,...jk->...ij", core, core)  # sigma sigma^T
     diff_term = 0.5 * np.einsum("...ij,...ij->...", a, hxx)
     cross_term = np.einsum("...ij,...ij->...", sig, hxz)
     noise_term = 0.5 * np.einsum("...ii->...", hzz)
@@ -235,6 +244,9 @@ def mf_process(f: TestFunction, states, controls, noise_path,
                nu_flow: MeasureFlow, model: ModelSpec,
                grid: TimeGrid) -> np.ndarray:
     """Discrete M_f series with left-endpoint Riemann sums; M_f(0) = 0.
+
+    The integrand is ``_generator_batch`` at each node, which forms the
+    particle-invariant sigma sigma^T once per node, not once per path.
 
     states:     (n+1, d) or (n+1, N, d)
     controls:   (n, d1) or (n, N, d1) atomic control values
@@ -257,20 +269,20 @@ def mf_process(f: TestFunction, states, controls, noise_path,
     if len(nu_flow) != n + 1:
         raise InputError("nu_flow must share the grid")
 
-    dt = grid.dt
-    n_paths = states.shape[1]
-    f_vals = np.empty((n + 1, n_paths))
-    integrand = np.empty((n, n_paths))
-    for k in range(n + 1):
-        t = grid.nodes[k]
-        f_vals[k] = f.f(t, states[k], noise_path[k])
-        if k < n:
-            integrand[k] = (f.f_t(t, states[k], noise_path[k])
-                            + _generator_batch(model, f, t, states[k],
-                                               controls[k], noise_path[k],
-                                               nu_flow[k]))
-    m = np.zeros((n + 1, n_paths))
-    m[1:] = (f_vals[1:] - f_vals[0]) - np.cumsum(integrand, axis=0) * dt
+    dt, nodes = grid.dt, grid.nodes
+    m = np.zeros((n + 1, states.shape[1]))
+    f0 = np.asarray(f.f(nodes[0], states[0], noise_path[0]), dtype=float)
+    integral = None  # running left-endpoint sum, in cumsum's order
+    for k in range(n):
+        t = nodes[k]
+        g = np.asarray(f.f_t(t, states[k], noise_path[k])
+                       + _generator_batch(model, f, t, states[k], controls[k],
+                                          noise_path[k], nu_flow[k]),
+                       dtype=float)
+        integral = g if integral is None else integral + g
+        f1 = np.asarray(f.f(nodes[k + 1], states[k + 1], noise_path[k + 1]),
+                        dtype=float)
+        m[k + 1] = (f1 - f0) - integral * dt
     return m[:, 0] if single else m
 
 
@@ -339,8 +351,16 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
 
     The boundary condition on f is a hypothesis of the characterization;
     violating functions are rejected unless skip_boundary_check is set
-    (the hook used by designed negative controls).
+    (the hook used by designed negative controls).  A confidence outside
+    (0, 1) or fewer than two paths raise InputError: the one-sided bound
+    needs a finite normal quantile and a sample standard deviation.
     """
+    if not 0.0 < confidence < 1.0:
+        raise InputError(f"confidence must lie in (0, 1), got {confidence}")
+    n_use = ens.n_particles if n_paths is None else min(n_paths, ens.n_particles)
+    if n_use < 2:
+        raise InputError(f"the submartingale test needs at least two paths, "
+                         f"got {n_use}")
     if not skip_boundary_check:
         check = boundary_condition_check(f, model.domain,
                                          horizon=model.horizon)
@@ -351,7 +371,6 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
     if psi_dictionary is None:
         psi_dictionary = default_psi_dictionary(model.domain)
 
-    n_use = ens.n_particles if n_paths is None else min(n_paths, ens.n_particles)
     states = ens.states[:, :n_use, :]
     controls = ens.controls[:, :n_use, :]
     w = ens.noise_paths()[:, :n_use, :]

@@ -67,11 +67,15 @@ class Ensemble:
         )
 
     def noise_paths(self) -> np.ndarray:
-        """Cumulative driving noise w(t_k), shape (n+1, N, d1), w(0) = 0."""
+        """Cumulative driving noise w(t_k), shape (n+1, N, d1), w(0) = 0.
+
+        Summed along time in the particle-major layout of the noise buffer;
+        the result is the transposed view of an (N, n+1, d1) array.
+        """
         n, N, d1 = self.noises.shape
-        w = np.zeros((n + 1, N, d1))
-        np.cumsum(self.noises, axis=0, out=w[1:])
-        return w
+        w = np.zeros((N, n + 1, d1))
+        np.cumsum(self.noises.transpose(1, 0, 2), axis=1, out=w[:, 1:])
+        return w.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,9 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
              noises: np.ndarray, policy, mu_flow):
     """The stepping core: chain ``_step`` along the grid for a batch.
 
-    ``policy`` is a ControlPolicy or None.  When mu_flow is None the
-    coefficients couple to the start-of-step empirical measure (the
+    ``policy`` is a ControlPolicy or None; its ``is_zero()`` is asked once
+    per call, so a policy must not change during one.  When mu_flow is None
+    the coefficients couple to the start-of-step empirical measure (the
     interacting system); otherwise the frozen flow mu_flow[k] is used
     (i.i.d. paths driven by an external law).
     """
@@ -106,13 +107,14 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     hits = np.zeros((n, n_particles), dtype=bool)
     controls = np.zeros((n, n_particles, d1))
 
+    controlled = policy is not None and not policy.is_zero()
     x = states0.copy()
     states[0] = x
     for k in range(n):
         t = grid.nodes[k]
         mu = mu_flow[k] if mu_flow is not None else MeasureSummary.from_points(x)
         b, sig = coefficients_batch(model, t, x, mu)
-        if policy is not None and not policy.is_zero():
+        if controlled:
             h = policy.evaluate(t, x, mu)
             controls[k] = h
             control = np.einsum("nij,nj->ni", sig, h)

@@ -10,6 +10,7 @@ cached moments): every measure the simulator produces is empirical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,12 +24,15 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MeasureSummary:
-    """A finite-support probability measure with cached moments."""
+    """A finite-support probability measure with cached moments.
+
+    The mean is computed on construction; the second moment (and with it
+    the covariance) is computed on first use and then cached.
+    """
 
     points: np.ndarray   # (n, d)
     weights: np.ndarray  # (n,), nonnegative, sums to 1
     mean: np.ndarray     # (d,)
-    second_moment: np.ndarray  # (d, d)
 
     @staticmethod
     def from_points(points, weights=None) -> "MeasureSummary":
@@ -48,10 +52,8 @@ class MeasureSummary:
                 raise InputError("weights must sum to 1")
         if not np.all(np.isfinite(points)):
             raise InputError("support points must be finite")
-        mean = weights @ points
-        second = (points.T * weights) @ points
-        return MeasureSummary(points=points, weights=weights, mean=mean,
-                              second_moment=second)
+        return MeasureSummary(points=points, weights=weights,
+                              mean=weights @ points)
 
     @staticmethod
     def dirac(x) -> "MeasureSummary":
@@ -64,6 +66,11 @@ class MeasureSummary:
     @property
     def n_atoms(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def second_moment(self) -> np.ndarray:
+        """(d, d) matrix sum_i w_i x_i x_i^T."""
+        return (self.points.T * self.weights) @ self.points
 
     def covariance(self) -> np.ndarray:
         return self.second_moment - np.outer(self.mean, self.mean)

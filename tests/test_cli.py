@@ -188,6 +188,27 @@ class TestConfigErrorsExit2:
         assert "horizon" in detail
         assert not (tmp_path / "o" / "result.json").exists()
 
+    def _submart_cfg(self, **run):
+        ball = {"model": "m2", "domain": {"kind": "ball", "center": [0.0, 0.0],
+                                          "radius": 1.0},
+                "theta": 1.0, "sigma_scale": 0.5, "horizon": 0.5}
+        return self._cfg(model=ball, run={"function": "neg_x_sq",
+                                          "n_particles": 16, **run})
+
+    @pytest.mark.parametrize("confidence", [1.5, 0.0])
+    def test_submartingale_confidence_outside_unit_interval(
+            self, tmp_path, capsys, confidence):
+        cfg = self._submart_cfg(confidence=confidence)
+        detail = self._run(tmp_path, capsys, "submartingale", cfg)
+        assert "confidence" in detail
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_submartingale_single_path(self, tmp_path, capsys):
+        cfg = self._submart_cfg(n_particles=1)
+        detail = self._run(tmp_path, capsys, "submartingale", cfg)
+        assert "two paths" in detail
+        assert not (tmp_path / "o" / "result.json").exists()
+
 
 class TestOtherKinds:
     def test_variational_and_rate_and_submartingale(self, tmp_path):

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+from rldp.controls import ConstantPolicy
 from rldp.diagnostics import (boundary_condition_check,
                               calibrate_bias_allowance, generator_apply,
                               mf_process, standard_test_functions,
                               submartingale_test)
 from rldp.ensemble import marginal_flow, simulate_particle_system
-from rldp.errors import PreconditionError
+from rldp.errors import InputError, PreconditionError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
-from rldp.model import MeasureSummary, make_drifted, make_m1
+from rldp.model import (MeasureSummary, ModelSpec, coefficients_batch,
+                        make_drifted, make_m1, make_m2, make_m3)
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 BOX2 = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
+BALL3 = ConvexDomain.ball([0.0, 0.0, 0.0], 1.0)
 
 
 class TestBoundaryCondition:
@@ -211,3 +214,128 @@ class TestSubmartingaleTest:
         d = rep.to_dict()
         assert d["passed"] is True
         assert isinstance(d["entries"], list)
+
+
+def reference_generator_batch(model, f, t, x, y, z, nu_t):
+    """Reference for ``_generator_batch``: sigma sigma^T formed per point."""
+    b, sig = coefficients_batch(model, t, x, nu_t)
+    gx = f.grad_x(t, x, z)
+    hxx = f.hess_xx(t, x, z)
+    hxz = f.hess_xz(t, x, z)
+    hzz = f.hess_zz(t, x, z)
+    drift_term = np.einsum("...i,...i->...", b + np.einsum("...ij,...j->...i", sig, y), gx)
+    a = np.einsum("...ik,...jk->...ij", sig, sig)  # sigma sigma^T
+    diff_term = 0.5 * np.einsum("...ij,...ij->...", a, hxx)
+    cross_term = np.einsum("...ij,...ij->...", sig, hxz)
+    noise_term = 0.5 * np.einsum("...ii->...", hzz)
+    return drift_term + diff_term + cross_term + noise_term
+
+
+def reference_mf_process(f, states, controls, noise_path, nu_flow, model,
+                         grid):
+    """Reference for batched ``mf_process``: f values and integrand stored
+    as (n+1, N) and (n, N) arrays, the integral taken by ``np.cumsum``."""
+    n = grid.n_steps
+    f_vals = np.empty((n + 1, states.shape[1]))
+    integrand = np.empty((n, states.shape[1]))
+    for k in range(n + 1):
+        t = grid.nodes[k]
+        f_vals[k] = f.f(t, states[k], noise_path[k])
+        if k < n:
+            integrand[k] = (f.f_t(t, states[k], noise_path[k])
+                            + reference_generator_batch(
+                                model, f, t, states[k], controls[k],
+                                noise_path[k], nu_flow[k]))
+    m = np.zeros((n + 1, states.shape[1]))
+    m[1:] = (f_vals[1:] - f_vals[0]) - np.cumsum(integrand, axis=0) * grid.dt
+    return m
+
+
+def _custom_model(domain, d1, sigma_of_x):
+    """Dense sigma with d != d1: constant, or scaled by 1 + x_1 per point."""
+    d = domain.dimension
+    sig = np.random.default_rng(11).normal(size=(d, d1)) * 0.4
+
+    def diffusion(t, x, mu):
+        if not sigma_of_x:
+            return sig
+        return (1.0 + np.asarray(x)[..., 0, None, None]) * sig
+
+    return ModelSpec(
+        name="custom", domain=domain, d1=d1, horizon=0.5,
+        drift=lambda t, x, mu: 0.3 * (mu.mean - np.asarray(x)),
+        diffusion=diffusion, bound_L=10.0, lipschitz_K=10.0,
+        init_sampler=lambda rng, n: domain.sample_interior(rng, n))
+
+
+_BITWISE_CASES = [
+    (make_m1(BOX2), None), (make_m1(BALL3), None),
+    (make_m2(BOX2, theta=0.7), None), (make_m2(BALL3, theta=0.7), None),
+    (make_m3(BOX2, alpha=2.0), None), (make_m3(BALL3, alpha=2.0), None),
+    (_custom_model(BALL2, 3, sigma_of_x=False), [0.4, -0.7, 0.2]),
+    (_custom_model(BOX2, 3, sigma_of_x=True), [0.4, -0.7, 0.2]),
+]
+_BITWISE_IDS = ["m1-box", "m1-ball", "m2-box", "m2-ball", "m3-box", "m3-ball",
+                "dense-sigma-control", "state-sigma-control"]
+
+
+class TestMfProcessBitwise:
+    """mf_process equals the per-point sigma sigma^T reference bit for bit."""
+
+    def _run(self, model, v):
+        grid = TimeGrid(0.5, 12)
+        policy = None if v is None else ConstantPolicy(v)
+        ens = simulate_particle_system(model, 257, grid, policy=policy, seed=4)
+        return grid, ens, marginal_flow(ens)
+
+    @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
+    def test_equals_reference(self, model, v):
+        grid, ens, flow = self._run(model, v)
+        w = ens.noise_paths()
+        for fid, f in standard_test_functions(model.d, model.d1).items():
+            got = mf_process(f, ens.states, ens.controls, w, flow, model, grid)
+            ref = reference_mf_process(f, ens.states, ens.controls, w, flow,
+                                       model, grid)
+            assert np.array_equal(got, ref), fid
+
+    @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
+    def test_single_path_equals_batched_column(self, model, v):
+        grid, ens, flow = self._run(model, v)
+        w = ens.noise_paths()
+        for fid, f in standard_test_functions(model.d, model.d1).items():
+            batched = mf_process(f, ens.states, ens.controls, w, flow, model,
+                                 grid)
+            single = mf_process(f, ens.states[:, 0, :], ens.controls[:, 0, :],
+                                w[:, 0, :], flow, model, grid)
+            assert np.array_equal(single, batched[:, 0]), fid
+
+
+class TestSubmartingaleInputs:
+    def _ens(self, n_particles=16):
+        m = make_m1(BOX1, sigma_scale=0.5)
+        grid = TimeGrid(0.5, 8)
+        return m, simulate_particle_system(m, n_particles, grid, seed=0)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, np.nan])
+    def test_confidence_outside_unit_interval(self, confidence):
+        m, ens = self._ens()
+        f = standard_test_functions(1, 1)["constant"]
+        with pytest.raises(InputError, match="confidence"):
+            submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)],
+                               confidence=confidence)
+
+    @pytest.mark.parametrize("n_particles, n_paths", [(1, None), (16, 1),
+                                                      (16, 0)])
+    def test_fewer_than_two_paths(self, n_particles, n_paths):
+        m, ens = self._ens(n_particles)
+        f = standard_test_functions(1, 1)["constant"]
+        with pytest.raises(InputError, match="two paths"):
+            submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)],
+                               n_paths=n_paths)
+
+    def test_two_paths_suffice(self):
+        m, ens = self._ens()
+        f = standard_test_functions(1, 1)["constant"]
+        rep = submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)],
+                                 n_paths=2)
+        assert rep.passed

@@ -128,6 +128,15 @@ class TestNoiseContract:
             assert np.array_equal(seen[0][:, i],
                                   _substream_noise(9, 0, i, grid, m.d1))
 
+    @pytest.mark.parametrize("domain", [BOX1, BALL3])
+    def test_noise_paths_equal_time_major_cumsum(self, domain):
+        m = make_m2(domain, theta=0.5)
+        grid = TimeGrid(1.0, 33)
+        ens = simulate_particle_system(m, 129, grid, seed=8)
+        ref = np.zeros((grid.n_steps + 1, 129, m.d1))
+        ref[1:] = np.cumsum(np.ascontiguousarray(ens.noises), axis=0)
+        assert np.array_equal(ens.noise_paths(), ref)
+
     def test_grid_past_model_horizon_rejected(self):
         m = make_m1(BOX1, horizon=0.5)
         with pytest.raises(InputError):

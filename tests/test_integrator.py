@@ -7,7 +7,7 @@ from rldp.controls import ConstantPolicy
 from rldp.ensemble import marginal_flow, simulate_particle_system
 from rldp.errors import InputError, PreconditionError
 from rldp.geometry import ConvexDomain, skorokhod_1d
-from rldp.integrator import (TimeGrid, brownian_increments,
+from rldp.integrator import (TimeGrid, _advance, brownian_increments,
                              coarsen_increments, refine_increments,
                              simulate_reflected_path, step_reflected)
 from rldp.model import (MeasureSummary, ModelSpec, make_drifted, make_m1,
@@ -207,6 +207,29 @@ class TestOneSteppingCore:
         assert np.array_equal(path.reflection, particle.reflection)
         assert np.array_equal(path.local_time, particle.local_time)
         assert np.array_equal(path.boundary_hits, particle.boundary_hits)
+
+
+class _CountingPolicy(ConstantPolicy):
+    def __init__(self, v):
+        super().__init__(v)
+        self.is_zero_calls = 0
+
+    def is_zero(self):
+        self.is_zero_calls += 1
+        return super().is_zero()
+
+
+class TestPolicyIsZeroOncePerAdvance:
+    @pytest.mark.parametrize("v", [[0.0], [0.5]])
+    def test_one_call_per_advance(self, v):
+        m = make_m1(BOX1)
+        grid = TimeGrid(1.0, 16)
+        policy = _CountingPolicy(v)
+        simulate_particle_system(m, 8, grid, policy=policy, seed=2)
+        assert policy.is_zero_calls == 1
+        _advance(m, grid, np.full((3, 1), 0.5), np.zeros((16, 3, 1)), policy,
+                 None)
+        assert policy.is_zero_calls == 2
 
 
 class TestReflectionProperties:

@@ -37,6 +37,21 @@ class TestMeasureSummary:
             MeasureSummary.from_points(np.array([[0.0], [1.0]]),
                                        weights=weights)
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (64, 3), (1000, 5)])
+    def test_lazy_second_moment_equals_eager_formula(self, n, d):
+        rng = np.random.default_rng(n + d)
+        points = rng.normal(size=(n, d))
+        weights = rng.uniform(0.1, 1.0, size=n)
+        weights /= weights.sum()
+        mu = MeasureSummary.from_points(points, weights)
+        assert "second_moment" not in vars(mu)
+        second = (points.T * weights) @ points
+        assert np.array_equal(mu.second_moment, second)
+        assert mu.second_moment is mu.second_moment
+        cov = second - np.outer(weights @ points, weights @ points)
+        assert np.array_equal(mu.covariance(), cov)
+        assert mu.cov_trace() == float(np.trace(cov))
+
 
 class TestEvalCoefficients:
     def test_constant_coefficients(self):
