@@ -85,6 +85,8 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     cfg.setdefault("schema_version", SCHEMA_VERSION)
     cfg.setdefault("seed", 0)
     cfg.setdefault("run", {})
+    if not isinstance(cfg["run"], dict):
+        raise ConfigError("run must be a JSON object")
     cfg["kind"] = kind
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
@@ -104,12 +106,27 @@ def _build_common(cfg: dict):
         model = model_from_config(cfg["model"])
         grid_cfg = cfg["grid"]
         grid = TimeGrid(float(grid_cfg["horizon"]), int(grid_cfg["n_steps"]))
-    except (KeyError, TypeError, InputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError) as exc:
         raise ConfigError(f"invalid model/grid block: {exc}") from exc
     if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
         raise ConfigError(f"grid horizon {grid.horizon} differs from model "
                           f"horizon {model.horizon}")
     return model, grid
+
+
+def _field(block: dict, key: str, default, cast, where: str = "run"):
+    """``cast(block.get(key, default))``, a ``ConfigError`` if that fails."""
+    try:
+        return cast(block.get(key, default))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {where}.{key}: {exc}") from exc
+
+
+def _block(parent: dict, key: str, default: dict, where: str = "run") -> dict:
+    block = parent.get(key, default)
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}.{key} must be a JSON object")
+    return block
 
 
 def _functional(run: dict):
@@ -125,10 +142,11 @@ def _functional(run: dict):
 
 def _run_simulate(cfg, model, grid, out: Path):
     run = cfg["run"]
-    n = int(run.get("n_particles", 8))
+    n = _field(run, "n_particles", 8, int)
     policy = None
     if "policy" in run:
-        policy = policy_from_config(run["policy"], grid, model.d, model.d1)
+        policy = _field(run, "policy", None, lambda c: policy_from_config(
+            c, grid, model.d, model.d1))
     ens = simulate_particle_system(model, n, grid, policy=policy,
                                    seed=cfg["seed"], budget=cfg.get("budget"))
     csv_path = out / "paths.csv"
@@ -148,9 +166,10 @@ def _run_simulate(cfg, model, grid, out: Path):
 
 def _run_chaos(cfg, model, grid, out: Path):
     run = cfg["run"]
-    n_values = [int(v) for v in run.get("n_values", [64, 256, 1024])]
-    n_replicas = int(run.get("n_replicas", 16))
-    n_ref = int(run.get("n_ref", 4096))
+    n_values = _field(run, "n_values", [64, 256, 1024],
+                      lambda vs: [int(v) for v in vs])
+    n_replicas = _field(run, "n_replicas", 16, int)
+    n_ref = _field(run, "n_ref", 4096, int)
     ref = solve_mckean_vlasov_reference(model, grid, method="large_N",
                                         n_ref=n_ref, seed=cfg["seed"],
                                         budget=cfg.get("budget"))
@@ -188,8 +207,8 @@ def _run_laplace(cfg, model, grid, out: Path):
     run = cfg["run"]
     functional = _functional(run)
     est = ldp.laplace_functional_mc(
-        model, functional, int(run.get("n_particles", 32)), grid,
-        int(run.get("n_replicas", 64)), seed=cfg["seed"],
+        model, functional, _field(run, "n_particles", 32, int), grid,
+        _field(run, "n_replicas", 64, int), seed=cfg["seed"],
         budget=cfg.get("budget"))
     result = {
         "kind": "laplace",
@@ -207,11 +226,11 @@ def _run_laplace(cfg, model, grid, out: Path):
 def _run_variational(cfg, model, grid, out: Path):
     run = cfg["run"]
     functional = _functional(run)
-    policy = policy_from_config(run.get("policy", {"policy": "zero"}),
-                                grid, model.d, model.d1)
+    policy = _field(run, "policy", {"policy": "zero"},
+                    lambda c: policy_from_config(c, grid, model.d, model.d1))
     est = ldp.variational_objective(
-        model, functional, policy, int(run.get("n_particles", 32)), grid,
-        int(run.get("n_replicas", 64)), seed=cfg["seed"],
+        model, functional, policy, _field(run, "n_particles", 32, int), grid,
+        _field(run, "n_replicas", 64, int), seed=cfg["seed"],
         budget=cfg.get("budget"))
     result = {
         "kind": "variational",
@@ -226,22 +245,25 @@ def _run_variational(cfg, model, grid, out: Path):
 
 
 def _resolve_rate_target(run, model, grid, seed, budget):
-    tgt = run.get("target", {"kind": "reference"})
+    tgt = _block(run, "target", {"kind": "reference"})
     kind = tgt.get("kind", "reference")
     if kind == "reference":
         return solve_mckean_vlasov_reference(
             model, grid, method="large_N",
-            n_ref=int(tgt.get("n_ref", 2048)),
-            seed=seed + int(tgt.get("seed_offset", 1000)), budget=budget)
+            n_ref=_field(tgt, "n_ref", 2048, int, "run.target"),
+            seed=seed + _field(tgt, "seed_offset", 1000, int, "run.target"),
+            budget=budget)
     if kind == "terminal_point":
-        return MeasureSummary.dirac(tgt["point"])
+        if "point" not in tgt:
+            raise ConfigError("run.target.point is required")
+        return _field(tgt, "point", None, MeasureSummary.dirac, "run.target")
     raise ConfigError(f"unknown rate target kind {kind!r}")
 
 
 def _resolve_family(run, model, grid):
-    fam = run.get("family", {"family": "constant"})
+    fam = _block(run, "family", {"family": "constant"})
     name = fam.get("family", "constant")
-    bound = float(fam.get("bound", 3.0))
+    bound = _field(fam, "bound", 3.0, float, "run.family")
     if name == "constant":
         return constant_family(model.d1, bound=bound)
     if name == "feedback":
@@ -255,10 +277,11 @@ def _run_rate(cfg, model, grid, out: Path):
                                   cfg.get("budget"))
     family = _resolve_family(run, model, grid)
     est = ldp.estimate_rate(
-        model, target, run.get("lambdas", [1.0, 4.0]), family,
-        int(run.get("n_particles", 64)), grid,
-        int(run.get("n_replicas", 16)), int(run.get("opt_budget", 40)),
-        seed=cfg["seed"], radius=float(run.get("radius", 0.1)),
+        model, target,
+        _field(run, "lambdas", [1.0, 4.0], lambda ls: [float(v) for v in ls]),
+        family, _field(run, "n_particles", 64, int), grid,
+        _field(run, "n_replicas", 16, int), _field(run, "opt_budget", 40, int),
+        seed=cfg["seed"], radius=_field(run, "radius", 0.1, float),
         distance_mode=run.get("distance_mode", "terminal"),
         sim_budget=cfg.get("budget"))
     result = {
@@ -279,21 +302,22 @@ def _run_submartingale(cfg, model, grid, out: Path):
     run = cfg["run"]
     funcs = diagnostics.standard_test_functions(model.d, model.d1)
     fid = run.get("function", "neg_x_sq")
-    if fid not in funcs:
+    if not isinstance(fid, str) or fid not in funcs:
         raise ConfigError(f"unknown test function {fid!r}")
     f = funcs[fid]
-    n = int(run.get("n_particles", 1024))
+    n = _field(run, "n_particles", 1024, int)
+    pairs = _field(run, "time_pairs", None, lambda ps: [
+        (float(a), float(b)) for a, b in ps or [(0.0, grid.horizon)]])
+    c_bias = _field(run, "c_bias", 0.0, float)
+    confidence = _field(run, "confidence", 0.95, float)
     ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
                                    budget=cfg.get("budget"))
     flow = marginal_flow(ens)
-    pairs = run.get("time_pairs") or [[0.0, grid.horizon]]
-    c_bias = float(run.get("c_bias", 0.0))
     if run.get("calibrate", False):
         c_bias = diagnostics.calibrate_bias_allowance(
             model, f, grid, n_paths=min(n, 512), seed=cfg["seed"])
     report = diagnostics.submartingale_test(
-        ens, flow, f, model, [(float(a), float(b)) for a, b in pairs],
-        confidence=float(run.get("confidence", 0.95)), c_bias=c_bias,
+        ens, flow, f, model, pairs, confidence=confidence, c_bias=c_bias,
         skip_boundary_check=bool(run.get("skip_boundary_check", False)))
     return {"kind": "submartingale", **report.to_dict()}, []
 

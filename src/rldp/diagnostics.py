@@ -53,13 +53,19 @@ def _zeros_like_vec(x, m):
     return np.zeros(np.shape(x)[:-1] + (m,))
 
 
+def _const_mat(x, core):
+    """A particle-invariant Hessian: ``core`` broadcast over the leading axes
+    of x as a read-only view, not one copy per particle."""
+    return np.broadcast_to(core, np.shape(x)[:-1] + core.shape)
+
+
 def _zeros_like_mat(x, m, k):
-    return np.zeros(np.shape(x)[:-1] + (m, k))
+    return _const_mat(x, np.zeros((m, k)))
 
 
 def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
     """Registered test functions for a given state/noise dimension."""
-    eye_xx = np.eye(d)
+    neg2_xx, neg2_zz = -2.0 * np.eye(d), -2.0 * np.eye(d1)
 
     funcs = {}
 
@@ -92,8 +98,7 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
         f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
         grad_x=lambda t, x, z: -2.0 * np.asarray(x, dtype=float),
         grad_z=lambda t, x, z: _zeros_like_vec(x, d1),
-        hess_xx=lambda t, x, z: np.broadcast_to(
-            -2.0 * eye_xx, np.shape(x)[:-1] + (d, d)).copy(),
+        hess_xx=lambda t, x, z: _const_mat(x, neg2_xx),
         hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
         hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
     )
@@ -154,8 +159,7 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
         grad_z=lambda t, x, z: -2.0 * np.asarray(z, dtype=float),
         hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
         hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: np.broadcast_to(
-            -2.0 * np.eye(d1), np.shape(x)[:-1] + (d1, d1)).copy(),
+        hess_zz=lambda t, x, z: _const_mat(x, neg2_zz),
     )
 
     return funcs

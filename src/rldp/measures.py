@@ -1,12 +1,14 @@
 """Distances between probability measures and path-regularity statistics.
 
 The bounded-Lipschitz distance sup { int f d(mu - nu) : |f| <= 1, Lip(f) <= 1 }
-is computed exactly in one dimension (a small linear program over the
-values of the dual function on the merged support).  In higher dimension
-we report a certified lower bound: the maximum over a fixed, seeded
-dictionary of clipped affine functions, radial cones and a witness along the
-mean difference (exact for two Diracs), evaluated as array passes over
-blocks of functions bounded in bytes, bitwise as each function alone.
+is computed exactly against any Dirac, in any dimension, by the closed form
+BL(mu, delta_y) = sum_i w_i min(|x_i - y|, 2).  Between two other measures
+it is exact in one dimension (a small linear program over the values of
+the dual function on the merged support).  In higher dimension we report a
+certified lower bound: the maximum over a fixed, seeded dictionary of
+clipped affine functions, radial cones and a witness along the mean
+difference, evaluated as array passes over blocks of functions bounded in
+bytes, bitwise as each function alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .model import MeasureSummary
 from . import rng as rngmod
 
 EXACT_1D = "exact_1d"
+EXACT_DIRAC = "exact_dirac"  # the Dirac closed form in d >= 2
 DICTIONARY = "dictionary"
 _BLOCK_BYTES = 256 * 1024  # cap on a (B, n, d) block of dictionary differences
 
@@ -136,21 +139,24 @@ def _check_dictionary_size(size):
 
 def bl_distance(mu: MeasureSummary, nu: MeasureSummary,
                 dictionary_size: int = 256, seed: int = 0) -> BLEstimate:
-    """Bounded-Lipschitz distance: exact in d = 1, lower bound in d >= 2."""
+    """Bounded-Lipschitz distance: exact against any Dirac, in any dimension,
+    and exact in d = 1; otherwise a dictionary lower bound in d >= 2."""
     _check_dictionary_size(dictionary_size)
     if mu.dimension != nu.dimension:
         raise InputError("measures live on different-dimensional domains")
-    # Dirac vs Dirac has the closed form min(2, |x - y|) in any dimension;
-    # the adaptive witness in the dictionary attains it, so report it exactly.
-    if mu.is_dirac(tol=0.0) and nu.is_dirac(tol=0.0):
-        value = min(2.0, float(np.linalg.norm(mu.points[0] - nu.points[0])))
-        if mu.dimension == 1:
-            return BLEstimate(value=value, method=EXACT_1D)
-        return BLEstimate(value=value, method=DICTIONARY,
-                          dictionary_size=dictionary_size)
     # canonical argument order so the metric is bitwise symmetric
     a, b = sorted((mu, nu), key=lambda m: (m.points.tobytes(), m.weights.tobytes()))
-    if mu.dimension == 1:
+    # Against a Dirac at y, BL = sum_i w_i min(|x_i - y|, 2) (Dudley, Real
+    # Analysis and Probability, 11.8): f = min(|. - y|, 2) - 1 attains it, and
+    # |f| <= 1, Lip(f) <= 1 give f(x) - f(y) <= min(|x - y|, 2) for every f.
+    a_dirac = a.is_dirac(tol=0.0)
+    if a_dirac or b.is_dirac(tol=0.0):
+        cloud, y = (b, a.points[0]) if a_dirac else (a, b.points[0])
+        value = min(2.0, float(np.minimum(_row_norm(cloud.points - y), 2.0)
+                               @ cloud.weights))
+        return BLEstimate(value=value,
+                          method=EXACT_1D if a.dimension == 1 else EXACT_DIRAC)
+    if a.dimension == 1:
         return BLEstimate(value=_bl_exact_1d(a, b), method=EXACT_1D)
     return BLEstimate(value=_bl_dictionary(a, b, dictionary_size, seed),
                       method=DICTIONARY, dictionary_size=dictionary_size)

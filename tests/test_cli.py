@@ -209,6 +209,37 @@ class TestConfigErrorsExit2:
         assert "two paths" in detail
         assert not (tmp_path / "o" / "result.json").exists()
 
+    @pytest.mark.parametrize("kind, key", [
+        ("chaos", "n_ref"), ("rate", "radius"),
+        ("submartingale", "n_particles"), ("submartingale", "confidence"),
+        ("variational", "n_replicas")])
+    def test_non_numeric_run_field(self, tmp_path, capsys, kind, key):
+        run = {"functional": {"functional": "constant", "c": 0.0},
+               "target": {"kind": "terminal_point", "point": [0.5]},
+               "n_particles": 2, "n_replicas": 2, key: "many"}
+        code = main([kind, "--config",
+                     _write(tmp_path, "bad.json", self._cfg(run=run)),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert key in json.loads(err)["detail"]
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("kind, run", [
+        ("rate", {"target": "dirac"}),
+        ("rate", {"target": {"kind": "terminal_point"}}),
+        ("rate", {"family": {"family": "constant", "bound": "wide"}}),
+        ("simulate", {"policy": {"policy": "constant"}}),
+        ("submartingale", {"time_pairs": [[0.0, "end"]]})])
+    def test_malformed_run_block(self, tmp_path, capsys, kind, run):
+        self._run(tmp_path, capsys, kind, self._cfg(run=run))
+
+    @pytest.mark.parametrize("changes", [
+        {"run": [8]}, {"grid": {"horizon": "half", "n_steps": 8}}])
+    def test_malformed_top_level_block(self, tmp_path, capsys, changes):
+        self._run(tmp_path, capsys, "simulate", self._cfg(**changes))
+
 
 class TestOtherKinds:
     def test_variational_and_rate_and_submartingale(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,31 @@ class TestMfProcessBitwise:
             single = mf_process(f, ens.states[:, 0, :], ens.controls[:, 0, :],
                                 w[:, 0, :], flow, model, grid)
             assert np.array_equal(single, batched[:, 0]), fid
+
+    @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
+    def test_hessian_views_equal_copies(self, model, v):
+        """Read-only broadcast Hessians give the bits of one fresh array per
+        particle, signed zeros included."""
+        grid, ens, flow = self._run(model, v)
+        w = ens.noise_paths()
+        for fid, f in standard_test_functions(model.d, model.d1).items():
+            copying = dataclasses.replace(f, **{
+                name: (lambda h: lambda t, x, z: np.array(h(t, x, z)))(
+                    getattr(f, name))
+                for name in ("hess_xx", "hess_xz", "hess_zz")})
+            got = mf_process(f, ens.states, ens.controls, w, flow, model, grid)
+            ref = mf_process(copying, ens.states, ens.controls, w, flow,
+                             model, grid)
+            assert got.tobytes() == ref.tobytes(), fid
+
+    def test_constant_hessians_are_read_only_views(self):
+        x = np.zeros((257, 3))
+        f = standard_test_functions(3, 2)["neg_x_sq"]
+        for h, shape in ((f.hess_xx(0.0, x, x[:, :2]), (257, 3, 3)),
+                         (f.hess_xz(0.0, x, x[:, :2]), (257, 3, 2)),
+                         (f.hess_zz(0.0, x, x[:, :2]), (257, 2, 2))):
+            assert h.shape == shape
+            assert h.strides[0] == 0 and not h.flags.writeable
 
 
 class TestSubmartingaleInputs:

@@ -15,15 +15,18 @@ def bl_lp_oracle(mu, nu):
     """Brute-force dual LP with the FULL pairwise Lipschitz constraint set.
 
     Independent of the adjacent-constraint formulation used by the library.
+    The gaps are Euclidean, so it is exact in any dimension: a function
+    with |f| <= 1 and Lip(f) <= 1 on the finite support extends to the whole
+    space with both bounds (McShane's extension, clipped to [-1, 1]).
     """
-    pts = np.concatenate([mu.points[:, 0], nu.points[:, 0]])
+    pts = np.concatenate([mu.points, nu.points])
     delta = np.concatenate([mu.weights, -nu.weights])
     m = len(pts)
     rows = []
     rhs = []
     for i in range(m):
         for j in range(i + 1, m):
-            gap = abs(pts[i] - pts[j])
+            gap = float(np.linalg.norm(pts[i] - pts[j]))
             row = np.zeros(m)
             row[i], row[j] = 1.0, -1.0
             rows.append(row.copy())
@@ -255,6 +258,87 @@ class TestBLDistance:
         with pytest.raises(InputError):
             bl_distance(MeasureSummary.dirac([0.0]),
                         MeasureSummary.dirac([0.0, 0.0]))
+
+
+class TestBLAgainstDirac:
+    """BL(mu, delta_y) = sum_i w_i min(|x_i - y|, 2), exact in any dimension."""
+
+    def test_1d_cloud_matches_lp_oracle(self):
+        rng = np.random.default_rng(40)
+        saturated = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            mu = MeasureSummary.from_points(rng.uniform(-3, 3, (n, 1)),
+                                            rng.dirichlet(np.ones(n)))
+            y = rng.uniform(-1, 1, 1)
+            nu = MeasureSummary.dirac(y)
+            saturated += int(np.sum(np.abs(mu.points[:, 0] - y[0]) > 2.0))
+            est = bl_distance(mu, nu)
+            assert est.method == "exact_1d"
+            assert est.value == pytest.approx(bl_lp_oracle(mu, nu), abs=1e-12)
+        assert saturated > 0  # the min(., 2) cap is exercised
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cloud_matches_euclidean_lp_oracle(self, d):
+        rng = np.random.default_rng(50 + d)
+        for width in (0.5, 3.0):  # inside, and beyond, the cap at 2
+            for _ in range(8):
+                n = int(rng.integers(2, 24))
+                mu = MeasureSummary.from_points(
+                    rng.uniform(-width, width, (n, d)))
+                nu = MeasureSummary.dirac(rng.uniform(-0.5, 0.5, d))
+                est = bl_distance(mu, nu)
+                assert est.method == "exact_dirac"
+                assert est.dictionary_size is None
+                assert est.value == pytest.approx(bl_lp_oracle(mu, nu),
+                                                  abs=1e-12)
+                assert est.value >= _bl_dictionary(mu, nu, 256, 0)
+                assert est.value >= _bl_dictionary(nu, mu, 256, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_symmetric(self, d):
+        rng = np.random.default_rng(60 + d)
+        for n in (2, 5, 64):
+            mu = MeasureSummary.from_points(rng.uniform(-2, 2, (n, d)),
+                                            rng.dirichlet(np.ones(n)))
+            nu = MeasureSummary.dirac(rng.uniform(-1, 1, d))
+            assert bl_distance(mu, nu) == bl_distance(nu, mu)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_two_diracs(self, d):
+        rng = np.random.default_rng(70 + d)
+        for scale in (0.01, 0.5, 3.0):
+            x, y = rng.uniform(-scale, scale, (2, d))
+            got = bl_distance(MeasureSummary.dirac(x), MeasureSummary.dirac(y))
+            assert got == bl_distance(MeasureSummary.dirac(y),
+                                      MeasureSummary.dirac(x))
+            # the row norm numpy takes over an (n, d) array, to the bit; in
+            # d = 1 this is the norm of the vector itself
+            row = float(np.linalg.norm((x - y)[None, :], axis=-1)[0])
+            assert got.value == min(2.0, row)
+            if d == 1:
+                assert got.value == min(2.0, float(np.linalg.norm(x - y)))
+            assert got.value == pytest.approx(
+                min(2.0, float(np.linalg.norm(x - y))), rel=1e-15)
+
+    def test_rate_on_terminal_point_solves_no_lp(self, monkeypatch):
+        from rldp import measures
+        from rldp.controls import constant_family
+        from rldp.geometry import ConvexDomain
+        from rldp.ldp import estimate_rate
+        from rldp.model import make_m1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no LP or dictionary against a Dirac")
+
+        monkeypatch.setattr(measures, "linprog", refuse)
+        monkeypatch.setattr(measures, "_bl_dictionary", refuse)
+        m = make_m1(ConvexDomain.box([0.0], [1.0]), sigma_scale=0.5,
+                    horizon=0.25)
+        est = estimate_rate(m, MeasureSummary.dirac([0.7]), [1.0, 4.0],
+                            constant_family(1, bound=2.0), 8,
+                            TimeGrid(0.25, 8), 4, 10, seed=3, radius=0.3)
+        assert all(0.0 < v < 2.0 for v in est.achieved_distances)
 
 
 class TestPathBL:
