@@ -122,6 +122,13 @@ def _field(block: dict, key: str, default, cast, where: str = "run"):
         raise ConfigError(f"invalid {where}.{key}: {exc}") from exc
 
 
+def _json_bool(value) -> bool:
+    """A ``_field`` cast that accepts only a JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _block(parent: dict, key: str, default: dict, where: str = "run") -> dict:
     block = parent.get(key, default)
     if not isinstance(block, dict):
@@ -310,15 +317,17 @@ def _run_submartingale(cfg, model, grid, out: Path):
         (float(a), float(b)) for a, b in ps or [(0.0, grid.horizon)]])
     c_bias = _field(run, "c_bias", 0.0, float)
     confidence = _field(run, "confidence", 0.95, float)
+    calibrate = _field(run, "calibrate", False, _json_bool)
+    skip_check = _field(run, "skip_boundary_check", False, _json_bool)
     ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
                                    budget=cfg.get("budget"))
     flow = marginal_flow(ens)
-    if run.get("calibrate", False):
+    if calibrate:
         c_bias = diagnostics.calibrate_bias_allowance(
             model, f, grid, n_paths=min(n, 512), seed=cfg["seed"])
     report = diagnostics.submartingale_test(
         ens, flow, f, model, pairs, confidence=confidence, c_bias=c_bias,
-        skip_boundary_check=bool(run.get("skip_boundary_check", False)))
+        skip_boundary_check=skip_check)
     return {"kind": "submartingale", **report.to_dict()}, []
 
 

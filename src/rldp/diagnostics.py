@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
-from .ensemble import Ensemble, MeasureFlow
+from .ensemble import (Ensemble, MeasureFlow, marginal_flow,
+                       simulate_particle_system)
 from .errors import InputError, ModelError, PreconditionError
 from .geometry import ConvexDomain
 from .integrator import TimeGrid
@@ -66,103 +67,59 @@ def _zeros_like_mat(x, m, k):
 def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
     """Registered test functions for a given state/noise dimension."""
     neg2_xx, neg2_zz = -2.0 * np.eye(d), -2.0 * np.eye(d1)
+    zero_partials = {
+        "f_t": lambda t, x, z: np.zeros(np.shape(x)[:-1]),
+        "grad_x": lambda t, x, z: _zeros_like_vec(x, d),
+        "grad_z": lambda t, x, z: _zeros_like_vec(x, d1),
+        "hess_xx": lambda t, x, z: _zeros_like_mat(x, d, d),
+        "hess_xz": lambda t, x, z: _zeros_like_mat(x, d, d1),
+        "hess_zz": lambda t, x, z: _zeros_like_mat(x, d1, d1),
+    }
 
-    funcs = {}
-
-    funcs["constant"] = TestFunction(
-        id="constant", d=d, d1=d1,
-        f=lambda t, x, z: np.broadcast_to(1.0, np.shape(x)[:-1]).copy(),
-        f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: _zeros_like_vec(x, d),
-        grad_z=lambda t, x, z: _zeros_like_vec(x, d1),
-        hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
-        hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
-    )
-
-    funcs["time"] = TestFunction(
-        id="time", d=d, d1=d1,
-        f=lambda t, x, z: np.broadcast_to(np.asarray(t, dtype=float),
-                                          np.shape(x)[:-1]).copy(),
-        f_t=lambda t, x, z: np.ones(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: _zeros_like_vec(x, d),
-        grad_z=lambda t, x, z: _zeros_like_vec(x, d1),
-        hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
-        hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
-    )
-
-    funcs["neg_x_sq"] = TestFunction(
-        id="neg_x_sq", d=d, d1=d1,
-        f=lambda t, x, z: -np.sum(np.asarray(x) ** 2, axis=-1),
-        f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: -2.0 * np.asarray(x, dtype=float),
-        grad_z=lambda t, x, z: _zeros_like_vec(x, d1),
-        hess_xx=lambda t, x, z: _const_mat(x, neg2_xx),
-        hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
-    )
+    def make(fid, f, **partials):
+        """f with the given partials; every other partial is zero."""
+        return TestFunction(id=fid, d=d, d1=d1, f=f,
+                            **{**zero_partials, **partials})
 
     def e_x1(x):
         g = np.zeros(np.shape(x)[:-1] + (d,))
         g[..., 0] = 1.0
         return g
 
-    funcs["linear_x1"] = TestFunction(
-        id="linear_x1", d=d, d1=d1,
-        f=lambda t, x, z: np.asarray(x)[..., 0].copy(),
-        f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: e_x1(x),
-        grad_z=lambda t, x, z: _zeros_like_vec(x, d1),
-        hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
-        hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
-    )
-
     def e_z1(x):
         g = np.zeros(np.shape(x)[:-1] + (d1,))
         g[..., 0] = 1.0
         return g
-
-    funcs["linear_z1"] = TestFunction(
-        id="linear_z1", d=d, d1=d1,
-        f=lambda t, x, z: np.asarray(z)[..., 0].copy(),
-        f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: _zeros_like_vec(x, d),
-        grad_z=lambda t, x, z: e_z1(x),
-        hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
-        hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
-    )
 
     def x1z1_hess_xz(x):
         h = np.zeros(np.shape(x)[:-1] + (d, d1))
         h[..., 0, 0] = 1.0
         return h
 
-    funcs["x1_z1"] = TestFunction(
-        id="x1_z1", d=d, d1=d1,
-        f=lambda t, x, z: np.asarray(x)[..., 0] * np.asarray(z)[..., 0],
-        f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: e_x1(x) * np.asarray(z)[..., 0, None],
-        grad_z=lambda t, x, z: e_z1(x) * np.asarray(x)[..., 0, None],
-        hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
-        hess_xz=lambda t, x, z: x1z1_hess_xz(x),
-        hess_zz=lambda t, x, z: _zeros_like_mat(x, d1, d1),
-    )
-
-    funcs["neg_z_sq"] = TestFunction(
-        id="neg_z_sq", d=d, d1=d1,
-        f=lambda t, x, z: -np.sum(np.asarray(z) ** 2, axis=-1),
-        f_t=lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        grad_x=lambda t, x, z: _zeros_like_vec(x, d),
-        grad_z=lambda t, x, z: -2.0 * np.asarray(z, dtype=float),
-        hess_xx=lambda t, x, z: _zeros_like_mat(x, d, d),
-        hess_xz=lambda t, x, z: _zeros_like_mat(x, d, d1),
-        hess_zz=lambda t, x, z: _const_mat(x, neg2_zz),
-    )
-
-    return funcs
+    funcs = [
+        make("constant",
+             lambda t, x, z: np.broadcast_to(1.0, np.shape(x)[:-1]).copy()),
+        make("time",
+             lambda t, x, z: np.broadcast_to(np.asarray(t, dtype=float),
+                                             np.shape(x)[:-1]).copy(),
+             f_t=lambda t, x, z: np.ones(np.shape(x)[:-1])),
+        make("neg_x_sq", lambda t, x, z: -np.sum(np.asarray(x) ** 2, axis=-1),
+             grad_x=lambda t, x, z: -2.0 * np.asarray(x, dtype=float),
+             hess_xx=lambda t, x, z: _const_mat(x, neg2_xx)),
+        make("linear_x1", lambda t, x, z: np.asarray(x)[..., 0].copy(),
+             grad_x=lambda t, x, z: e_x1(x)),
+        make("linear_z1", lambda t, x, z: np.asarray(z)[..., 0].copy(),
+             grad_z=lambda t, x, z: e_z1(x)),
+        make("x1_z1",
+             lambda t, x, z: np.asarray(x)[..., 0] * np.asarray(z)[..., 0],
+             grad_x=lambda t, x, z: e_x1(x) * np.asarray(z)[..., 0, None],
+             grad_z=lambda t, x, z: e_z1(x) * np.asarray(x)[..., 0, None],
+             hess_xz=lambda t, x, z: x1z1_hess_xz(x)),
+        make("neg_z_sq", lambda t, x, z: -np.sum(np.asarray(z) ** 2, axis=-1),
+             grad_z=lambda t, x, z: -2.0 * np.asarray(z, dtype=float),
+             hess_zz=lambda t, x, z: _const_mat(x, neg2_zz)),
+    ]
+    return {tf.id: tf for tf in funcs}
 
 
 # -- boundary condition --------------------------------------------------------------
@@ -380,7 +337,7 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
     w = ens.noise_paths()[:, :n_use, :]
     m = mf_process(f, states, controls, w, nu_flow, model, ens.grid)
 
-    z_crit = float(stats.norm.ppf(confidence))
+    z_crit = float(ndtri(confidence))  # the standard normal quantile
     dt = ens.grid.dt
     entries = []
     for (t0, t1) in time_pairs:
@@ -414,8 +371,6 @@ def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
     Regression through the origin on grids coarsened from the base grid;
     calibrated once per model against a reference compliant function.
     """
-    from .ensemble import simulate_particle_system, marginal_flow
-
     slopes_x = []
     slopes_y = []
     for factor in (4, 2, 1):

@@ -4,8 +4,13 @@ Stepping is explicit Euler with start-of-step empirical coupling: at each
 node the shared measure summary is computed from the current states, the
 policy is evaluated per particle, and all particles advance one projected
 step of ``integrator._advance``, the one stepping core, which the Picard
-flow runs as well.  Noise is pre-assigned per (replica, particle)
-substream, so results do not depend on execution order or worker count.  The Philox keys of a
+flow runs as well.  That core builds each node's empirical measure once;
+``Ensemble.summaries`` keeps them, and ``marginal_flow``,
+``empirical_measure_at`` and the Picard loop read them as they are instead
+of rebuilding them from the states.
+
+Noise is pre-assigned per (replica, particle) substream, so results do not
+depend on execution order or worker count.  The Philox keys of a
 replica's particles are derived in one batch (``rng.substream_keys``) and
 are bit-identical to the per-particle ``SeedSequence`` keys of
 ``rng.substream``.  ``Ensemble.noises`` is a read-only view of a
@@ -50,6 +55,7 @@ class Ensemble:
     boundary_hits: np.ndarray  # (n, N) bool
     noises: np.ndarray        # (n, N, d1) Brownian increments, read-only view
     controls: np.ndarray      # (n, N, d1) applied h values per cell
+    summaries: tuple          # (n+1,) MeasureSummary per node, views of states
     policy_id: str
     init_kind: str
 
@@ -83,7 +89,7 @@ class MeasureFlow:
     """Per-node measure summaries nu(t_k), plus solver metadata."""
 
     grid: TimeGrid
-    summaries: list
+    summaries: tuple
     method: str = "direct"
     converged: bool = True
     iteration_distances: tuple = ()
@@ -180,12 +186,13 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
         raise InputError("need at least one particle")
     _check_budget(n_particles, grid.n_steps, budget)
     states0, noises = _replica_draws(model, grid, n_particles, seed, replica)
-    states, reflection, local_time, hits, controls = _advance(
+    states, reflection, local_time, hits, controls, summaries = _advance(
         model, grid, states0, noises, policy, mu_flow=None)
     return Ensemble(
         model_id=model.name, grid=grid, seed=seed, replica=replica,
         states=states, reflection=reflection, local_time=local_time,
         boundary_hits=hits, noises=noises, controls=controls,
+        summaries=summaries,
         policy_id=policy.policy_id if policy is not None else "zero",
         init_kind=model.init_kind,
     )
@@ -193,14 +200,12 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
 
 def empirical_measure_at(ens: Ensemble, t: float) -> MeasureSummary:
     """Uniform empirical measure of the particle states at a grid node."""
-    k = ens.grid.node_index(t)
-    return MeasureSummary.from_points(ens.states[k])
+    return ens.summaries[ens.grid.node_index(t)]
 
 
 def marginal_flow(ens: Ensemble, method: str = "empirical") -> MeasureFlow:
-    summaries = [MeasureSummary.from_points(ens.states[k])
-                 for k in range(ens.grid.n_steps + 1)]
-    return MeasureFlow(grid=ens.grid, summaries=summaries, method=method)
+    """The per-node empirical measures the simulation built, as a flow."""
+    return MeasureFlow(grid=ens.grid, summaries=ens.summaries, method=method)
 
 
 # -- McKean-Vlasov reference flow ----------------------------------------------------
@@ -222,8 +227,7 @@ def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
             raise InputError("n_ref must be >= 1")
         ens = simulate_particle_system(model, n_ref, grid, policy=None,
                                        seed=seed, replica=0, budget=budget)
-        flow = marginal_flow(ens)
-        return MeasureFlow(grid=grid, summaries=flow.summaries, method="large_N")
+        return marginal_flow(ens, method="large_N")
 
     if method != "picard":
         raise InputError(f"unknown method {method!r}")
@@ -234,15 +238,14 @@ def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
     states0, noises = _replica_draws(model, grid, n_inner, seed, 0)
     nu0 = MeasureSummary.from_points(states0)
     flow = MeasureFlow(grid=grid,
-                       summaries=[nu0] * (grid.n_steps + 1), method="picard")
+                       summaries=(nu0,) * (grid.n_steps + 1), method="picard")
 
     distances = []
     converged = False
     increases = 0
     for m in range(n_iter):
-        states, *_ = _advance(model, grid, states0, noises, None, mu_flow=flow)
-        new_summaries = [MeasureSummary.from_points(states[k])
-                         for k in range(grid.n_steps + 1)]
+        *_, new_summaries = _advance(model, grid, states0, noises, None,
+                                     mu_flow=flow)
         dist = max(bl_distance(a, b).value
                    for a, b in zip(flow.summaries, new_summaries))
         distances.append(dist)

@@ -7,9 +7,10 @@ the discrete analogue of the boundary term and its magnitude plays the
 role of the local time (in scheme units).
 
 ``_advance`` is the only stepping core: it chains ``_step`` (update,
-projection, overshoot) over the grid for a batch of particles.  The
-``ensemble`` system and Picard flow run on it, ``simulate_reflected_path``
-on a one-particle batch; ``step_reflected`` is one checked ``_step``.
+projection, overshoot) over the grid for a batch of particles and builds
+each node's empirical measure once.  The ``ensemble`` system and Picard
+flow run on it, ``simulate_reflected_path`` on a one-particle batch;
+``step_reflected`` is one checked ``_step``.
 
 Controls are piecewise constant on grid cells, one value per cell.
 """
@@ -96,6 +97,12 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     the coefficients couple to the start-of-step empirical measure (the
     interacting system); otherwise the frozen flow mu_flow[k] is used
     (i.i.d. paths driven by an external law).
+
+    The uniform empirical measure of every node is built here, once, from
+    the view ``states[k]`` (so it shares the states' memory), and returned
+    as a tuple of n + 1 summaries after the five path arrays: it is the
+    coupling measure of the interacting system and the marginal flow that
+    ``ensemble`` and the Picard loop read.
     """
     n, n_particles = grid.n_steps, states0.shape[0]
     d, d1 = model.d, model.d1
@@ -106,13 +113,15 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     local_time = np.zeros((n + 1, n_particles))
     hits = np.zeros((n, n_particles), dtype=bool)
     controls = np.zeros((n, n_particles, d1))
+    summaries = []
 
     controlled = policy is not None and not policy.is_zero()
-    x = states0.copy()
-    states[0] = x
+    states[0] = states0
+    x = states[0]
     for k in range(n):
         t = grid.nodes[k]
-        mu = mu_flow[k] if mu_flow is not None else MeasureSummary.from_points(x)
+        summaries.append(MeasureSummary.from_points(states[k]))
+        mu = summaries[k] if mu_flow is None else mu_flow[k]
         b, sig = coefficients_batch(model, t, x, mu)
         if controlled:
             h = policy.evaluate(t, x, mu)
@@ -126,7 +135,8 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
         reflection[k + 1] = reflection[k] + overshoot
         local_time[k + 1] = local_time[k] + disp
         x = p
-    return states, reflection, local_time, hits, controls
+    summaries.append(MeasureSummary.from_points(states[n]))
+    return states, reflection, local_time, hits, controls, tuple(summaries)
 
 
 def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
@@ -175,7 +185,7 @@ def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if model.domain.contains(x) == EXTERIOR:
         raise PreconditionError("initial state outside the closed domain")
-    states, reflection, local_time, hits, _ = _advance(
+    states, reflection, local_time, hits, *_ = _advance(
         model, grid, x[None, :], noise[:, None, :], policy, mu_flow)
     return ReflectedPath(grid=grid, states=states[:, 0],
                          reflection=reflection[:, 0],

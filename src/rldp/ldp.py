@@ -20,8 +20,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .controls import ControlPolicy, PolicyFamily, ensemble_cost
-from .ensemble import (Ensemble, MeasureFlow, marginal_flow,
-                       shared_replica_draws, simulate_particle_system)
+from .ensemble import (marginal_flow, shared_replica_draws,
+                       simulate_particle_system)
 from .errors import InputError
 from .integrator import TimeGrid
 from .measures import bl_distance
@@ -60,8 +60,7 @@ def terminal_mean_functional(scale: float = 1.0, coord: int = 0,
                              center: float = 0.0, cap: float = 1.0) -> Functional:
     """F(flow) = scale * clip(mean_coord(T) - center, -cap, cap)."""
     def ev(flow):
-        m = flow[-1].mean[coord] if not isinstance(flow, MeasureFlow) else flow.terminal.mean[coord]
-        return scale * float(np.clip(m - center, -cap, cap))
+        return scale * float(np.clip(flow[-1].mean[coord] - center, -cap, cap))
     return Functional(id=f"terminal_mean(scale={scale},coord={coord},center={center})",
                       evaluate=ev, f_max=abs(scale) * cap)
 
@@ -72,7 +71,10 @@ def distance_to_target_functional(target, scale: float = 1.0,
 
     mode "terminal": BL distance of the terminal marginals.
     mode "integrated": time-average of the per-node BL distances.
+    The mode is checked against the target here, before any flow exists.
     """
+    _check_distance_mode(target, mode)
+
     def dist(flow):
         return flow_distance(flow, target, mode)
     return Functional(id=f"bl_to_target(scale={scale},mode={mode})",
@@ -80,17 +82,25 @@ def distance_to_target_functional(target, scale: float = 1.0,
                       f_max=2.0 * abs(scale))
 
 
-def flow_distance(flow, target, mode: str = "terminal") -> float:
-    """BL distance between a marginal flow and a target flow or summary."""
-    summaries = flow.summaries if isinstance(flow, MeasureFlow) else list(flow)
-    if isinstance(target, MeasureSummary):
-        return bl_distance(summaries[-1], target).value
-    tgt = target.summaries if isinstance(target, MeasureFlow) else list(target)
-    if mode == "terminal":
-        return bl_distance(summaries[-1], tgt[-1]).value
-    if mode != "integrated":
+def _check_distance_mode(target, mode: str):
+    if mode not in ("terminal", "integrated"):
         raise InputError(f"unknown distance mode {mode!r}")
-    vals = [bl_distance(a, b).value for a, b in zip(summaries, tgt)]
+    if mode == "integrated" and isinstance(target, MeasureSummary):
+        raise InputError("the integrated distance needs a target flow, "
+                         "not a terminal summary")
+
+
+def flow_distance(flow, target, mode: str = "terminal") -> float:
+    """BL distance between a marginal flow and a target flow or summary.
+
+    A flow is a MeasureFlow or a list of per-node summaries; both index
+    and iterate alike.  A summary target is a terminal target only.
+    """
+    _check_distance_mode(target, mode)
+    if mode == "terminal":
+        tgt = target if isinstance(target, MeasureSummary) else target[-1]
+        return bl_distance(flow[-1], tgt).value
+    vals = [bl_distance(a, b).value for a, b in zip(flow, target)]
     return float(np.mean(vals))
 
 

@@ -209,6 +209,23 @@ class TestConfigErrorsExit2:
         assert "two paths" in detail
         assert not (tmp_path / "o" / "result.json").exists()
 
+    @pytest.mark.parametrize("key", ["calibrate", "skip_boundary_check"])
+    def test_submartingale_flag_not_a_json_bool(self, tmp_path, capsys, key):
+        cfg = self._submart_cfg(**{key: "false"})
+        detail = self._run(tmp_path, capsys, "submartingale", cfg)
+        assert key in detail
+        assert not (tmp_path / "o" / "result.json").exists()
+
+    @pytest.mark.parametrize("mode", ["bogus", "integrated"])
+    def test_rate_distance_mode_against_point_target(self, tmp_path, capsys,
+                                                     mode):
+        run = {"target": {"kind": "terminal_point", "point": [0.5]},
+               "distance_mode": mode, "lambdas": [1.0], "opt_budget": 4,
+               "n_particles": 2, "n_replicas": 2}
+        detail = self._run(tmp_path, capsys, "rate", self._cfg(run=run))
+        assert "distance" in detail
+        assert not (tmp_path / "o" / "result.json").exists()
+
     @pytest.mark.parametrize("kind, key", [
         ("chaos", "n_ref"), ("rate", "radius"),
         ("submartingale", "n_particles"), ("submartingale", "confidence"),

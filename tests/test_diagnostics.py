@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rldp
 from rldp.controls import ConstantPolicy
 from rldp.diagnostics import (boundary_condition_check,
                               calibrate_bias_allowance, generator_apply,
@@ -366,3 +371,26 @@ class TestSubmartingaleInputs:
         rep = submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)],
                                  n_paths=2)
         assert rep.passed
+
+
+class TestNormalQuantile:
+    """The test's quantile comes from ``scipy.special``, not ``scipy.stats``."""
+
+    def test_ndtri_equals_norm_ppf_bitwise(self):
+        from scipy import stats
+        from scipy.special import ndtri
+        grid = np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, 100_001),
+                               [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999]])
+        assert np.array_equal(ndtri(grid), stats.norm.ppf(grid))
+        assert float(ndtri(0.95)) == float(stats.norm.ppf(0.95))
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(rldp.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rldp.cli; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -4,18 +4,28 @@ import numpy as np
 import pytest
 
 import rldp.ensemble as ensemble_mod
-from rldp.controls import ZeroPolicy
-from rldp.ensemble import (empirical_measure_at, marginal_flow,
+from rldp.controls import ConstantPolicy, ZeroPolicy
+from rldp.ensemble import (MeasureFlow, empirical_measure_at, marginal_flow,
                            shared_replica_draws, simulate_particle_system,
                            solve_mckean_vlasov_reference, write_paths_csv)
 from rldp.errors import BudgetError, InputError
 from rldp.geometry import ConvexDomain
-from rldp.integrator import TimeGrid, brownian_increments, simulate_reflected_path
+from rldp.integrator import (TimeGrid, _advance, brownian_increments,
+                             simulate_reflected_path)
+from rldp.measures import bl_distance
 from rldp.model import (MeasureSummary, ModelSpec, make_m1, make_m2)
 from rldp.rng import NOISE, substream
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
+BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
 BALL3 = ConvexDomain.ball([0.0, 0.0, 0.0], 1.0)
+
+SUMMARY_FIELDS = ("points", "weights", "mean", "second_moment")
+
+
+def _assert_same_summary(a, b):
+    for name in SUMMARY_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def _substream_noise(seed, replica, i, grid, d1):
@@ -192,6 +202,92 @@ class TestEmpiricalMeasure:
         ens = simulate_particle_system(m, 4, grid, seed=0)
         mu = empirical_measure_at(ens, 1.0)
         assert mu.cov_trace() == pytest.approx(0.0)
+
+
+class TestStoredSummaries:
+    """The stepping core's node measures are the ones a rebuild would give."""
+
+    @pytest.mark.parametrize("domain", [BOX1, BALL2], ids=["box1d", "ball2d"])
+    @pytest.mark.parametrize("v", [None, 0.7], ids=["zero", "constant"])
+    def test_equal_to_from_points_of_states(self, domain, v):
+        m = make_m2(domain, theta=0.5)
+        grid = TimeGrid(0.5, 12)
+        policy = None if v is None else ConstantPolicy([v] * m.d1)
+        ens = simulate_particle_system(m, 37, grid, policy=policy, seed=5)
+        assert len(ens.summaries) == grid.n_steps + 1
+        for k, mu in enumerate(ens.summaries):
+            assert np.shares_memory(mu.points, ens.states)
+            _assert_same_summary(mu, MeasureSummary.from_points(ens.states[k]))
+            # a fresh array, as the step hands it over, gives the same bits
+            _assert_same_summary(
+                mu, MeasureSummary.from_points(ens.states[k].copy()))
+        flow = marginal_flow(ens)
+        assert all(a is b for a, b in zip(flow, ens.summaries))
+        assert empirical_measure_at(ens, 0.25) is ens.summaries[6]
+
+    def test_one_from_points_call_per_node(self, monkeypatch):
+        calls = []
+        from_points = MeasureSummary.__dict__["from_points"].__func__
+
+        def counting(points, weights=None):
+            calls.append(points.shape)
+            return from_points(points, weights)
+
+        monkeypatch.setattr(MeasureSummary, "from_points",
+                            staticmethod(counting))
+        m = make_m2(BALL2, theta=0.5)
+        grid = TimeGrid(0.5, 10)
+        ens = simulate_particle_system(m, 16, grid, seed=2)
+        marginal_flow(ens)
+        for t in grid.nodes:
+            empirical_measure_at(ens, t)
+        assert len(calls) == grid.n_steps + 1
+
+    @pytest.mark.parametrize("domain", [BOX1, BALL2], ids=["box1d", "ball2d"])
+    def test_picard_flow_equals_rebuilt_flow(self, domain):
+        m = make_m2(domain, theta=2.0)
+        grid = TimeGrid(0.5, 8)
+        flow = solve_mckean_vlasov_reference(m, grid, method="picard",
+                                             n_inner=48, n_iter=4, seed=7,
+                                             tol=1e-12)
+        ref = _picard_rebuilding_summaries(m, grid, n_inner=48, n_iter=4,
+                                           seed=7, tol=1e-12)
+        assert len(flow.iteration_distances) == 4
+        assert flow.iteration_distances == ref.iteration_distances
+        assert flow.converged == ref.converged
+        for a, b in zip(flow, ref):
+            _assert_same_summary(a, b)
+
+
+def _picard_rebuilding_summaries(model, grid, n_inner, n_iter, seed, tol):
+    """The Picard iteration with each iterate's node measures rebuilt from
+    its states by ``from_points``, ignoring the ones the core returns."""
+    states0, noises = ensemble_mod._replica_draws(model, grid, n_inner,
+                                                  seed, 0)
+    nu0 = MeasureSummary.from_points(states0)
+    flow = MeasureFlow(grid=grid, summaries=[nu0] * (grid.n_steps + 1),
+                       method="picard")
+    distances, converged, increases = [], False, 0
+    for _ in range(n_iter):
+        states, *_ = _advance(model, grid, states0, noises, None, mu_flow=flow)
+        new = [MeasureSummary.from_points(states[k])
+               for k in range(grid.n_steps + 1)]
+        dist = max(bl_distance(a, b).value
+                   for a, b in zip(flow.summaries, new))
+        distances.append(dist)
+        flow = MeasureFlow(grid=grid, summaries=new, method="picard")
+        if dist < tol:
+            converged = True
+            break
+        if len(distances) >= 2 and distances[-1] > distances[-2]:
+            increases += 1
+            if increases >= 3:
+                break
+        else:
+            increases = 0
+    return MeasureFlow(grid=grid, summaries=flow.summaries, method="picard",
+                       converged=converged,
+                       iteration_distances=tuple(distances))
 
 
 class TestReferenceFlow:

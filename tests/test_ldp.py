@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rldp.ensemble as ensemble_mod
+import rldp.ldp as ldp_mod
 from rldp.controls import ZeroPolicy, constant_family
 from rldp.ensemble import (marginal_flow, simulate_particle_system,
                            solve_mckean_vlasov_reference)
@@ -11,7 +12,7 @@ from rldp.errors import InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
 from rldp.ldp import (constant_functional, distance_to_target_functional,
-                      estimate_rate, functional_from_config,
+                      estimate_rate, flow_distance, functional_from_config,
                       laplace_functional_mc, optimize_controls,
                       terminal_mean_functional, variational_objective)
 from rldp.model import MeasureSummary, ModelSpec, make_m1
@@ -229,6 +230,32 @@ class TestRate:
                             radius=0.05)
         assert not est.feasible
         assert est.upper_bound == math.inf
+
+    @pytest.mark.parametrize("mode", ["bogus", "integrated"])
+    def test_bad_mode_for_point_target_rejected_before_simulating(
+            self, monkeypatch, mode):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the mode was checked")
+
+        monkeypatch.setattr(ldp_mod, "simulate_particle_system", no_simulation)
+        with pytest.raises(InputError, match="distance"):
+            estimate_rate(make_m1(BOX1), MeasureSummary.dirac([0.5]), [1.0],
+                          constant_family(1), 4, TimeGrid(0.25, 4), 2, 10,
+                          seed=0, distance_mode=mode)
+
+    def test_flow_distance_checks_mode_first(self):
+        m = make_m1(BOX1)
+        grid = TimeGrid(0.25, 4)
+        flow = marginal_flow(simulate_particle_system(m, 4, grid, seed=1))
+        point = MeasureSummary.dirac([0.5])
+        for target in (point, flow):
+            with pytest.raises(InputError, match="distance mode"):
+                flow_distance(flow, target, "bogus")
+        with pytest.raises(InputError, match="target flow"):
+            flow_distance(flow, point, "integrated")
+        assert flow_distance(flow, point) == flow_distance(
+            list(flow), point, "terminal")
+        assert flow_distance(flow, flow, "integrated") == 0.0
 
     def test_bad_schedule_rejected(self):
         m = make_m1(BOX1)
