@@ -4,10 +4,12 @@
 
 Kinds: simulate, chaos, laplace, variational, rate, submartingale.
 Configs are JSON; flags override config fields (flag > file > default).
-Each run writes a manifest (resolved config + seed + content hash) and a
-result JSON whose bytes depend only on (config, seed) - never on worker
-count or wall-clock time.  Exit codes: 0 ok, 2 config error, 3 budget or
-guard flag.
+``GRID`` and ``KINDS`` declare each key with its default and check, and a
+config is checked whole before anything runs.  Each run writes a manifest
+(resolved config + seed + content hash) and a result JSON whose bytes
+depend only on (config, seed).  ``--workers`` must be >= 1 and changes
+nothing, as runs are serial.  Exit codes: 0 ok, 2 config error, 3 budget
+or guard flag.
 """
 
 from __future__ import annotations
@@ -29,13 +31,10 @@ from .ensemble import (marginal_flow, empirical_measure_at,
                        write_paths_csv)
 from .errors import BudgetError, ConfigError, InputError
 from .integrator import TimeGrid
-from .ldp import functional_from_config
 from .measures import bl_distance
 from .model import MeasureSummary, model_from_config
 
 SCHEMA_VERSION = 1
-RUN_KINDS = ("simulate", "chaos", "laplace", "variational", "rate",
-             "submartingale")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,8 +84,6 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     cfg.setdefault("schema_version", SCHEMA_VERSION)
     cfg.setdefault("seed", 0)
     cfg.setdefault("run", {})
-    if not isinstance(cfg["run"], dict):
-        raise ConfigError("run must be a JSON object")
     cfg["kind"] = kind
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
@@ -101,90 +98,124 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     return cfg
 
 
-def _build_common(cfg: dict):
-    try:
-        model = model_from_config(cfg["model"])
-        grid_cfg = cfg["grid"]
-        grid = TimeGrid(float(grid_cfg["horizon"]), int(grid_cfg["n_steps"]))
-    except (KeyError, TypeError, ValueError, OverflowError, InputError) as exc:
-        raise ConfigError(f"invalid model/grid block: {exc}") from exc
-    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
-        raise ConfigError(f"grid horizon {grid.horizon} differs from model "
-                          f"horizon {model.horizon}")
-    return model, grid
+# -- config schema ---------------------------------------------------------------
+# A table maps each key, in parse order, to (default, cast).  A cast takes
+# the raw value and the values parsed so far (from "model" and "grid" on),
+# as does a callable default.  A (table, build) pair in place of a cast is a
+# nested JSON object; build turns its parsed values into one.
 
 
-def _field(block: dict, key: str, default, cast, where: str = "run"):
-    """``cast(block.get(key, default))``, a ``ConfigError`` if that fails."""
-    try:
-        return cast(block.get(key, default))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {where}.{key}: {exc}") from exc
+def _num(what, ok=lambda x, p: True, integer=False):
+    """A finite JSON number, an integer if asked, for which ``ok`` holds."""
+    def cast(v, p=None):
+        if (isinstance(v, bool) or not isinstance(v, (int, float))
+                or (integer and not isinstance(v, int))
+                or not math.isfinite(v) or not ok(v, p)):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v if integer else float(v)
+    return cast
 
 
-def _json_bool(value) -> bool:
-    """A ``_field`` cast that accepts only a JSON ``true`` or ``false``."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+def _count(lo=1, why=""):
+    return _num(f"an integer >= {lo}{why}", lambda x, p: x >= lo, True)
 
 
-def _block(parent: dict, key: str, default: dict, where: str = "run") -> dict:
-    block = parent.get(key, default)
+def _choice(*options):
+    """One of ``options``, of the same JSON type (so 0 is not false)."""
+    def cast(v, p):
+        if not any(type(v) is type(o) and v == o for o in options):
+            raise ValueError(f"expected one of {json.dumps(options)}, got {v!r}")
+        return v
+    return cast
+
+
+def _ascending(elem):
+    """A nonempty, strictly increasing JSON list of ``elem`` values."""
+    def cast(v, p):
+        if not isinstance(v, list) or not v:
+            raise ValueError(f"expected a nonempty list, got {v!r}")
+        vals = [elem(x, p) for x in v]
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ValueError(f"expected strictly increasing values, got {v!r}")
+        return vals
+    return cast
+
+
+def _point(v, p):
+    """A terminal_point target's Dirac; None for a reference target."""
+    if p["kind"] != "terminal_point":
+        return None
+    x = np.atleast_1d(np.asarray(v, dtype=float))
+    if v is None or x.shape != (p["model"].d,):
+        raise ValueError(f"expected a point in R^{p['model'].d}, got {v!r}")
+    return MeasureSummary.dirac(x)
+
+
+def _time_pairs(v, p):
+    if not isinstance(v, list) or not v:
+        raise ValueError(f"expected a nonempty list of [t0, t1], got {v!r}")
+    pairs = [(_REAL(a), _REAL(b)) for a, b in v]
+    if any(p["grid"].node_index(a) >= p["grid"].node_index(b) for a, b in pairs):
+        raise ValueError("time pairs must satisfy t0 < t1")
+    return pairs
+
+
+def _test_function(v, p):
+    funcs = diagnostics.standard_test_functions(p["model"].d, p["model"].d1)
+    return funcs[_choice(*funcs)(v, p)]
+
+
+def _parse(table: dict, block, where: str, env: dict) -> dict:
+    """Cast every key of ``table`` from ``block``, then reject unknown keys."""
     if not isinstance(block, dict):
-        raise ConfigError(f"{where}.{key} must be a JSON object")
-    return block
-
-
-def _functional(run: dict):
-    if "functional" not in run:
-        raise ConfigError("run.functional is required for this kind")
-    try:
-        return functional_from_config(run["functional"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid run.functional: {exc}") from exc
+        raise ConfigError(f"{where} must be a JSON object")
+    p = dict(env)
+    for key, (default, cast) in table.items():
+        name = f"{where}.{key}"
+        value = block.get(key, default(p) if callable(default) else default)
+        try:
+            p[key] = (cast[1](_parse(cast[0], value, name, env))
+                      if isinstance(cast, tuple) else cast(value, p))
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {name}: {exc}") from exc
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    return p
 
 
 # -- run kinds -------------------------------------------------------------------
+# A runner takes the config, the parsed run block and the output directory,
+# and returns its result fields and the files it wrote.
 
-def _run_simulate(cfg, model, grid, out: Path):
-    run = cfg["run"]
-    n = _field(run, "n_particles", 8, int)
-    policy = None
-    if "policy" in run:
-        policy = _field(run, "policy", None, lambda c: policy_from_config(
-            c, grid, model.d, model.d1))
-    ens = simulate_particle_system(model, n, grid, policy=policy,
-                                   seed=cfg["seed"], budget=cfg.get("budget"))
-    csv_path = out / "paths.csv"
-    write_paths_csv(ens, str(csv_path))
+def _run_simulate(cfg, p, out: Path):
+    grid = p["grid"]
+    ens = simulate_particle_system(p["model"], p["n_particles"], grid,
+                                   policy=p["policy"], seed=cfg["seed"],
+                                   budget=cfg.get("budget"))
+    write_paths_csv(ens, str(out / "paths.csv"))
     terminal = empirical_measure_at(ens, grid.horizon)
-    result = {
-        "kind": "simulate",
-        "n_particles": n,
+    return {
+        "n_particles": p["n_particles"],
         "n_steps": grid.n_steps,
         "terminal_mean": terminal.mean,
         "terminal_cov_trace": terminal.cov_trace(),
         "total_local_time_mean": float(np.mean(ens.local_time[-1])),
         "policy": ens.policy_id,
-    }
-    return result, ["paths.csv"]
+    }, ["paths.csv"]
 
 
-def _run_chaos(cfg, model, grid, out: Path):
-    run = cfg["run"]
-    n_values = _field(run, "n_values", [64, 256, 1024],
-                      lambda vs: [int(v) for v in vs])
-    n_replicas = _field(run, "n_replicas", 16, int)
-    n_ref = _field(run, "n_ref", 4096, int)
+def _run_chaos(cfg, p, out: Path):
+    model, grid, n_values = p["model"], p["grid"], p["n_values"]
     ref = solve_mckean_vlasov_reference(model, grid, method="large_N",
-                                        n_ref=n_ref, seed=cfg["seed"],
+                                        n_ref=p["n_ref"], seed=cfg["seed"],
                                         budget=cfg.get("budget"))
-    rows = []
-    medians = {}
+    rows, medians = [], {}
     for n in n_values:
         dists = []
-        for rep in range(1, n_replicas + 1):  # replica 0 feeds the reference
+        for rep in range(1, p["n_replicas"] + 1):  # replica 0 feeds the reference
             ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
                                            replica=rep,
                                            budget=cfg.get("budget"))
@@ -193,106 +224,61 @@ def _run_chaos(cfg, model, grid, out: Path):
             dists.append(dist)
             rows.append((n, rep, dist))
         medians[str(n)] = float(np.median(dists))
-    csv_path = out / "distances.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(out / "distances.csv", "w", newline="") as fh:
         fh.write("n_particles,replica,bl_distance\r\n")
         for n, rep, dist in rows:
             fh.write(f"{n},{rep},{dist!r}\r\n")
-    result = {
-        "kind": "chaos",
-        "n_ref": n_ref,
-        "n_replicas": n_replicas,
+    return {
+        "n_ref": p["n_ref"],
+        "n_replicas": p["n_replicas"],
         "median_distance_by_n": medians,
         "strictly_decreasing": all(
             medians[str(a)] > medians[str(b)]
             for a, b in zip(n_values, n_values[1:])),
-    }
-    return result, ["distances.csv"]
+    }, ["distances.csv"]
 
 
-def _run_laplace(cfg, model, grid, out: Path):
-    run = cfg["run"]
-    functional = _functional(run)
+def _run_laplace(cfg, p, out: Path):
     est = ldp.laplace_functional_mc(
-        model, functional, _field(run, "n_particles", 32, int), grid,
-        _field(run, "n_replicas", 64, int), seed=cfg["seed"],
-        budget=cfg.get("budget"))
-    result = {
-        "kind": "laplace",
-        "functional": functional.id,
+        p["model"], p["functional"], p["n_particles"], p["grid"],
+        p["n_replicas"], seed=cfg["seed"], budget=cfg.get("budget"))
+    return {
+        "functional": p["functional"].id,
         "value": est.value,
         "std_error": est.std_error,
         "n_particles": est.n_particles,
         "n_replicas": est.n_replicas,
         "effective_sample_size": est.effective_sample_size,
         "guard": est.log_sum_exp_guard,
-    }
-    return result, []
+    }, []
 
 
-def _run_variational(cfg, model, grid, out: Path):
-    run = cfg["run"]
-    functional = _functional(run)
-    policy = _field(run, "policy", {"policy": "zero"},
-                    lambda c: policy_from_config(c, grid, model.d, model.d1))
+def _run_variational(cfg, p, out: Path):
     est = ldp.variational_objective(
-        model, functional, policy, _field(run, "n_particles", 32, int), grid,
-        _field(run, "n_replicas", 64, int), seed=cfg["seed"],
-        budget=cfg.get("budget"))
-    result = {
-        "kind": "variational",
-        "functional": functional.id,
-        "policy": policy.policy_id,
+        p["model"], p["functional"], p["policy"], p["n_particles"], p["grid"],
+        p["n_replicas"], seed=cfg["seed"], budget=cfg.get("budget"))
+    return {
+        "functional": p["functional"].id,
+        "policy": p["policy"].policy_id,
         "objective": est.objective,
         "cost_part": est.cost_part,
         "f_part": est.f_part,
         "std_error": est.std_error,
-    }
-    return result, []
+    }, []
 
 
-def _resolve_rate_target(run, model, grid, seed, budget):
-    tgt = _block(run, "target", {"kind": "reference"})
-    kind = tgt.get("kind", "reference")
-    if kind == "reference":
-        return solve_mckean_vlasov_reference(
-            model, grid, method="large_N",
-            n_ref=_field(tgt, "n_ref", 2048, int, "run.target"),
-            seed=seed + _field(tgt, "seed_offset", 1000, int, "run.target"),
-            budget=budget)
-    if kind == "terminal_point":
-        if "point" not in tgt:
-            raise ConfigError("run.target.point is required")
-        return _field(tgt, "point", None, MeasureSummary.dirac, "run.target")
-    raise ConfigError(f"unknown rate target kind {kind!r}")
-
-
-def _resolve_family(run, model, grid):
-    fam = _block(run, "family", {"family": "constant"})
-    name = fam.get("family", "constant")
-    bound = _field(fam, "bound", 3.0, float, "run.family")
-    if name == "constant":
-        return constant_family(model.d1, bound=bound)
-    if name == "feedback":
-        return feedback_family(model.d, model.d1, bound=bound)
-    raise ConfigError(f"unknown optimizer family {name!r}")
-
-
-def _run_rate(cfg, model, grid, out: Path):
-    run = cfg["run"]
-    target = _resolve_rate_target(run, model, grid, cfg["seed"],
-                                  cfg.get("budget"))
-    family = _resolve_family(run, model, grid)
+def _run_rate(cfg, p, out: Path):
+    model, grid, target = p["model"], p["grid"], p["target"]
+    if not isinstance(target, MeasureSummary):
+        target = solve_mckean_vlasov_reference(
+            model, grid, method="large_N", n_ref=target["n_ref"],
+            seed=cfg["seed"] + target["seed_offset"], budget=cfg.get("budget"))
     est = ldp.estimate_rate(
-        model, target,
-        _field(run, "lambdas", [1.0, 4.0], lambda ls: [float(v) for v in ls]),
-        family, _field(run, "n_particles", 64, int), grid,
-        _field(run, "n_replicas", 16, int), _field(run, "opt_budget", 40, int),
-        seed=cfg["seed"], radius=_field(run, "radius", 0.1, float),
-        distance_mode=run.get("distance_mode", "terminal"),
+        model, target, p["lambdas"], p["family"], p["n_particles"], grid,
+        p["n_replicas"], p["opt_budget"], seed=cfg["seed"],
+        radius=p["radius"], distance_mode=p["distance_mode"],
         sim_budget=cfg.get("budget"))
-    result = {
-        "kind": "rate",
+    return {
         "target": est.target_description,
         "radius": est.radius,
         "lambdas": est.lambdas,
@@ -301,78 +287,116 @@ def _run_rate(cfg, model, grid, out: Path):
         "feasible": est.feasible,
         "upper_bound": est.upper_bound,
         "selected_lambda": est.selected_lambda,
-    }
-    return result, []
+    }, []
 
 
-def _run_submartingale(cfg, model, grid, out: Path):
-    run = cfg["run"]
-    funcs = diagnostics.standard_test_functions(model.d, model.d1)
-    fid = run.get("function", "neg_x_sq")
-    if not isinstance(fid, str) or fid not in funcs:
-        raise ConfigError(f"unknown test function {fid!r}")
-    f = funcs[fid]
-    n = _field(run, "n_particles", 1024, int)
-    pairs = _field(run, "time_pairs", None, lambda ps: [
-        (float(a), float(b)) for a, b in ps or [(0.0, grid.horizon)]])
-    c_bias = _field(run, "c_bias", 0.0, float)
-    confidence = _field(run, "confidence", 0.95, float)
-    calibrate = _field(run, "calibrate", False, _json_bool)
-    skip_check = _field(run, "skip_boundary_check", False, _json_bool)
+def _run_submartingale(cfg, p, out: Path):
+    model, grid, f, n = p["model"], p["grid"], p["function"], p["n_particles"]
     ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
                                    budget=cfg.get("budget"))
-    flow = marginal_flow(ens)
-    if calibrate:
+    c_bias = p["c_bias"]
+    if p["calibrate"]:
         c_bias = diagnostics.calibrate_bias_allowance(
             model, f, grid, n_paths=min(n, 512), seed=cfg["seed"])
     report = diagnostics.submartingale_test(
-        ens, flow, f, model, pairs, confidence=confidence, c_bias=c_bias,
-        skip_boundary_check=skip_check)
-    return {"kind": "submartingale", **report.to_dict()}, []
+        ens, marginal_flow(ens), f, model, p["time_pairs"], confidence=p["confidence"],
+        c_bias=c_bias, skip_boundary_check=p["skip_boundary_check"])
+    return report.to_dict(), []
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "chaos": _run_chaos,
-    "laplace": _run_laplace,
-    "variational": _run_variational,
-    "rate": _run_rate,
-    "submartingale": _run_submartingale,
+_REAL = _num("a finite number")
+_POSITIVE = _num("a finite number > 0", lambda x, p: x > 0)
+_FLAG = (False, _choice(False, True))
+_FUNCTIONAL = (None, lambda v, p: ldp.functional_from_config(v))
+_POLICY = ({"policy": "zero"}, lambda v, p: policy_from_config(
+    v, p["grid"], p["model"].d, p["model"].d1))
+
+GRID = {"horizon": (None, _POSITIVE), "n_steps": (None, _count())}
+
+KINDS = {  # kind -> (runner, run-block table)
+    "simulate": (_run_simulate, {
+        "n_particles": (8, _count()),
+        "policy": _POLICY}),
+    "chaos": (_run_chaos, {
+        "n_values": ([64, 256, 1024], _ascending(_count())),
+        "n_replicas": (16, _count()),
+        "n_ref": (4096, _count())}),
+    "laplace": (_run_laplace, {
+        "functional": _FUNCTIONAL,
+        "n_particles": (32, _count()),
+        "n_replicas": (64, _count(2))}),
+    "variational": (_run_variational, {
+        "functional": _FUNCTIONAL,
+        "policy": _POLICY,
+        "n_particles": (32, _count()),
+        "n_replicas": (64, _count())}),
+    "rate": (_run_rate, {
+        "target": ({}, ({
+            "kind": ("reference", _choice("reference", "terminal_point")),
+            "n_ref": (2048, _count()),
+            "seed_offset": (1000, _count(0)),
+            "point": (None, _point),
+        }, lambda t: t if t["point"] is None else t["point"])),
+        "family": ({}, ({
+            "family": ("constant", _choice("constant", "feedback")),
+            "bound": (3.0, _POSITIVE),
+        }, lambda f: constant_family(f["model"].d1, bound=f["bound"])
+            if f["family"] == "constant" else
+            feedback_family(f["model"].d, f["model"].d1, bound=f["bound"]))),
+        "lambdas": ([1.0, 4.0], _ascending(_REAL)),
+        "n_particles": (64, _count()),
+        "n_replicas": (16, _count()),
+        "opt_budget": (40, _num("an integer >= dim(theta) + 2",
+                                lambda x, p: x >= p["family"].dim + 2, True)),
+        "radius": (0.1, _POSITIVE),
+        "distance_mode": ("terminal", lambda v, p: ldp.check_distance_mode(
+            p["target"], v))}),
+    "submartingale": (_run_submartingale, {
+        "function": ("neg_x_sq", _test_function),
+        "n_particles": (1024, _count(2, " (the test needs two paths)")),
+        "time_pairs": (lambda p: [[0.0, p["grid"].horizon]], _time_pairs),
+        "c_bias": (0.0, _num("a finite number >= 0", lambda x, p: x >= 0)),
+        "confidence": (0.95, _num("a number in (0, 1)", lambda x, p: 0 < x < 1)),
+        "calibrate": _FLAG,
+        "skip_boundary_check": _FLAG}),
 }
 
 
 def run_scenario(cfg: dict, out_dir: str) -> int:
-    """Execute one scenario; writes result.json + manifest.json (+ CSVs)."""
+    """Check the whole config, then run it: result.json, manifest.json, CSVs."""
+    runner, table = KINDS[cfg["kind"]]
+    grid = TimeGrid(**_parse(GRID, cfg["grid"], "grid", {}))
+    try:
+        model = model_from_config(cfg["model"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid model block: {exc}") from exc
+    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
+        raise ConfigError(f"grid horizon {grid.horizon} differs from model "
+                          f"horizon {model.horizon}")
+    p = _parse(table, cfg["run"], "run", {"model": model, "grid": grid})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, grid = _build_common(cfg)
-    kind = cfg["kind"]
     try:
-        result, extra_files = _RUNNERS[kind](cfg, model, grid, out)
+        result, extra_files = runner(cfg, p, out)
+        result.update(kind=cfg["kind"], seed=cfg["seed"],
+                      config_hash=config_hash(cfg))
+        code = EXIT_BUDGET if result.get("guard", False) else EXIT_OK
     except BudgetError as exc:
-        payload = {"kind": kind, "error": "budget_exceeded", "detail": str(exc)}
-        (out / "result.json").write_text(canonical_json(payload))
-        _write_manifest(cfg, out, ["result.json"])
-        return EXIT_BUDGET
-    result["seed"] = cfg["seed"]
-    result["config_hash"] = config_hash(cfg)
+        result, extra_files = {"kind": cfg["kind"], "error": "budget_exceeded",
+                               "detail": str(exc)}, []
+        code = EXIT_BUDGET
     (out / "result.json").write_text(canonical_json(result))
-    _write_manifest(cfg, out, ["result.json"] + extra_files)
-    guard = bool(result.get("guard", False))
-    return EXIT_BUDGET if guard else EXIT_OK
-
-
-def _write_manifest(cfg: dict, out: Path, outputs: list[str]):
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "resolved_config": _to_jsonable(cfg),
         "seed": cfg["seed"],
         "config_hash": config_hash(cfg),
-        "outputs": sorted(set(outputs + ["manifest.json"])),
+        "outputs": sorted({"result.json", "manifest.json", *extra_files}),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
@@ -381,19 +405,18 @@ def main(argv=None) -> int:
         description="Reflected interacting-particle simulation and "
                     "large-deviation estimation")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in RUN_KINDS:
+    for kind in KINDS:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=1,
-                       help="parallelism hint; never changes results")
+                       help="accepted and checked to be >= 1; runs are "
+                            "serial, so it changes nothing")
         p.add_argument("--out", default="out")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        print(json.dumps({"error": "config", "detail": "workers must be >= 1"}),
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.workers < 1:
+            raise ConfigError("workers must be >= 1")
         cfg = load_config(args.config, args.kind, seed_override=args.seed)
         return run_scenario(cfg, args.out)
     except (ConfigError, InputError) as exc:

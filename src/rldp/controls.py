@@ -162,6 +162,9 @@ class FeedbackPolicy(ControlPolicy):
         self.d = d
         self.d1 = d1
         self.bound = float(bound)
+        if not (np.isfinite(self.bound) and self.bound > 0):
+            raise InputError(f"feedback bound must be finite and > 0, "
+                             f"got {bound!r}")
         n_feat = self.n_features(d)
         weights = np.asarray(weights, dtype=float).reshape(n_feat, d1)
         if not np.all(np.isfinite(weights)):
@@ -210,9 +213,6 @@ class PolicyFamily:
     make: object = field(repr=False)  # callable theta -> ControlPolicy
     bound: float = 3.0
 
-    def zero_policy(self) -> ControlPolicy:
-        return self.make(np.zeros(self.dim))
-
 
 def constant_family(d1: int, bound: float = 3.0) -> PolicyFamily:
     def make(theta):
@@ -238,16 +238,29 @@ def feedback_family(d: int, d1: int, bound: float = 3.0) -> PolicyFamily:
 
 
 def policy_from_config(cfg: dict, grid: TimeGrid, d: int, d1: int) -> ControlPolicy:
-    """Build a policy from {"policy": family, ...params}."""
+    """Build a policy from {"policy": family, ...params}.
+
+    A constant ``v`` and piecewise-constant ``values`` must have the noise
+    dimension d1 as their width.
+    """
     cfg = dict(cfg)
     family = cfg.pop("policy", None)
     if family == "zero":
         return ZeroPolicy(d1)
     if family == "constant":
-        return ConstantPolicy(cfg["v"])
-    if family == "piecewise_constant":
-        return PiecewiseConstantPolicy(cfg["values"], grid)
-    if family == "feedback":
+        policy = ConstantPolicy(cfg["v"])
+        shape = policy.v.shape
+        ok = shape == (d1,)
+    elif family == "piecewise_constant":
+        policy = PiecewiseConstantPolicy(cfg["values"], grid)
+        shape = policy.values.shape
+        ok = shape[-1] == d1
+    elif family == "feedback":
         return FeedbackPolicy(cfg["theta"], d=d, d1=d1,
                               bound=cfg.get("bound", 3.0))
-    raise InputError(f"unknown policy family {family!r}")
+    else:
+        raise InputError(f"unknown policy family {family!r}")
+    if not ok:
+        raise InputError(f"{family} control of shape {shape} does not have "
+                         f"the noise dimension {d1} as its width")
+    return policy

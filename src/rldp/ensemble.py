@@ -104,9 +104,6 @@ class MeasureFlow:
     def __len__(self) -> int:
         return len(self.summaries)
 
-    def at_time(self, t: float) -> MeasureSummary:
-        return self.summaries[self.grid.node_index(t)]
-
     @property
     def terminal(self) -> MeasureSummary:
         return self.summaries[-1]

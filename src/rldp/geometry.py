@@ -161,11 +161,7 @@ class ConvexDomain:
         return n / norm
 
     def normals_at(self, x) -> np.ndarray:
-        """Batched outward normals; rows not on the boundary are zero.
-
-        Used by diagnostics on projected states, where off-boundary rows
-        must contribute nothing.
-        """
+        """Batched outward normals; rows not on the boundary are zero."""
         x = _as_point(x, self.dimension)
         eps = max(self.boundary_tol, 1e-9)
         if self.kind == "ball":

@@ -69,10 +69,6 @@ class ReflectedPath:
     local_time: np.ndarray      # (n+1,), accumulated |y - project(y)|
     boundary_hits: np.ndarray   # (n,), bool per step
 
-    @property
-    def terminal_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _step(domain: ConvexDomain, x, drift, control, noise, dt: float):
     """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.

@@ -73,7 +73,7 @@ def distance_to_target_functional(target, scale: float = 1.0,
     mode "integrated": time-average of the per-node BL distances.
     The mode is checked against the target here, before any flow exists.
     """
-    _check_distance_mode(target, mode)
+    check_distance_mode(target, mode)
 
     def dist(flow):
         return flow_distance(flow, target, mode)
@@ -82,12 +82,14 @@ def distance_to_target_functional(target, scale: float = 1.0,
                       f_max=2.0 * abs(scale))
 
 
-def _check_distance_mode(target, mode: str):
+def check_distance_mode(target, mode: str) -> str:
+    """``mode``, once it is known to be valid against ``target``."""
     if mode not in ("terminal", "integrated"):
         raise InputError(f"unknown distance mode {mode!r}")
     if mode == "integrated" and isinstance(target, MeasureSummary):
         raise InputError("the integrated distance needs a target flow, "
                          "not a terminal summary")
+    return mode
 
 
 def flow_distance(flow, target, mode: str = "terminal") -> float:
@@ -96,7 +98,7 @@ def flow_distance(flow, target, mode: str = "terminal") -> float:
     A flow is a MeasureFlow or a list of per-node summaries; both index
     and iterate alike.  A summary target is a terminal target only.
     """
-    _check_distance_mode(target, mode)
+    check_distance_mode(target, mode)
     if mode == "terminal":
         tgt = target if isinstance(target, MeasureSummary) else target[-1]
         return bl_distance(flow[-1], tgt).value
@@ -111,6 +113,8 @@ FUNCTIONAL_REGISTRY = {
 
 
 def functional_from_config(cfg: dict) -> Functional:
+    if not isinstance(cfg, dict):
+        raise InputError(f"a functional is a JSON object, got {cfg!r}")
     cfg = dict(cfg)
     name = cfg.pop("functional", None)
     if name not in FUNCTIONAL_REGISTRY:

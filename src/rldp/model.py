@@ -108,6 +108,13 @@ class ModelSpec:
             raise InputError("declared constants L and K must be positive")
         if self.init_points is None and self.init_sampler is None:
             raise InputError("model needs deterministic inits or a sampler")
+        if self.init_points is not None:
+            pts = np.asarray(self.init_points, dtype=float)
+            if pts.ndim != 2 or pts.shape[1] != self.d or len(pts) == 0:
+                raise InputError(f"init points must have shape (m, {self.d}), "
+                                 f"got {pts.shape}")
+            if not np.all(self.domain.contains_all(pts)):
+                raise InputError("init points must lie in the closed domain")
 
     @property
     def d(self) -> int:
@@ -354,5 +361,8 @@ def model_from_config(cfg: dict) -> ModelSpec:
     name = cfg.pop("model", None)
     if name not in MODEL_REGISTRY:
         raise InputError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
-    domain = ConvexDomain.from_config(cfg.pop("domain"))
+    domain = cfg.pop("domain")
+    if not isinstance(domain, dict):
+        raise InputError(f"domain must be a JSON object, got {domain!r}")
+    domain = ConvexDomain.from_config(domain)
     return MODEL_REGISTRY[name](domain, **cfg)

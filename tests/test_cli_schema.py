@@ -1,0 +1,204 @@
+"""The CLI checks a whole config before it runs anything.
+
+Every malformed config exits 2 with one JSON error line on stderr and
+writes no ``result.json``; checks that need the model or the grid still run
+before the first simulation.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from rldp import cli
+
+MODEL = {"model": "m1", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+         "sigma_scale": 0.5, "horizon": 0.5}
+
+# Tiny valid run blocks, every key set, so that each run takes milliseconds.
+RUNS = {
+    "simulate": {"n_particles": 2,
+                 "policy": {"policy": "constant", "v": [0.5]}},
+    "chaos": {"n_values": [2, 4], "n_replicas": 2, "n_ref": 8},
+    "laplace": {"functional": {"functional": "constant", "c": 0.1},
+                "n_particles": 2, "n_replicas": 2},
+    "variational": {"functional": {"functional": "constant", "c": 0.0},
+                    "policy": {"policy": "zero"},
+                    "n_particles": 2, "n_replicas": 2},
+    "rate": {"target": {"kind": "terminal_point", "point": [0.5]},
+             "family": {"family": "constant", "bound": 1.0},
+             "lambdas": [1.0], "n_particles": 2, "n_replicas": 2,
+             "opt_budget": 3, "radius": 1.0, "distance_mode": "terminal"},
+    "submartingale": {"function": "neg_x_sq", "n_particles": 4,
+                      "time_pairs": [[0.0, 0.5]], "c_bias": 0.0,
+                      "confidence": 0.95, "calibrate": False,
+                      "skip_boundary_check": False},
+}
+
+DELETE = object()
+
+
+def _config(kind, changes=()):
+    """The tiny config of ``kind`` with each (path, value) of ``changes``."""
+    cfg = {"schema_version": 1, "seed": 3, "model": copy.deepcopy(MODEL),
+           "grid": {"horizon": 0.5, "n_steps": 4},
+           "run": copy.deepcopy(RUNS[kind])}
+    for path, value in changes:
+        block = cfg
+        for key in path[:-1]:
+            block = block[key]
+        if value is DELETE:
+            block.pop(path[-1], None)
+        else:
+            block[path[-1]] = value
+    return cfg
+
+
+def _main(kind, cfg, out_dir):
+    """(exit code, stderr) of ``rldp kind`` on ``cfg``, writing to out_dir."""
+    path = Path(out_dir) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([kind, "--config", str(path),
+                         "--out", str(Path(out_dir) / "o")])
+    return code, err.getvalue()
+
+
+def _assert_config_error(code, err, out_dir):
+    assert code == 2, err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "config"
+    assert not (Path(out_dir) / "o" / "result.json").exists()
+
+
+NAN = float("nan")
+MALFORMED = [
+    ("chaos", [(("run", "n_replicas"), 0)]),
+    ("chaos", [(("run", "n_values"), [])]),
+    ("chaos", [(("run", "n_values"), [4, 2])]),
+    ("simulate", [(("run", "n_particles"), 3.7)]),
+    ("simulate", [(("run", "n_particles"), True)]),
+    ("simulate", [(("run", "n_partcles"), 3)]),
+    ("variational", [(("run", "n_replicas"), 0)]),
+    ("rate", [(("run", "lambdas"), [])]),
+    ("rate", [(("run", "radius"), NAN)]),
+    ("rate", [(("run", "radius"), -1)]),
+    ("rate", [(("run", "family", "bound"), NAN)]),
+    ("rate", [(("run", "target"), {"kind": "reference", "seed_offset": -5000})]),
+    ("rate", [(("run", "target", "point"), [0.5, 0.5])]),
+    ("submartingale", [(("run", "time_pairs"), [])]),
+    ("submartingale", [(("run", "c_bias"), NAN)]),
+    ("simulate", [(("grid", "n_steps"), 1.5)]),
+    ("simulate", [(("grid", "n_stepz"), 4)]),
+    ("simulate", [(("run", "policy"), {"policy": "constant",
+                                        "v": [1.0, 2.0]})]),
+    ("simulate", [(("run", "policy"), {"policy": "piecewise_constant",
+                                        "values": [[1.0, 2.0]] * 4})]),
+    ("variational", [(("run", "policy"), {"policy": "feedback",
+                                           "theta": [0.0] * 10,
+                                           "bound": NAN})]),
+    ("simulate", [(("model", "domain"), None)]),
+    ("simulate", [(("model", "init"), [[5.0]])]),
+]
+
+
+@pytest.mark.parametrize("kind, changes", MALFORMED)
+def test_malformed_config_exits_2_before_running(tmp_path, kind, changes):
+    code, err = _main(kind, _config(kind, changes), tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    key = changes[0][0][-1]
+    assert key in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_tiny_configs_run(tmp_path, kind):
+    code, err = _main(kind, _config(kind), tmp_path)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("change, rejected", [
+    ({}, False),
+    ({"distance_mode": "bogus"}, True),
+    ({"lambdas": []}, True),
+    ({"lambdas": [4.0, 1.0]}, True),
+    ({"opt_budget": 1}, True)])
+def test_rate_reference_target_checked_before_the_reference(
+        tmp_path, monkeypatch, change, rejected):
+    calls = []
+    solve = cli.solve_mckean_vlasov_reference
+    monkeypatch.setattr(cli, "solve_mckean_vlasov_reference",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    changes = [(("run", "target"), {"kind": "reference", "n_ref": 16})]
+    changes += [(("run", key), value) for key, value in change.items()]
+    code, err = _main("rate", _config("rate", changes), tmp_path)
+    if rejected:
+        _assert_config_error(code, err, tmp_path)
+        assert calls == []
+    else:
+        assert code == 0 and calls == [1], err
+
+
+@pytest.mark.parametrize("pairs, rejected", [
+    ([[0.0, 0.25]], False), ([[0.0, 0.3]], True), ([[0.25, 0.25]], True)])
+def test_submartingale_time_pairs_checked_before_simulating(
+        tmp_path, monkeypatch, pairs, rejected):
+    calls = []
+    simulate = cli.simulate_particle_system
+    monkeypatch.setattr(cli, "simulate_particle_system",
+                        lambda *a, **k: calls.append(1) or simulate(*a, **k))
+    cfg = _config("submartingale", [(("run", "time_pairs"), pairs)])
+    code, err = _main("submartingale", cfg, tmp_path)
+    if rejected:
+        _assert_config_error(code, err, tmp_path)
+        assert calls == []
+    else:
+        assert code == 0 and calls == [1], err
+
+
+def test_readme_simulate_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"Example config \(`simulate`\):\s*```json\n(.*?)```",
+                        readme, re.S)
+    code, err = _main("simulate", json.loads(example.group(1)), tmp_path)
+    assert code == 0, err
+
+
+# -- fuzz: one path of a tiny valid config changed --------------------------------
+
+POOL = [None, True, "x", -1, 0, 1.5, NAN, float("inf"), [], {}, DELETE]
+
+
+def _paths(kind):
+    cfg = _config(kind)
+    paths = [("grid", k) for k in cfg["grid"]]
+    paths += [("run", k) for k in cfg["run"]]
+    for block in ("target", "family"):
+        paths += [("run", block, k) for k in cfg["run"].get(block, {})]
+    return paths + [("model", "domain"), ("model", "init"), ("seed",),
+                    ("budget",)]
+
+
+CASES = [(kind, path) for kind in sorted(RUNS) for path in _paths(kind)]
+
+
+# Huge counts stay out of the pool: ``budget`` bounds the particle-steps of
+# one simulation, not how many replicas or optimizer evaluations a run makes.
+@settings(derandomize=True, deadline=None, max_examples=300, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(CASES), value=st.sampled_from(POOL))
+def test_exit_code_contract_under_one_changed_path(case, value):
+    kind, path = case
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, err = _main(kind, _config(kind, [(path, value)]), out_dir)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+        if code == 2:
+            _assert_config_error(code, err, out_dir)

@@ -115,3 +115,27 @@ class TestPolicies:
         assert isinstance(p, ConstantPolicy)
         with pytest.raises(InputError):
             policy_from_config({"policy": "nope"}, grid, 1, 1)
+
+
+class TestPolicyFromConfigChecks:
+    def test_constant_width_must_be_d1(self):
+        grid = TimeGrid(1.0, 4)
+        assert policy_from_config({"policy": "constant", "v": [1.0]},
+                                  grid, 1, 1).v.shape == (1,)
+        with pytest.raises(InputError, match="width"):
+            policy_from_config({"policy": "constant", "v": [1.0, 2.0]},
+                               grid, 1, 1)
+
+    @pytest.mark.parametrize("values", [np.ones((4, 2)), np.ones((4, 3, 2))])
+    def test_piecewise_width_must_be_d1(self, values):
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(InputError, match="width"):
+            policy_from_config({"policy": "piecewise_constant",
+                                "values": values.tolist()}, grid, 1, 1)
+
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_feedback_bound_finite_and_positive(self, bound):
+        nf = FeedbackPolicy.n_features(1)
+        with pytest.raises(InputError, match="bound"):
+            policy_from_config({"policy": "feedback", "theta": [0.0] * nf,
+                                "bound": bound}, TimeGrid(1.0, 4), 1, 1)

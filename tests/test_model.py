@@ -161,3 +161,22 @@ class TestModelZoo:
         rng = np.random.default_rng(0)
         x0 = m.initial_states(100, rng)
         assert m.domain.contains_all(x0).all()
+
+
+class TestModelFromConfigChecks:
+    @pytest.mark.parametrize("domain", [None, [0.0, 1.0], "box", 1.5])
+    def test_domain_must_be_an_object(self, domain):
+        with pytest.raises(InputError, match="domain"):
+            model_from_config({"model": "m1", "domain": domain})
+
+    @pytest.mark.parametrize("init", [[[5.0]], [[-0.5], [0.5]],
+                                      [[float("nan")]], [[0.5, 0.5]], []])
+    def test_init_points_outside_domain_rejected(self, init):
+        with pytest.raises(InputError, match="init"):
+            model_from_config({"model": "m1", "domain": BOX1.to_config(),
+                               "init": init})
+
+    def test_init_points_on_the_boundary_accepted(self):
+        m = model_from_config({"model": "m1", "domain": BOX1.to_config(),
+                               "init": [[0.0], [1.0]]})
+        assert m.init_points.shape == (2, 1)
