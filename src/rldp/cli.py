@@ -307,7 +307,8 @@ def _run_submartingale(cfg, p, out: Path):
 _REAL = _num("a finite number")
 _POSITIVE = _num("a finite number > 0", lambda x, p: x > 0)
 _FLAG = (False, _choice(False, True))
-_FUNCTIONAL = (None, lambda v, p: ldp.functional_from_config(v))
+_FUNCTIONAL = (None, lambda v, p: ldp.functional_from_config(
+    v, p["model"].d))
 _POLICY = ({"policy": "zero"}, lambda v, p: policy_from_config(
     v, p["grid"], p["model"].d, p["model"].d1))
 

@@ -4,6 +4,11 @@ Only atomic relaxed controls (Dirac-valued time slices induced by an
 ordinary feedback rule h) are representable: every control the optimizer
 touches is an ordinary h, and for quadratic cost at fixed mean atomic
 controls are optimal anyway.
+
+Policies follow the coefficient contract of ``model``: states of shape
+(..., N, d), with the matching (batched) node summary, give h of shape
+(..., N, d1).  A stack of replicas shares one policy; per-particle
+piecewise values are the same in every replica.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class ControlPolicy:
 
     def evaluate(self, t: float, states: np.ndarray,
                  mu: MeasureSummary) -> np.ndarray:
-        """Return h values, shape (N, d1), for states of shape (N, d)."""
+        """Return h values, shape (..., N, d1), for states (..., N, d)."""
         raise NotImplementedError
 
     @property
@@ -89,7 +94,7 @@ class ZeroPolicy(ControlPolicy):
         self.d1 = d1
 
     def evaluate(self, t, states, mu):
-        return np.zeros((states.shape[0], self.d1))
+        return np.zeros(states.shape[:-1] + (self.d1,))
 
     def is_zero(self):
         return True
@@ -104,7 +109,7 @@ class ConstantPolicy(ControlPolicy):
             raise InputError("constant control must be finite")
 
     def evaluate(self, t, states, mu):
-        return np.broadcast_to(self.v, (states.shape[0], self.v.shape[0])).copy()
+        return np.broadcast_to(self.v, states.shape[:-1] + self.v.shape).copy()
 
     @property
     def theta(self):
@@ -136,10 +141,8 @@ class PiecewiseConstantPolicy(ControlPolicy):
 
     def evaluate(self, t, states, mu):
         k = min(int(np.floor(t / self.grid.dt + 1e-12)), self.grid.n_steps - 1)
-        v = self.values[k]
-        if v.ndim == 1:  # shared across particles
-            return np.broadcast_to(v, (states.shape[0], v.shape[-1])).copy()
-        return v.copy()
+        v = self.values[k]  # (d1,) shared, or (N, d1) per particle
+        return np.broadcast_to(v, states.shape[:-1] + v.shape[-1:]).copy()
 
     @property
     def theta(self):
@@ -180,15 +183,17 @@ class FeedbackPolicy(ControlPolicy):
 
     @staticmethod
     def features(t: float, states: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        n = states.shape[0]
-        tcol = np.full((n, 1), t)
+        """(..., N, n_features) for states (..., N, d) and a mean that
+        broadcasts against them."""
+        col = states.shape[:-1] + (1,)
         mrow = np.broadcast_to(mean, states.shape)
-        lin = np.concatenate([tcol, states, mrow], axis=1)  # (n, 1+2d)
-        cols = [np.ones((n, 1)), lin]
-        m = lin.shape[1]
-        quad = [lin[:, [i]] * lin[:, [j]] for i in range(m) for j in range(i, m)]
+        lin = np.concatenate([np.full(col, t), states, mrow], axis=-1)
+        cols = [np.ones(col), lin]
+        m = lin.shape[-1]
+        quad = [lin[..., [i]] * lin[..., [j]]
+                for i in range(m) for j in range(i, m)]
         cols.extend(quad)
-        return np.concatenate(cols, axis=1)
+        return np.concatenate(cols, axis=-1)
 
     def evaluate(self, t, states, mu):
         phi = self.features(t, states, mu.mean)

@@ -179,8 +179,11 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
                      nu_t: MeasureSummary) -> np.ndarray:
     """The generator at a batch of points (..., d); returns shape (...).
 
-    ``coefficients_batch`` hands back sigma broadcast over the batch when
-    the diffusion is one (d, d1) matrix, as it is for every zoo model.
+    ``y`` None stands for an all-zero control: the sigma h term is not
+    formed, and b is made contiguous as the sum would have made it, so that
+    einsum picks the same kernel.  ``coefficients_batch`` hands back sigma
+    broadcast over the batch when the diffusion is one (d, d1) matrix, as it
+    is for every zoo model.
     sigma sigma^T is then formed once from that core and broadcast against
     the Hessians, instead of once per point; a state-dependent sigma goes
     through the same expression per point.  Both give the same bits.
@@ -190,7 +193,11 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
     hxx = f.hess_xx(t, x, z)
     hxz = f.hess_xz(t, x, z)
     hzz = f.hess_zz(t, x, z)
-    drift_term = np.einsum("...i,...i->...", b + np.einsum("...ij,...j->...i", sig, y), gx)
+    if y is None:
+        b = np.ascontiguousarray(b)
+    else:
+        b = b + np.einsum("...ij,...j->...i", sig, y)
+    drift_term = np.einsum("...i,...i->...", b, gx)
     core = sig[(0,) * (sig.ndim - 2)] if not any(sig.strides[:-2]) else sig
     a = np.einsum("...ik,...jk->...ij", core, core)  # sigma sigma^T
     diff_term = 0.5 * np.einsum("...ij,...ij->...", a, hxx)
@@ -207,7 +214,8 @@ def mf_process(f: TestFunction, states, controls, noise_path,
     """Discrete M_f series with left-endpoint Riemann sums; M_f(0) = 0.
 
     The integrand is ``_generator_batch`` at each node, which forms the
-    particle-invariant sigma sigma^T once per node, not once per path.
+    particle-invariant sigma sigma^T once per node, not once per path, and
+    skips the sigma h term when every control is zero.
 
     states:     (n+1, d) or (n+1, N, d)
     controls:   (n, d1) or (n, N, d1) atomic control values
@@ -231,13 +239,15 @@ def mf_process(f: TestFunction, states, controls, noise_path,
         raise InputError("nu_flow must share the grid")
 
     dt, nodes = grid.dt, grid.nodes
+    controlled = bool(np.any(controls))
     m = np.zeros((n + 1, states.shape[1]))
     f0 = np.asarray(f.f(nodes[0], states[0], noise_path[0]), dtype=float)
     integral = None  # running left-endpoint sum, in cumsum's order
     for k in range(n):
         t = nodes[k]
         g = np.asarray(f.f_t(t, states[k], noise_path[k])
-                       + _generator_batch(model, f, t, states[k], controls[k],
+                       + _generator_batch(model, f, t, states[k],
+                                          controls[k] if controlled else None,
                                           noise_path[k], nu_flow[k]),
                        dtype=float)
         integral = g if integral is None else integral + g

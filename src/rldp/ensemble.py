@@ -9,17 +9,26 @@ flow runs as well.  That core builds each node's empirical measure once;
 ``empirical_measure_at`` and the Picard loop read them as they are instead
 of rebuilding them from the states.
 
+``simulate_particle_system`` takes one replica (an int) or a ``range`` of
+them.  A range is stepped as one batch by a single ``_advance`` call: the
+returned ``Ensemble`` carries a replica axis after time in its path arrays
+and batched node summaries, and ``Ensemble.by_replica`` splits it into
+per-replica ensembles whose arrays are views.  Each replica's numbers are
+bit for bit those of simulating it alone; an int replica is the one-replica
+case of the same path, with no replica axis.
+
 Noise is pre-assigned per (replica, particle) substream, so results do not
-depend on execution order or worker count.  The Philox keys of a
+depend on execution order, batching or worker count.  The Philox keys of a
 replica's particles are derived in one batch (``rng.substream_keys``) and
 are bit-identical to the per-particle ``SeedSequence`` keys of
-``rng.substream``.  ``Ensemble.noises`` is a read-only view of a
-particle-major buffer and need not be contiguous.
+``rng.substream``.  All replicas of a call are drawn into one
+particle-major buffer, and ``Ensemble.noises`` is a read-only view of it
+that need not be contiguous.
 
-Inside ``shared_replica_draws`` each replica's initial states and noise are
+Inside ``shared_replica_draws`` the initial states and noise of a call are
 drawn once and reused by every simulation of the same (model, seed,
-replica, N, grid), which is how the optimizer's common random numbers avoid
-redrawing them on every evaluation.
+replica or range, N, grid), which is how the optimizer's common random
+numbers avoid redrawing them on every evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,12 +52,18 @@ DEFAULT_STEP_BUDGET = 500_000_000  # particle-steps
 
 @dataclass(frozen=True)
 class Ensemble:
-    """N reflected paths plus their noise and applied controls."""
+    """N reflected paths plus their noise and applied controls.
+
+    For a batch (``replica`` a range of R replicas) every path array has an
+    R axis after time, e.g. states (n+1, R, N, d), and each summary is
+    batched; ``by_replica`` gives the per-replica ensembles.  ``path``,
+    ``noise_paths`` and ``write_paths_csv`` take one replica's ensemble.
+    """
 
     model_id: str
     grid: TimeGrid
     seed: int
-    replica: int
+    replica: int | range
     states: np.ndarray        # (n+1, N, d)
     reflection: np.ndarray    # (n+1, N, d) accumulated boundary displacement
     local_time: np.ndarray    # (n+1, N)
@@ -61,7 +76,20 @@ class Ensemble:
 
     @property
     def n_particles(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-2]
+
+    def by_replica(self) -> tuple:
+        """One ensemble per replica of a batch; its arrays and summaries
+        are views."""
+        nodes = [mu.unstack() for mu in self.summaries]
+        return tuple(
+            replace(self, replica=r, states=self.states[:, j],
+                    reflection=self.reflection[:, j],
+                    local_time=self.local_time[:, j],
+                    boundary_hits=self.boundary_hits[:, j],
+                    noises=self.noises[:, j], controls=self.controls[:, j],
+                    summaries=tuple(node[j] for node in nodes))
+            for j, r in enumerate(self.replica))
 
     def path(self, i: int) -> ReflectedPath:
         return ReflectedPath(
@@ -117,19 +145,15 @@ def _check_budget(n_particles: int, n_steps: int, budget: int | None):
 
 
 def _particle_noise(seed: int, replica: int, n_particles: int, n_steps: int,
-                    d1: int, dt: float) -> np.ndarray:
+                    d1: int, dt: float, out: np.ndarray) -> None:
     """Pre-assigned increments, one substream per (replica, particle).
 
-    Drawn particle-major into an (N, n, d1) buffer; the (n, N, d1) result is
-    its read-only transposed view, not a copy.
+    Drawn particle-major into ``out``, of shape (N, n, d1).
     """
-    buf = np.empty((n_particles, n_steps, d1))
     gens = rngmod.iter_substreams(seed, rngmod.NOISE, replica,
                                   last=np.arange(n_particles))
     for i, gen in enumerate(gens):
-        buf[i] = brownian_increments(gen, n_steps, d1, dt)
-    buf.flags.writeable = False
-    return buf.transpose(1, 0, 2)
+        out[i] = brownian_increments(gen, n_steps, d1, dt)
 
 
 # Memo of the active shared_replica_draws scope, or None outside one.
@@ -158,16 +182,30 @@ def shared_replica_draws():
 
 
 def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
-                   seed: int, replica: int):
-    """Initial states and noise of one replica, memoized inside a scope."""
+                   seed: int, replica: int | range):
+    """Initial states (..., N, d) and noise (n, ..., N, d1) of one replica or
+    a range of them, memoized inside a scope.
+
+    The noise of all replicas is drawn into one particle-major (R, N, n, d1)
+    buffer; the result is its read-only transposed view, not a copy.
+    """
     memo = _REPLICA_DRAWS.get()
     key = (id(model), seed, replica, n_particles, grid)
     if memo is not None and key in memo:
         return memo[key][1:]
-    init_rng = rngmod.substream(seed, rngmod.INIT, replica)
-    states0 = model.initial_states(n_particles, init_rng)
-    noises = _particle_noise(seed, replica, n_particles, grid.n_steps,
-                             model.d1, grid.dt)
+    batch = isinstance(replica, range)
+    replicas = replica if batch else range(replica, replica + 1)
+    states0 = np.empty((len(replicas), n_particles, model.d))
+    buf = np.empty((len(replicas), n_particles, grid.n_steps, model.d1))
+    for j, r in enumerate(replicas):
+        init_rng = rngmod.substream(seed, rngmod.INIT, r)
+        states0[j] = model.initial_states(n_particles, init_rng)
+        _particle_noise(seed, r, n_particles, grid.n_steps, model.d1,
+                        grid.dt, buf[j])
+    buf.flags.writeable = False
+    noises = buf.transpose(2, 0, 1, 3)
+    if not batch:
+        states0, noises = states0[0], noises[:, 0]
     if memo is not None:
         states0.flags.writeable = False
         memo[key] = (model, states0, noises)  # the model pins its id
@@ -176,11 +214,18 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
 
 def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
                              policy: ControlPolicy | None = None, seed: int = 0,
-                             replica: int = 0,
+                             replica: int | range = 0,
                              budget: int | None = None) -> Ensemble:
-    """Simulate the (controlled) interacting system of N reflected paths."""
+    """Simulate the (controlled) interacting system of N reflected paths.
+
+    ``replica`` is one replica index or a nonempty ``range`` of them, all
+    stepped in one batch.  ``budget`` bounds the particle-steps of each
+    replica's simulation, whatever the batch size.
+    """
     if n_particles < 1:
         raise InputError("need at least one particle")
+    if isinstance(replica, range) and len(replica) == 0:
+        raise InputError("need at least one replica")
     _check_budget(n_particles, grid.n_steps, budget)
     states0, noises = _replica_draws(model, grid, n_particles, seed, replica)
     states, reflection, local_time, hits, controls, summaries = _advance(

@@ -7,9 +7,12 @@ the discrete analogue of the boundary term and its magnitude plays the
 role of the local time (in scheme units).
 
 ``_advance`` is the only stepping core: it chains ``_step`` (update,
-projection, overshoot) over the grid for a batch of particles and builds
-each node's empirical measure once.  The ``ensemble`` system and Picard
-flow run on it, ``simulate_reflected_path`` on a one-particle batch;
+projection, overshoot) over the grid for states of shape (..., N, d) and
+builds each node's empirical measure once.  Leading axes before the N
+particles stack independent systems (replicas), so one call steps a whole
+Monte Carlo batch; each replica gets the bits it would get alone.  The
+``ensemble`` system (one replica or a range of them) and the Picard flow
+run on it, ``simulate_reflected_path`` on a one-particle system;
 ``step_reflected`` is one checked ``_step``.
 
 Controls are piecewise constant on grid cells, one value per cell.
@@ -88,6 +91,11 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
              noises: np.ndarray, policy, mu_flow):
     """The stepping core: chain ``_step`` along the grid for a batch.
 
+    ``states0`` has shape (..., N, d) and ``noises`` (n, ..., N, d1); the
+    leading axes are replicas, each an interacting system of its own.  The
+    path arrays keep time first: states and reflection (n+1, ..., N, d),
+    local time (n+1, ..., N), hits (n, ..., N), controls (n, ..., N, d1).
+
     ``policy`` is a ControlPolicy or None; its ``is_zero()`` is asked once
     per call, so a policy must not change during one.  When mu_flow is None
     the coefficients couple to the start-of-step empirical measure (the
@@ -98,17 +106,18 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     the view ``states[k]`` (so it shares the states' memory), and returned
     as a tuple of n + 1 summaries after the five path arrays: it is the
     coupling measure of the interacting system and the marginal flow that
-    ``ensemble`` and the Picard loop read.
+    ``ensemble`` and the Picard loop read.  For a batch it is one batched
+    summary per node, whose mean broadcasts against the states.
     """
-    n, n_particles = grid.n_steps, states0.shape[0]
+    n, lead = grid.n_steps, states0.shape[:-1]
     d, d1 = model.d, model.d1
     dt, domain = grid.dt, model.domain
 
-    states = np.empty((n + 1, n_particles, d))
-    reflection = np.zeros((n + 1, n_particles, d))
-    local_time = np.zeros((n + 1, n_particles))
-    hits = np.zeros((n, n_particles), dtype=bool)
-    controls = np.zeros((n, n_particles, d1))
+    states = np.empty((n + 1, *lead, d))
+    reflection = np.zeros((n + 1, *lead, d))
+    local_time = np.zeros((n + 1, *lead))
+    hits = np.zeros((n, *lead), dtype=bool)
+    controls = np.zeros((n, *lead, d1))
     summaries = []
 
     controlled = policy is not None and not policy.is_zero()
@@ -122,11 +131,12 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
         if controlled:
             h = policy.evaluate(t, x, mu)
             controls[k] = h
-            control = np.einsum("nij,nj->ni", sig, h)
+            control = np.einsum("...ij,...j->...i", sig, h)
         else:
             control = None
         p, overshoot, disp, hits[k] = _step(
-            domain, x, b, control, np.einsum("nij,nj->ni", sig, noises[k]), dt)
+            domain, x, b, control,
+            np.einsum("...ij,...j->...i", sig, noises[k]), dt)
         states[k + 1] = p
         reflection[k + 1] = reflection[k] + overshoot
         local_time[k + 1] = local_time[k] + disp

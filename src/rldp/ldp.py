@@ -9,6 +9,13 @@ The fixed-N identity being exercised:
 The infimum runs over all progressively measurable controls; the package
 searches restricted families (constant / piecewise / feedback), so every
 rate output is an upper estimate and is named accordingly.
+
+Every Monte Carlo average here (the Laplace functional, the variational
+objective, the achieved distance) runs over R independent replicas.  They
+are stepped together: one ``simulate_particle_system`` call per batch of
+replicas, a batch being as many as fit their path arrays in
+``_BATCH_BYTES``, so one call per objective evaluation at the usual sizes.
+Each replica's numbers are those of simulating it alone.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
 
 ESS_GUARD_FRACTION = 0.01
+_BATCH_BYTES = 8 * 2**20  # cap on the path arrays and noise of one batch
 
 
 # -- functionals of the path-marginal flow ---------------------------------------
@@ -106,20 +114,54 @@ def flow_distance(flow, target, mode: str = "terminal") -> float:
     return float(np.mean(vals))
 
 
+def _finite(key, v, d):
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not math.isfinite(v)):
+        raise InputError(f"functional {key} must be a finite number, got {v!r}")
+
+
+def _positive(key, v, d):
+    _finite(key, v, d)
+    if not v > 0:
+        raise InputError(f"functional {key} must be > 0, got {v!r}")
+
+
+def _coordinate(key, v, d):
+    if (isinstance(v, bool) or not isinstance(v, int) or v < 0
+            or (d is not None and v >= d)):
+        raise InputError(f"functional {key} must be an integer in "
+                         f"[0, {'d' if d is None else d}), got {v!r}")
+
+
+# name -> (constructor, {parameter: check(key, value, model dimension)})
 FUNCTIONAL_REGISTRY = {
-    "constant": constant_functional,
-    "terminal_mean": terminal_mean_functional,
+    "constant": (constant_functional, {"c": _finite}),
+    "terminal_mean": (terminal_mean_functional,
+                      {"scale": _finite, "coord": _coordinate,
+                       "center": _finite, "cap": _positive}),
 }
 
 
-def functional_from_config(cfg: dict) -> Functional:
+def functional_from_config(cfg: dict, d: int | None = None) -> Functional:
+    """Build a functional from {"functional": name, ...params}.
+
+    Every parameter is checked here, before anything is simulated:
+    ``c``, ``scale`` and ``center`` finite, ``cap`` > 0 and ``coord`` an
+    integer in [0, d), d being the model dimension when it is given.
+    """
     if not isinstance(cfg, dict):
         raise InputError(f"a functional is a JSON object, got {cfg!r}")
     cfg = dict(cfg)
     name = cfg.pop("functional", None)
     if name not in FUNCTIONAL_REGISTRY:
         raise InputError(f"unknown functional {name!r}")
-    return FUNCTIONAL_REGISTRY[name](**cfg)
+    make, checks = FUNCTIONAL_REGISTRY[name]
+    unknown = sorted(set(cfg) - set(checks))
+    if unknown:
+        raise InputError(f"unknown {name} parameters: {', '.join(unknown)}")
+    for key, value in cfg.items():
+        checks[key](key, value, d)
+    return make(**cfg)
 
 
 # -- Laplace functional -------------------------------------------------------------
@@ -136,10 +178,21 @@ class LaplaceEstimate:
 
 def _replica_flows(model: ModelSpec, n_particles: int, grid: TimeGrid,
                    n_replicas: int, seed: int, policy=None, budget=None):
-    for m in range(n_replicas):
-        ens = simulate_particle_system(model, n_particles, grid, policy=policy,
-                                       seed=seed, replica=m, budget=budget)
-        yield ens
+    """Yield the ensemble of each replica 0..R-1, simulated in batches.
+
+    A batch holds as many replicas as fit their path arrays and noise in
+    ``_BATCH_BYTES`` (at least one), so peak memory does not grow with R.
+    """
+    n, d, d1 = grid.n_steps, model.d, model.d1
+    # bytes a replica: states, reflection and local time at the n + 1 nodes,
+    # noise and controls on the n cells, 8 bytes a float; n hit flags
+    per_replica = n_particles * (8 * ((n + 1) * (2 * d + 1) + 2 * n * d1) + n)
+    size = max(1, _BATCH_BYTES // per_replica)
+    for lo in range(0, n_replicas, size):
+        ens = simulate_particle_system(
+            model, n_particles, grid, policy=policy, seed=seed,
+            replica=range(lo, min(lo + size, n_replicas)), budget=budget)
+        yield from ens.by_replica()
 
 
 def laplace_functional_mc(model: ModelSpec, functional: Functional,

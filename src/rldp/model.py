@@ -1,8 +1,17 @@
 """Model coefficients, empirical-measure summaries, and assumption checks.
 
 Coefficient callables take (t, x, mu) where mu is a MeasureSummary.  They
-must accept x of shape (d,) or batched (N, d) and return arrays that
-broadcast to (..., d) for the drift and (..., d, d1) for the diffusion.
+must accept x of shape (d,), (N, d) or (..., N, d), and return arrays that
+broadcast to x.shape for the drift and x.shape[:-1] + (d, d1) for the
+diffusion.  A state of shape (..., N, d) with leading batch axes is a stack
+of independent N-particle systems (replicas); its node summary is batched
+the same way: ``points`` (..., N, d), one weight vector (N,) shared by the
+stack, and ``mean`` (..., 1, d), which broadcasts against x.  An unbatched
+summary keeps its (d,) mean.  Every measure-dependent quantity a
+coefficient reads (the mean, ``cov_trace()``) therefore carries the batch
+axes, and a coefficient must keep them apart: m2's drift broadcasts as it
+is, m3 reshapes the per-replica covariance trace.  Control policies follow
+the same contract (see ``controls``).
 All measure dependence enters through the summary (finite support plus
 cached moments): every measure the simulator produces is empirical.
 """
@@ -10,7 +19,7 @@ cached moments): every measure the simulator produces is empirical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -22,24 +31,43 @@ from . import rng as rngmod
 _WEIGHT_TOL = 1e-12
 
 
+@lru_cache(maxsize=8)
+def _uniform_weights(n: int) -> np.ndarray:
+    """The read-only weight vector 1/n, shared by every uniform summary of
+    n atoms rather than allocated once per node."""
+    w = np.full(n, 1.0 / n)
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class MeasureSummary:
     """A finite-support probability measure with cached moments.
 
     The mean is computed on construction; the second moment (and with it
-    the covariance) is computed on first use and then cached.
+    the covariance) is computed on first use and then cached.  A batched
+    summary stacks measures on the same number of atoms along leading axes
+    of ``points``; see the module docstring for its shapes.  ``unstack``
+    splits one batch axis into per-measure summaries with the bits each
+    would get on its own.
     """
 
-    points: np.ndarray   # (n, d)
+    points: np.ndarray   # (n, d), or (..., n, d) for a batch
     weights: np.ndarray  # (n,), nonnegative, sums to 1
-    mean: np.ndarray     # (d,)
+    mean: np.ndarray     # (d,), or (..., 1, d) for a batch
 
     @staticmethod
     def from_points(points, weights=None) -> "MeasureSummary":
+        """The measure sum_i w_i delta_{x_i}, uniform unless ``weights``.
+
+        ``points`` (n, d) or a batch (..., n, d); the batched mean is the
+        stacked product ``weights @ points``, bit for bit that of each
+        measure alone.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        n = points.shape[0]
+        n = points.shape[-2]
         if weights is None:
-            weights = np.full(n, 1.0 / n)
+            weights = _uniform_weights(n)
         else:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != (n,):
@@ -52,8 +80,10 @@ class MeasureSummary:
                 raise InputError("weights must sum to 1")
         if not np.all(np.isfinite(points)):
             raise InputError("support points must be finite")
-        return MeasureSummary(points=points, weights=weights,
-                              mean=weights @ points)
+        mean = weights @ points
+        if points.ndim > 2:
+            mean = mean[..., None, :]
+        return MeasureSummary(points=points, weights=weights, mean=mean)
 
     @staticmethod
     def dirac(x) -> "MeasureSummary":
@@ -61,22 +91,34 @@ class MeasureSummary:
 
     @property
     def dimension(self) -> int:
-        return self.points.shape[1]
+        return self.points.shape[-1]
 
     @property
     def n_atoms(self) -> int:
-        return self.points.shape[0]
+        return self.points.shape[-2]
 
     @cached_property
     def second_moment(self) -> np.ndarray:
-        """(d, d) matrix sum_i w_i x_i x_i^T."""
-        return (self.points.T * self.weights) @ self.points
+        """(d, d) matrix sum_i w_i x_i x_i^T; (..., d, d) for a batch."""
+        return (self.points.swapaxes(-1, -2) * self.weights) @ self.points
 
     def covariance(self) -> np.ndarray:
-        return self.second_moment - np.outer(self.mean, self.mean)
+        m = self.mean
+        outer = np.outer(m, m) if m.ndim == 1 else m.swapaxes(-1, -2) * m
+        return self.second_moment - outer
 
-    def cov_trace(self) -> float:
-        return float(np.trace(self.covariance()))
+    def cov_trace(self):
+        """Trace of the covariance: a float, or an array of the batch shape."""
+        tr = np.trace(self.covariance(), axis1=-2, axis2=-1)
+        return float(tr) if tr.ndim == 0 else tr
+
+    def unstack(self) -> tuple:
+        """The measures of a batch along its first axis, as views.
+
+        Each has the mean and second moment it would have if built alone.
+        """
+        return tuple(MeasureSummary(points=p, weights=self.weights, mean=m[0])
+                     for p, m in zip(self.points, self.mean))
 
     def is_dirac(self, tol: float = 0.0) -> bool:
         return self.n_atoms == 1 or bool(
@@ -155,7 +197,11 @@ def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary,
 
 def coefficients_batch(model: ModelSpec, t: float, x: np.ndarray,
                        mu: MeasureSummary):
-    """Batched coefficient evaluation for the ensemble hot loop."""
+    """Batched coefficient evaluation for the stepping core.
+
+    x has shape (..., N, d) and mu is the matching (batched) node summary;
+    returns b broadcast to x.shape and sigma to x.shape[:-1] + (d, d1).
+    """
     if not 0.0 <= t <= model.horizon + 1e-12:
         raise InputError(f"time {t} outside [0, {model.horizon}]")
     b = np.asarray(model.drift(t, x, mu), dtype=float)
@@ -303,7 +349,10 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
         return np.zeros(np.shape(x))
 
     def diffusion(t, x, mu):
-        s = min(clip_L / max(hs, 1.0), sigma_scale * (1.0 + alpha * mu.cov_trace()))
+        s = np.minimum(clip_L / max(hs, 1.0),
+                       sigma_scale * (1.0 + alpha * mu.cov_trace()))
+        if np.ndim(s):  # one scale per replica of a batch: (..., 1, 1, 1)
+            s = s[..., None, None, None]
         return s * eye
 
     return ModelSpec(

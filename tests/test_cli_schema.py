@@ -163,6 +163,25 @@ def test_submartingale_time_pairs_checked_before_simulating(
         assert code == 0 and calls == [1], err
 
 
+@pytest.mark.parametrize("kind", ["laplace", "variational"])
+@pytest.mark.parametrize("functional, key", [
+    ({"functional": "terminal_mean", "coord": 5}, "coord"),
+    ({"functional": "terminal_mean", "coord": 1.5}, "coord"),
+    ({"functional": "constant", "c": NAN}, "c"),
+    ({"functional": "terminal_mean", "cap": 0}, "cap")])
+def test_functional_block_checked_before_simulating(
+        tmp_path, monkeypatch, kind, functional, key):
+    calls = []
+    simulate = cli.ldp.simulate_particle_system
+    monkeypatch.setattr(cli.ldp, "simulate_particle_system",
+                        lambda *a, **k: calls.append(1) or simulate(*a, **k))
+    cfg = _config(kind, [(("run", "functional"), functional)])
+    code, err = _main(kind, cfg, tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    assert f"functional {key}" in json.loads(err)["detail"]
+    assert calls == []
+
+
 def test_readme_simulate_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"Example config \(`simulate`\):\s*```json\n(.*?)```",

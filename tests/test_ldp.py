@@ -56,6 +56,25 @@ class TestFunctionals:
         with pytest.raises(InputError):
             functional_from_config({"functional": "nope"})
 
+    @pytest.mark.parametrize("cfg", [
+        {"functional": "terminal_mean", "coord": 1},
+        {"functional": "terminal_mean", "coord": -1},
+        {"functional": "terminal_mean", "coord": True},
+        {"functional": "terminal_mean", "scale": float("inf")},
+        {"functional": "terminal_mean", "center": "0"},
+        {"functional": "terminal_mean", "cap": -1.0},
+        {"functional": "constant", "c": None},
+        {"functional": "constant", "c": 1.0, "scale": 2.0}])
+    def test_from_config_checks_parameters(self, cfg):
+        with pytest.raises(InputError, match="functional|parameters"):
+            functional_from_config(cfg, d=1)
+
+    def test_from_config_coordinate_within_dimension(self):
+        cfg = {"functional": "terminal_mean", "coord": 2, "cap": 0.5}
+        assert functional_from_config(cfg, d=3).f_max == 0.5
+        with pytest.raises(InputError, match=r"\[0, 2\)"):
+            functional_from_config(cfg, d=2)
+
     def test_bound_enforced(self):
         f = terminal_mean_functional(scale=1.0, cap=0.01)
         m = make_m1(BOX1)
