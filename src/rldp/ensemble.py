@@ -21,9 +21,11 @@ Noise is pre-assigned per (replica, particle) substream, so results do not
 depend on execution order, batching or worker count.  The Philox keys of a
 replica's particles are derived in one batch (``rng.substream_keys``) and
 are bit-identical to the per-particle ``SeedSequence`` keys of
-``rng.substream``.  All replicas of a call are drawn into one
-particle-major buffer, and ``Ensemble.noises`` is a read-only view of it
-that need not be contiguous.
+``rng.substream``.  Each particle is still drawn from its own substream,
+but all replicas of a call are stored in one time-major (n, R, N, d1)
+buffer, filled a block of particles at a time, so the stepping core reads
+each step's noise contiguously; ``Ensemble.noises`` is a read-only view of
+that buffer.
 
 Inside ``shared_replica_draws`` the initial states and noise of a call are
 drawn once and reused by every simulation of the same (model, seed,
@@ -48,6 +50,7 @@ from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
 
 DEFAULT_STEP_BUDGET = 500_000_000  # particle-steps
+_BLOCK_BYTES = 256 * 1024  # cap on the particle-major block of noise draws
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,9 @@ class Ensemble:
 
     For a batch (``replica`` a range of R replicas) every path array has an
     R axis after time, e.g. states (n+1, R, N, d), and each summary is
-    batched; ``by_replica`` gives the per-replica ensembles.  ``path``,
-    ``noise_paths`` and ``write_paths_csv`` take one replica's ensemble.
+    batched; ``by_replica`` gives the per-replica ensembles.  ``path`` and
+    ``write_paths_csv`` take one replica's ensemble; ``noise_paths`` takes
+    either.
     """
 
     model_id: str
@@ -68,7 +72,7 @@ class Ensemble:
     reflection: np.ndarray    # (n+1, N, d) accumulated boundary displacement
     local_time: np.ndarray    # (n+1, N)
     boundary_hits: np.ndarray  # (n, N) bool
-    noises: np.ndarray        # (n, N, d1) Brownian increments, read-only view
+    noises: np.ndarray        # (n, N, d1) increments, time-major, read-only
     controls: np.ndarray      # (n, N, d1) applied h values per cell
     summaries: tuple          # (n+1,) MeasureSummary per node, views of states
     policy_id: str
@@ -92,6 +96,7 @@ class Ensemble:
             for j, r in enumerate(self.replica))
 
     def path(self, i: int) -> ReflectedPath:
+        _check_single(self, "path")
         return ReflectedPath(
             grid=self.grid,
             states=self.states[:, i, :],
@@ -101,15 +106,18 @@ class Ensemble:
         )
 
     def noise_paths(self) -> np.ndarray:
-        """Cumulative driving noise w(t_k), shape (n+1, N, d1), w(0) = 0.
+        """Cumulative driving noise w(t_k), shape (n+1, ..., N, d1), w(0) = 0.
 
-        Summed along time in the particle-major layout of the noise buffer;
-        the result is the transposed view of an (N, n+1, d1) array.
+        A running sum over the time-major noise, bitwise ``np.cumsum`` along
+        time, for one replica or a batch.
         """
-        n, N, d1 = self.noises.shape
-        w = np.zeros((N, n + 1, d1))
-        np.cumsum(self.noises.transpose(1, 0, 2), axis=1, out=w[:, 1:])
-        return w.transpose(1, 0, 2)
+        noises = self.noises
+        w = np.empty((noises.shape[0] + 1, *noises.shape[1:]))
+        w[0] = 0.0
+        w[1] = noises[0]
+        for k in range(1, noises.shape[0]):
+            np.add(w[k], noises[k], out=w[k + 1])
+        return w
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,12 @@ class MeasureFlow:
         return self.summaries[-1]
 
 
+def _check_single(ens: Ensemble, what: str):
+    if isinstance(ens.replica, range):
+        raise InputError(f"{what} takes one replica's ensemble; "
+                         "split a batch with by_replica()")
+
+
 def _check_budget(n_particles: int, n_steps: int, budget: int | None):
     budget = DEFAULT_STEP_BUDGET if budget is None else budget
     if n_particles * n_steps > budget:
@@ -148,12 +162,20 @@ def _particle_noise(seed: int, replica: int, n_particles: int, n_steps: int,
                     d1: int, dt: float, out: np.ndarray) -> None:
     """Pre-assigned increments, one substream per (replica, particle).
 
-    Drawn particle-major into ``out``, of shape (N, n, d1).
+    Written time-major into ``out``, of shape (n, N, d1).  Particles are
+    drawn in order into a particle-major block of at most ``_BLOCK_BYTES``
+    (at least one particle), which is copied transposed into ``out``: one
+    strided write per block rather than per particle.
     """
     gens = rngmod.iter_substreams(seed, rngmod.NOISE, replica,
                                   last=np.arange(n_particles))
-    for i, gen in enumerate(gens):
-        out[i] = brownian_increments(gen, n_steps, d1, dt)
+    b = max(1, _BLOCK_BYTES // (n_steps * d1 * 8))
+    block = np.empty((min(b, n_particles), n_steps, d1))
+    for lo in range(0, n_particles, b):
+        hi = min(lo + b, n_particles)
+        for i in range(lo, hi):
+            block[i - lo] = brownian_increments(next(gens), n_steps, d1, dt)
+        out[:, lo:hi] = block[:hi - lo].transpose(1, 0, 2)
 
 
 # Memo of the active shared_replica_draws scope, or None outside one.
@@ -186,8 +208,8 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
     """Initial states (..., N, d) and noise (n, ..., N, d1) of one replica or
     a range of them, memoized inside a scope.
 
-    The noise of all replicas is drawn into one particle-major (R, N, n, d1)
-    buffer; the result is its read-only transposed view, not a copy.
+    The noise of all replicas is drawn into one time-major (n, R, N, d1)
+    buffer, returned read-only.
     """
     memo = _REPLICA_DRAWS.get()
     key = (id(model), seed, replica, n_particles, grid)
@@ -196,14 +218,13 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
     batch = isinstance(replica, range)
     replicas = replica if batch else range(replica, replica + 1)
     states0 = np.empty((len(replicas), n_particles, model.d))
-    buf = np.empty((len(replicas), n_particles, grid.n_steps, model.d1))
+    noises = np.empty((grid.n_steps, len(replicas), n_particles, model.d1))
     for j, r in enumerate(replicas):
         init_rng = rngmod.substream(seed, rngmod.INIT, r)
         states0[j] = model.initial_states(n_particles, init_rng)
         _particle_noise(seed, r, n_particles, grid.n_steps, model.d1,
-                        grid.dt, buf[j])
-    buf.flags.writeable = False
-    noises = buf.transpose(2, 0, 1, 3)
+                        grid.dt, noises[:, j])
+    noises.flags.writeable = False
     if not batch:
         states0, noises = states0[0], noises[:, 0]
     if memo is not None:
@@ -309,8 +330,9 @@ def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
 # -- export ---------------------------------------------------------------------------
 
 def write_paths_csv(ens: Ensemble, path: str):
-    """RFC-4180 CSV: one row per particle per node."""
-    d = ens.states.shape[2]
+    """RFC-4180 CSV: one row per particle per node, for one replica."""
+    _check_single(ens, "write_paths_csv")
+    d = ens.states.shape[-1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replica", "particle", "k", "t"]

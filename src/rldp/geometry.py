@@ -39,6 +39,18 @@ def _as_point(x, d: int) -> np.ndarray:
     return x
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` bit for bit, and faster: numpy sums the
+    squares left to right on a last axis shorter than 8, pairwise beyond.
+    A single point gives a 0-d array."""
+    if x.shape[-1] >= 8:
+        return np.linalg.norm(x, axis=-1)
+    acc = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
+    for k in range(1, x.shape[-1]):
+        acc += x[..., k] * x[..., k]
+    return np.sqrt(acc, out=acc)
+
+
 @dataclass(frozen=True)
 class ConvexDomain:
     """A bounded convex domain: axis-aligned box or Euclidean ball."""
@@ -113,7 +125,7 @@ class ConvexDomain:
         if self.kind == "box":
             inside = np.all(x >= self.lo - eps, axis=-1) & np.all(x <= self.hi + eps, axis=-1)
             return inside
-        return np.linalg.norm(x - self.center, axis=-1) <= self.radius + eps
+        return _row_norm(x - self.center) <= self.radius + eps
 
     # -- projection ---------------------------------------------------------
 
@@ -129,10 +141,10 @@ class ConvexDomain:
             p = np.clip(x, self.lo, self.hi)
         else:
             delta = x - self.center
-            r = np.linalg.norm(delta, axis=-1, keepdims=True)
+            r = _row_norm(delta)[..., None]
             scale = np.where(r > self.radius, self.radius / np.where(r == 0.0, 1.0, r), 1.0)
             p = self.center + delta * scale
-        disp = np.linalg.norm(x - p, axis=-1)
+        disp = _row_norm(x - p)
         hit = disp > 0.0
         if x.ndim == 1:
             return p, bool(hit), float(disp)
@@ -166,13 +178,13 @@ class ConvexDomain:
         eps = max(self.boundary_tol, 1e-9)
         if self.kind == "ball":
             delta = x - self.center
-            r = np.linalg.norm(delta, axis=-1, keepdims=True)
+            r = _row_norm(delta)[..., None]
             on = np.abs(r - self.radius) <= eps
             return np.where(on, delta / np.where(r == 0, 1.0, r), 0.0)
         n = np.zeros_like(x)
         n -= (x <= self.lo + eps).astype(float)
         n += (x >= self.hi - eps).astype(float)
-        norms = np.linalg.norm(n, axis=-1, keepdims=True)
+        norms = _row_norm(n)[..., None]
         return np.where(norms > 0, n / np.where(norms == 0, 1.0, norms), 0.0)
 
     # -- sampling helpers ----------------------------------------------------

@@ -138,8 +138,8 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
             domain, x, b, control,
             np.einsum("...ij,...j->...i", sig, noises[k]), dt)
         states[k + 1] = p
-        reflection[k + 1] = reflection[k] + overshoot
-        local_time[k + 1] = local_time[k] + disp
+        np.add(reflection[k], overshoot, out=reflection[k + 1])
+        np.add(local_time[k], disp, out=local_time[k + 1])
         x = p
     summaries.append(MeasureSummary.from_points(states[n]))
     return states, reflection, local_time, hits, controls, tuple(summaries)

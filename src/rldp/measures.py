@@ -21,6 +21,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import InputError
+from .geometry import _row_norm
 from .integrator import ReflectedPath, TimeGrid
 from .model import MeasureSummary
 from . import rng as rngmod
@@ -70,17 +71,6 @@ def _bl_exact_1d(mu: MeasureSummary, nu: MeasureSummary) -> float:
     if not res.success:
         raise RuntimeError(f"BL dual LP failed: {res.message}")
     return float(min(2.0, max(0.0, -res.fun)))
-
-
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=-1)`` bit for bit, and faster: numpy sums the
-    squares left to right on a last axis shorter than 8, pairwise beyond."""
-    if x.shape[-1] >= 8:
-        return np.linalg.norm(x, axis=-1)
-    acc = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        acc += x[..., k] * x[..., k]
-    return np.sqrt(acc, out=acc)
 
 
 def _bl_dictionary(mu: MeasureSummary, nu: MeasureSummary, size: int,
@@ -173,6 +163,38 @@ def _as_path_array(paths) -> np.ndarray:
     return arr
 
 
+def _path_dictionary_gaps(pf, qf, lo, hi, size: int, k: int,
+                          gen: np.random.Generator) -> np.ndarray:
+    """``|int f d(P - Q)|`` for each of ``size`` functionals
+    ``f(phi) = clip(phi[idx] @ a - c)`` of k flat skeleton coordinates.
+
+    Each functional's ``idx`` and ``a`` are drawn in turn, ``choice`` then
+    ``standard_normal``; c centres ``a`` on the midpoints of [lo, hi].  The
+    functionals are then evaluated B at a time, B the most whose
+    ``(B, n_paths, k)`` gather fits in ``_BLOCK_BYTES`` (at least one).  The
+    gather keeps the column-major layout of ``f[:, idx]``, so a row's stacked
+    matmul is the gemv of ``f[:, idx] @ a`` and its mean that of one row:
+    bitwise each functional alone.
+    """
+    idx = np.empty((size, k), dtype=np.intp)
+    a = np.empty((size, k))
+    for j in range(size):
+        idx[j] = gen.choice(len(lo), size=k, replace=False)
+        a[j] = gen.standard_normal(k)
+    a /= np.abs(a).sum(axis=1, keepdims=True)
+    c = (a[:, None, :] @ ((lo[idx] + hi[idx]) / 2.0)[:, :, None])[:, 0, 0]
+
+    def clipped_means(f, rows):
+        v = (f.T[idx[rows]].transpose(0, 2, 1) @ a[rows, :, None])[..., 0]
+        v -= c[rows, None]
+        return np.clip(v, -1.0, 1.0, out=v).mean(axis=1)
+
+    b = max(1, _BLOCK_BYTES // (max(len(pf), len(qf)) * max(k, 1) * 8))
+    return np.concatenate([np.empty(0)] + [
+        np.abs(clipped_means(pf, rows) - clipped_means(qf, rows))
+        for rows in (slice(i, i + b) for i in range(0, size, b))])
+
+
 def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
                      dictionary_size: int = 256, seed: int = 0,
                      n_probe_nodes: int = 4) -> BLEstimate:
@@ -205,16 +227,9 @@ def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
     lo = np.minimum(pf.min(axis=0), qf.min(axis=0))
     hi = np.maximum(pf.max(axis=0), qf.max(axis=0))
 
-    best = 0.0
-    k_probe = min(n_probe_nodes, flat_dim)
-    for _ in range(dictionary_size):
-        idx = gen.choice(flat_dim, size=k_probe, replace=False)
-        a = gen.standard_normal(k_probe)
-        a /= np.sum(np.abs(a))
-        c = float(a @ ((lo[idx] + hi[idx]) / 2.0))
-        vp = np.clip(pf[:, idx] @ a - c, -1.0, 1.0)
-        vq = np.clip(qf[:, idx] @ a - c, -1.0, 1.0)
-        best = max(best, abs(float(vp.mean() - vq.mean())))
+    best = float(_path_dictionary_gaps(pf, qf, lo, hi, dictionary_size,
+                                       min(n_probe_nodes, flat_dim),
+                                       gen).max(initial=0.0))
     # adaptive witness: the single skeleton coordinate with the largest mean gap
     gaps = np.abs(pf.mean(axis=0) - qf.mean(axis=0))
     j = int(np.argmax(gaps))

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from rldp.integrator import (TimeGrid, _advance, brownian_increments,
                              simulate_reflected_path)
 from rldp.measures import bl_distance
 from rldp.model import (MeasureSummary, ModelSpec, make_m1, make_m2)
-from rldp.rng import NOISE, substream
+from rldp.rng import INIT, NOISE, iter_substreams, substream
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
@@ -348,3 +349,171 @@ class TestOutputs:
         assert header[:4] == ["replica", "particle", "k", "t"]
         # round-trip float fidelity
         assert float(rows[1][4]) == ens.states[0, 0, 0]
+
+
+# -- time-major noise: bitwise the particle-major layout ----------------------------
+
+def _particle_major_noise(seed, replica, n_particles, n_steps, d1, dt, out):
+    """Reference: each particle's increments written to out[i], (N, n, d1)."""
+    gens = iter_substreams(seed, NOISE, replica, last=np.arange(n_particles))
+    for i, gen in enumerate(gens):
+        out[i] = brownian_increments(gen, n_steps, d1, dt)
+
+
+def _particle_major_draws(model, grid, n_particles, seed, replica):
+    """Reference: one particle-major (R, N, n, d1) buffer per call, returned
+    as its read-only transposed view (no memo)."""
+    batch = isinstance(replica, range)
+    replicas = replica if batch else range(replica, replica + 1)
+    states0 = np.empty((len(replicas), n_particles, model.d))
+    buf = np.empty((len(replicas), n_particles, grid.n_steps, model.d1))
+    for j, r in enumerate(replicas):
+        init_rng = substream(seed, INIT, r)
+        states0[j] = model.initial_states(n_particles, init_rng)
+        _particle_major_noise(seed, r, n_particles, grid.n_steps, model.d1,
+                              grid.dt, buf[j])
+    buf.flags.writeable = False
+    noises = buf.transpose(2, 0, 1, 3)
+    if not batch:
+        states0, noises = states0[0], noises[:, 0]
+    return states0, noises
+
+
+PATH_FIELDS = ("states", "reflection", "local_time", "boundary_hits",
+               "noises", "controls")
+NOISE_GRID = TimeGrid(1.0, 6)
+
+
+def _block_particles(n, model, grid):
+    """The ``_BLOCK_BYTES`` that holds exactly n particles of noise."""
+    return n * grid.n_steps * model.d1 * 8
+
+
+class TestTimeMajorNoise:
+    @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
+    @pytest.mark.parametrize("replica", [0, 3, range(1), range(2),
+                                         range(2, 10)],
+                             ids=["int0", "int3", "range1", "range2",
+                                  "range8"])
+    @pytest.mark.parametrize("n_particles", [3, 4, 5, 9])
+    @pytest.mark.parametrize("policy", [None, "constant"])
+    def test_simulation_equals_particle_major(self, monkeypatch, domain,
+                                              replica, n_particles, policy):
+        # a block of 4 particles: N = 3, 4, 5, 9 is below, at and above it
+        m = make_m2(domain, theta=0.5, sigma_scale=0.8)
+        if policy is not None:
+            policy = ConstantPolicy(np.linspace(-0.5, 0.5, m.d1))
+        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+                            _block_particles(4, m, NOISE_GRID))
+        ens = simulate_particle_system(m, n_particles, NOISE_GRID, policy,
+                                       seed=17, replica=replica)
+        monkeypatch.setattr(ensemble_mod, "_replica_draws",
+                            _particle_major_draws)
+        ref = simulate_particle_system(m, n_particles, NOISE_GRID, policy,
+                                       seed=17, replica=replica)
+        assert ens.noises.flags.c_contiguous and not ref.noises.flags.c_contiguous
+        for name in PATH_FIELDS:
+            a, b = getattr(ens, name), getattr(ref, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for a, b in zip(ens.summaries, ref.summaries, strict=True):
+            _assert_same_summary(a, b)
+        assert ens.noise_paths().tobytes() == ref.noise_paths().tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 64, 10**6],
+                             ids=["one", "two", "all", "default"])
+    def test_block_size_does_not_change_noise(self, monkeypatch, block):
+        m = make_m2(BALL3, theta=0.5)
+        _, ref = _particle_major_draws(m, NOISE_GRID, 37, 5, range(3))
+        if block != 10**6:
+            monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+                                _block_particles(block, m, NOISE_GRID))
+        _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, 37, 5,
+                                                range(3))
+        assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert not noises.flags.writeable
+
+    def test_block_below_one_particle_draws_one_at_a_time(self, monkeypatch):
+        m = make_m2(BOX1, theta=0.5)
+        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES", 1)
+        _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, 5, 2, 1)
+        _, ref = _particle_major_draws(m, NOISE_GRID, 5, 2, 1)
+        assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
+    def test_picard_equals_particle_major(self, monkeypatch, domain):
+        m = make_m2(domain, theta=0.5)
+        grid = TimeGrid(1.0, 8)
+        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+                            _block_particles(16, m, grid))
+        kwargs = dict(method="picard", n_inner=40, n_iter=3, seed=9, tol=0.0)
+        flow = solve_mckean_vlasov_reference(m, grid, **kwargs)
+        monkeypatch.setattr(ensemble_mod, "_replica_draws",
+                            _particle_major_draws)
+        ref = solve_mckean_vlasov_reference(m, grid, **kwargs)
+        assert flow.iteration_distances == ref.iteration_distances
+        for a, b in zip(flow, ref, strict=True):
+            _assert_same_summary(a, b)
+
+    @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
+    def test_batch_noise_paths_equal_cumsum(self, domain):
+        m = make_m2(domain, theta=0.5)
+        grid = TimeGrid(1.0, 19)
+        ens = simulate_particle_system(m, 7, grid, seed=8, replica=range(3))
+        ref = np.zeros((grid.n_steps + 1, 3, 7, m.d1))
+        np.cumsum(ens.noises, axis=0, out=ref[1:])
+        w = ens.noise_paths()
+        assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
+        for j, one in enumerate(ens.by_replica()):
+            assert one.noise_paths().tobytes() == \
+                np.ascontiguousarray(w[:, j]).tobytes()
+
+    def test_noise_paths_keep_signed_zeros(self):
+        # np.cumsum copies the first increment, so a -0.0 stays -0.0
+        ens = simulate_particle_system(make_m2(BALL3, theta=0.5), 2,
+                                       TimeGrid(1.0, 3), seed=8,
+                                       replica=range(2))
+        noises = np.full(ens.noises.shape, -0.0)
+        noises[2, 1, 0] = 0.5
+        w = replace(ens, noises=noises).noise_paths()
+        ref = np.zeros_like(w)
+        np.cumsum(noises, axis=0, out=ref[1:])
+        assert w.tobytes() == ref.tobytes()
+        assert np.signbit(w[1:3]).all()
+
+    def test_noise_paths_one_step(self):
+        m = make_m2(BALL3, theta=0.5)
+        ens = simulate_particle_system(m, 3, TimeGrid(1.0, 1), seed=8)
+        w = ens.noise_paths()
+        assert np.all(w[0] == 0.0) and w[1].tobytes() == ens.noises[0].tobytes()
+
+
+class TestBatchHelpers:
+    def _batch(self):
+        return simulate_particle_system(make_m2(BALL3, theta=0.5), 3,
+                                        TimeGrid(1.0, 4), seed=2,
+                                        replica=range(2))
+
+    def test_path_rejects_batch(self):
+        ens = self._batch()
+        with pytest.raises(InputError):
+            ens.path(0)
+        one = ens.by_replica()[1]
+        assert np.array_equal(one.path(2).states, ens.states[:, 1, 2])
+
+    def test_paths_csv_rejects_batch_before_writing(self, tmp_path):
+        out = tmp_path / "paths.csv"
+        with pytest.raises(InputError):
+            write_paths_csv(self._batch(), str(out))
+        assert not out.exists()
+
+    def test_paths_csv_of_one_replica_of_a_batch(self, tmp_path):
+        ens = self._batch().by_replica()[1]
+        out = tmp_path / "paths.csv"
+        write_paths_csv(ens, str(out))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["replica", "particle", "k", "t",
+                           "x0", "x1", "x2", "abs_K"]
+        assert len(rows) == 1 + 3 * 5
+        assert rows[1][0] == "1"
+        assert [float(v) for v in rows[-1][4:7]] == list(ens.states[4, 2])

@@ -162,3 +162,113 @@ class TestConfigRoundTrip:
             back = ConvexDomain.from_config(dom.to_config())
             assert back.kind == dom.kind
             assert back.dimension == dom.dimension
+
+
+# -- row norms: bitwise the np.linalg.norm formulas --------------------------------
+
+def _project_reference(dom, x):
+    """``ConvexDomain.project`` with its ``np.linalg.norm`` formula."""
+    x = np.asarray(x, dtype=float)
+    if dom.kind == "box":
+        p = np.clip(x, dom.lo, dom.hi)
+    else:
+        delta = x - dom.center
+        r = np.linalg.norm(delta, axis=-1, keepdims=True)
+        scale = np.where(r > dom.radius, dom.radius / np.where(r == 0.0, 1.0, r), 1.0)
+        p = dom.center + delta * scale
+    disp = np.linalg.norm(x - p, axis=-1)
+    hit = disp > 0.0
+    if x.ndim == 1:
+        return p, bool(hit), float(disp)
+    return p, hit, disp
+
+
+def _contains_all_reference(dom, x):
+    eps = dom.boundary_tol
+    if dom.kind == "box":
+        return (np.all(x >= dom.lo - eps, axis=-1)
+                & np.all(x <= dom.hi + eps, axis=-1))
+    return np.linalg.norm(x - dom.center, axis=-1) <= dom.radius + eps
+
+
+def _normals_at_reference(dom, x):
+    eps = max(dom.boundary_tol, 1e-9)
+    if dom.kind == "ball":
+        delta = x - dom.center
+        r = np.linalg.norm(delta, axis=-1, keepdims=True)
+        on = np.abs(r - dom.radius) <= eps
+        return np.where(on, delta / np.where(r == 0, 1.0, r), 0.0)
+    n = np.zeros_like(x)
+    n -= (x <= dom.lo + eps).astype(float)
+    n += (x >= dom.hi - eps).astype(float)
+    norms = np.linalg.norm(n, axis=-1, keepdims=True)
+    return np.where(norms > 0, n / np.where(norms == 0, 1.0, norms), 0.0)
+
+
+def _domains(d):
+    return (ConvexDomain.ball(np.zeros(d), 1.0),
+            ConvexDomain.ball(np.linspace(-0.3, 0.4, d), 1.3),
+            ConvexDomain.box(np.full(d, -1.0), np.linspace(0.5, 2.0, d)))
+
+
+def _edge_points(dom, rng):
+    """(M, d) points: the centre, exactly on the sphere or the faces, signed
+    zeros, corners, and random points inside and outside."""
+    d = dom.dimension
+    eye = np.eye(d)
+    if dom.kind == "ball":
+        mid, half = dom.center, np.full(d, dom.radius)
+        sphere = np.concatenate([dom.center + dom.radius * eye,
+                                 dom.center - dom.radius * eye])
+    else:
+        mid, half = (dom.lo + dom.hi) / 2.0, (dom.hi - dom.lo) / 2.0
+        sphere = np.concatenate([np.where(eye > 0, dom.hi, mid),
+                                 np.where(eye > 0, dom.lo, mid)])
+    signed = np.full((3, d), -0.0)
+    signed[1, ::2] = 0.0
+    signed[2, 0] = -2.0 * half[0]
+    cloud = mid + half * rng.normal(0.0, 1.2, size=(40, d))
+    return np.concatenate([mid[None], sphere, signed,
+                           (mid - 3.0 * half)[None], (mid + half)[None], cloud])
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestRowNormBitwise:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_project_batches(self, d):
+        rng = np.random.default_rng(d)
+        for dom in _domains(d):
+            x = _edge_points(dom, rng)
+            for batch in (x, x.reshape(1, -1, d), np.stack([x, x[::-1]])):
+                p, hit, disp = dom.project(batch)
+                rp, rhit, rdisp = _project_reference(dom, batch)
+                assert _same_bytes(p, rp)
+                assert _same_bytes(hit, rhit)
+                assert _same_bytes(disp, rdisp)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_project_single_points(self, d):
+        rng = np.random.default_rng(100 + d)
+        for dom in _domains(d):
+            for x in _edge_points(dom, rng):
+                p, hit, disp = dom.project(x)
+                rp, rhit, rdisp = _project_reference(dom, x)
+                assert _same_bytes(p, rp)
+                assert type(hit) is bool and hit == rhit
+                assert type(disp) is float
+                assert np.float64(disp).tobytes() == np.float64(rdisp).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_contains_all_and_normals_at(self, d):
+        rng = np.random.default_rng(200 + d)
+        for dom in _domains(d):
+            x = _edge_points(dom, rng)
+            for batch in (x, np.stack([x, x[::-1]]), x[0], x[1]):
+                assert _same_bytes(dom.contains_all(batch),
+                                   _contains_all_reference(dom, batch))
+                assert _same_bytes(dom.normals_at(batch),
+                                   _normals_at_reference(dom, batch))

@@ -3,11 +3,12 @@ import pytest
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
+import rldp.measures as measures_mod
 from rldp import rng as rngmod
 from rldp.errors import InputError
 from rldp.integrator import TimeGrid
-from rldp.measures import (_bl_dictionary, _row_norm, bl_distance,
-                           holder_statistic, path_bl_distance)
+from rldp.measures import (_bl_dictionary, _path_dictionary_gaps, _row_norm,
+                           bl_distance, holder_statistic, path_bl_distance)
 from rldp.model import MeasureSummary
 
 
@@ -440,3 +441,91 @@ class TestHolderStatistic:
         from rldp.errors import InputError
         with pytest.raises(InputError):
             holder_statistic(np.zeros((5, 1)), 1.5, np.linspace(0, 1, 5))
+
+
+def _path_dictionary_loop(pf, qf, lo, hi, size, k, gen):
+    """Reference: the per-functional loop, one gap per functional."""
+    gaps = []
+    for _ in range(size):
+        idx = gen.choice(pf.shape[1], size=k, replace=False)
+        a = gen.standard_normal(k)
+        a /= np.sum(np.abs(a))
+        c = float(a @ ((lo[idx] + hi[idx]) / 2.0))
+        vp = np.clip(pf[:, idx] @ a - c, -1.0, 1.0)
+        vq = np.clip(qf[:, idx] @ a - c, -1.0, 1.0)
+        gaps.append(abs(float(vp.mean() - vq.mean())))
+    return np.array(gaps)
+
+
+def _path_bl_loop(p, q, size, seed, n_probe_nodes=4):
+    """Reference: ``path_bl_distance``'s value with the loop above."""
+    if p.shape[0] == 1 and q.shape[0] == 1:
+        return min(2.0, float(np.max(np.linalg.norm(p[0] - q[0], axis=-1))))
+    flat_dim = p.shape[1] * p.shape[2]
+    pf, qf = p.reshape(len(p), flat_dim), q.reshape(len(q), flat_dim)
+    lo = np.minimum(pf.min(axis=0), qf.min(axis=0))
+    hi = np.maximum(pf.max(axis=0), qf.max(axis=0))
+    gen = rngmod.substream(seed, rngmod.DICT, 1)
+    best = max([0.0, *_path_dictionary_loop(pf, qf, lo, hi, size,
+                                             min(n_probe_nodes, flat_dim),
+                                             gen)])
+    j = int(np.argmax(np.abs(pf.mean(axis=0) - qf.mean(axis=0))))
+    c = float((lo[j] + hi[j]) / 2.0)
+    vp = np.clip(pf[:, j] - c, -1.0, 1.0)
+    vq = np.clip(qf[:, j] - c, -1.0, 1.0)
+    return min(2.0, max(best, abs(float(vp.mean() - vq.mean()))))
+
+
+def _flat(p, q):
+    flat_dim = p.shape[1] * p.shape[2]
+    pf, qf = p.reshape(len(p), flat_dim), q.reshape(len(q), flat_dim)
+    return (pf, qf, np.minimum(pf.min(axis=0), qf.min(axis=0)),
+            np.maximum(pf.max(axis=0), qf.max(axis=0)))
+
+
+class TestPathBLBlocked:
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257])
+    @pytest.mark.parametrize("n_p, n_q", [(1, 1), (1, 2), (2, 2), (64, 64),
+                                          (2, 64)])
+    def test_equals_loop(self, d, size, n_p, n_q):
+        rng = np.random.default_rng(10 * d + n_p + n_q)
+        p = rng.uniform(0, 1, (n_p, 9, d))
+        q = rng.uniform(0, 0.7, (n_q, 9, d))
+        est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=size,
+                               seed=3)
+        assert est.value == _path_bl_loop(p, q, size, 3)
+        assert est.dictionary_size == size
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("size", [1, 255, 256, 257])
+    @pytest.mark.parametrize("n_p, n_q", [(1, 2), (2, 2), (64, 64), (2, 64)])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_every_gap_equals_loop(self, d, size, n_p, n_q, k):
+        # each functional's gap, not only the largest
+        rng = np.random.default_rng(7 * d + n_p + n_q + k)
+        p = rng.uniform(0, 1, (n_p, 5, d))
+        q = rng.uniform(0.2, 1, (n_q, 5, d))
+        pf, qf, lo, hi = _flat(p, q)
+        k = min(k, pf.shape[1])
+        gaps = _path_dictionary_gaps(pf, qf, lo, hi, size, k,
+                                     rngmod.substream(3, rngmod.DICT, 1))
+        ref = _path_dictionary_loop(pf, qf, lo, hi, size, k,
+                                    rngmod.substream(3, rngmod.DICT, 1))
+        assert gaps.shape == (size,) and gaps.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, 4096, 1 << 30])
+    def test_block_size_and_layout_do_not_change_gaps(self, monkeypatch,
+                                                      block_bytes):
+        rng = np.random.default_rng(5)
+        # column-major skeletons, as from ``ens.states.transpose(1, 0, 2)``
+        p = np.asfortranarray(rng.uniform(0, 1, (64, 17)))[:, :, None]
+        q = np.asfortranarray(rng.uniform(0, 1, (40, 17)))[:, :, None]
+        pf, qf, lo, hi = _flat(p, q)
+        ref = _path_dictionary_loop(pf, qf, lo, hi, 257, 4,
+                                    rngmod.substream(0, rngmod.DICT, 1))
+        monkeypatch.setattr(measures_mod, "_BLOCK_BYTES", block_bytes)
+        gaps = _path_dictionary_gaps(pf, qf, lo, hi, 257, 4,
+                                     rngmod.substream(0, rngmod.DICT, 1))
+        assert gaps.tobytes() == ref.tobytes()
+        assert path_bl_distance(p, q).value == _path_bl_loop(p, q, 256, 0)
