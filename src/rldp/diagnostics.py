@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .ensemble import (Ensemble, MeasureFlow, marginal_flow,
+from .ensemble import (Ensemble, MeasureFlow, cumulative_noise, marginal_flow,
                        simulate_particle_system)
 from .errors import InputError, ModelError, PreconditionError
 from .geometry import ConvexDomain
@@ -219,41 +219,53 @@ def mf_process(f: TestFunction, states, controls, noise_path,
 
     states:     (n+1, d) or (n+1, N, d)
     controls:   (n, d1) or (n, N, d1) atomic control values
-    noise_path: (n+1, d1) or (n+1, N, d1) cumulative driving noise
+    noise_path: the n + 1 rows w(t_k) of the cumulative driving noise, each
+                (d1,) or (N, d1): an (n+1, [N,] d1) array or any iterable of
+                rows, read one node at a time, so that a stream such as
+                ``ensemble.cumulative_noise`` is never held whole
     Returns (n+1,) or (n+1, N).
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    noise_path = np.asarray(noise_path, dtype=float)
     single = states.ndim == 2
     if single:
         states = states[:, None, :]
         controls = controls[:, None, :]
-        noise_path = noise_path[:, None, :]
     n = grid.n_steps
-    if states.shape[0] != n + 1 or noise_path.shape[0] != n + 1:
-        raise InputError("states and noise path must have one row per node")
+    if states.shape[0] != n + 1:
+        raise InputError("states must have one row per node")
     if controls.shape[0] != n:
         raise InputError("controls must have one value per grid cell")
     if len(nu_flow) != n + 1:
         raise InputError("nu_flow must share the grid")
+    rows = iter(noise_path)
+
+    def next_row():
+        row = next(rows, None)
+        if row is None:
+            raise InputError("noise path must have one row per node")
+        row = np.asarray(row, dtype=float)
+        return row[None, :] if single else row
 
     dt, nodes = grid.dt, grid.nodes
     controlled = bool(np.any(controls))
     m = np.zeros((n + 1, states.shape[1]))
-    f0 = np.asarray(f.f(nodes[0], states[0], noise_path[0]), dtype=float)
+    w = next_row()
+    f0 = np.asarray(f.f(nodes[0], states[0], w), dtype=float)
     integral = None  # running left-endpoint sum, in cumsum's order
     for k in range(n):
         t = nodes[k]
-        g = np.asarray(f.f_t(t, states[k], noise_path[k])
+        g = np.asarray(f.f_t(t, states[k], w)
                        + _generator_batch(model, f, t, states[k],
                                           controls[k] if controlled else None,
-                                          noise_path[k], nu_flow[k]),
+                                          w, nu_flow[k]),
                        dtype=float)
         integral = g if integral is None else integral + g
-        f1 = np.asarray(f.f(nodes[k + 1], states[k + 1], noise_path[k + 1]),
-                        dtype=float)
+        w = next_row()
+        f1 = np.asarray(f.f(nodes[k + 1], states[k + 1], w), dtype=float)
         m[k + 1] = (f1 - f0) - integral * dt
+    if next(rows, None) is not None:
+        raise InputError("noise path must have one row per node")
     return m[:, 0] if single else m
 
 
@@ -339,24 +351,36 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
             raise PreconditionError(
                 f"test function {f.id} violates the boundary condition "
                 f"(worst value {check.worst_value:.3g})")
+    pairs = []
+    for (t0, t1) in time_pairs:
+        k0, k1 = ens.grid.node_index(t0), ens.grid.node_index(t1)
+        if not k0 < k1:
+            raise InputError("time pairs must satisfy t0 < t1")
+        pairs.append((t0, t1, k0, k1))
     if psi_dictionary is None:
         psi_dictionary = default_psi_dictionary(model.domain)
 
     states = ens.states[:, :n_use, :]
     controls = ens.controls[:, :n_use, :]
-    w = ens.noise_paths()[:, :n_use, :]
-    m = mf_process(f, states, controls, w, nu_flow, model, ens.grid)
+    w_t0 = dict.fromkeys(k0 for _, _, k0, _ in pairs)
+
+    def noise_rows():
+        """w(t_k) of the paths in use, keeping the rows at the t0 nodes."""
+        for k, w in enumerate(cumulative_noise(ens.noises[:, :n_use])):
+            if k in w_t0:
+                w_t0[k] = w
+            yield w
+
+    m = mf_process(f, states, controls, noise_rows(), nu_flow, model,
+                   ens.grid)
 
     z_crit = float(ndtri(confidence))  # the standard normal quantile
     dt = ens.grid.dt
     entries = []
-    for (t0, t1) in time_pairs:
-        k0, k1 = ens.grid.node_index(t0), ens.grid.node_index(t1)
-        if not k0 < k1:
-            raise InputError("time pairs must satisfy t0 < t1")
+    for t0, t1, k0, k1 in pairs:
         dm = m[k1] - m[k0]
         for psi_id, psi in psi_dictionary.items():
-            wts = np.asarray(psi(states[k0], w[k0]), dtype=float)
+            wts = np.asarray(psi(states[k0], w_t0[k0]), dtype=float)
             if np.any(wts < 0):
                 raise InputError(f"psi {psi_id} produced negative weights")
             vals = wts * dm
@@ -389,8 +413,8 @@ def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
         grid = TimeGrid(base_grid.horizon, base_grid.n_steps // factor)
         ens = simulate_particle_system(model, n_paths, grid, seed=seed)
         flow = marginal_flow(ens)
-        m = mf_process(f, ens.states, ens.controls, ens.noise_paths(),
-                       flow, model, grid)
+        m = mf_process(f, ens.states, ens.controls,
+                       cumulative_noise(ens.noises), flow, model, grid)
         slopes_x.append(grid.dt)
         slopes_y.append(abs(float(np.mean(m[-1]))))
     x = np.asarray(slopes_x)

@@ -39,12 +39,14 @@ import csv
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .controls import ControlPolicy
 from .errors import BudgetError, InputError
-from .integrator import ReflectedPath, TimeGrid, _advance, brownian_increments
+from .integrator import (BoundaryEvents, ReflectedPath, TimeGrid, _advance,
+                         brownian_increments)
 from .measures import bl_distance
 from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
@@ -62,6 +64,11 @@ class Ensemble:
     batched; ``by_replica`` gives the per-replica ensembles.  ``path`` and
     ``write_paths_csv`` take one replica's ensemble; ``noise_paths`` takes
     either.
+
+    The reflection is held as ``events``, the particle-steps with a nonzero
+    overshoot.  ``reflection`` (n+1, N, d), ``local_time`` (n+1, N) and
+    ``boundary_hits`` (n, N) are each built from them on first read and
+    then kept; reading one builds neither of the others.
     """
 
     model_id: str
@@ -69,9 +76,7 @@ class Ensemble:
     seed: int
     replica: int | range
     states: np.ndarray        # (n+1, N, d)
-    reflection: np.ndarray    # (n+1, N, d) accumulated boundary displacement
-    local_time: np.ndarray    # (n+1, N)
-    boundary_hits: np.ndarray  # (n, N) bool
+    events: BoundaryEvents    # particle-steps with a nonzero overshoot
     noises: np.ndarray        # (n, N, d1) increments, time-major, read-only
     controls: np.ndarray      # (n, N, d1) applied h values per cell
     summaries: tuple          # (n+1,) MeasureSummary per node, views of states
@@ -82,15 +87,29 @@ class Ensemble:
     def n_particles(self) -> int:
         return self.states.shape[-2]
 
+    @cached_property
+    def reflection(self) -> np.ndarray:
+        """Accumulated boundary displacement y - p, (n+1, N, d)."""
+        return self.events.reflection()
+
+    @cached_property
+    def local_time(self) -> np.ndarray:
+        """Accumulated |y - p|, (n+1, N)."""
+        return self.events.local_time()
+
+    @cached_property
+    def boundary_hits(self) -> np.ndarray:
+        """Whether each particle-step hit the boundary, (n, N) bool."""
+        return self.events.hits()
+
     def by_replica(self) -> tuple:
-        """One ensemble per replica of a batch; its arrays and summaries
-        are views."""
+        """One ensemble per replica of a batch; its path arrays and
+        summaries are views, its events the replica's own."""
         nodes = [mu.unstack() for mu in self.summaries]
+        events = self.events.split()
         return tuple(
             replace(self, replica=r, states=self.states[:, j],
-                    reflection=self.reflection[:, j],
-                    local_time=self.local_time[:, j],
-                    boundary_hits=self.boundary_hits[:, j],
+                    events=events[j],
                     noises=self.noises[:, j], controls=self.controls[:, j],
                     summaries=tuple(node[j] for node in nodes))
             for j, r in enumerate(self.replica))
@@ -108,16 +127,27 @@ class Ensemble:
     def noise_paths(self) -> np.ndarray:
         """Cumulative driving noise w(t_k), shape (n+1, ..., N, d1), w(0) = 0.
 
-        A running sum over the time-major noise, bitwise ``np.cumsum`` along
-        time, for one replica or a batch.
+        The rows of ``cumulative_noise`` stacked, bitwise ``np.cumsum``
+        along time, for one replica or a batch.
         """
-        noises = self.noises
-        w = np.empty((noises.shape[0] + 1, *noises.shape[1:]))
-        w[0] = 0.0
-        w[1] = noises[0]
-        for k in range(1, noises.shape[0]):
-            np.add(w[k], noises[k], out=w[k + 1])
+        w = np.empty((self.noises.shape[0] + 1, *self.noises.shape[1:]))
+        for k, row in enumerate(cumulative_noise(self.noises)):
+            w[k] = row
         return w
+
+
+def cumulative_noise(noises: np.ndarray):
+    """Yield w(t_0), ..., w(t_n) of time-major increments (n, ...), one row
+    at a time: w(0) = 0, w(t_1) the first increment as it is (signed zeros
+    kept), then a running ``np.add`` into a new array each step.  No row is
+    written after it is yielded, so a reader may keep the rows it needs.
+    """
+    yield np.zeros(noises.shape[1:])
+    w = noises[0]
+    yield w
+    for k in range(1, noises.shape[0]):
+        w = np.add(w, noises[k])
+        yield w
 
 
 @dataclass(frozen=True)
@@ -249,12 +279,11 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
         raise InputError("need at least one replica")
     _check_budget(n_particles, grid.n_steps, budget)
     states0, noises = _replica_draws(model, grid, n_particles, seed, replica)
-    states, reflection, local_time, hits, controls, summaries = _advance(
+    states, events, controls, summaries = _advance(
         model, grid, states0, noises, policy, mu_flow=None)
     return Ensemble(
         model_id=model.name, grid=grid, seed=seed, replica=replica,
-        states=states, reflection=reflection, local_time=local_time,
-        boundary_hits=hits, noises=noises, controls=controls,
+        states=states, events=events, noises=noises, controls=controls,
         summaries=summaries,
         policy_id=policy.policy_id if policy is not None else "zero",
         init_kind=model.init_kind,

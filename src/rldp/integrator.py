@@ -15,18 +15,24 @@ Monte Carlo batch; each replica gets the bits it would get alone.  The
 run on it, ``simulate_reflected_path`` on a one-particle system;
 ``step_reflected`` is one checked ``_step``.
 
+Reflection acts only on the boundary, so the core keeps the overshoot of
+the few particle-steps that have one (``BoundaryEvents``), not dense
+reflection and local-time paths; those are rebuilt from the events, bit
+for bit, when read.
+
 Controls are piecewise constant on grid cells, one value per cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .geometry import ConvexDomain, EXTERIOR
+from .geometry import ConvexDomain, EXTERIOR, _row_norm
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 
 
@@ -73,6 +79,74 @@ class ReflectedPath:
     boundary_hits: np.ndarray   # (n,), bool per step
 
 
+# Overshoot rows of consecutive steps scanned for events at once (at least
+# one step): small systems pay the scan's call overhead once, not per step.
+_EVENT_SCAN_BYTES = 256 * 1024
+
+
+@dataclass(frozen=True)
+class BoundaryEvents:
+    """The particle-steps of a run whose overshoot y - p is nonzero.
+
+    ``shape`` is (n, ..., N), steps first; ``index`` (E,) numbers the events
+    in that layout flattened, ascending, and ``overshoot`` (E, d) holds their
+    y - p rows.  Every other particle-step has a zero overshoot, whose
+    addition leaves a running sum from +0.0 unchanged (such a sum is never
+    -0.0), so the events alone give the dense paths of the stepping core.
+    An event need not be a hit: an overshoot of 1e-170 is kept though its
+    norm underflows to 0.
+    """
+
+    shape: tuple
+    index: np.ndarray
+    overshoot: np.ndarray
+
+    def _accumulate(self, values: np.ndarray) -> np.ndarray:
+        """The running sum over steps of per-event ``values`` (E, ...), zero
+        off the events: out[0] = 0 and out[k+1] = out[k] + step k's values by
+        ``np.add``, shape (n+1, ..., N, ...)."""
+        n, lead, tail = self.shape[0], self.shape[1:], values.shape[1:]
+        m = math.prod(lead)
+        out = np.zeros((n + 1, m, *tail))
+        step = np.zeros((m, *tail))
+        bounds = np.searchsorted(self.index, np.arange(n + 1) * m)
+        for k in range(n):
+            events = slice(bounds[k], bounds[k + 1])
+            at = self.index[events] - k * m
+            step[at] = values[events]
+            np.add(out[k], step, out=out[k + 1])
+            step[at] = 0.0
+        return out.reshape(n + 1, *lead, *tail)
+
+    def reflection(self) -> np.ndarray:
+        """Accumulated y - p, shape (n+1, ..., N, d)."""
+        return self._accumulate(self.overshoot)
+
+    def local_time(self) -> np.ndarray:
+        """Accumulated |y - p|, shape (n+1, ..., N); ``_row_norm`` of a row
+        gives the bits of the projection's displacement."""
+        return self._accumulate(_row_norm(self.overshoot))
+
+    def hits(self) -> np.ndarray:
+        """Boundary hits, |y - p| > 0, shape (n, ..., N)."""
+        hits = np.zeros(math.prod(self.shape), dtype=bool)
+        hits[self.index] = _row_norm(self.overshoot) > 0.0
+        return hits.reshape(self.shape)
+
+    def split(self) -> tuple:
+        """The events of each position along the first axis after the steps,
+        e.g. one ``BoundaryEvents`` per replica of a batch."""
+        n, r, *rest = self.shape
+        inner = math.prod(rest)
+        k, at = np.divmod(self.index, r * inner)
+        j, i = np.divmod(at, inner)
+        order = np.argsort(j, kind="stable")  # keeps each part ascending
+        index, overshoot = (k * inner + i)[order], self.overshoot[order]
+        bounds = np.searchsorted(j[order], np.arange(r + 1)).tolist()
+        return tuple(BoundaryEvents((n, *rest), index[a:b], overshoot[a:b])
+                     for a, b in zip(bounds[:-1], bounds[1:]))
+
+
 def _step(domain: ConvexDomain, x, drift, control, noise, dt: float):
     """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.
 
@@ -93,8 +167,10 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
 
     ``states0`` has shape (..., N, d) and ``noises`` (n, ..., N, d1); the
     leading axes are replicas, each an interacting system of its own.  The
-    path arrays keep time first: states and reflection (n+1, ..., N, d),
-    local time (n+1, ..., N), hits (n, ..., N), controls (n, ..., N, d1).
+    path arrays keep time first: states (n+1, ..., N, d) and controls
+    (n, ..., N, d1).  Of the reflection only the ``BoundaryEvents`` are
+    kept, the particle-steps with a nonzero overshoot; they give the dense
+    reflection, local time and hits when asked.
 
     ``policy`` is a ControlPolicy or None; its ``is_zero()`` is asked once
     per call, so a policy must not change during one.  When mu_flow is None
@@ -104,7 +180,7 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
 
     The uniform empirical measure of every node is built here, once, from
     the view ``states[k]`` (so it shares the states' memory), and returned
-    as a tuple of n + 1 summaries after the five path arrays: it is the
+    as a tuple of n + 1 summaries after the controls: it is the
     coupling measure of the interacting system and the marginal flow that
     ``ensemble`` and the Picard loop read.  For a batch it is one batched
     summary per node, whose mean broadcasts against the states.
@@ -113,12 +189,11 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     d, d1 = model.d, model.d1
     dt, domain = grid.dt, model.domain
 
+    m = math.prod(lead)
     states = np.empty((n + 1, *lead, d))
-    reflection = np.zeros((n + 1, *lead, d))
-    local_time = np.zeros((n + 1, *lead))
-    hits = np.zeros((n, *lead), dtype=bool)
     controls = np.zeros((n, *lead, d1))
-    summaries = []
+    summaries, index, rows, pending = [], [], [], []
+    per_scan = max(1, _EVENT_SCAN_BYTES // (8 * m * d))
 
     controlled = policy is not None and not policy.is_zero()
     states[0] = states0
@@ -134,15 +209,24 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
             control = np.einsum("...ij,...j->...i", sig, h)
         else:
             control = None
-        p, overshoot, disp, hits[k] = _step(
+        p, overshoot, _, _ = _step(
             domain, x, b, control,
             np.einsum("...ij,...j->...i", sig, noises[k]), dt)
         states[k + 1] = p
-        np.add(reflection[k], overshoot, out=reflection[k + 1])
-        np.add(local_time[k], disp, out=local_time[k + 1])
+        pending.append(overshoot)
+        if len(pending) == per_scan or k == n - 1:
+            # the pending particle-steps with a nonzero y - p, each once
+            block = np.concatenate(pending).reshape(-1, d)
+            at = np.flatnonzero(block != 0.0) // d
+            at = at[np.diff(at, prepend=-1) != 0]
+            index.append(at + (k + 1 - len(pending)) * m)
+            rows.append(block[at])
+            pending = []
         x = p
     summaries.append(MeasureSummary.from_points(states[n]))
-    return states, reflection, local_time, hits, controls, tuple(summaries)
+    events = BoundaryEvents((n, *lead), np.concatenate(index),
+                            np.concatenate(rows))
+    return states, events, controls, tuple(summaries)
 
 
 def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
@@ -191,11 +275,12 @@ def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if model.domain.contains(x) == EXTERIOR:
         raise PreconditionError("initial state outside the closed domain")
-    states, reflection, local_time, hits, *_ = _advance(
+    states, events, *_ = _advance(
         model, grid, x[None, :], noise[:, None, :], policy, mu_flow)
     return ReflectedPath(grid=grid, states=states[:, 0],
-                         reflection=reflection[:, 0],
-                         local_time=local_time[:, 0], boundary_hits=hits[:, 0])
+                         reflection=events.reflection()[:, 0],
+                         local_time=events.local_time()[:, 0],
+                         boundary_hits=events.hits()[:, 0])
 
 
 # -- Brownian increment helpers -------------------------------------------------

@@ -184,9 +184,9 @@ def _replica_flows(model: ModelSpec, n_particles: int, grid: TimeGrid,
     ``_BATCH_BYTES`` (at least one), so peak memory does not grow with R.
     """
     n, d, d1 = grid.n_steps, model.d, model.d1
-    # bytes a replica: states, reflection and local time at the n + 1 nodes,
-    # noise and controls on the n cells, 8 bytes a float; n hit flags
-    per_replica = n_particles * (8 * ((n + 1) * (2 * d + 1) + 2 * n * d1) + n)
+    # bytes a replica: states at the n + 1 nodes, noise and controls on the
+    # n cells, 8 bytes a float (its boundary events are a small fraction)
+    per_replica = n_particles * 8 * ((n + 1) * d + 2 * n * d1)
     size = max(1, _BATCH_BYTES // per_replica)
     for lo in range(0, n_replicas, size):
         ens = simulate_particle_system(

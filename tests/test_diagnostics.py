@@ -1,16 +1,20 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rldp
+import rldp.diagnostics as diagnostics_mod
 from rldp.controls import ConstantPolicy
 from rldp.diagnostics import (boundary_condition_check,
-                              calibrate_bias_allowance, generator_apply,
+                              calibrate_bias_allowance,
+                              default_psi_dictionary, generator_apply,
                               mf_process, standard_test_functions,
                               submartingale_test)
 from rldp.ensemble import marginal_flow, simulate_particle_system
@@ -371,6 +375,121 @@ class TestSubmartingaleInputs:
         rep = submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)],
                                  n_paths=2)
         assert rep.passed
+
+
+def reference_report_entries(ens, flow, f, model, time_pairs, n_paths,
+                             confidence=0.95):
+    """The test's entries from a stored noise path: M_f over
+    ``noise_paths()`` and the psi weights on its row at t0."""
+    from scipy.special import ndtri
+    n_use = ens.n_particles if n_paths is None else n_paths
+    states = ens.states[:, :n_use]
+    w = ens.noise_paths()[:, :n_use]
+    m = mf_process(f, states, ens.controls[:, :n_use], w, flow, model,
+                   ens.grid)
+    z = float(ndtri(confidence))
+    entries = []
+    for t0, t1 in time_pairs:
+        k0, k1 = ens.grid.node_index(t0), ens.grid.node_index(t1)
+        for psi_id, psi in default_psi_dictionary(model.domain).items():
+            vals = psi(states[k0], w[k0]) * (m[k1] - m[k0])
+            stat = float(np.mean(vals))
+            se = float(np.std(vals, ddof=1) / math.sqrt(n_use))
+            entries.append((float(t0), float(t1), psi_id, stat, se,
+                            stat - z * se, -(z * se)))
+    return entries
+
+
+class TestStreamedNoise:
+    """The submartingale test streams the cumulative noise into M_f."""
+
+    PAIRS = [(0.0, 0.25), (0.25, 0.5), (0.125, 0.5)]
+
+    @pytest.mark.parametrize("n_paths", [None, 23])
+    @pytest.mark.parametrize("v", [None, [0.5, -0.3, 0.2]],
+                             ids=["zero", "constant"])
+    def test_report_equals_stored_path_reference(self, n_paths, v):
+        model = make_m2(BALL3, theta=0.7, sigma_scale=0.8)
+        grid = TimeGrid(0.5, 16)
+        policy = None if v is None else ConstantPolicy(v)
+        ens = simulate_particle_system(model, 64, grid, policy, seed=6)
+        flow = marginal_flow(ens)
+        for fid, f in standard_test_functions(3, 3).items():
+            rep = submartingale_test(ens, flow, f, model, self.PAIRS,
+                                     n_paths=n_paths,
+                                     skip_boundary_check=True)
+            got = [(e.t0, e.t1, e.psi_id, e.statistic, e.std_error,
+                    e.lower_bound, e.threshold) for e in rep.entries]
+            assert got == reference_report_entries(
+                ens, flow, f, model, self.PAIRS, n_paths), fid
+
+    def test_calibration_equals_stored_path_reference(self):
+        model = make_m2(BALL2, theta=0.7, sigma_scale=0.8)
+        f = standard_test_functions(2, 2)["neg_x_sq"]
+        base = TimeGrid(0.25, 16)
+        xs, ys = [], []
+        for factor in (4, 2, 1):
+            grid = TimeGrid(0.25, 16 // factor)
+            ens = simulate_particle_system(model, 48, grid, seed=3)
+            m = mf_process(f, ens.states, ens.controls, ens.noise_paths(),
+                           marginal_flow(ens), model, grid)
+            xs.append(grid.dt)
+            ys.append(abs(float(np.mean(m[-1]))))
+        x, y = np.asarray(xs), np.asarray(ys)
+        assert calibrate_bias_allowance(model, f, base, n_paths=48,
+                                        seed=3) == float((x @ y) / (x @ x))
+
+    @pytest.mark.parametrize("rows", [8, 10], ids=["short", "long"])
+    @pytest.mark.parametrize("stream", [False, True], ids=["array", "iter"])
+    def test_wrong_row_count(self, rows, stream):
+        m = make_m1(BOX1, sigma_scale=0.5)
+        grid = TimeGrid(0.5, 8)
+        ens = simulate_particle_system(m, 4, grid, seed=0)
+        w = np.zeros((rows, 4, 1))
+        f = standard_test_functions(1, 1)["linear_z1"]
+        with pytest.raises(InputError, match="one row per node"):
+            mf_process(f, ens.states, ens.controls, iter(w) if stream else w,
+                       marginal_flow(ens), m, grid)
+
+    @pytest.mark.parametrize("pairs", [[(0.0, 0.25), (0.25, 0.25)],
+                                       [(0.5, 0.25)], [(0.0, 0.3)]],
+                             ids=["equal", "reversed", "off-grid"])
+    def test_bad_time_pair_raises_before_mf(self, monkeypatch, pairs):
+        m = make_m1(BOX1, sigma_scale=0.5)
+        ens = simulate_particle_system(m, 8, TimeGrid(0.5, 8), seed=0)
+        calls = []
+        real = diagnostics_mod.mf_process
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics_mod, "mf_process", spy)
+        f = standard_test_functions(1, 1)["constant"]
+        with pytest.raises(InputError):
+            submartingale_test(ens, marginal_flow(ens), f, m, pairs)
+        assert calls == []
+        submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.25)])
+        assert calls == [1]
+
+    def test_peak_memory_holds_no_dense_path_arrays(self):
+        """Only states, noise, controls and M_f are O(n N) at the peak: a
+        dense reflection or a stored noise path would exceed the slack."""
+        model = make_m2(BALL3, sigma_scale=0.5, horizon=0.25)
+        grid = TimeGrid(0.25, 64)
+        n_particles = 4096
+        f = standard_test_functions(3, 3)["neg_x_sq"]
+        tracemalloc.start()
+        try:
+            ens = simulate_particle_system(model, n_particles, grid, seed=0)
+            submartingale_test(ens, marginal_flow(ens), f, model,
+                               [(0.0, 0.125), (0.125, 0.25)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m_f = (grid.n_steps + 1) * n_particles * 8
+        held = ens.states.nbytes + ens.noises.nbytes + ens.controls.nbytes
+        assert peak <= 1.1 * (held + m_f)
 
 
 class TestNormalQuantile:
