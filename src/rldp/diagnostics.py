@@ -132,16 +132,18 @@ class BoundaryCheck:
     n_samples: int
 
 
+# Boundary points sampled, scale of the sampled z and the pass threshold.
+_BOUNDARY_SAMPLES, _BOUNDARY_Z_SCALE, _BOUNDARY_TOL = 256, 2.0, 1e-10
+
+
 def boundary_condition_check(f: TestFunction, domain: ConvexDomain,
-                             n_samples: int = 256, seed: int = 0,
-                             horizon: float = 1.0, z_scale: float = 2.0,
-                             tol: float = 1e-10) -> BoundaryCheck:
-    """Max of <grad_x f, n(x)> over sampled boundary points; pass iff <= tol."""
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+                             seed: int = 0, horizon: float = 1.0) -> BoundaryCheck:
+    """Max of <grad_x f, n(x)> over sampled boundary points; pass iff it is
+    at most ``_BOUNDARY_TOL``."""
+    n_samples = _BOUNDARY_SAMPLES
     gen = rngmod.substream(seed, rngmod.SAMPLER, 1)
     xs = domain.sample_boundary(gen, n_samples)
-    zs = gen.standard_normal((n_samples, f.d1)) * z_scale
+    zs = gen.standard_normal((n_samples, f.d1)) * _BOUNDARY_Z_SCALE
     ts = gen.uniform(0.0, horizon, size=n_samples)
     worst = -np.inf
     worst_point = xs[0]
@@ -151,7 +153,7 @@ def boundary_condition_check(f: TestFunction, domain: ConvexDomain,
         if val > worst:
             worst = val
             worst_point = x
-    return BoundaryCheck(passed=bool(worst <= tol), worst_value=worst,
+    return BoundaryCheck(passed=bool(worst <= _BOUNDARY_TOL), worst_value=worst,
                          worst_point=worst_point, n_samples=n_samples)
 
 
@@ -399,7 +401,7 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
 
 def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
                              base_grid: TimeGrid, n_paths: int = 512,
-                             seed: int = 0, floor: float = 0.0) -> float:
+                             seed: int = 0) -> float:
     """Slope of |mean M_f(T)| against dt over step sizes {4h, 2h, h}.
 
     Regression through the origin on grids coarsened from the base grid;
@@ -419,5 +421,4 @@ def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
         slopes_y.append(abs(float(np.mean(m[-1]))))
     x = np.asarray(slopes_x)
     y = np.asarray(slopes_y)
-    slope = float((x @ y) / (x @ x))
-    return max(slope, floor)
+    return float((x @ y) / (x @ x))  # x > 0 and y >= 0: never negative

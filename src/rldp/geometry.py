@@ -129,26 +129,21 @@ class ConvexDomain:
 
     # -- projection ---------------------------------------------------------
 
-    def project(self, x):
-        """Euclidean projection onto the closure.
+    def project(self, x) -> np.ndarray:
+        """Euclidean projection onto the closure, batched over leading axes.
 
-        Returns (p, hit_boundary, displacement).  Batched: ``x`` may have
-        shape (..., d); outputs broadcast accordingly (scalars for a single
-        point).
+        Only points outside the closure move: every point of the closure,
+        -0.0 coordinates included, comes back bit for bit.  The overshoot
+        ``x - project(x)`` is nonzero exactly when the projection moved x.
         """
         x = _as_point(x, self.dimension)
         if self.kind == "box":
-            p = np.clip(x, self.lo, self.hi)
-        else:
-            delta = x - self.center
-            r = _row_norm(delta)[..., None]
-            scale = np.where(r > self.radius, self.radius / np.where(r == 0.0, 1.0, r), 1.0)
-            p = self.center + delta * scale
-        disp = _row_norm(x - p)
-        hit = disp > 0.0
-        if x.ndim == 1:
-            return p, bool(hit), float(disp)
-        return p, hit, disp
+            return np.clip(x, self.lo, self.hi)
+        delta = x - self.center
+        r = _row_norm(delta)[..., None]
+        out = r > self.radius
+        scale = self.radius / np.where(out, r, 1.0)  # divides only by r > R > 0
+        return np.where(out, self.center + delta * scale, x)
 
     # -- normals ------------------------------------------------------------
 

@@ -15,10 +15,11 @@ Monte Carlo batch; each replica gets the bits it would get alone.  The
 run on it, ``simulate_reflected_path`` on a one-particle system;
 ``step_reflected`` is one checked ``_step``.
 
-Reflection acts only on the boundary, so the core keeps the overshoot of
-the few particle-steps that have one (``BoundaryEvents``), not dense
-reflection and local-time paths; those are rebuilt from the events, bit
-for bit, when read.
+Reflection acts only on the boundary: the projection moves only points
+outside the domain, so the core keeps the overshoot of the few
+particle-steps that have one (``BoundaryEvents``), not dense reflection and
+local-time paths; those, |y - p| and the hits are rebuilt from the events,
+bit for bit, when read.
 
 Controls are piecewise constant on grid cells, one value per cell.
 """
@@ -124,7 +125,7 @@ class BoundaryEvents:
 
     def local_time(self) -> np.ndarray:
         """Accumulated |y - p|, shape (n+1, ..., N); ``_row_norm`` of a row
-        gives the bits of the projection's displacement."""
+        gives the bits of ``step_reflected``'s |dK|."""
         return self._accumulate(_row_norm(self.overshoot))
 
     def hits(self) -> np.ndarray:
@@ -151,14 +152,15 @@ def _step(domain: ConvexDomain, x, drift, control, noise, dt: float):
     """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.
 
     ``control`` (or None) and ``noise`` are already multiplied by sigma.
-    Returns (p, y - p, |y - p|, hit), with p the projection of y.
+    Returns (p, y - p), with p the projection of y; the overshoot y - p is
+    nonzero exactly on the particle-steps the projection moved.
     """
     move = drift * dt + noise
     if control is not None:
         move += control * dt
     y = x + move
-    p, hit, disp = domain.project(y)
-    return p, y - p, disp, hit
+    p = domain.project(y)
+    return p, y - p
 
 
 def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
@@ -209,7 +211,7 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
             control = np.einsum("...ij,...j->...i", sig, h)
         else:
             control = None
-        p, overshoot, _, _ = _step(
+        p, overshoot = _step(
             domain, x, b, control,
             np.einsum("...ij,...j->...i", sig, noises[k]), dt)
         states[k + 1] = p
@@ -233,7 +235,9 @@ def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
                    noise_term, dt: float):
     """One checked projected-Euler step from a state inside the closed domain.
 
-    Returns (x_next, dK, d_abs_K, hit).
+    Returns (x_next, dK, d_abs_K, hit): dK = y - x_next is the overshoot,
+    d_abs_K its ``_row_norm`` and hit whether that is positive, the rule
+    ``BoundaryEvents`` applies to the stepping core's events.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if dt <= 0:
@@ -244,8 +248,9 @@ def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
              for v in (drift_term, control_term, noise_term)]
     if not all(np.all(np.isfinite(v)) for v in terms):
         raise InputError("step terms must be finite")
-    p, dK, disp, hit = _step(domain, x, *terms, dt)
-    return p, dK, float(disp), bool(hit)
+    p, dK = _step(domain, x, *terms, dt)
+    disp = float(_row_norm(dK))
+    return p, dK, disp, disp > 0.0
 
 
 def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,

@@ -37,6 +37,7 @@ from . import rng as rngmod
 
 ESS_GUARD_FRACTION = 0.01
 _BATCH_BYTES = 8 * 2**20  # cap on the path arrays and noise of one batch
+_N_RESTARTS = 3  # Nelder-Mead starts of optimize_controls, zero among them
 
 
 # -- functionals of the path-marginal flow ---------------------------------------
@@ -279,7 +280,7 @@ class _BudgetExhausted(Exception):
 def optimize_controls(model: ModelSpec, functional: Functional,
                       family: PolicyFamily, n_particles: int, grid: TimeGrid,
                       n_replicas: int, budget: int, seed: int = 0,
-                      n_restarts: int = 3, sim_budget=None) -> OptimizationResult:
+                      sim_budget=None) -> OptimizationResult:
     """Restarted Nelder-Mead over the family parameters.
 
     Common random numbers: every evaluation reuses the same replica
@@ -311,7 +312,7 @@ def optimize_controls(model: ModelSpec, functional: Functional,
 
     start_rng = rngmod.substream(seed, rngmod.OPT)
     starts = [np.zeros(family.dim)]
-    for _ in range(max(0, n_restarts - 1)):
+    for _ in range(_N_RESTARTS - 1):
         starts.append(start_rng.uniform(-family.bound / 2, family.bound / 2,
                                         size=family.dim))
 

@@ -245,6 +245,7 @@ def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
 
 EXACT = "exact"
 DYADIC_BOUND = "dyadic_upper_bound"
+_HOLDER_EXACT_NODES = 2048  # "auto" evaluates grids up to this size exactly
 
 
 @dataclass(frozen=True)
@@ -254,8 +255,8 @@ class HolderStatistic:
     alpha: float
 
 
-def holder_statistic(path, alpha: float, times=None, mode: str = "auto",
-                     exact_threshold: int = 2048) -> HolderStatistic:
+def holder_statistic(path, alpha: float, times=None,
+                     mode: str = "auto") -> HolderStatistic:
     """Hoelder seminorm sup_{s<t} |f(t) - f(s)| / |t - s|^alpha on the grid.
 
     Exact O(n^2) evaluation for small grids; for larger ones an
@@ -277,7 +278,7 @@ def holder_statistic(path, alpha: float, times=None, mode: str = "auto",
     if n < 2:
         return HolderStatistic(value=0.0, mode=EXACT, alpha=alpha)
 
-    if mode == "exact" or (mode == "auto" and n <= exact_threshold):
+    if mode == "exact" or (mode == "auto" and n <= _HOLDER_EXACT_NODES):
         best = 0.0
         for i in range(n - 1):
             d = np.linalg.norm(values[i + 1:] - values[i], axis=-1)

@@ -18,6 +18,8 @@ cached moments): every measure the simulator produces is empirical.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -284,116 +286,106 @@ def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
     return sig
 
 
-def _uniform_sampler(domain: ConvexDomain):
-    def sample(rng, n):
-        return domain.sample_interior(rng, n)
-    return sample
+def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
+               **params) -> ModelSpec:
+    """A zoo model, its parameters checked first: ``params`` and ``horizon``
+    finite reals (``b`` an array of them), ``d1`` an integer >= 1, d by
+    default.  ``build(d1)`` gives (drift, diffusion, bound_L, lipschitz_K);
+    the initial states are the points ``init``, else uniform on the domain.
+    """
+    for key, v in {**params, "horizon": horizon}.items():
+        if not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
+                   and math.isfinite(u) for u in (v if key == "b" else [v])):
+            raise InputError(f"{name} {key} must be a finite real number, got {v!r}")
+    d1 = domain.dimension if d1 is None else d1
+    if isinstance(d1, bool) or not isinstance(d1, numbers.Integral) or d1 < 1:
+        raise InputError(f"{name} d1 must be an integer >= 1, got {d1!r}")
+    drift, diffusion, bound_L, lipschitz_K = build(d1)
+    return ModelSpec(
+        name=name, domain=domain, d1=d1, horizon=horizon, drift=drift,
+        diffusion=diffusion, bound_L=bound_L, lipschitz_K=lipschitz_K,
+        init_points=None if init is None else np.atleast_2d(
+            np.asarray(init, dtype=float)),
+        init_sampler=domain.sample_interior if init is None else None,
+        params={k: v.tolist() if k == "b" else v for k, v in params.items()})
+
+
+def _zero_drift(t, x, mu):
+    return np.zeros(np.shape(x))
+
+
+def _constant(value):
+    """The coefficient (t, x, mu) -> value."""
+    return lambda t, x, mu: value
 
 
 def make_m1(domain: ConvexDomain, d1: int | None = None, horizon: float = 1.0,
             sigma_scale: float = 1.0, init=None) -> ModelSpec:
     """M1: zero drift, constant (identity-like) diffusion."""
-    d = domain.dimension
-    d1 = d if d1 is None else d1
-    sig = _identity_sigma(d, d1, sigma_scale)
+    def build(d1):
+        sig = _identity_sigma(domain.dimension, d1, sigma_scale)
+        return _zero_drift, _constant(sig), np.linalg.norm(sig) + 1.0, 1.0
 
-    def drift(t, x, mu):
-        return np.zeros(np.shape(x))
-
-    def diffusion(t, x, mu):
-        return sig
-
-    return ModelSpec(
-        name="m1", domain=domain, d1=d1, horizon=horizon,
-        drift=drift, diffusion=diffusion,
-        bound_L=np.linalg.norm(sig) + 1.0, lipschitz_K=1.0,
-        init_points=_init_points(init), init_sampler=None if init is not None else _uniform_sampler(domain),
-        params={"sigma_scale": sigma_scale},
-    )
+    return _zoo_model("m1", domain, d1, horizon, init, build,
+                      sigma_scale=sigma_scale)
 
 
 def make_m2(domain: ConvexDomain, theta: float = 1.0, sigma_scale: float = 0.5,
             d1: int | None = None, horizon: float = 1.0, init=None) -> ModelSpec:
     """M2: mean attraction b = theta (mean(mu) - x), sigma = s I."""
-    d = domain.dimension
-    d1 = d if d1 is None else d1
-    sig = _identity_sigma(d, d1, sigma_scale)
-    diam = 2.0 * domain.bounding_radius
-
     def drift(t, x, mu):
         return theta * (mu.mean - np.asarray(x, dtype=float))
 
-    def diffusion(t, x, mu):
-        return sig
+    def build(d1):
+        sig = _identity_sigma(domain.dimension, d1, sigma_scale)
+        diam = 2.0 * domain.bounding_radius
+        return (drift, _constant(sig),
+                abs(theta) * diam + np.linalg.norm(sig) + 1.0,
+                2.0 * abs(theta) + 1.0)
 
-    return ModelSpec(
-        name="m2", domain=domain, d1=d1, horizon=horizon,
-        drift=drift, diffusion=diffusion,
-        bound_L=abs(theta) * diam + np.linalg.norm(sig) + 1.0,
-        lipschitz_K=2.0 * abs(theta) + 1.0,
-        init_points=_init_points(init), init_sampler=None if init is not None else _uniform_sampler(domain),
-        params={"theta": theta, "sigma_scale": sigma_scale},
-    )
+    return _zoo_model("m2", domain, d1, horizon, init, build,
+                      theta=theta, sigma_scale=sigma_scale)
 
 
 def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
             clip_L: float = 2.0, d1: int | None = None, horizon: float = 1.0,
             init=None) -> ModelSpec:
     """M3: distribution-dependent diffusion s (1 + alpha tr cov(mu)) I, clipped."""
-    d = domain.dimension
-    d1 = d if d1 is None else d1
-    eye = _identity_sigma(d, d1, 1.0)
-    hs = np.linalg.norm(eye)
+    def build(d1):
+        eye = _identity_sigma(domain.dimension, d1, 1.0)
+        hs = np.linalg.norm(eye)
 
-    def drift(t, x, mu):
-        return np.zeros(np.shape(x))
+        def diffusion(t, x, mu):
+            s = np.minimum(clip_L / max(hs, 1.0),
+                           sigma_scale * (1.0 + alpha * mu.cov_trace()))
+            if np.ndim(s):  # one scale per replica of a batch: (..., 1, 1, 1)
+                s = s[..., None, None, None]
+            return s * eye
 
-    def diffusion(t, x, mu):
-        s = np.minimum(clip_L / max(hs, 1.0),
-                       sigma_scale * (1.0 + alpha * mu.cov_trace()))
-        if np.ndim(s):  # one scale per replica of a batch: (..., 1, 1, 1)
-            s = s[..., None, None, None]
-        return s * eye
+        return (_zero_drift, diffusion, clip_L + 1.0,
+                max(1.0, 4.0 * sigma_scale * alpha * hs
+                    * domain.bounding_radius + 1.0))
 
-    return ModelSpec(
-        name="m3", domain=domain, d1=d1, horizon=horizon,
-        drift=drift, diffusion=diffusion,
-        bound_L=clip_L + 1.0,
-        lipschitz_K=max(1.0, 4.0 * sigma_scale * alpha * hs * domain.bounding_radius + 1.0),
-        init_points=_init_points(init), init_sampler=None if init is not None else _uniform_sampler(domain),
-        params={"sigma_scale": sigma_scale, "alpha": alpha, "clip_L": clip_L},
-    )
+    return _zoo_model("m3", domain, d1, horizon, init, build,
+                      sigma_scale=sigma_scale, alpha=alpha, clip_L=clip_L)
 
 
 def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
                  d1: int | None = None, horizon: float = 1.0, init=None) -> ModelSpec:
     """Constant-drift, constant-diffusion model (diagnostic negative controls)."""
-    d = domain.dimension
-    d1 = d if d1 is None else d1
-    b_const = np.broadcast_to(np.asarray(b_const, dtype=float), (d,)).copy()
-    sig = _identity_sigma(d, d1, sigma_scale)
+    b_const = np.broadcast_to(np.asarray(b_const, dtype=float),
+                              (domain.dimension,)).copy()
 
     def drift(t, x, mu):
         return np.broadcast_to(b_const, np.shape(x))
 
-    def diffusion(t, x, mu):
-        return sig
+    def build(d1):
+        sig = _identity_sigma(domain.dimension, d1, sigma_scale)
+        return (drift, _constant(sig),
+                float(np.linalg.norm(b_const) + np.linalg.norm(sig) + 1.0), 1.0)
 
-    return ModelSpec(
-        name="drifted", domain=domain, d1=d1, horizon=horizon,
-        drift=drift, diffusion=diffusion,
-        bound_L=float(np.linalg.norm(b_const) + np.linalg.norm(sig) + 1.0),
-        lipschitz_K=1.0,
-        init_points=_init_points(init), init_sampler=None if init is not None else _uniform_sampler(domain),
-        params={"b": b_const.tolist(), "sigma_scale": sigma_scale},
-    )
-
-
-def _init_points(init):
-    if init is None:
-        return None
-    pts = np.atleast_2d(np.asarray(init, dtype=float))
-    return pts
+    return _zoo_model("drifted", domain, d1, horizon, init, build,
+                      b=b_const, sigma_scale=sigma_scale)
 
 
 MODEL_REGISTRY = {

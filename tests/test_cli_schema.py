@@ -182,6 +182,22 @@ def test_functional_block_checked_before_simulating(
     assert calls == []
 
 
+@pytest.mark.parametrize("changes", [
+    [(("model", "model"), "m2"), (("model", "theta"), NAN)],
+    [(("model", "model"), "m2"), (("model", "theta"), True)],
+    [(("model", "sigma_scale"), "0.5")]], ids=["nan", "bool", "string"])
+def test_model_parameters_checked_before_simulating(
+        tmp_path, monkeypatch, changes):
+    calls = []
+    simulate = cli.simulate_particle_system
+    monkeypatch.setattr(cli, "simulate_particle_system",
+                        lambda *a, **k: calls.append(1) or simulate(*a, **k))
+    code, err = _main("simulate", _config("simulate", changes), tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    assert changes[-1][0][-1] in json.loads(err)["detail"]
+    assert calls == []
+
+
 def test_readme_simulate_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"Example config \(`simulate`\):\s*```json\n(.*?)```",
@@ -201,7 +217,8 @@ def _paths(kind):
     paths += [("run", k) for k in cfg["run"]]
     for block in ("target", "family"):
         paths += [("run", block, k) for k in cfg["run"].get(block, {})]
-    return paths + [("model", "domain"), ("model", "init"), ("seed",),
+    return paths + [("model", "domain"), ("model", "init"),
+                    ("model", "sigma_scale"), ("model", "horizon"), ("seed",),
                     ("budget",)]
 
 

@@ -4,6 +4,7 @@ import pytest
 from rldp.errors import InputError
 from rldp.geometry import (BOUNDARY, EXTERIOR, INTERIOR, ConvexDomain,
                            skorokhod_1d)
+from rldp.integrator import step_reflected
 
 
 class TestContains:
@@ -28,31 +29,32 @@ class TestContains:
 class TestProject:
     def test_ball_radial(self):
         dom = ConvexDomain.ball([0.0, 0.0], 1.0)
-        p, hit, disp = dom.project(np.array([2.0, 0.0]))
+        x = np.array([2.0, 0.0])
+        p = dom.project(x)
         assert np.allclose(p, [1.0, 0.0])
-        assert hit
-        assert disp == pytest.approx(1.0)
+        assert np.linalg.norm(x - p) == pytest.approx(1.0)
 
     def test_box_clamp_per_axis(self):
         dom = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])
-        p, hit, disp = dom.project(np.array([-0.5, 0.5]))
+        x = np.array([-0.5, 0.5])
+        p = dom.project(x)
         assert np.allclose(p, [0.0, 0.5])
-        assert disp == pytest.approx(0.5)
+        assert np.linalg.norm(x - p) == pytest.approx(0.5)
 
     def test_identity_on_interior(self):
         dom = ConvexDomain.box([0.0], [1.0])
-        p, hit, disp = dom.project(np.array([0.5]))
-        assert p[0] == 0.5 and not hit and disp == 0.0
+        p = dom.project(np.array([0.5]))
+        assert p.shape == (1,) and p[0] == 0.5
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         for dom in (ConvexDomain.box([-1.0, 0.0], [1.0, 2.0]),
                     ConvexDomain.ball([0.5, 0.5], 1.5)):
             x = rng.normal(0, 3, size=(200, 2))
-            p, _, _ = dom.project(x)
-            p2, hit2, disp2 = dom.project(p)
+            p = dom.project(x)
+            p2 = dom.project(p)
             assert np.allclose(p, p2)
-            assert np.all(disp2 <= 1e-12)
+            assert np.all(np.linalg.norm(p - p2, axis=-1) <= 1e-12)
 
     def test_contraction(self):
         # |proj(x) - proj(y)| <= |x - y| for convex sets
@@ -61,8 +63,8 @@ class TestProject:
                     ConvexDomain.ball([0.0, 0.0], 1.0)):
             x = rng.normal(0, 2, size=(1000, 2))
             y = rng.normal(0, 2, size=(1000, 2))
-            px, _, _ = dom.project(x)
-            py, _, _ = dom.project(y)
+            px = dom.project(x)
+            py = dom.project(y)
             assert np.all(np.linalg.norm(px - py, axis=1)
                           <= np.linalg.norm(x - y, axis=1) + 1e-12)
 
@@ -167,20 +169,15 @@ class TestConfigRoundTrip:
 # -- row norms: bitwise the np.linalg.norm formulas --------------------------------
 
 def _project_reference(dom, x):
-    """``ConvexDomain.project`` with its ``np.linalg.norm`` formula."""
+    """``ConvexDomain.project`` with its ``np.linalg.norm`` formula: a ball
+    moves only the rows with r > R."""
     x = np.asarray(x, dtype=float)
     if dom.kind == "box":
-        p = np.clip(x, dom.lo, dom.hi)
-    else:
-        delta = x - dom.center
-        r = np.linalg.norm(delta, axis=-1, keepdims=True)
-        scale = np.where(r > dom.radius, dom.radius / np.where(r == 0.0, 1.0, r), 1.0)
-        p = dom.center + delta * scale
-    disp = np.linalg.norm(x - p, axis=-1)
-    hit = disp > 0.0
-    if x.ndim == 1:
-        return p, bool(hit), float(disp)
-    return p, hit, disp
+        return np.clip(x, dom.lo, dom.hi)
+    delta = x - dom.center
+    r = np.linalg.norm(delta, axis=-1, keepdims=True)
+    scale = dom.radius / np.where(r > dom.radius, r, 1.0)
+    return np.where(r > dom.radius, dom.center + delta * scale, x)
 
 
 def _contains_all_reference(dom, x):
@@ -244,23 +241,36 @@ class TestRowNormBitwise:
         for dom in _domains(d):
             x = _edge_points(dom, rng)
             for batch in (x, x.reshape(1, -1, d), np.stack([x, x[::-1]])):
-                p, hit, disp = dom.project(batch)
-                rp, rhit, rdisp = _project_reference(dom, batch)
-                assert _same_bytes(p, rp)
-                assert _same_bytes(hit, rhit)
-                assert _same_bytes(disp, rdisp)
+                assert _same_bytes(dom.project(batch),
+                                   _project_reference(dom, batch))
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_project_single_points(self, d):
         rng = np.random.default_rng(100 + d)
         for dom in _domains(d):
             for x in _edge_points(dom, rng):
-                p, hit, disp = dom.project(x)
-                rp, rhit, rdisp = _project_reference(dom, x)
-                assert _same_bytes(p, rp)
-                assert type(hit) is bool and hit == rhit
-                assert type(disp) is float
-                assert np.float64(disp).tobytes() == np.float64(rdisp).tobytes()
+                assert _same_bytes(dom.project(x), _project_reference(dom, x))
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_step_reflected_overshoot_norm(self, d):
+        """|dK| and the hit are ``np.linalg.norm(y - p, axis=-1)`` and its
+        sign."""
+        rng = np.random.default_rng(300 + d)
+        zero = np.zeros(d)
+        for dom in _domains(d):
+            mid = (dom.center if dom.kind == "ball"
+                   else (dom.lo + dom.hi) / 2.0)
+            for x in _edge_points(dom, rng):
+                noise = x - mid
+                y = mid + ((zero * 1.0 + noise) + zero * 1.0)
+                p, dK, dabs, hit = step_reflected(dom, mid, zero, zero,
+                                                  noise, 1.0)
+                norm = np.linalg.norm(y - _project_reference(dom, y), axis=-1)
+                assert _same_bytes(p, _project_reference(dom, y))
+                assert _same_bytes(dK, y - p)
+                assert type(dabs) is float and type(hit) is bool
+                assert np.float64(dabs).tobytes() == norm.tobytes()
+                assert hit == (norm > 0.0)
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_contains_all_and_normals_at(self, d):
@@ -272,3 +282,31 @@ class TestRowNormBitwise:
                                    _contains_all_reference(dom, batch))
                 assert _same_bytes(dom.normals_at(batch),
                                    _normals_at_reference(dom, batch))
+
+
+class TestClosureFixed:
+    """A ball's projection moves only the points outside it: every point of
+    the closure, centred ball or not, comes back byte for byte."""
+
+    @staticmethod
+    def _closure_points(dom, rng):
+        x = np.concatenate([_edge_points(dom, rng),
+                            dom.sample_interior(rng, 200),
+                            dom.sample_boundary(rng, 50)])
+        return x[np.linalg.norm(x - dom.center, axis=-1) <= dom.radius]
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_batched(self, d):
+        rng = np.random.default_rng(400 + d)
+        for dom in _domains(d)[:2]:
+            x = self._closure_points(dom, rng)
+            assert len(x) > 200
+            for batch in (x, np.stack([x, x[::-1]])):
+                assert _same_bytes(dom.project(batch), batch)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_single_points(self, d):
+        rng = np.random.default_rng(500 + d)
+        for dom in _domains(d)[:2]:
+            for x in self._closure_points(dom, rng):
+                assert _same_bytes(dom.project(x), x)
