@@ -6,7 +6,7 @@ from .controls import (ConstantPolicy, ControlPolicy, FeedbackPolicy,
                        PiecewiseConstantPolicy, PolicyFamily,
                        RelaxedControlView, ZeroPolicy, constant_family,
                        ensemble_cost, feedback_family, piecewise_family,
-                       policy_from_config, relax_control)
+                       relax_control)
 from .diagnostics import (SubmartingaleReport, TestFunction,
                           boundary_condition_check, calibrate_bias_allowance,
                           generator_apply, mf_process,
@@ -23,9 +23,8 @@ from .integrator import (TimeGrid, brownian_increments, coarsen_increments,
 from .ldp import (Functional, LaplaceEstimate, OptimizationResult,
                   RateEstimate, VariationalEstimate, constant_functional,
                   distance_to_target_functional, estimate_rate,
-                  functional_from_config, laplace_functional_mc,
-                  optimize_controls, terminal_mean_functional,
-                  variational_objective)
+                  laplace_functional_mc, optimize_controls,
+                  terminal_mean_functional, variational_objective)
 from .measures import (BLEstimate, HolderStatistic, bl_distance,
                        holder_statistic, path_bl_distance)
 from .model import (MeasureSummary, ModelSpec, eval_coefficients, make_m1,

@@ -25,11 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, ldp
-from .controls import constant_family, feedback_family, policy_from_config
+from .controls import (ConstantPolicy, FeedbackPolicy, PiecewiseConstantPolicy,
+                       ZeroPolicy, constant_family, feedback_family)
 from .ensemble import (marginal_flow, empirical_measure_at,
                        simulate_particle_system, solve_mckean_vlasov_reference,
                        write_paths_csv)
 from .errors import BudgetError, ConfigError, InputError
+from .geometry import _json_reals
 from .integrator import TimeGrid
 from .measures import bl_distance
 from .model import MeasureSummary, model_from_config
@@ -75,9 +77,13 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown = sorted(set(cfg) - {"schema_version", "seed", "budget", "model",
+                                 "grid", "run", "kind"})
+    if unknown:
+        raise ConfigError(f"unknown top-level keys: {', '.join(unknown)}")
     version = cfg.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unrecognized schema_version {version}")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ConfigError(f"unrecognized schema_version {version!r}")
     for key in ("model", "grid"):
         if key not in cfg:
             raise ConfigError(f"config missing required block {key!r}")
@@ -100,19 +106,22 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
 
 # -- config schema ---------------------------------------------------------------
 # A table maps each key, in parse order, to (default, cast).  A cast takes
-# the raw value and the values parsed so far (from "model" and "grid" on),
-# as does a callable default.  A (table, build) pair in place of a cast is a
-# nested JSON object; build turns its parsed values into one.
+# the raw value and the values parsed so far (from "model" and "grid" on,
+# and those of the enclosing blocks), as does a callable default.  A (table,
+# build) pair in place of a cast is a nested JSON object; build turns its
+# parsed values into one.  A callable table is called with the block and
+# returns the table to parse it by.
 
 
-def _num(what, ok=lambda x, p: True, integer=False):
-    """A finite JSON number, an integer if asked, for which ``ok`` holds."""
+def _num(what, ok=lambda x, p: True, integer=False, keep=False):
+    """A finite JSON number, an integer if asked, for which ``ok`` holds;
+    a float unless ``integer`` or ``keep`` (the value as given)."""
     def cast(v, p=None):
         if (isinstance(v, bool) or not isinstance(v, (int, float))
                 or (integer and not isinstance(v, int))
                 or not math.isfinite(v) or not ok(v, p)):
             raise ValueError(f"expected {what}, got {v!r}")
-        return v if integer else float(v)
+        return v if integer or keep else float(v)
     return cast
 
 
@@ -141,14 +150,31 @@ def _ascending(elem):
     return cast
 
 
-def _point(v, p):
-    """A terminal_point target's Dirac; None for a reference target."""
-    if p["kind"] != "terminal_point":
-        return None
-    x = np.atleast_1d(np.asarray(v, dtype=float))
-    if v is None or x.shape != (p["model"].d,):
-        raise ValueError(f"expected a point in R^{p['model'].d}, got {v!r}")
-    return MeasureSummary.dirac(x)
+def _array(what, ok):
+    """JSON numbers, in nested lists, as given, if their array has ``ok``."""
+    def cast(v, p):
+        if not _json_reals(v) or not ok(np.asarray(v, dtype=float), p):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return cast
+
+
+def _coordinate(v, p):
+    d = p["model"].d
+    return _num(f"an integer in [0, {d})", lambda x, p: 0 <= x < d, True)(v, p)
+
+
+def _variant(field, variants, default=None):
+    """A nested block whose ``field`` names one of ``variants``, each a
+    (table, build) pair: that table parses the block and that build builds it."""
+    pick = {field: (default, _choice(*variants))}
+    tables = {name: {**pick, **t} for name, (t, _) in variants.items()}
+
+    def table(block):
+        name = block.get(field, default)
+        return tables[name] if isinstance(name, str) and name in tables else pick
+    table.tables = tables  # every variant's table, for the README check
+    return table, lambda p: variants[p[field]][1](p)
 
 
 def _time_pairs(v, p):
@@ -165,16 +191,18 @@ def _test_function(v, p):
     return funcs[_choice(*funcs)(v, p)]
 
 
-def _parse(table: dict, block, where: str, env: dict) -> dict:
+def _parse(table, block, where: str, env: dict) -> dict:
     """Cast every key of ``table`` from ``block``, then reject unknown keys."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
+    if callable(table):
+        table = table(block)
     p = dict(env)
     for key, (default, cast) in table.items():
         name = f"{where}.{key}"
         value = block.get(key, default(p) if callable(default) else default)
         try:
-            p[key] = (cast[1](_parse(cast[0], value, name, env))
+            p[key] = (cast[1](_parse(cast[0], value, name, p))
                       if isinstance(cast, tuple) else cast(value, p))
         except ConfigError:
             raise
@@ -307,10 +335,40 @@ def _run_submartingale(cfg, p, out: Path):
 _REAL = _num("a finite number")
 _POSITIVE = _num("a finite number > 0", lambda x, p: x > 0)
 _FLAG = (False, _choice(False, True))
-_FUNCTIONAL = (None, lambda v, p: ldp.functional_from_config(
-    v, p["model"].d))
-_POLICY = ({"policy": "zero"}, lambda v, p: policy_from_config(
-    v, p["grid"], p["model"].d, p["model"].d1))
+_GIVEN = _num("a finite number", keep=True)
+_FUNCTIONAL = ({}, _variant("functional", {
+    "constant": ({"c": (None, _GIVEN)},
+                 lambda f: ldp.constant_functional(f["c"])),
+    "terminal_mean": ({
+        "scale": (1.0, _GIVEN), "coord": (0, _coordinate), "center": (0.0, _GIVEN),
+        "cap": (1.0, _num("a finite number > 0", lambda x, p: x > 0, keep=True)),
+    }, lambda f: ldp.terminal_mean_functional(f["scale"], f["coord"],
+                                              f["center"], f["cap"]))}))
+_POLICY = ({}, _variant("policy", {
+    "zero": ({}, lambda h: ZeroPolicy(h["model"].d1)),
+    "constant": ({"v": (None, _array(
+        "a vector of width d1 (the noise dimension)",
+        lambda a, p: np.atleast_1d(a).shape == (p["model"].d1,)))},
+        lambda h: ConstantPolicy(h["v"])),
+    "piecewise_constant": ({"values": (None, _array(
+        "cells of width d1 (the noise dimension), or (n_particles, d1) blocks",
+        lambda a, p: 1 <= a.ndim <= 3
+        and (a.shape[-1] if a.ndim > 1 else 1) == p["model"].d1
+        and (a.ndim < 3 or a.shape[1] == p["n_particles"])))},
+        lambda h: PiecewiseConstantPolicy(h["values"], h["grid"])),
+    "feedback": ({"theta": (None, _array("numbers", lambda a, p: True)),
+                  "bound": (3.0, _POSITIVE)},
+                 lambda h: FeedbackPolicy(h["theta"], h["model"].d,
+                                          h["model"].d1, h["bound"]))},
+    "zero"))
+_TARGET = ({}, _variant("kind", {
+    "reference": ({"n_ref": (2048, _count()), "seed_offset": (1000, _count(0))},
+                  lambda t: t),
+    "terminal_point": ({"point": (None, _array(
+        "a point of the model's dimension",
+        lambda a, p: np.atleast_1d(a).shape == (p["model"].d,)))},
+        lambda t: MeasureSummary.dirac(t["point"]))},
+    "reference"))
 
 GRID = {"horizon": (None, _POSITIVE), "n_steps": (None, _count())}
 
@@ -328,16 +386,11 @@ KINDS = {  # kind -> (runner, run-block table)
         "n_replicas": (64, _count(2))}),
     "variational": (_run_variational, {
         "functional": _FUNCTIONAL,
-        "policy": _POLICY,
         "n_particles": (32, _count()),
+        "policy": _POLICY,
         "n_replicas": (64, _count())}),
     "rate": (_run_rate, {
-        "target": ({}, ({
-            "kind": ("reference", _choice("reference", "terminal_point")),
-            "n_ref": (2048, _count()),
-            "seed_offset": (1000, _count(0)),
-            "point": (None, _point),
-        }, lambda t: t if t["point"] is None else t["point"])),
+        "target": _TARGET,
         "family": ({}, ({
             "family": ("constant", _choice("constant", "feedback")),
             "bound": (3.0, _POSITIVE),

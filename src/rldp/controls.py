@@ -241,31 +241,3 @@ def feedback_family(d: int, d1: int, bound: float = 3.0) -> PolicyFamily:
         return FeedbackPolicy(theta, d=d, d1=d1, bound=bound)
     return PolicyFamily(name="feedback", dim=n_feat * d1, make=make, bound=bound)
 
-
-def policy_from_config(cfg: dict, grid: TimeGrid, d: int, d1: int) -> ControlPolicy:
-    """Build a policy from {"policy": family, ...params}.
-
-    A constant ``v`` and piecewise-constant ``values`` must have the noise
-    dimension d1 as their width.
-    """
-    cfg = dict(cfg)
-    family = cfg.pop("policy", None)
-    if family == "zero":
-        return ZeroPolicy(d1)
-    if family == "constant":
-        policy = ConstantPolicy(cfg["v"])
-        shape = policy.v.shape
-        ok = shape == (d1,)
-    elif family == "piecewise_constant":
-        policy = PiecewiseConstantPolicy(cfg["values"], grid)
-        shape = policy.values.shape
-        ok = shape[-1] == d1
-    elif family == "feedback":
-        return FeedbackPolicy(cfg["theta"], d=d, d1=d1,
-                              bound=cfg.get("bound", 3.0))
-    else:
-        raise InputError(f"unknown policy family {family!r}")
-    if not ok:
-        raise InputError(f"{family} control of shape {shape} does not have "
-                         f"the noise dimension {d1} as its width")
-    return policy

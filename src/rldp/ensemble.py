@@ -71,9 +71,7 @@ class Ensemble:
     then kept; reading one builds neither of the others.
     """
 
-    model_id: str
     grid: TimeGrid
-    seed: int
     replica: int | range
     states: np.ndarray        # (n+1, N, d)
     events: BoundaryEvents    # particle-steps with a nonzero overshoot
@@ -81,7 +79,6 @@ class Ensemble:
     controls: np.ndarray      # (n, N, d1) applied h values per cell
     summaries: tuple          # (n+1,) MeasureSummary per node, views of states
     policy_id: str
-    init_kind: str
 
     @property
     def n_particles(self) -> int:
@@ -282,12 +279,9 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
     states, events, controls, summaries = _advance(
         model, grid, states0, noises, policy, mu_flow=None)
     return Ensemble(
-        model_id=model.name, grid=grid, seed=seed, replica=replica,
-        states=states, events=events, noises=noises, controls=controls,
-        summaries=summaries,
-        policy_id=policy.policy_id if policy is not None else "zero",
-        init_kind=model.init_kind,
-    )
+        grid=grid, replica=replica, states=states, events=events,
+        noises=noises, controls=controls, summaries=summaries,
+        policy_id=policy.policy_id if policy is not None else "zero")
 
 
 def empirical_measure_at(ens: Ensemble, t: float) -> MeasureSummary:

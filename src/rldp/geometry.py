@@ -11,7 +11,7 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
-DEFAULT_BOUNDARY_TOL = 1e-12
+BOUNDARY_TOL = 1e-12  # how far from the boundary a point still counts as on it
 
 # Two-sided Skorokhod fixed-point iteration controls.
 _SK_TOL = 1e-14
@@ -37,6 +37,14 @@ def _as_point(x, d: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InputError("point has non-finite coordinates")
     return x
+
+
+def _json_reals(v) -> bool:
+    """Whether ``v`` is a JSON number or nested lists of them; a bool or a
+    string is not, though numpy reads ``true`` and ``"1"`` as 1.0."""
+    if isinstance(v, list):
+        return all(_json_reals(u) for u in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
@@ -60,10 +68,9 @@ class ConvexDomain:
     hi: np.ndarray | None = None    # box only, shape (d,)
     center: np.ndarray | None = None  # ball only, shape (d,)
     radius: float | None = None       # ball only
-    boundary_tol: float = DEFAULT_BOUNDARY_TOL
 
     @staticmethod
-    def box(lo, hi, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> "ConvexDomain":
+    def box(lo, hi) -> "ConvexDomain":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
@@ -72,18 +79,17 @@ class ConvexDomain:
             raise InputError("box bounds must be finite")
         if not np.all(hi > lo):
             raise InputError("box requires hi > lo on every axis")
-        return ConvexDomain(kind="box", lo=lo, hi=hi, boundary_tol=boundary_tol)
+        return ConvexDomain(kind="box", lo=lo, hi=hi)
 
     @staticmethod
-    def ball(center, radius, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> "ConvexDomain":
+    def ball(center, radius) -> "ConvexDomain":
         center = np.atleast_1d(np.asarray(center, dtype=float))
         radius = float(radius)
         if not np.all(np.isfinite(center)) or not np.isfinite(radius):
             raise InputError("ball parameters must be finite")
         if radius <= 0:
             raise InputError("ball requires radius > 0")
-        return ConvexDomain(kind="ball", center=center, radius=radius,
-                            boundary_tol=boundary_tol)
+        return ConvexDomain(kind="ball", center=center, radius=radius)
 
     @property
     def dimension(self) -> int:
@@ -105,7 +111,7 @@ class ConvexDomain:
         x = _as_point(x, self.dimension)
         if x.ndim != 1:
             raise InputError("contains expects a single point")
-        eps = self.boundary_tol
+        eps = BOUNDARY_TOL
         if self.kind == "box":
             if np.any(x < self.lo - eps) or np.any(x > self.hi + eps):
                 return EXTERIOR
@@ -121,7 +127,7 @@ class ConvexDomain:
     def contains_all(self, x) -> np.ndarray:
         """Boolean membership in the closure, batched over leading axes."""
         x = _as_point(x, self.dimension)
-        eps = self.boundary_tol
+        eps = BOUNDARY_TOL
         if self.kind == "box":
             inside = np.all(x >= self.lo - eps, axis=-1) & np.all(x <= self.hi + eps, axis=-1)
             return inside
@@ -155,7 +161,7 @@ class ConvexDomain:
         x = _as_point(x, self.dimension)
         if self.contains(x) != BOUNDARY:
             raise PreconditionError("outward_normal requires a boundary point")
-        eps = self.boundary_tol
+        eps = BOUNDARY_TOL
         if self.kind == "ball":
             delta = x - self.center
             return delta / np.linalg.norm(delta)
@@ -170,7 +176,7 @@ class ConvexDomain:
     def normals_at(self, x) -> np.ndarray:
         """Batched outward normals; rows not on the boundary are zero."""
         x = _as_point(x, self.dimension)
-        eps = max(self.boundary_tol, 1e-9)
+        eps = 1e-9  # looser than membership's BOUNDARY_TOL
         if self.kind == "ball":
             delta = x - self.center
             r = _row_norm(delta)[..., None]
@@ -217,12 +223,19 @@ class ConvexDomain:
 
     @staticmethod
     def from_config(cfg: dict) -> "ConvexDomain":
+        """The domain of ``to_config``'s keys, exactly, its bounds JSON numbers."""
         kind = cfg.get("kind")
-        if kind == "box":
-            return ConvexDomain.box(cfg["lo"], cfg["hi"])
-        if kind == "ball":
-            return ConvexDomain.ball(cfg["center"], cfg["radius"])
-        raise InputError(f"unknown domain kind: {kind!r}")
+        if kind not in ("box", "ball"):
+            raise InputError(f"unknown domain kind: {kind!r}")
+        keys = ("lo", "hi") if kind == "box" else ("center", "radius")
+        if sorted(cfg) != sorted(("kind",) + keys):
+            raise InputError(f"a {kind} domain takes the keys kind, "
+                             f"{', '.join(keys)}; got {', '.join(sorted(cfg))}")
+        if not all(_json_reals(cfg[k]) for k in keys) or isinstance(
+                cfg.get("radius"), list):
+            raise InputError(f"domain {', '.join(keys)} must be JSON numbers")
+        make = ConvexDomain.box if kind == "box" else ConvexDomain.ball
+        return make(*(cfg[k] for k in keys))
 
 
 # -- 1D Skorokhod maps --------------------------------------------------------

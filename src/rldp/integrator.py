@@ -27,6 +27,7 @@ Controls are piecewise constant on grid cells, one value per cell.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,10 +46,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InputError("horizon must be positive")
-        if self.n_steps < 1:
-            raise InputError("n_steps must be >= 1")
+        h, n = self.horizon, self.n_steps
+        if (isinstance(h, bool) or not isinstance(h, numbers.Real)
+                or not math.isfinite(h) or h <= 0):
+            raise InputError(f"horizon must be a finite number > 0, got {h!r}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise InputError(f"n_steps must be an integer >= 1, got {n!r}")
 
     @property
     def dt(self) -> float:

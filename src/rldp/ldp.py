@@ -115,56 +115,6 @@ def flow_distance(flow, target, mode: str = "terminal") -> float:
     return float(np.mean(vals))
 
 
-def _finite(key, v, d):
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or not math.isfinite(v)):
-        raise InputError(f"functional {key} must be a finite number, got {v!r}")
-
-
-def _positive(key, v, d):
-    _finite(key, v, d)
-    if not v > 0:
-        raise InputError(f"functional {key} must be > 0, got {v!r}")
-
-
-def _coordinate(key, v, d):
-    if (isinstance(v, bool) or not isinstance(v, int) or v < 0
-            or (d is not None and v >= d)):
-        raise InputError(f"functional {key} must be an integer in "
-                         f"[0, {'d' if d is None else d}), got {v!r}")
-
-
-# name -> (constructor, {parameter: check(key, value, model dimension)})
-FUNCTIONAL_REGISTRY = {
-    "constant": (constant_functional, {"c": _finite}),
-    "terminal_mean": (terminal_mean_functional,
-                      {"scale": _finite, "coord": _coordinate,
-                       "center": _finite, "cap": _positive}),
-}
-
-
-def functional_from_config(cfg: dict, d: int | None = None) -> Functional:
-    """Build a functional from {"functional": name, ...params}.
-
-    Every parameter is checked here, before anything is simulated:
-    ``c``, ``scale`` and ``center`` finite, ``cap`` > 0 and ``coord`` an
-    integer in [0, d), d being the model dimension when it is given.
-    """
-    if not isinstance(cfg, dict):
-        raise InputError(f"a functional is a JSON object, got {cfg!r}")
-    cfg = dict(cfg)
-    name = cfg.pop("functional", None)
-    if name not in FUNCTIONAL_REGISTRY:
-        raise InputError(f"unknown functional {name!r}")
-    make, checks = FUNCTIONAL_REGISTRY[name]
-    unknown = sorted(set(cfg) - set(checks))
-    if unknown:
-        raise InputError(f"unknown {name} parameters: {', '.join(unknown)}")
-    for key, value in cfg.items():
-        checks[key](key, value, d)
-    return make(**cfg)
-
-
 # -- Laplace functional -------------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -123,7 +123,8 @@ def _bl_dictionary(mu: MeasureSummary, nu: MeasureSummary, size: int,
 
 
 def _check_dictionary_size(size):
-    if not isinstance(size, (int, np.integer)) or size < 0:
+    if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+            or size < 0):
         raise InputError("dictionary_size must be a nonnegative integer")
 
 
@@ -203,7 +204,8 @@ def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
     Paths are grid skeletons (n_paths, n_nodes, d); both sets must share
     the grid.  The dictionary holds Lipschitz functionals of finitely many
     skeleton coordinates: f(phi) = clip(sum_j a_j phi_{c_j}(t_{k_j}) - c)
-    with sum |a_j| <= 1, which is Lipschitz-1 for the sup metric.
+    with sum |a_j| <= 1, which is Lipschitz-1 for the sup metric.  Between
+    two single paths the value is exact (``exact_dirac``).
     """
     _check_dictionary_size(dictionary_size)
     p = _as_path_array(paths_p)
@@ -216,8 +218,7 @@ def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
     # Dirac vs Dirac: exact closed form min(2, sup-distance).
     if p.shape[0] == 1 and q.shape[0] == 1:
         sup = float(np.max(np.linalg.norm(p[0] - q[0], axis=-1)))
-        return BLEstimate(value=min(2.0, sup), method=DICTIONARY,
-                          dictionary_size=dictionary_size)
+        return BLEstimate(value=min(2.0, sup), method=EXACT_DIRAC)
 
     n_nodes, d = p.shape[1], p.shape[2]
     gen = rngmod.substream(seed, rngmod.DICT, 1)
@@ -261,9 +262,12 @@ def holder_statistic(path, alpha: float, times=None,
 
     Exact O(n^2) evaluation for small grids; for larger ones an
     O(n log n) dyadic-scale upper bound (mode flagged in the output).
+    ``mode`` "exact" or "dyadic" forces one of them.
     """
     if not 0.0 < alpha < 0.5:
         raise InputError("alpha must lie in (0, 1/2)")
+    if mode not in ("auto", "exact", "dyadic"):
+        raise InputError(f"mode must be auto, exact or dyadic, got {mode!r}")
     if isinstance(path, ReflectedPath):
         values = path.states
         times = path.grid.nodes

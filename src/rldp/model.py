@@ -172,10 +172,6 @@ class ModelSpec:
             return np.tile(pts, (reps, 1))[:n]
         return np.asarray(self.init_sampler(rng, n), dtype=float)
 
-    @property
-    def init_kind(self) -> str:
-        return "deterministic" if self.init_points is not None else "sampled"
-
 
 def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary,
                       strict: bool = False):
@@ -289,13 +285,17 @@ def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
 def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
                **params) -> ModelSpec:
     """A zoo model, its parameters checked first: ``params`` and ``horizon``
-    finite reals (``b`` an array of them), ``d1`` an integer >= 1, d by
-    default.  ``build(d1)`` gives (drift, diffusion, bound_L, lipschitz_K);
-    the initial states are the points ``init``, else uniform on the domain.
+    finite reals (``b`` and ``init`` arrays of them), ``d1`` an integer >= 1,
+    d by default.  ``build(d1)`` gives (drift, diffusion, bound_L,
+    lipschitz_K); the initial states are the points ``init``, else uniform
+    on the domain.
     """
-    for key, v in {**params, "horizon": horizon}.items():
+    for key, v in {**params, "horizon": horizon,
+                   "init": [] if init is None else init}.items():
+        vals = (np.ravel(np.asarray(v, dtype=object)) if key in ("b", "init")
+                else [v])
         if not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
-                   and math.isfinite(u) for u in (v if key == "b" else [v])):
+                   and math.isfinite(u) for u in vals):
             raise InputError(f"{name} {key} must be a finite real number, got {v!r}")
     d1 = domain.dimension if d1 is None else d1
     if isinstance(d1, bool) or not isinstance(d1, numbers.Integral) or d1 < 1:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rldp.ensemble as ensemble_mod
 from rldp import cli
 
 MODEL = {"model": "m1", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
@@ -107,6 +108,17 @@ MALFORMED = [
                                            "bound": NAN})]),
     ("simulate", [(("model", "domain"), None)]),
     ("simulate", [(("model", "init"), [[5.0]])]),
+    ("simulate", [(("run", "policy"), [])]),
+    ("simulate", [(("run", "policy", "policy"), [])]),
+    ("simulate", [(("run", "policy"), {"policy": "piecewise_constant",
+                                        "values": 0.5})]),
+    ("simulate", [(("run", "policy"), {"policy": "piecewise_constant",
+                                        "values": [[[0.5]] * 3] * 4})]),
+    ("variational", [(("run", "policy"), {"policy": "piecewise_constant",
+                                           "values": [[[[0.5]] * 2]] * 4})]),
+    ("rate", [(("run", "target"), {"kind": "reference", "point": [0.5]})]),
+    ("rate", [(("run", "target"), {"kind": "terminal_point", "point": [0.5],
+                                   "n_ref": 8})]),
 ]
 
 
@@ -178,7 +190,7 @@ def test_functional_block_checked_before_simulating(
     cfg = _config(kind, [(("run", "functional"), functional)])
     code, err = _main(kind, cfg, tmp_path)
     _assert_config_error(code, err, tmp_path)
-    assert f"functional {key}" in json.loads(err)["detail"]
+    assert f"run.functional.{key}" in json.loads(err)["detail"]
     assert calls == []
 
 
@@ -198,6 +210,78 @@ def test_model_parameters_checked_before_simulating(
     assert calls == []
 
 
+# -- strict schema: every block rejects unknown keys and non-numbers -------------
+
+def _numeric_leaves(node, path=()):
+    """Paths of the numbers (not bools) in a JSON tree, list entries too."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(
+            node, bool) else []
+    return [leaf for key, child in items
+            for leaf in _numeric_leaves(child, path + (key,))]
+
+
+def _blocks(kind):
+    """Paths of the JSON objects in the tiny config of ``kind``."""
+    cfg = _config(kind)
+    nested = [("run", key) for key, v in cfg["run"].items()
+              if isinstance(v, dict)]
+    return [(), ("model",), ("model", "domain"), ("grid",), ("run",)] + nested
+
+
+STRICT = [(kind, path, value) for kind in sorted(RUNS)
+          for path in _numeric_leaves(_config(kind)) for value in (True, "1")]
+STRICT += [(kind, path + ("junk",), 1) for kind in sorted(RUNS)
+           for path in _blocks(kind)]
+
+
+def test_strict_cases_cover_every_block():
+    blocks = {path[-1] for kind in RUNS for path in _blocks(kind) if path}
+    assert blocks == {"model", "domain", "grid", "run", "policy",
+                      "functional", "target", "family"}
+
+
+@pytest.mark.parametrize("kind, path, value", STRICT)
+def test_strict_schema_exits_2_before_simulating(
+        tmp_path, monkeypatch, kind, path, value):
+    calls = []  # every simulation, of particles or of a reference flow
+    advance = ensemble_mod._advance
+    monkeypatch.setattr(ensemble_mod, "_advance",
+                        lambda *a, **k: calls.append(1) or advance(*a, **k))
+    code, err = _main(kind, _config(kind, [(path, value)]), tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    assert calls == []
+
+
+def test_readme_names_every_config_key():
+    """README's config table lists each (kind, key) the tables declare."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    listed = set()
+    for row in re.findall(r"^\| (.+?) \| (.+?) \|", section, re.M):
+        kinds = (sorted(cli.KINDS) if row[0] == "all"
+                 else re.findall(r"`(\w+)`", row[0]))
+        listed |= {(k, key) for k in kinds
+                   for key in re.findall(r"`([\w.]+)`", row[1])}
+
+    def keys(table, prefix=""):
+        """Dotted keys of a table, its nested blocks and variants expanded."""
+        out = set()
+        for t in table.tables.values() if callable(table) else [table]:
+            for key, (_, cast) in t.items():
+                out |= (keys(cast[0], f"{prefix}{key}.")
+                        if isinstance(cast, tuple) else {prefix + key})
+        return out
+
+    declared = {(kind, key) for kind, (_, table) in cli.KINDS.items()
+                for key in keys(cli.GRID, "grid.") | keys(table, "")}
+    assert listed == declared
+
+
 def test_readme_simulate_example_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"Example config \(`simulate`\):\s*```json\n(.*?)```",
@@ -215,8 +299,9 @@ def _paths(kind):
     cfg = _config(kind)
     paths = [("grid", k) for k in cfg["grid"]]
     paths += [("run", k) for k in cfg["run"]]
-    for block in ("target", "family"):
+    for block in ("target", "family", "policy", "functional"):
         paths += [("run", block, k) for k in cfg["run"].get(block, {})]
+    paths += [("model", "domain", k) for k in cfg["model"]["domain"]]
     return paths + [("model", "domain"), ("model", "init"),
                     ("model", "sigma_scale"), ("model", "horizon"), ("seed",),
                     ("budget",)]

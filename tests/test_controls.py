@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
+from rldp import cli
 from rldp.controls import (ConstantPolicy, FeedbackPolicy,
                            PiecewiseConstantPolicy, ZeroPolicy,
                            constant_family, ensemble_cost, feedback_family,
-                           piecewise_family, policy_from_config,
-                           relax_control)
-from rldp.errors import InputError
+                           piecewise_family, relax_control)
+from rldp.errors import ConfigError, InputError
+from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
-from rldp.model import MeasureSummary
+from rldp.model import MeasureSummary, make_m1
+
+
+def policy_from_config(block, grid, d, d1):
+    """The policy the CLI builds from a run's ``policy`` block."""
+    env = {"model": make_m1(ConvexDomain.box([0.0] * d, [1.0] * d), d1=d1),
+           "grid": grid}
+    run = {"n_particles": 2, "policy": block}
+    return cli._parse(cli.KINDS["simulate"][1], run, "run", env)["policy"]
 
 
 class TestRelaxControl:
@@ -113,7 +122,7 @@ class TestPolicies:
         p = policy_from_config({"policy": "constant", "v": [0.5]},
                                grid, 1, 1)
         assert isinstance(p, ConstantPolicy)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             policy_from_config({"policy": "nope"}, grid, 1, 1)
 
 
@@ -122,20 +131,20 @@ class TestPolicyFromConfigChecks:
         grid = TimeGrid(1.0, 4)
         assert policy_from_config({"policy": "constant", "v": [1.0]},
                                   grid, 1, 1).v.shape == (1,)
-        with pytest.raises(InputError, match="width"):
+        with pytest.raises(ConfigError, match="width"):
             policy_from_config({"policy": "constant", "v": [1.0, 2.0]},
                                grid, 1, 1)
 
     @pytest.mark.parametrize("values", [np.ones((4, 2)), np.ones((4, 3, 2))])
     def test_piecewise_width_must_be_d1(self, values):
         grid = TimeGrid(1.0, 4)
-        with pytest.raises(InputError, match="width"):
+        with pytest.raises(ConfigError, match="width"):
             policy_from_config({"policy": "piecewise_constant",
                                 "values": values.tolist()}, grid, 1, 1)
 
     @pytest.mark.parametrize("bound", [float("nan"), float("inf"), 0.0, -1.0])
     def test_feedback_bound_finite_and_positive(self, bound):
         nf = FeedbackPolicy.n_features(1)
-        with pytest.raises(InputError, match="bound"):
+        with pytest.raises(ConfigError, match="bound"):
             policy_from_config({"policy": "feedback", "theta": [0.0] * nf,
                                 "bound": bound}, TimeGrid(1.0, 4), 1, 1)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rldp.errors import InputError
-from rldp.geometry import (BOUNDARY, EXTERIOR, INTERIOR, ConvexDomain,
-                           skorokhod_1d)
+from rldp.geometry import (BOUNDARY, BOUNDARY_TOL, EXTERIOR, INTERIOR,
+                           ConvexDomain, skorokhod_1d)
 from rldp.integrator import step_reflected
 
 
@@ -165,6 +165,26 @@ class TestConfigRoundTrip:
             assert back.kind == dom.kind
             assert back.dimension == dom.dimension
 
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "box", "lo": [0.0], "hi": [1.0], "extra": 1},
+        {"kind": "box", "lo": [0.0]},
+        {"kind": "box", "lo": [0.0], "hi": [1.0], "radius": 1.0},
+        {"kind": "ball", "center": [0.0], "radius": 1.0, "lo": [0.0]},
+        {"kind": "ball", "center": [0.0], "radius": "1"},
+        {"kind": "ball", "center": [0.0], "radius": True},
+        {"kind": "ball", "center": [0.0], "radius": [1.0]},
+        {"kind": "ball", "center": ["0"], "radius": 1.0},
+        {"kind": "box", "lo": [True], "hi": [2.0]},
+        {"kind": "box", "lo": [0.0], "hi": "1"},
+        {"kind": ["box"], "lo": [0.0], "hi": [1.0]}])
+    def test_from_config_strict(self, cfg):
+        with pytest.raises(InputError):
+            ConvexDomain.from_config(cfg)
+
+    def test_from_config_takes_integers_and_scalars(self):
+        dom = ConvexDomain.from_config({"kind": "ball", "center": 0, "radius": 1})
+        assert dom.dimension == 1 and dom.radius == 1.0
+
 
 # -- row norms: bitwise the np.linalg.norm formulas --------------------------------
 
@@ -181,7 +201,7 @@ def _project_reference(dom, x):
 
 
 def _contains_all_reference(dom, x):
-    eps = dom.boundary_tol
+    eps = BOUNDARY_TOL
     if dom.kind == "box":
         return (np.all(x >= dom.lo - eps, axis=-1)
                 & np.all(x <= dom.hi + eps, axis=-1))
@@ -189,7 +209,7 @@ def _contains_all_reference(dom, x):
 
 
 def _normals_at_reference(dom, x):
-    eps = max(dom.boundary_tol, 1e-9)
+    eps = max(BOUNDARY_TOL, 1e-9)
     if dom.kind == "ball":
         delta = x - dom.center
         r = np.linalg.norm(delta, axis=-1, keepdims=True)

@@ -41,6 +41,17 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("horizon, n_steps", [
+        (float("nan"), 4), (float("inf"), 4), (True, 4), ("1", 4),
+        (1.0, 2.5), (1.0, True), (1.0, "4"), (1.0, None)])
+    def test_non_numbers_rejected(self, horizon, n_steps):
+        with pytest.raises(InputError):
+            TimeGrid(horizon, n_steps)
+
+    def test_numpy_scalars_accepted(self):
+        g = TimeGrid(np.float64(0.5), np.int64(4))
+        assert g.dt == 0.125
+
 
 class TestStepReflected:
     def test_no_motion(self):

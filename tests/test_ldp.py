@@ -5,19 +5,28 @@ import pytest
 
 import rldp.ensemble as ensemble_mod
 import rldp.ldp as ldp_mod
+from rldp import cli
 from rldp.controls import ZeroPolicy, constant_family
 from rldp.ensemble import (marginal_flow, simulate_particle_system,
                            solve_mckean_vlasov_reference)
-from rldp.errors import InputError
+from rldp.errors import ConfigError, InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
 from rldp.ldp import (constant_functional, distance_to_target_functional,
-                      estimate_rate, flow_distance, functional_from_config,
+                      estimate_rate, flow_distance,
                       laplace_functional_mc, optimize_controls,
                       terminal_mean_functional, variational_objective)
 from rldp.model import MeasureSummary, ModelSpec, make_m1
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
+
+
+def functional_from_config(block, d=1):
+    """The functional the CLI builds from a run's ``functional`` block."""
+    env = {"model": make_m1(ConvexDomain.box([0.0] * d, [1.0] * d)),
+           "grid": TimeGrid(1.0, 4)}
+    run = {"functional": block}
+    return cli._parse(cli.KINDS["laplace"][1], run, "run", env)["functional"]
 
 
 def _count_noise_draws(monkeypatch, reuse: bool) -> list:
@@ -53,7 +62,7 @@ class TestFunctionals:
     def test_from_config(self):
         f = functional_from_config({"functional": "constant", "c": 1.0})
         assert f.f_max >= 1.0
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             functional_from_config({"functional": "nope"})
 
     @pytest.mark.parametrize("cfg", [
@@ -66,13 +75,13 @@ class TestFunctionals:
         {"functional": "constant", "c": None},
         {"functional": "constant", "c": 1.0, "scale": 2.0}])
     def test_from_config_checks_parameters(self, cfg):
-        with pytest.raises(InputError, match="functional|parameters"):
+        with pytest.raises(ConfigError, match="functional|parameters"):
             functional_from_config(cfg, d=1)
 
     def test_from_config_coordinate_within_dimension(self):
         cfg = {"functional": "terminal_mean", "coord": 2, "cap": 0.5}
         assert functional_from_config(cfg, d=3).f_max == 0.5
-        with pytest.raises(InputError, match=r"\[0, 2\)"):
+        with pytest.raises(ConfigError, match=r"\[0, 2\)"):
             functional_from_config(cfg, d=2)
 
     def test_bound_enforced(self):

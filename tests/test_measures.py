@@ -240,7 +240,7 @@ class TestBLDistance:
         assert 0.0 <= est.value <= 2.0
         assert est.method == "dictionary"
 
-    @pytest.mark.parametrize("size", [-1, 1.5, "8", None])
+    @pytest.mark.parametrize("size", [-1, 1.5, "8", None, True, False])
     def test_bad_dictionary_size(self, size):
         mu = MeasureSummary.from_points(np.array([[0.0, 0.0], [1.0, 0.0]]))
         nu = MeasureSummary.dirac([0.5, 0.5])
@@ -355,7 +355,16 @@ class TestPathBL:
         p1 = np.ones((1, 9, 1))
         assert path_bl_distance(p0, p1, grid).value == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("size", [1.5, -1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_two_single_paths_labelled_exact(self, d):
+        rng = np.random.default_rng(d)
+        p, q = rng.uniform(0, 3, (2, 1, 9, d))
+        est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=16)
+        sup = np.max(np.linalg.norm(p[0] - q[0], axis=-1))
+        assert est.value == min(2.0, sup)
+        assert est.method == "exact_dirac" and est.dictionary_size is None
+
+    @pytest.mark.parametrize("size", [1.5, -1, True])
     def test_bad_dictionary_size(self, size):
         rng = np.random.default_rng(4)
         p, q = rng.uniform(0, 1, (2, 4, 9, 1))
@@ -442,6 +451,12 @@ class TestHolderStatistic:
         with pytest.raises(InputError):
             holder_statistic(np.zeros((5, 1)), 1.5, np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize("mode", ["bogus", "dyadic_upper_bound", None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(InputError, match="mode"):
+            holder_statistic(np.zeros((5, 1)), 0.125, np.linspace(0, 1, 5),
+                             mode=mode)
+
 
 def _path_dictionary_loop(pf, qf, lo, hi, size, k, gen):
     """Reference: the per-functional loop, one gap per functional."""
@@ -495,7 +510,10 @@ class TestPathBLBlocked:
         est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=size,
                                seed=3)
         assert est.value == _path_bl_loop(p, q, size, 3)
-        assert est.dictionary_size == size
+        # two single paths: the exact closed form, no dictionary
+        exact = n_p == n_q == 1
+        assert est.dictionary_size == (None if exact else size)
+        assert est.method == ("exact_dirac" if exact else "dictionary")
 
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("size", [1, 255, 256, 257])

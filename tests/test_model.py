@@ -176,6 +176,13 @@ class TestModelFromConfigChecks:
             model_from_config({"model": "m1", "domain": BOX1.to_config(),
                                "init": init})
 
+    @pytest.mark.parametrize("init", ["0.5", [["0.5"]], [[True]], [[None]],
+                                      [[0.5], ["0.5"]]])
+    def test_init_entries_must_be_numbers(self, init):
+        with pytest.raises(InputError, match="init"):
+            model_from_config({"model": "m1", "domain": BOX1.to_config(),
+                               "init": init})
+
     def test_init_points_on_the_boundary_accepted(self):
         m = model_from_config({"model": "m1", "domain": BOX1.to_config(),
                                "init": [[0.0], [1.0]]})
