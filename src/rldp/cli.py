@@ -187,8 +187,26 @@ def _time_pairs(v, p):
 
 
 def _test_function(v, p):
-    funcs = diagnostics.standard_test_functions(p["model"].d, p["model"].d1)
-    return funcs[_choice(*funcs)(v, p)]
+    """A registered function; unless skip_boundary_check is set, one that
+    passes the boundary check, made here once, before anything simulates."""
+    model = p["model"]
+    funcs = diagnostics.standard_test_functions(model.d, model.d1)
+    f = funcs[_choice(*funcs)(v, p)]
+    if not p["skip_boundary_check"]:
+        check = diagnostics.boundary_condition_check(f, model.domain,
+                                                     horizon=model.horizon)
+        if not check.passed:
+            raise ValueError(f"test function {f.id} violates the boundary "
+                             f"condition (worst value {check.worst_value:.3g})")
+    return f
+
+
+def _calibrate(v, p):
+    """The flag; calibration coarsens the grid 4x, so n_steps % 4 == 0."""
+    if _FLAG(v, p) and p["grid"].n_steps % 4:
+        raise ValueError(f"calibration needs grid.n_steps divisible by 4, "
+                         f"got {p['grid'].n_steps}")
+    return v
 
 
 def _parse(table, block, where: str, env: dict) -> dict:
@@ -326,15 +344,15 @@ def _run_submartingale(cfg, p, out: Path):
     if p["calibrate"]:
         c_bias = diagnostics.calibrate_bias_allowance(
             model, f, grid, n_paths=min(n, 512), seed=cfg["seed"])
-    report = diagnostics.submartingale_test(
+    report = diagnostics.submartingale_test(  # the run table checked f
         ens, marginal_flow(ens), f, model, p["time_pairs"], confidence=p["confidence"],
-        c_bias=c_bias, skip_boundary_check=p["skip_boundary_check"])
+        c_bias=c_bias, skip_boundary_check=True)
     return report.to_dict(), []
 
 
 _REAL = _num("a finite number")
 _POSITIVE = _num("a finite number > 0", lambda x, p: x > 0)
-_FLAG = (False, _choice(False, True))
+_FLAG = _choice(False, True)
 _GIVEN = _num("a finite number", keep=True)
 _FUNCTIONAL = ({}, _variant("functional", {
     "constant": ({"c": (None, _GIVEN)},
@@ -406,13 +424,13 @@ KINDS = {  # kind -> (runner, run-block table)
         "distance_mode": ("terminal", lambda v, p: ldp.check_distance_mode(
             p["target"], v))}),
     "submartingale": (_run_submartingale, {
+        "skip_boundary_check": (False, _FLAG),
         "function": ("neg_x_sq", _test_function),
         "n_particles": (1024, _count(2, " (the test needs two paths)")),
         "time_pairs": (lambda p: [[0.0, p["grid"].horizon]], _time_pairs),
         "c_bias": (0.0, _num("a finite number >= 0", lambda x, p: x >= 0)),
         "confidence": (0.95, _num("a number in (0, 1)", lambda x, p: 0 < x < 1)),
-        "calibrate": _FLAG,
-        "skip_boundary_check": _FLAG}),
+        "calibrate": (False, _calibrate)}),
 }
 
 

@@ -76,10 +76,6 @@ class ControlPolicy:
         raise NotImplementedError
 
     @property
-    def theta(self) -> np.ndarray:
-        return np.zeros(0)
-
-    @property
     def policy_id(self) -> str:
         return self.family
 
@@ -112,10 +108,6 @@ class ConstantPolicy(ControlPolicy):
         return np.broadcast_to(self.v, states.shape[:-1] + self.v.shape).copy()
 
     @property
-    def theta(self):
-        return self.v.copy()
-
-    @property
     def policy_id(self):
         return f"constant({np.array2string(self.v, precision=6)})"
 
@@ -143,10 +135,6 @@ class PiecewiseConstantPolicy(ControlPolicy):
         k = min(int(np.floor(t / self.grid.dt + 1e-12)), self.grid.n_steps - 1)
         v = self.values[k]  # (d1,) shared, or (N, d1) per particle
         return np.broadcast_to(v, states.shape[:-1] + v.shape[-1:]).copy()
-
-    @property
-    def theta(self):
-        return self.values.ravel().copy()
 
     def is_zero(self):
         return bool(np.all(self.values == 0.0))
@@ -198,10 +186,6 @@ class FeedbackPolicy(ControlPolicy):
     def evaluate(self, t, states, mu):
         phi = self.features(t, states, mu.mean)
         return np.clip(phi @ self.weights, -self.bound, self.bound)
-
-    @property
-    def theta(self):
-        return self.weights.ravel().copy()
 
     def is_zero(self):
         return bool(np.all(self.weights == 0.0))

@@ -35,8 +35,9 @@ from . import rng as rngmod
 
 @dataclass(frozen=True)
 class TestFunction:
-    """f(t, x, z) with analytic partials; all callables broadcast over
-    leading axes of x (..., d) and z (..., d1)."""
+    """f(t, x, z) with the analytic partials the generator reads, broadcast
+    over leading axes of x (..., d) and z (..., d1).  No z-gradient: (X, W)
+    has no z-drift, so z enters only through hess_xz and hess_zz."""
 
     id: str
     d: int
@@ -44,14 +45,9 @@ class TestFunction:
     f: object = field(repr=False)
     f_t: object = field(repr=False)
     grad_x: object = field(repr=False)   # (..., d)
-    grad_z: object = field(repr=False)   # (..., d1)
     hess_xx: object = field(repr=False)  # (..., d, d)
     hess_xz: object = field(repr=False)  # (..., d, d1)
     hess_zz: object = field(repr=False)  # (..., d1, d1)
-
-
-def _zeros_like_vec(x, m):
-    return np.zeros(np.shape(x)[:-1] + (m,))
 
 
 def _const_mat(x, core):
@@ -60,20 +56,15 @@ def _const_mat(x, core):
     return np.broadcast_to(core, np.shape(x)[:-1] + core.shape)
 
 
-def _zeros_like_mat(x, m, k):
-    return _const_mat(x, np.zeros((m, k)))
-
-
 def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
     """Registered test functions for a given state/noise dimension."""
     neg2_xx, neg2_zz = -2.0 * np.eye(d), -2.0 * np.eye(d1)
     zero_partials = {
         "f_t": lambda t, x, z: np.zeros(np.shape(x)[:-1]),
-        "grad_x": lambda t, x, z: _zeros_like_vec(x, d),
-        "grad_z": lambda t, x, z: _zeros_like_vec(x, d1),
-        "hess_xx": lambda t, x, z: _zeros_like_mat(x, d, d),
-        "hess_xz": lambda t, x, z: _zeros_like_mat(x, d, d1),
-        "hess_zz": lambda t, x, z: _zeros_like_mat(x, d1, d1),
+        "grad_x": lambda t, x, z: np.zeros(np.shape(x)[:-1] + (d,)),
+        "hess_xx": lambda t, x, z: _const_mat(x, np.zeros((d, d))),
+        "hess_xz": lambda t, x, z: _const_mat(x, np.zeros((d, d1))),
+        "hess_zz": lambda t, x, z: _const_mat(x, np.zeros((d1, d1))),
     }
 
     def make(fid, f, **partials):
@@ -83,11 +74,6 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
 
     def e_x1(x):
         g = np.zeros(np.shape(x)[:-1] + (d,))
-        g[..., 0] = 1.0
-        return g
-
-    def e_z1(x):
-        g = np.zeros(np.shape(x)[:-1] + (d1,))
         g[..., 0] = 1.0
         return g
 
@@ -108,15 +94,12 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
              hess_xx=lambda t, x, z: _const_mat(x, neg2_xx)),
         make("linear_x1", lambda t, x, z: np.asarray(x)[..., 0].copy(),
              grad_x=lambda t, x, z: e_x1(x)),
-        make("linear_z1", lambda t, x, z: np.asarray(z)[..., 0].copy(),
-             grad_z=lambda t, x, z: e_z1(x)),
+        make("linear_z1", lambda t, x, z: np.asarray(z)[..., 0].copy()),
         make("x1_z1",
              lambda t, x, z: np.asarray(x)[..., 0] * np.asarray(z)[..., 0],
              grad_x=lambda t, x, z: e_x1(x) * np.asarray(z)[..., 0, None],
-             grad_z=lambda t, x, z: e_z1(x) * np.asarray(x)[..., 0, None],
              hess_xz=lambda t, x, z: x1z1_hess_xz(x)),
         make("neg_z_sq", lambda t, x, z: -np.sum(np.asarray(z) ** 2, axis=-1),
-             grad_z=lambda t, x, z: -2.0 * np.asarray(z, dtype=float),
              hess_zz=lambda t, x, z: _const_mat(x, neg2_zz)),
     ]
     return {tf.id: tf for tf in funcs}
@@ -139,22 +122,23 @@ _BOUNDARY_SAMPLES, _BOUNDARY_Z_SCALE, _BOUNDARY_TOL = 256, 2.0, 1e-10
 def boundary_condition_check(f: TestFunction, domain: ConvexDomain,
                              seed: int = 0, horizon: float = 1.0) -> BoundaryCheck:
     """Max of <grad_x f, n(x)> over sampled boundary points; pass iff it is
-    at most ``_BOUNDARY_TOL``."""
+    at most ``_BOUNDARY_TOL``.
+
+    The normals come from one ``domain.normals_at`` call.  The worst point
+    is the first maximum, and a NaN value is the worst, so a NaN gradient
+    fails the check.
+    """
     n_samples = _BOUNDARY_SAMPLES
     gen = rngmod.substream(seed, rngmod.SAMPLER, 1)
     xs = domain.sample_boundary(gen, n_samples)
     zs = gen.standard_normal((n_samples, f.d1)) * _BOUNDARY_Z_SCALE
     ts = gen.uniform(0.0, horizon, size=n_samples)
-    worst = -np.inf
-    worst_point = xs[0]
-    for t, x, z in zip(ts, xs, zs):
-        n = domain.outward_normal(x)
-        val = float(f.grad_x(t, x[None, :], z[None, :])[0] @ n)
-        if val > worst:
-            worst = val
-            worst_point = x
-    return BoundaryCheck(passed=bool(worst <= _BOUNDARY_TOL), worst_value=worst,
-                         worst_point=worst_point, n_samples=n_samples)
+    vals = [float(f.grad_x(t, x[None, :], z[None, :])[0] @ n)
+            for t, x, z, n in zip(ts, xs, zs, domain.normals_at(xs))]
+    worst = int(np.argmax(vals))
+    return BoundaryCheck(passed=bool(vals[worst] <= _BOUNDARY_TOL),
+                         worst_value=vals[worst], worst_point=xs[worst],
+                         n_samples=n_samples)
 
 
 # -- generator -----------------------------------------------------------------------

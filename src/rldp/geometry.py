@@ -154,24 +154,11 @@ class ConvexDomain:
     # -- normals ------------------------------------------------------------
 
     def outward_normal(self, x) -> np.ndarray:
-        """Outward unit normal at a boundary point.
-
-        Box corners return the normalized sum of active face normals.
-        """
-        x = _as_point(x, self.dimension)
+        """Outward unit normal at one boundary point: ``normals_at(x)``,
+        once ``x`` is checked to lie on the boundary."""
         if self.contains(x) != BOUNDARY:
             raise PreconditionError("outward_normal requires a boundary point")
-        eps = BOUNDARY_TOL
-        if self.kind == "ball":
-            delta = x - self.center
-            return delta / np.linalg.norm(delta)
-        n = np.zeros_like(x)
-        n -= (x <= self.lo + eps).astype(float)
-        n += (x >= self.hi - eps).astype(float)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:  # unreachable given the boundary precondition
-            raise PreconditionError("no active face at boundary point")
-        return n / norm
+        return self.normals_at(x)
 
     def normals_at(self, x) -> np.ndarray:
         """Batched outward normals; rows not on the boundary are zero."""

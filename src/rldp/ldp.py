@@ -222,10 +222,6 @@ class OptimizationResult:
     budget_exhausted: bool
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 @shared_replica_draws()
 def optimize_controls(model: ModelSpec, functional: Functional,
                       family: PolicyFamily, n_particles: int, grid: TimeGrid,
@@ -235,29 +231,24 @@ def optimize_controls(model: ModelSpec, functional: Functional,
 
     Common random numbers: every evaluation reuses the same replica
     substreams, so objective differences reflect theta only.  Each replica's
-    initial states and noise are drawn once and reused by every evaluation,
-    the final one included.  The zero
-    parameter vector is always in the restart set, hence the returned
-    objective never exceeds the zero-policy objective.
+    initial states and noise are drawn once and reused by every evaluation.
+    Each evaluation is recorded once, and the result is the first recorded
+    evaluation of least objective, as it was estimated: nothing is
+    simulated again.  Each restart's ``maxfev`` is at most the evaluations
+    left in ``budget``.  The zero parameter vector is always in the restart
+    set, hence the returned objective never exceeds the zero-policy
+    objective.
     """
     if budget < family.dim + 2:
         raise InputError("budget must be at least dim(theta) + 2")
 
-    evals = {"n": 0}
-    best = {"theta": None, "objective": np.inf}
-    trace = []
+    record = []  # (estimate, theta) of every evaluation, in order
 
     def objective_fn(theta):
-        if evals["n"] >= budget:
-            raise _BudgetExhausted
-        evals["n"] += 1
         est = variational_objective(model, functional, family.make(theta),
                                     n_particles, grid, n_replicas, seed=seed,
                                     budget=sim_budget)
-        if est.objective < best["objective"]:
-            best["objective"] = est.objective
-            best["theta"] = np.asarray(theta, dtype=float).copy()
-        trace.append(best["objective"])
+        record.append((est, theta))
         return est.objective
 
     start_rng = rngmod.substream(seed, rngmod.OPT)
@@ -269,25 +260,19 @@ def optimize_controls(model: ModelSpec, functional: Functional,
     exhausted = False
     per_restart = max(family.dim + 2, budget // max(1, len(starts)))
     for x0 in starts:
-        if evals["n"] >= budget:
+        if len(record) >= budget:
             exhausted = True
             break
-        try:
-            minimize(objective_fn, x0, method="Nelder-Mead",
-                     options={"maxfev": min(per_restart, budget - evals["n"]),
-                              "xatol": 1e-4, "fatol": 1e-8})
-        except _BudgetExhausted:
-            exhausted = True
-            break
+        minimize(objective_fn, x0, method="Nelder-Mead",
+                 options={"maxfev": min(per_restart, budget - len(record)),
+                          "xatol": 1e-4, "fatol": 1e-8})
 
-    theta = best["theta"]
-    policy = family.make(theta)
-    final = variational_objective(model, functional, policy, n_particles,
-                                  grid, n_replicas, seed=seed, budget=sim_budget)
+    objectives = np.array([est.objective for est, _ in record])
+    best, theta = record[int(np.argmin(objectives))]
     return OptimizationResult(
-        policy=policy, theta=theta, objective=final.objective,
-        cost_part=final.cost_part, f_part=final.f_part,
-        trace=np.asarray(trace), n_evaluations=evals["n"],
+        policy=family.make(theta), theta=theta, objective=best.objective,
+        cost_part=best.cost_part, f_part=best.f_part,
+        trace=np.minimum.accumulate(objectives), n_evaluations=len(record),
         budget_exhausted=exhausted,
     )
 
@@ -335,7 +320,7 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise InputError("lambda schedule must be increasing")
     dists, costs = [], []
-    feasible_pairs = []
+    selected = (None, math.inf)  # the largest feasible lambda and its cost
     for lam in lambdas:
         f_lam = distance_to_target_functional(target, scale=lam,
                                               mode=distance_mode)
@@ -347,18 +332,12 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
         dists.append(dist)
         costs.append(res.cost_part)
         if dist <= radius:
-            feasible_pairs.append((lam, res.cost_part))
+            selected = (lam, res.cost_part)
     target_desc = (f"terminal summary, mean={np.array2string(target.mean, precision=4)}"
                    if isinstance(target, MeasureSummary)
                    else f"measure flow ({getattr(target, 'method', 'direct')})")
-    if feasible_pairs:
-        sel_lam, cost = feasible_pairs[-1]
-        return RateEstimate(
-            target_description=target_desc, radius=radius,
-            lambdas=tuple(lambdas), achieved_distances=tuple(dists),
-            cost_values=tuple(costs), feasible=True,
-            upper_bound=max(0.0, cost), selected_lambda=sel_lam)
     return RateEstimate(
         target_description=target_desc, radius=radius, lambdas=tuple(lambdas),
         achieved_distances=tuple(dists), cost_values=tuple(costs),
-        feasible=False, upper_bound=math.inf, selected_lambda=None)
+        feasible=selected[0] is not None, upper_bound=max(0.0, selected[1]),
+        selected_lambda=selected[0])

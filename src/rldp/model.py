@@ -285,15 +285,15 @@ def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
 def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
                **params) -> ModelSpec:
     """A zoo model, its parameters checked first: ``params`` and ``horizon``
-    finite reals (``b`` and ``init`` arrays of them), ``d1`` an integer >= 1,
-    d by default.  ``build(d1)`` gives (drift, diffusion, bound_L,
-    lipschitz_K); the initial states are the points ``init``, else uniform
-    on the domain.
+    finite reals (``b_const`` and ``init`` arrays of them), ``d1`` an
+    integer >= 1, d by default.  ``build(d1)`` gives (drift, diffusion,
+    bound_L, lipschitz_K) once they are; the initial states are the points
+    ``init``, else uniform on the domain.  ``params`` are kept as given.
     """
     for key, v in {**params, "horizon": horizon,
                    "init": [] if init is None else init}.items():
-        vals = (np.ravel(np.asarray(v, dtype=object)) if key in ("b", "init")
-                else [v])
+        vals = (np.ravel(np.asarray(v, dtype=object))
+                if key in ("b_const", "init") else [v])
         if not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
                    and math.isfinite(u) for u in vals):
             raise InputError(f"{name} {key} must be a finite real number, got {v!r}")
@@ -307,7 +307,7 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
         init_points=None if init is None else np.atleast_2d(
             np.asarray(init, dtype=float)),
         init_sampler=domain.sample_interior if init is None else None,
-        params={k: v.tolist() if k == "b" else v for k, v in params.items()})
+        params=params)
 
 
 def _zero_drift(t, x, mu):
@@ -373,19 +373,19 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
 def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
                  d1: int | None = None, horizon: float = 1.0, init=None) -> ModelSpec:
     """Constant-drift, constant-diffusion model (diagnostic negative controls)."""
-    b_const = np.broadcast_to(np.asarray(b_const, dtype=float),
-                              (domain.dimension,)).copy()
-
-    def drift(t, x, mu):
-        return np.broadcast_to(b_const, np.shape(x))
-
     def build(d1):
+        b = np.broadcast_to(np.asarray(b_const, dtype=float),
+                            (domain.dimension,)).copy()
+
+        def drift(t, x, mu):
+            return np.broadcast_to(b, np.shape(x))
+
         sig = _identity_sigma(domain.dimension, d1, sigma_scale)
         return (drift, _constant(sig),
-                float(np.linalg.norm(b_const) + np.linalg.norm(sig) + 1.0), 1.0)
+                float(np.linalg.norm(b) + np.linalg.norm(sig) + 1.0), 1.0)
 
     return _zoo_model("drifted", domain, d1, horizon, init, build,
-                      b=b_const, sigma_scale=sigma_scale)
+                      b_const=b_const, sigma_scale=sigma_scale)
 
 
 MODEL_REGISTRY = {

@@ -227,7 +227,7 @@ def test_variational_makes_one_simulation(monkeypatch):
     assert calls == [range(8)]
 
 
-def test_rate_makes_budget_plus_two_simulations_per_lambda(monkeypatch):
+def test_rate_makes_budget_plus_one_simulations_per_lambda(monkeypatch):
     budget, lambdas = 12, [1.0, 8.0]
     calls = _count_simulations(monkeypatch)
     with monkeypatch.context() as mp:
@@ -238,7 +238,7 @@ def test_rate_makes_budget_plus_two_simulations_per_lambda(monkeypatch):
         estimate_rate(M1, TARGET, lambdas, constant_family(1, bound=2.0), 4,
                       RATE_GRID, 8, budget, seed=6, radius=0.2)
     assert [res.n_evaluations for res in evals] == [budget] * len(lambdas)
-    assert len(calls) == len(lambdas) * (budget + 2)
+    assert len(calls) == len(lambdas) * (budget + 1)
     assert set(calls) == {range(8)}
 
 

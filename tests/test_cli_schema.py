@@ -17,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rldp.ensemble as ensemble_mod
-from rldp import cli
+from rldp import cli, diagnostics
+from rldp.integrator import TimeGrid
+from rldp.model import model_from_config
 
 MODEL = {"model": "m1", "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
          "sigma_scale": 0.5, "horizon": 0.5}
@@ -208,6 +210,43 @@ def test_model_parameters_checked_before_simulating(
     _assert_config_error(code, err, tmp_path)
     assert changes[-1][0][-1] in json.loads(err)["detail"]
     assert calls == []
+
+
+BALL3 = {"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("kind, changes", [
+    ("submartingale", [(("model", "domain"), BALL3),
+                       (("run", "function"), "linear_x1")]),
+    ("submartingale", [(("grid", "n_steps"), 6), (("run", "calibrate"), True)]),
+    ("simulate", [(("model", "model"), "drifted"), (("model", "b_const"), ["1"])]),
+    ("simulate", [(("model", "model"), "drifted"), (("model", "b_const"), True)]),
+    ("simulate", [(("model", "model"), "drifted"),
+                  (("model", "b_const"), [True])]),
+], ids=["boundary_condition", "calibrate_n_steps", "b_const_string",
+        "b_const_bool", "b_const_bool_list"])
+def test_checked_before_any_step(tmp_path, monkeypatch, kind, changes):
+    calls = []  # every simulation, of particles or of a reference flow
+    advance = ensemble_mod._advance
+    monkeypatch.setattr(ensemble_mod, "_advance",
+                        lambda *a, **k: calls.append(1) or advance(*a, **k))
+    code, err = _main(kind, _config(kind, changes), tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    assert changes[-1][0][-1] in json.loads(err)["detail"]
+    assert calls == []
+
+
+def test_calibrated_bias_is_the_calibration(tmp_path):
+    cfg = _config("submartingale", [(("run", "calibrate"), True)])
+    code, err = _main("submartingale", cfg, tmp_path)
+    assert code == 0, err
+    result = json.loads((tmp_path / "o" / "result.json").read_text())
+    model = model_from_config(MODEL)
+    f = diagnostics.standard_test_functions(1, 1)["neg_x_sq"]
+    n = cfg["run"]["n_particles"]
+    c_bias = diagnostics.calibrate_bias_allowance(
+        model, f, TimeGrid(0.5, 4), n_paths=min(n, 512), seed=cfg["seed"])
+    assert result["c_bias"] == c_bias > 0.0
 
 
 # -- strict schema: every block rejects unknown keys and non-numbers -------------

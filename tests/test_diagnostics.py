@@ -19,7 +19,8 @@ from rldp.diagnostics import (boundary_condition_check,
                               submartingale_test)
 from rldp.ensemble import marginal_flow, simulate_particle_system
 from rldp.errors import InputError, PreconditionError
-from rldp.geometry import ConvexDomain
+from rldp import rng as rngmod
+from rldp.geometry import BOUNDARY_TOL, ConvexDomain
 from rldp.integrator import TimeGrid
 from rldp.model import (MeasureSummary, ModelSpec, coefficients_batch,
                         make_drifted, make_m1, make_m2, make_m3)
@@ -47,6 +48,61 @@ class TestBoundaryCondition:
         check = boundary_condition_check(f, BOX2, seed=0)
         assert not check.passed
         assert check.worst_value == pytest.approx(1.0, abs=1e-6)
+
+    def test_nan_gradient_fails(self):
+        f = dataclasses.replace(
+            standard_test_functions(2, 2)["constant"], id="nan_grad",
+            grad_x=lambda t, x, z: np.full(np.shape(x), np.nan))
+        check = boundary_condition_check(f, BALL2, seed=0)
+        assert not check.passed
+        assert math.isnan(check.worst_value)
+
+    @pytest.mark.parametrize("domain", [BALL2, BALL3, BOX2],
+                             ids=["ball2", "ball3", "box2"])
+    def test_matches_one_normal_at_a_time_reference(self, domain):
+        """Equal at the default seed, which every caller uses.  At other
+        seeds a 3D normal may differ by an ulp, as ``np.linalg.norm`` of one
+        vector and the row norm of ``normals_at`` can, so there the worst
+        values are compared to a few ulps."""
+        d = domain.dimension
+        for f in standard_test_functions(d, d).values():
+            check = boundary_condition_check(f, domain, horizon=0.5)
+            ref = _boundary_check_reference(f, domain, 0, 0.5)
+            assert (check.passed, check.worst_value) == ref, f.id
+            for seed in (1, 2, 3):
+                check = boundary_condition_check(f, domain, seed=seed)
+                passed, worst = _boundary_check_reference(f, domain, seed, 1.0)
+                assert check.passed == passed, f.id
+                assert abs(check.worst_value - worst) <= 4 * math.ulp(worst)
+
+
+def _outward_normal_reference(domain, x):
+    """One boundary point's normal by the face test at the membership
+    tolerance and ``np.linalg.norm``, one point at a time."""
+    if domain.kind == "ball":
+        delta = x - domain.center
+        return delta / np.linalg.norm(delta)
+    n = np.zeros_like(x)
+    n -= (x <= domain.lo + BOUNDARY_TOL).astype(float)
+    n += (x >= domain.hi - BOUNDARY_TOL).astype(float)
+    return n / np.linalg.norm(n)
+
+
+def _boundary_check_reference(f, domain, seed, horizon):
+    """(passed, worst value) of the boundary check as a loop that keeps a
+    value only when it exceeds the worst so far."""
+    n_samples = diagnostics_mod._BOUNDARY_SAMPLES
+    gen = rngmod.substream(seed, rngmod.SAMPLER, 1)
+    xs = domain.sample_boundary(gen, n_samples)
+    zs = gen.standard_normal((n_samples, f.d1)) * diagnostics_mod._BOUNDARY_Z_SCALE
+    ts = gen.uniform(0.0, horizon, size=n_samples)
+    worst = -np.inf
+    for t, x, z in zip(ts, xs, zs):
+        val = float(f.grad_x(t, x[None, :], z[None, :])[0]
+                    @ _outward_normal_reference(domain, x))
+        if val > worst:
+            worst = val
+    return worst <= diagnostics_mod._BOUNDARY_TOL, worst
 
 
 class TestGenerator:

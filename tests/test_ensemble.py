@@ -1,5 +1,6 @@
 import csv
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -333,6 +334,20 @@ class TestReferenceFlow:
         # update is already a fixed point, so the next gap is below tol
         assert len(flow.iteration_distances) <= 2
         assert flow.iteration_distances[-1] < 5e-3
+
+    def test_picard_stops_after_three_increases_in_a_row(self, monkeypatch):
+        calls = []
+
+        def increasing(a, b):  # every distance larger than the one before
+            calls.append(1)
+            return SimpleNamespace(value=float(len(calls)))
+
+        monkeypatch.setattr(ensemble_mod, "bl_distance", increasing)
+        flow = solve_mckean_vlasov_reference(make_m2(BOX1), TimeGrid(0.5, 4),
+                                             method="picard", n_inner=8,
+                                             n_iter=8, seed=0)
+        assert flow.iteration_distances == (5.0, 10.0, 15.0, 20.0)
+        assert not flow.converged
 
 
 class TestOutputs:

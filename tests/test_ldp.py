@@ -6,8 +6,9 @@ import pytest
 import rldp.ensemble as ensemble_mod
 import rldp.ldp as ldp_mod
 from rldp import cli
-from rldp.controls import ZeroPolicy, constant_family
-from rldp.ensemble import (marginal_flow, simulate_particle_system,
+from rldp.controls import ZeroPolicy, constant_family, feedback_family
+from rldp.ensemble import (marginal_flow, shared_replica_draws,
+                           simulate_particle_system,
                            solve_mckean_vlasov_reference)
 from rldp.errors import ConfigError, InputError
 from rldp.geometry import ConvexDomain
@@ -193,6 +194,31 @@ class TestOptimizer:
         assert res.n_evaluations <= 30
 
 
+@pytest.mark.parametrize("family", ["constant", "feedback"])
+def test_optimizer_reports_its_best_recorded_evaluation(monkeypatch, family):
+    """The result is the best evaluation as recorded, and a fresh estimate
+    of its policy on the same draws gives the same bits."""
+    m = make_m1(BOX1, sigma_scale=0.5)
+    grid = TimeGrid(0.25, 8)
+    g = terminal_mean_functional(scale=1.0)
+    fam = (constant_family(1, bound=2.0) if family == "constant"
+           else feedback_family(1, 1, bound=2.0))
+    objectives = []
+    variational = ldp_mod.variational_objective
+    with shared_replica_draws():
+        with monkeypatch.context() as mp:
+            mp.setattr(ldp_mod, "variational_objective", lambda *a, **k: (
+                objectives.append(variational(*a, **k)) or objectives[-1]))
+            res = optimize_controls(m, g, fam, 4, grid, 4, fam.dim + 6, seed=2)
+        fresh = variational_objective(m, g, res.policy, 4, grid, 4, seed=2)
+    objectives = np.array([est.objective for est in objectives])
+    assert res.n_evaluations == len(objectives) == fam.dim + 6
+    assert np.array_equal(res.trace, np.minimum.accumulate(objectives))
+    assert res.objective == objectives.min()
+    assert (res.objective, res.cost_part, res.f_part) == (
+        fresh.objective, fresh.cost_part, fresh.f_part)
+
+
 class TestSharedDraws:
     def _optimize(self):
         m = make_m1(BOX1, sigma_scale=0.5)
@@ -205,7 +231,7 @@ class TestSharedDraws:
         with monkeypatch.context() as mp:
             calls = _count_noise_draws(mp, reuse=False)
             plain = self._optimize()
-        assert len(calls) == 2 * (plain.n_evaluations + 1)
+        assert len(calls) == 2 * plain.n_evaluations
         with monkeypatch.context() as mp:
             calls = _count_noise_draws(mp, reuse=True)
             shared = self._optimize()
