@@ -5,8 +5,7 @@ diagnostics."""
 from .controls import (ConstantPolicy, ControlPolicy, FeedbackPolicy,
                        PiecewiseConstantPolicy, PolicyFamily,
                        RelaxedControlView, ZeroPolicy, constant_family,
-                       ensemble_cost, feedback_family, piecewise_family,
-                       relax_control)
+                       ensemble_cost, feedback_family, relax_control)
 from .diagnostics import (SubmartingaleReport, TestFunction,
                           boundary_condition_check, calibrate_bias_allowance,
                           generator_apply, mf_process,

@@ -249,7 +249,7 @@ def _run_simulate(cfg, p, out: Path):
         "terminal_mean": terminal.mean,
         "terminal_cov_trace": terminal.cov_trace(),
         "total_local_time_mean": float(np.mean(ens.local_time[-1])),
-        "policy": ens.policy_id,
+        "policy": p["policy"].policy_id,
     }, ["paths.csv"]
 
 

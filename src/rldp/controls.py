@@ -56,11 +56,10 @@ def relax_control(h, grid: TimeGrid) -> RelaxedControlView:
     )
 
 
-def ensemble_cost(ens) -> float:
-    """(1 / 2N) sum_i sum_k |h_{i,k}|^2 dt, exact for piecewise-constant h."""
-    h = ens.controls  # (n_steps, N, d1)
-    n_particles = h.shape[1]
-    return float(np.sum(h ** 2) * ens.grid.dt / (2.0 * n_particles))
+def ensemble_cost(h: np.ndarray, dt: float) -> float:
+    """(1 / 2N) sum_i sum_k |h_{i,k}|^2 dt of one replica's controls h
+    (n_steps, N, d1), exact for piecewise-constant h."""
+    return float(np.sum(h ** 2) * dt / (2.0 * h.shape[1]))
 
 
 # -- policy families -------------------------------------------------------------
@@ -207,15 +206,6 @@ def constant_family(d1: int, bound: float = 3.0) -> PolicyFamily:
     def make(theta):
         return ConstantPolicy(np.clip(np.asarray(theta, dtype=float), -bound, bound))
     return PolicyFamily(name="constant", dim=d1, make=make, bound=bound)
-
-
-def piecewise_family(grid: TimeGrid, d1: int, bound: float = 3.0) -> PolicyFamily:
-    n = grid.n_steps
-
-    def make(theta):
-        vals = np.clip(np.asarray(theta, dtype=float).reshape(n, d1), -bound, bound)
-        return PiecewiseConstantPolicy(vals, grid)
-    return PolicyFamily(name="piecewise_constant", dim=n * d1, make=make, bound=bound)
 
 
 def feedback_family(d: int, d1: int, bound: float = 3.0) -> PolicyFamily:

@@ -12,10 +12,10 @@ of rebuilding them from the states.
 ``simulate_particle_system`` takes one replica (an int) or a ``range`` of
 them.  A range is stepped as one batch by a single ``_advance`` call: the
 returned ``Ensemble`` carries a replica axis after time in its path arrays
-and batched node summaries, and ``Ensemble.by_replica`` splits it into
-per-replica ensembles whose arrays are views.  Each replica's numbers are
-bit for bit those of simulating it alone; an int replica is the one-replica
-case of the same path, with no replica axis.
+and batched node summaries.  A reader takes replica j in place: the slice
+``[:, j]`` of a path array, ``summary.replica(j)`` of a node measure.  Each
+replica's numbers are bit for bit those of simulating it alone; an int
+replica is the one-replica case of the same path, with no replica axis.
 
 Noise is pre-assigned per (replica, particle) substream, so results do not
 depend on execution order, batching or worker count.  The Philox keys of a
@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,7 +61,8 @@ class Ensemble:
 
     For a batch (``replica`` a range of R replicas) every path array has an
     R axis after time, e.g. states (n+1, R, N, d), and each summary is
-    batched; ``by_replica`` gives the per-replica ensembles.  ``path`` and
+    batched; replica j is read in place, as ``[:, j]`` of a path array and
+    ``summary.replica(j)`` of a node measure.  ``path`` and
     ``write_paths_csv`` take one replica's ensemble; ``noise_paths`` takes
     either.
 
@@ -78,7 +79,6 @@ class Ensemble:
     noises: np.ndarray        # (n, N, d1) increments, time-major, read-only
     controls: np.ndarray      # (n, N, d1) applied h values per cell
     summaries: tuple          # (n+1,) MeasureSummary per node, views of states
-    policy_id: str
 
     @property
     def n_particles(self) -> int:
@@ -98,18 +98,6 @@ class Ensemble:
     def boundary_hits(self) -> np.ndarray:
         """Whether each particle-step hit the boundary, (n, N) bool."""
         return self.events.hits()
-
-    def by_replica(self) -> tuple:
-        """One ensemble per replica of a batch; its path arrays and
-        summaries are views, its events the replica's own."""
-        nodes = [mu.unstack() for mu in self.summaries]
-        events = self.events.split()
-        return tuple(
-            replace(self, replica=r, states=self.states[:, j],
-                    events=events[j],
-                    noises=self.noises[:, j], controls=self.controls[:, j],
-                    summaries=tuple(node[j] for node in nodes))
-            for j, r in enumerate(self.replica))
 
     def path(self, i: int) -> ReflectedPath:
         _check_single(self, "path")
@@ -174,8 +162,8 @@ class MeasureFlow:
 
 def _check_single(ens: Ensemble, what: str):
     if isinstance(ens.replica, range):
-        raise InputError(f"{what} takes one replica's ensemble; "
-                         "split a batch with by_replica()")
+        raise InputError(f"{what} takes the ensemble of one int replica, "
+                         "not a batch")
 
 
 def _check_budget(n_particles: int, n_steps: int, budget: int | None):
@@ -280,8 +268,7 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
         model, grid, states0, noises, policy, mu_flow=None)
     return Ensemble(
         grid=grid, replica=replica, states=states, events=events,
-        noises=noises, controls=controls, summaries=summaries,
-        policy_id=policy.policy_id if policy is not None else "zero")
+        noises=noises, controls=controls, summaries=summaries)
 
 
 def empirical_measure_at(ens: Ensemble, t: float) -> MeasureSummary:

@@ -137,19 +137,6 @@ class BoundaryEvents:
         hits[self.index] = _row_norm(self.overshoot) > 0.0
         return hits.reshape(self.shape)
 
-    def split(self) -> tuple:
-        """The events of each position along the first axis after the steps,
-        e.g. one ``BoundaryEvents`` per replica of a batch."""
-        n, r, *rest = self.shape
-        inner = math.prod(rest)
-        k, at = np.divmod(self.index, r * inner)
-        j, i = np.divmod(at, inner)
-        order = np.argsort(j, kind="stable")  # keeps each part ascending
-        index, overshoot = (k * inner + i)[order], self.overshoot[order]
-        bounds = np.searchsorted(j[order], np.arange(r + 1)).tolist()
-        return tuple(BoundaryEvents((n, *rest), index[a:b], overshoot[a:b])
-                     for a, b in zip(bounds[:-1], bounds[1:]))
-
 
 def _step(domain: ConvexDomain, x, drift, control, noise, dt: float):
     """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.

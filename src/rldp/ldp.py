@@ -7,15 +7,16 @@ The fixed-N identity being exercised:
         = inf over controls of { (1/2N) E[sum_i int |h_i|^2 dt] + E[F(controlled mu^N)] }
 
 The infimum runs over all progressively measurable controls; the package
-searches restricted families (constant / piecewise / feedback), so every
-rate output is an upper estimate and is named accordingly.
+searches restricted families (constant / feedback), so every rate output
+is an upper estimate and is named accordingly.
 
 Every Monte Carlo average here (the Laplace functional, the variational
 objective, the achieved distance) runs over R independent replicas.  They
 are stepped together: one ``simulate_particle_system`` call per batch of
 replicas, a batch being as many as fit their path arrays in
 ``_BATCH_BYTES``, so one call per objective evaluation at the usual sizes.
-Each replica's numbers are those of simulating it alone.
+Each replica is read in place, a node of its flow built only when read,
+and its numbers are those of simulating it alone.
 """
 
 from __future__ import annotations
@@ -105,12 +106,16 @@ def flow_distance(flow, target, mode: str = "terminal") -> float:
     """BL distance between a marginal flow and a target flow or summary.
 
     A flow is a MeasureFlow or a list of per-node summaries; both index
-    and iterate alike.  A summary target is a terminal target only.
+    and iterate alike.  A summary target is a terminal target only; an
+    integrated target must have the flow's number of nodes.
     """
     check_distance_mode(target, mode)
     if mode == "terminal":
         tgt = target if isinstance(target, MeasureSummary) else target[-1]
         return bl_distance(flow[-1], tgt).value
+    if len(flow) != len(target):
+        raise InputError(f"the integrated distance needs flows on one grid, "
+                         f"got {len(flow)} and {len(target)} nodes")
     vals = [bl_distance(a, b).value for a, b in zip(flow, target)]
     return float(np.mean(vals))
 
@@ -127,12 +132,27 @@ class LaplaceEstimate:
     log_sum_exp_guard: bool  # True when the estimate is unreliable
 
 
+class _ReplicaFlow:
+    """Replica ``j`` of a batched flow: node k is ``flow[k].replica(j)``,
+    built when read."""
+
+    def __init__(self, flow, j: int):
+        self._flow, self._j = flow, j
+
+    def __len__(self) -> int:
+        return len(self._flow)
+
+    def __getitem__(self, k: int) -> MeasureSummary:
+        return self._flow[k].replica(self._j)
+
+
 def _replica_flows(model: ModelSpec, n_particles: int, grid: TimeGrid,
                    n_replicas: int, seed: int, policy=None, budget=None):
-    """Yield the ensemble of each replica 0..R-1, simulated in batches.
+    """Yield (controls, flow) of each replica 0..R-1, simulated in batches.
 
     A batch holds as many replicas as fit their path arrays and noise in
     ``_BATCH_BYTES`` (at least one), so peak memory does not grow with R.
+    Controls (n, N, d1) and flow are read in place from the batch.
     """
     n, d, d1 = grid.n_steps, model.d, model.d1
     # bytes a replica: states at the n + 1 nodes, noise and controls on the
@@ -143,7 +163,9 @@ def _replica_flows(model: ModelSpec, n_particles: int, grid: TimeGrid,
         ens = simulate_particle_system(
             model, n_particles, grid, policy=policy, seed=seed,
             replica=range(lo, min(lo + size, n_replicas)), budget=budget)
-        yield from ens.by_replica()
+        flow = marginal_flow(ens)
+        for j in range(len(ens.replica)):
+            yield ens.controls[:, j], _ReplicaFlow(flow, j)
 
 
 def laplace_functional_mc(model: ModelSpec, functional: Functional,
@@ -157,9 +179,10 @@ def laplace_functional_mc(model: ModelSpec, functional: Functional,
     """
     if n_replicas < 2:
         raise InputError("need at least two replicas")
-    f_vals = np.array([functional(marginal_flow(ens))
-                       for ens in _replica_flows(model, n_particles, grid,
-                                                 n_replicas, seed, budget=budget)])
+    f_vals = np.array([functional(flow)
+                       for _, flow in _replica_flows(model, n_particles, grid,
+                                                     n_replicas, seed,
+                                                     budget=budget)])
     a = -n_particles * f_vals
     a_max = float(np.max(a))
     w = np.exp(a - a_max)
@@ -194,11 +217,11 @@ def variational_objective(model: ModelSpec, functional: Functional,
     """Mean control cost plus mean F over controlled replicas."""
     costs = np.empty(n_replicas)
     f_vals = np.empty(n_replicas)
-    for m, ens in enumerate(_replica_flows(model, n_particles, grid,
-                                           n_replicas, seed, policy=policy,
-                                           budget=budget)):
-        costs[m] = ensemble_cost(ens)
-        f_vals[m] = functional(marginal_flow(ens))
+    for m, (h, flow) in enumerate(_replica_flows(model, n_particles, grid,
+                                                 n_replicas, seed,
+                                                 policy=policy, budget=budget)):
+        costs[m] = ensemble_cost(h, grid.dt)
+        f_vals[m] = functional(flow)
     totals = costs + f_vals
     se = float(np.std(totals, ddof=1) / math.sqrt(n_replicas)) if n_replicas > 1 else 0.0
     return VariationalEstimate(
@@ -294,9 +317,9 @@ class RateEstimate:
 def achieved_distance(model: ModelSpec, policy: ControlPolicy, target,
                       n_particles: int, grid: TimeGrid, n_replicas: int,
                       seed: int, mode: str, budget=None) -> float:
-    vals = [flow_distance(marginal_flow(ens), target, mode)
-            for ens in _replica_flows(model, n_particles, grid, n_replicas,
-                                      seed, policy=policy, budget=budget)]
+    vals = [flow_distance(flow, target, mode)
+            for _, flow in _replica_flows(model, n_particles, grid, n_replicas,
+                                          seed, policy=policy, budget=budget)]
     return float(np.mean(vals))
 
 

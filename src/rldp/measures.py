@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 
 from .errors import InputError
 from .geometry import _row_norm
-from .integrator import ReflectedPath, TimeGrid
+from .integrator import TimeGrid
 from .model import MeasureSummary
 from . import rng as rngmod
 
@@ -256,9 +256,10 @@ class HolderStatistic:
     alpha: float
 
 
-def holder_statistic(path, alpha: float, times=None,
+def holder_statistic(path, alpha: float, times,
                      mode: str = "auto") -> HolderStatistic:
-    """Hoelder seminorm sup_{s<t} |f(t) - f(s)| / |t - s|^alpha on the grid.
+    """Hoelder seminorm sup_{s<t} |f(t) - f(s)| / |t - s|^alpha on the grid
+    of a path's values (n,) or (n, d) at ``times`` (n,).
 
     Exact O(n^2) evaluation for small grids; for larger ones an
     O(n log n) dyadic-scale upper bound (mode flagged in the output).
@@ -268,16 +269,12 @@ def holder_statistic(path, alpha: float, times=None,
         raise InputError("alpha must lie in (0, 1/2)")
     if mode not in ("auto", "exact", "dyadic"):
         raise InputError(f"mode must be auto, exact or dyadic, got {mode!r}")
-    if isinstance(path, ReflectedPath):
-        values = path.states
-        times = path.grid.nodes
-    else:
-        values = np.asarray(path, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        if times is None:
-            raise InputError("times required when path is a raw array")
-        times = np.asarray(times, dtype=float)
+    values = np.asarray(path, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if times is None:
+        raise InputError("times required")
+    times = np.asarray(times, dtype=float)
     n = values.shape[0]
     if n < 2:
         return HolderStatistic(value=0.0, mode=EXACT, alpha=alpha)

@@ -7,7 +7,8 @@ diffusion.  A state of shape (..., N, d) with leading batch axes is a stack
 of independent N-particle systems (replicas); its node summary is batched
 the same way: ``points`` (..., N, d), one weight vector (N,) shared by the
 stack, and ``mean`` (..., 1, d), which broadcasts against x.  An unbatched
-summary keeps its (d,) mean.  Every measure-dependent quantity a
+summary keeps its (d,) mean; ``replica(j)`` reads one measure of a batch as
+an unbatched summary, without copying its points.  Every measure-dependent quantity a
 coefficient reads (the mean, ``cov_trace()``) therefore carries the batch
 axes, and a coefficient must keep them apart: m2's drift broadcasts as it
 is, m3 reshapes the per-replica covariance trace.  Control policies follow
@@ -49,9 +50,8 @@ class MeasureSummary:
     The mean is computed on construction; the second moment (and with it
     the covariance) is computed on first use and then cached.  A batched
     summary stacks measures on the same number of atoms along leading axes
-    of ``points``; see the module docstring for its shapes.  ``unstack``
-    splits one batch axis into per-measure summaries with the bits each
-    would get on its own.
+    of ``points``; see the module docstring for its shapes.  ``replica``
+    reads one measure of a batch with the bits it would get on its own.
     """
 
     points: np.ndarray   # (n, d), or (..., n, d) for a batch
@@ -114,13 +114,13 @@ class MeasureSummary:
         tr = np.trace(self.covariance(), axis1=-2, axis2=-1)
         return float(tr) if tr.ndim == 0 else tr
 
-    def unstack(self) -> tuple:
-        """The measures of a batch along its first axis, as views.
+    def replica(self, j: int) -> "MeasureSummary":
+        """Measure ``j`` along a batch's first axis, as a view.
 
-        Each has the mean and second moment it would have if built alone.
+        It has the mean and second moment it would have if built alone.
         """
-        return tuple(MeasureSummary(points=p, weights=self.weights, mean=m[0])
-                     for p, m in zip(self.points, self.mean))
+        return MeasureSummary(points=self.points[j], weights=self.weights,
+                              mean=self.mean[j, 0])
 
     def is_dirac(self, tol: float = 0.0) -> bool:
         return self.n_atoms == 1 or bool(

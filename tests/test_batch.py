@@ -12,12 +12,15 @@ from rldp import cli
 from rldp.controls import (ConstantPolicy, FeedbackPolicy,
                            PiecewiseConstantPolicy, ZeroPolicy,
                            constant_family, feedback_family)
-from rldp.ensemble import simulate_particle_system, shared_replica_draws
+from rldp.ensemble import (marginal_flow, shared_replica_draws,
+                           simulate_particle_system,
+                           solve_mckean_vlasov_reference)
 from rldp.errors import InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
-from rldp.ldp import (estimate_rate, laplace_functional_mc,
-                      terminal_mean_functional, variational_objective)
+from rldp.ldp import (distance_to_target_functional, estimate_rate,
+                      laplace_functional_mc, terminal_mean_functional,
+                      variational_objective)
 from rldp.model import MeasureSummary, make_drifted, make_m1, make_m2, make_m3
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
@@ -61,11 +64,13 @@ def _looped(model, n_particles, grid, policy, replicas, seed):
 
 def _looped_flows(model, n_particles, grid, n_replicas, seed, policy=None,
                   budget=None):
-    """``ldp._replica_flows`` as a loop over single replicas."""
+    """``ldp._replica_flows`` as a loop over single replicas: the controls
+    and marginal flow of each replica simulated alone."""
     for m in range(n_replicas):
-        yield simulate_particle_system(model, n_particles, grid,
+        ens = simulate_particle_system(model, n_particles, grid,
                                        policy=policy, seed=seed, replica=m,
                                        budget=budget)
+        yield ens.controls, marginal_flow(ens)
 
 
 def _same(a, b):
@@ -77,15 +82,20 @@ PATH_ARRAYS = ("states", "reflection", "local_time", "boundary_hits",
                "controls", "noises")
 
 
-def _assert_equal_ensembles(got, ref):
+def _assert_replica_equals(batch, j, ref):
+    """Replica ``j`` of a batch, read in place, equals ``ref`` simulated
+    alone: the ``[:, j]`` slice of every path array and ``replica(j)`` of
+    every node measure."""
+    assert batch.replica[j] == ref.replica
     for name in PATH_ARRAYS:
-        assert _same(getattr(got, name), getattr(ref, name)), name
-    assert got.replica == ref.replica
-    assert len(got.summaries) == len(ref.summaries)
-    for k, (mu, nu) in enumerate(zip(got.summaries, ref.summaries)):
-        assert _same(mu.mean, nu.mean), k
-        assert _same(mu.second_moment, nu.second_moment), k
-        assert _same(mu.weights, nu.weights), k
+        assert _same(getattr(batch, name)[:, j], getattr(ref, name)), name
+    assert len(batch.summaries) == len(ref.summaries)
+    for k, (mu, nu) in enumerate(zip(batch.summaries, ref.summaries)):
+        one = mu.replica(j)
+        assert _same(one.points, nu.points), k
+        assert _same(one.mean, nu.mean), k
+        assert _same(one.second_moment, nu.second_moment), k
+        assert _same(one.weights, nu.weights), k
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)
@@ -105,32 +115,17 @@ def test_batch_equals_loop(model_name, domain_name, policy_name):
         assert batch.boundary_hits.size == (
             n_replicas * N_PARTICLES * GRID.n_steps)
         for j, r in enumerate(ref):
-            for name in PATH_ARRAYS:
-                assert _same(getattr(batch, name)[:, j], getattr(r, name)), name
+            _assert_replica_equals(batch, j, r)
             for mu, nu in zip(batch.summaries, r.summaries):
-                assert _same(mu.mean[j, 0], nu.mean)
                 assert _same(mu.second_moment[j], nu.second_moment)
-        for got, r in zip(batch.by_replica(), ref):
-            _assert_equal_ensembles(got, r)
 
 
 def test_offset_range_equals_its_replicas():
     model = make_m2(BALL2, theta=0.7)
     batch = simulate_particle_system(model, 5, GRID, seed=2,
                                      replica=range(3, 6))
-    for got, r in zip(batch.by_replica(),
-                      _looped(model, 5, GRID, None, range(3, 6), seed=2)):
-        _assert_equal_ensembles(got, r)
-    assert [e.replica for e in batch.by_replica()] == [3, 4, 5]
-
-
-def test_by_replica_views_are_read_only_noise():
-    batch = simulate_particle_system(make_m1(BOX1), 4, GRID, seed=0,
-                                     replica=range(2))
-    for ens in batch.by_replica():
-        assert np.shares_memory(ens.states, batch.states)
-        with pytest.raises(ValueError):
-            ens.noises[0, 0, 0] = 1.0
+    for j, r in enumerate(_looped(model, 5, GRID, None, range(3, 6), seed=2)):
+        _assert_replica_equals(batch, j, r)
 
 
 def test_empty_range_rejected():
@@ -150,14 +145,17 @@ def test_shared_draws_memoize_the_batch():
     assert _same(fresh.states, a.states)
 
 
-def test_batched_summary_unstacks_to_its_measures():
+def test_batched_summary_replica_is_its_measure():
     gen = np.random.default_rng(0)
     pts = gen.uniform(-1, 1, (4, 9, 3))
     batch = MeasureSummary.from_points(pts)
     assert batch.mean.shape == (4, 1, 3)
     assert batch.cov_trace().shape == (4,)
-    for j, mu in enumerate(batch.unstack()):
+    for j in range(4):
+        mu = batch.replica(j)
         alone = MeasureSummary.from_points(pts[j])
+        assert np.shares_memory(mu.points, batch.points)
+        assert mu.mean.shape == alone.mean.shape == (3,)
         assert _same(mu.mean, alone.mean)
         assert _same(mu.second_moment, alone.second_moment)
         assert mu.cov_trace() == alone.cov_trace() == batch.cov_trace()[j]
@@ -197,14 +195,41 @@ def test_variational_equals_loop(monkeypatch, policy_name):
     assert batched == looped
 
 
-@pytest.mark.parametrize("family", [constant_family(1, bound=2.0),
-                                    feedback_family(1, 1, bound=2.0)],
-                         ids=["constant", "feedback"])
-def test_rate_equals_loop(monkeypatch, family):
+# a small reference flow keeps the integrated mode's 1D LPs small
+REF_FLOW = solve_mckean_vlasov_reference(M1, RATE_GRID, n_ref=8, seed=1)
+
+
+@pytest.mark.parametrize("family, target, mode", [
+    (constant_family(1, bound=2.0), TARGET, "terminal"),
+    (feedback_family(1, 1, bound=2.0), TARGET, "terminal"),
+    (constant_family(1, bound=2.0), REF_FLOW, "integrated"),
+], ids=["constant", "feedback", "constant-integrated"])
+def test_rate_equals_loop(monkeypatch, family, target, mode):
     batched, looped = _both(monkeypatch, lambda: estimate_rate(
-        M1, TARGET, [1.0, 8.0], family, 4, RATE_GRID, 3, family.dim + 4,
-        seed=6, radius=0.2))
+        M1, target, [1.0, 8.0], family, 4, RATE_GRID, 3, family.dim + 4,
+        seed=6, radius=0.2, distance_mode=mode))
     assert batched == looped
+
+
+@pytest.mark.parametrize("mode, per_replica", [
+    ("terminal", 1), ("integrated", RATE_GRID.n_steps + 1)])
+def test_replica_nodes_built_only_when_read(monkeypatch, mode, per_replica):
+    """A functional of the terminal measure builds one node measure per
+    replica and evaluation, an integrated one every node of it."""
+    built = []
+    replica = MeasureSummary.replica
+
+    def counting(self, j):
+        built.append(j)
+        return replica(self, j)
+
+    monkeypatch.setattr(MeasureSummary, "replica", counting)
+    f = distance_to_target_functional(REF_FLOW, scale=1.0, mode=mode)
+    n_replicas = 5
+    variational_objective(M1, f, ConstantPolicy([0.3]), 4, RATE_GRID,
+                          n_replicas, seed=1)
+    assert len(built) == n_replicas * per_replica
+    assert sorted(set(built)) == list(range(n_replicas))
 
 
 def _count_simulations(mp):

@@ -93,10 +93,6 @@ def test_events_rebuild_the_dense_loop(monkeypatch, domain_name, policy_name,
     assert len(ens.events.index) < ref["boundary_hits"].size
     for name, want in ref.items():
         _assert_bytes(getattr(ens, name), want, name)
-    if isinstance(replica, range):
-        for j, one in enumerate(ens.by_replica()):
-            for name, want in ref.items():
-                _assert_bytes(getattr(one, name), want[:, j], name)
 
 
 @pytest.mark.parametrize("domain_name", sorted(DOMAINS))

@@ -5,7 +5,7 @@ from rldp import cli
 from rldp.controls import (ConstantPolicy, FeedbackPolicy,
                            PiecewiseConstantPolicy, ZeroPolicy,
                            constant_family, ensemble_cost, feedback_family,
-                           piecewise_family, relax_control)
+                           relax_control)
 from rldp.errors import ConfigError, InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
@@ -51,29 +51,23 @@ class TestRelaxControl:
             relax_control(np.array([[np.inf], [0.0]]), grid)
 
 
-class _FakeEnsemble:
-    def __init__(self, controls, grid):
-        self.controls = controls
-        self.grid = grid
-
-
 class TestEnsembleCost:
     def test_zero_policy(self):
         grid = TimeGrid(1.0, 4)
-        assert ensemble_cost(_FakeEnsemble(np.zeros((4, 3, 1)), grid)) == 0.0
+        assert ensemble_cost(np.zeros((4, 3, 1)), grid.dt) == 0.0
 
     def test_identical_constant_controls(self):
         grid = TimeGrid(1.0, 4)
         for n in (1, 2, 7):
             h = np.full((4, n, 1), 2.0)
-            assert ensemble_cost(_FakeEnsemble(h, grid)) == pytest.approx(
+            assert ensemble_cost(h, grid.dt) == pytest.approx(
                 0.5 * 4.0 * 1.0)  # 1/2 |v|^2 T, N-independent
 
     def test_two_particle_average(self):
         grid = TimeGrid(1.0, 4)
         h = np.zeros((4, 2, 1))
         h[:, 0, 0] = 1.0
-        assert ensemble_cost(_FakeEnsemble(h, grid)) == pytest.approx(0.25)
+        assert ensemble_cost(h, grid.dt) == pytest.approx(0.25)
 
 
 class TestPolicies:
@@ -106,14 +100,11 @@ class TestPolicies:
         assert np.allclose(out, 0.0)
 
     def test_families(self):
-        grid = TimeGrid(1.0, 4)
         fam_c = constant_family(2, bound=1.0)
         assert fam_c.dim == 2
         assert fam_c.make(np.zeros(2)).is_zero() or np.allclose(
             fam_c.make(np.zeros(2)).evaluate(0, np.zeros((1, 1)),
                                              self._mu()), 0)
-        fam_p = piecewise_family(grid, 1, bound=1.0)
-        assert fam_p.dim == 4
         fam_f = feedback_family(1, 1, bound=1.0)
         assert fam_f.dim == FeedbackPolicy.n_features(1)
 

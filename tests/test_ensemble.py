@@ -478,7 +478,8 @@ class TestTimeMajorNoise:
         np.cumsum(ens.noises, axis=0, out=ref[1:])
         w = ens.noise_paths()
         assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
-        for j, one in enumerate(ens.by_replica()):
+        for j in range(3):
+            one = simulate_particle_system(m, 7, grid, seed=8, replica=j)
             assert one.noise_paths().tobytes() == \
                 np.ascontiguousarray(w[:, j]).tobytes()
 
@@ -510,9 +511,10 @@ class TestBatchHelpers:
 
     def test_path_rejects_batch(self):
         ens = self._batch()
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="not a batch"):
             ens.path(0)
-        one = ens.by_replica()[1]
+        one = simulate_particle_system(make_m2(BALL3, theta=0.5), 3,
+                                       TimeGrid(1.0, 4), seed=2, replica=1)
         assert np.array_equal(one.path(2).states, ens.states[:, 1, 2])
 
     def test_paths_csv_rejects_batch_before_writing(self, tmp_path):
@@ -522,7 +524,11 @@ class TestBatchHelpers:
         assert not out.exists()
 
     def test_paths_csv_of_one_replica_of_a_batch(self, tmp_path):
-        ens = self._batch().by_replica()[1]
+        batch = self._batch()
+        ens = simulate_particle_system(make_m2(BALL3, theta=0.5), 3,
+                                       TimeGrid(1.0, 4), seed=2, replica=1)
+        assert ens.states.tobytes() == \
+            np.ascontiguousarray(batch.states[:, 1]).tobytes()
         out = tmp_path / "paths.csv"
         write_paths_csv(ens, str(out))
         with open(out, newline="") as fh:

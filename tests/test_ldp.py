@@ -311,6 +311,14 @@ class TestRate:
             list(flow), point, "terminal")
         assert flow_distance(flow, flow, "integrated") == 0.0
 
+    def test_integrated_distance_needs_one_grid(self):
+        m = make_m1(BOX1)
+        coarse, fine = (marginal_flow(simulate_particle_system(
+            m, 4, TimeGrid(0.25, n), seed=1)) for n in (4, 16))
+        for a, b in ((coarse, fine), (fine, coarse)):
+            with pytest.raises(InputError, match="one grid"):
+                flow_distance(a, b, "integrated")
+
     def test_bad_schedule_rejected(self):
         m = make_m1(BOX1)
         fam = constant_family(1)
