@@ -27,7 +27,7 @@ from scipy.special import ndtri
 from .ensemble import (Ensemble, MeasureFlow, cumulative_noise, marginal_flow,
                        simulate_particle_system)
 from .errors import InputError, ModelError, PreconditionError
-from .geometry import ConvexDomain
+from .geometry import ConvexDomain, _row_sumsq
 from .integrator import TimeGrid
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 from . import rng as rngmod
@@ -89,7 +89,7 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
              lambda t, x, z: np.broadcast_to(np.asarray(t, dtype=float),
                                              np.shape(x)[:-1]).copy(),
              f_t=lambda t, x, z: np.ones(np.shape(x)[:-1])),
-        make("neg_x_sq", lambda t, x, z: -np.sum(np.asarray(x) ** 2, axis=-1),
+        make("neg_x_sq", lambda t, x, z: -_row_sumsq(np.asarray(x, dtype=float)),
              grad_x=lambda t, x, z: -2.0 * np.asarray(x, dtype=float),
              hess_xx=lambda t, x, z: _const_mat(x, neg2_xx)),
         make("linear_x1", lambda t, x, z: np.asarray(x)[..., 0].copy(),
@@ -99,7 +99,7 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
              lambda t, x, z: np.asarray(x)[..., 0] * np.asarray(z)[..., 0],
              grad_x=lambda t, x, z: e_x1(x) * np.asarray(z)[..., 0, None],
              hess_xz=lambda t, x, z: x1z1_hess_xz(x)),
-        make("neg_z_sq", lambda t, x, z: -np.sum(np.asarray(z) ** 2, axis=-1),
+        make("neg_z_sq", lambda t, x, z: -_row_sumsq(np.asarray(z, dtype=float)),
              hess_zz=lambda t, x, z: _const_mat(x, neg2_zz)),
     ]
     return {tf.id: tf for tf in funcs}
@@ -160,6 +160,12 @@ def generator_apply(model: ModelSpec, f: TestFunction, t: float, x, y, z,
     return float(val)
 
 
+def _core(m: np.ndarray) -> np.ndarray:
+    """m's one matrix when m is that matrix broadcast over the batch (every
+    leading stride 0), else m itself."""
+    return m[(0,) * (m.ndim - 2)] if not any(m.strides[:-2]) else m
+
+
 def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
                      x: np.ndarray, y: np.ndarray, z: np.ndarray,
                      nu_t: MeasureSummary) -> np.ndarray:
@@ -169,26 +175,26 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
     formed, and b is made contiguous as the sum would have made it, so that
     einsum picks the same kernel.  ``coefficients_batch`` hands back sigma
     broadcast over the batch when the diffusion is one (d, d1) matrix, as it
-    is for every zoo model.
-    sigma sigma^T is then formed once from that core and broadcast against
-    the Hessians, instead of once per point; a state-dependent sigma goes
-    through the same expression per point.  Both give the same bits.
+    is for every zoo model, and a particle-invariant Hessian comes as one
+    matrix broadcast the same way.
+    Each such operand is reduced to its one matrix, so the diffusion, cross
+    and noise terms are formed once, not once per point, and broadcast in
+    the final sum; a state-dependent operand goes through the same
+    expression per point.  Both give the same bits.
     """
     b, sig = coefficients_batch(model, t, x, nu_t)
     gx = f.grad_x(t, x, z)
-    hxx = f.hess_xx(t, x, z)
-    hxz = f.hess_xz(t, x, z)
-    hzz = f.hess_zz(t, x, z)
     if y is None:
         b = np.ascontiguousarray(b)
     else:
         b = b + np.einsum("...ij,...j->...i", sig, y)
     drift_term = np.einsum("...i,...i->...", b, gx)
-    core = sig[(0,) * (sig.ndim - 2)] if not any(sig.strides[:-2]) else sig
-    a = np.einsum("...ik,...jk->...ij", core, core)  # sigma sigma^T
-    diff_term = 0.5 * np.einsum("...ij,...ij->...", a, hxx)
-    cross_term = np.einsum("...ij,...ij->...", sig, hxz)
-    noise_term = 0.5 * np.einsum("...ii->...", hzz)
+    sig = _core(sig)
+    a = np.einsum("...ik,...jk->...ij", sig, sig)  # sigma sigma^T
+    diff_term = 0.5 * np.einsum("...ij,...ij->...", a,
+                                _core(f.hess_xx(t, x, z)))
+    cross_term = np.einsum("...ij,...ij->...", sig, _core(f.hess_xz(t, x, z)))
+    noise_term = 0.5 * np.einsum("...ii->...", _core(f.hess_zz(t, x, z)))
     return drift_term + diff_term + cross_term + noise_term
 
 
@@ -200,8 +206,8 @@ def mf_process(f: TestFunction, states, controls, noise_path,
     """Discrete M_f series with left-endpoint Riemann sums; M_f(0) = 0.
 
     The integrand is ``_generator_batch`` at each node, which forms the
-    particle-invariant sigma sigma^T once per node, not once per path, and
-    skips the sigma h term when every control is zero.
+    particle-invariant generator terms once per node, not once per path,
+    and skips the sigma h term when every control is zero.
 
     states:     (n+1, d) or (n+1, N, d)
     controls:   (n, d1) or (n, N, d1) atomic control values

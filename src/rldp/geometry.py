@@ -47,16 +47,23 @@ def _json_reals(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(x, axis=-1)`` bit for bit, and faster: numpy sums the
+def _row_sumsq(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x ** 2, axis=-1)`` bit for bit, and faster: numpy sums the
     squares left to right on a last axis shorter than 8, pairwise beyond.
-    A single point gives a 0-d array."""
+    A single point gives a 0-d array, or a numpy scalar when d >= 8."""
     if x.shape[-1] >= 8:
-        return np.linalg.norm(x, axis=-1)
+        return np.sum(x * x, axis=-1)
     acc = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
     for k in range(1, x.shape[-1]):
         acc += x[..., k] * x[..., k]
-    return np.sqrt(acc, out=acc)
+    return acc
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` bit for bit: the root of
+    ``_row_sumsq``, taken in place except for a single point."""
+    acc = _row_sumsq(x)
+    return np.sqrt(acc, out=acc) if acc.ndim else np.sqrt(acc)
 
 
 @dataclass(frozen=True)
@@ -141,15 +148,22 @@ class ConvexDomain:
         Only points outside the closure move: every point of the closure,
         -0.0 coordinates included, comes back bit for bit.  The overshoot
         ``x - project(x)`` is nonzero exactly when the projection moved x.
+        A ball writes only the rows outside it, into a copy of x, so the
+        result is always a new array.
         """
         x = _as_point(x, self.dimension)
         if self.kind == "box":
             return np.clip(x, self.lo, self.hi)
         delta = x - self.center
-        r = _row_norm(delta)[..., None]
+        r = _row_norm(delta)
+        if r.ndim == 0:  # a single point
+            if r > self.radius:
+                return self.center + delta * (self.radius / r)
+            return x.copy()
         out = r > self.radius
-        scale = self.radius / np.where(out, r, 1.0)  # divides only by r > R > 0
-        return np.where(out, self.center + delta * scale, x)
+        p = x.copy()
+        p[out] = self.center + delta[out] * (self.radius / r[out])[:, None]
+        return p
 
     # -- normals ------------------------------------------------------------
 

@@ -402,6 +402,54 @@ class TestMfProcessBitwise:
             assert h.strides[0] == 0 and not h.flags.writeable
 
 
+class TestSquareFunctions:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_f_equals_sum_of_squares(self, d):
+        """neg_x_sq and neg_z_sq give ``-np.sum(v ** 2, axis=-1)`` bit for
+        bit: a 0-d value for a single point, one per row of a batch."""
+        rng = np.random.default_rng(900 + d)
+        fs = standard_test_functions(d, d)
+        v = rng.normal(size=(2, 17, d))
+        for batch in (v, v[0], v[0, 0]):
+            want = -np.sum(batch ** 2, axis=-1)
+            for got in (fs["neg_x_sq"].f(0.0, batch, 0.0 * batch),
+                        fs["neg_z_sq"].f(0.0, 0.0 * batch, batch)):
+                assert np.shape(got) == batch.shape[:-1]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_CORE_MODELS = [make_m2(BOX1, theta=0.7), make_m2(BALL3, theta=0.7),
+                _custom_model(BOX1, 3, sigma_of_x=True),
+                _custom_model(BALL3, 2, sigma_of_x=False)]
+_CORE_IDS = ["m2-d1", "m2-d3", "state-sigma-d1", "dense-sigma-d3"]
+
+
+class TestGeneratorCores:
+    @pytest.mark.parametrize("model", _CORE_MODELS, ids=_CORE_IDS)
+    def test_broadcast_hessians_equal_materialised(self, model):
+        """A particle-invariant Hessian, reduced to its one matrix, gives the
+        bits of the same Hessian materialised per particle, with and without
+        a control."""
+        rng = np.random.default_rng(10 * model.d + model.d1)
+        x = model.domain.sample_interior(rng, 65)
+        z = rng.normal(size=(65, model.d1))
+        nu = MeasureSummary.from_points(x)
+        names = ("hess_xx", "hess_xz", "hess_zz")
+        generator = diagnostics_mod._generator_batch
+        for y in (None, rng.normal(size=(65, model.d1))):
+            for fid, f in standard_test_functions(model.d, model.d1).items():
+                dense = dataclasses.replace(f, **{
+                    name: (lambda h: lambda t, x, z: np.ascontiguousarray(
+                        h(t, x, z)))(getattr(f, name)) for name in names})
+                got = generator(model, f, 0.1, x, y, z, nu)
+                ref = generator(model, dense, 0.1, x, y, z, nu)
+                assert got.shape == (65,), fid
+                assert got.tobytes() == ref.tobytes(), fid
+        f = standard_test_functions(model.d, model.d1)["neg_x_sq"]
+        assert all(diagnostics_mod._core(getattr(f, name)(0.1, x, z)).ndim
+                   == 2 for name in names)
+
+
 class TestSubmartingaleInputs:
     def _ens(self, n_particles=16):
         m = make_m1(BOX1, sigma_scale=0.5)

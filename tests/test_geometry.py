@@ -3,7 +3,7 @@ import pytest
 
 from rldp.errors import InputError
 from rldp.geometry import (BOUNDARY, BOUNDARY_TOL, EXTERIOR, INTERIOR,
-                           ConvexDomain, skorokhod_1d)
+                           ConvexDomain, _row_norm, _row_sumsq, skorokhod_1d)
 from rldp.integrator import step_reflected
 
 
@@ -330,3 +330,55 @@ class TestClosureFixed:
         for dom in _domains(d)[:2]:
             for x in self._closure_points(dom, rng):
                 assert _same_bytes(dom.project(x), x)
+
+
+class TestRowSumsq:
+    """``_row_sumsq`` is ``np.sum(x ** 2, axis=-1)`` and ``_row_norm`` is
+    ``np.linalg.norm(x, axis=-1)``, bit for bit, on both sides of numpy's
+    switch to pairwise sums at d = 8 and for single points."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_batches_and_single_points(self, d):
+        rng = np.random.default_rng(600 + d)
+        x = rng.normal(size=(2, 33, d)) * np.logspace(-3, 3, 33)[:, None]
+        x[0, 0] = -0.0
+        for v in (x, x[1], x[0, 0], x[1, 5]):
+            assert _same_bytes(_row_sumsq(v), np.sum(v ** 2, axis=-1))
+            assert _same_bytes(_row_norm(v), np.linalg.norm(v, axis=-1))
+
+
+class TestProjectCopies:
+    """A ball's projection is always a new array, since it writes the rows
+    outside into a copy: writing into the result never changes the input."""
+
+    @staticmethod
+    def _assert_new_array(dom, x):
+        keep = x.copy()
+        p = dom.project(x)
+        assert not np.shares_memory(p, x)
+        p[...] = np.nan
+        assert _same_bytes(x, keep)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 9))
+    def test_batches(self, d):
+        rng = np.random.default_rng(700 + d)
+        for dom in _domains(d)[:2]:
+            mixed = _edge_points(dom, rng)
+            inside = dom.sample_interior(rng, len(mixed))
+            r = np.linalg.norm(mixed - dom.center, axis=-1)
+            assert np.any(r > dom.radius) and np.any(r <= dom.radius)
+            assert _same_bytes(dom.project(inside), inside)
+            batch = np.stack([mixed, mixed[::-1], inside])
+            assert _same_bytes(dom.project(batch),
+                               np.stack([dom.project(b) for b in batch]))
+            for x in (inside, mixed, batch):
+                self._assert_new_array(dom, x)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 9))
+    def test_single_points(self, d):
+        rng = np.random.default_rng(800 + d)
+        for dom in _domains(d)[:2]:
+            outside = dom.center + 2.0 * dom.radius * np.eye(d)[0]
+            for x in (dom.sample_interior(rng, 1)[0], dom.center.copy(),
+                      outside):
+                self._assert_new_array(dom, x)
