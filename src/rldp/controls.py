@@ -1,8 +1,7 @@
-"""Control policies, their relaxed-control view, and the quadratic cost.
+"""Control policies and the quadratic control cost.
 
-Only atomic relaxed controls (Dirac-valued time slices induced by an
-ordinary feedback rule h) are representable: every control the optimizer
-touches is an ordinary h, and for quadratic cost at fixed mean atomic
+A control is an ordinary feedback rule h, that is an atomic relaxed control
+(Dirac-valued time slices): for quadratic cost at fixed mean atomic
 controls are optimal anyway.
 
 Policies follow the coefficient contract of ``model``: states of shape
@@ -20,40 +19,6 @@ import numpy as np
 from .errors import InputError
 from .integrator import TimeGrid
 from .model import MeasureSummary
-
-
-@dataclass(frozen=True)
-class RelaxedControlView:
-    """Moments of the relaxed control induced by piecewise-constant h."""
-
-    grid: TimeGrid
-    values: np.ndarray       # (n_cells, d1)
-    first_moment: float      # int |y| r(dy x dt)
-    quadratic_cost: float    # int |y|^2 r(dy x dt)
-
-    def mass_up_to(self, t: float) -> float:
-        """r(R^{d1} x [0, t]) = t by construction."""
-        return float(t)
-
-
-def relax_control(h, grid: TimeGrid) -> RelaxedControlView:
-    """Exact moments of the atomic relaxed control rho(B x I) = int_I delta_h(t)(B) dt."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        h = h[:, None]
-    if h.shape[0] == grid.n_steps + 1:
-        h = h[:-1]
-    if h.shape[0] != grid.n_steps:
-        raise InputError("h must have one value per grid cell")
-    if not np.all(np.isfinite(h)):
-        raise InputError("control values must be finite")
-    norms = np.linalg.norm(h, axis=1)
-    dt = grid.dt
-    return RelaxedControlView(
-        grid=grid, values=h,
-        first_moment=float(np.sum(norms) * dt),
-        quadratic_cost=float(np.sum(norms ** 2) * dt),
-    )
 
 
 def ensemble_cost(h: np.ndarray, dt: float) -> float:

@@ -45,8 +45,7 @@ import numpy as np
 
 from .controls import ControlPolicy
 from .errors import BudgetError, InputError
-from .integrator import (BoundaryEvents, ReflectedPath, TimeGrid, _advance,
-                         brownian_increments)
+from .integrator import BoundaryEvents, TimeGrid, _advance, brownian_increments
 from .measures import bl_distance
 from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
@@ -62,9 +61,8 @@ class Ensemble:
     For a batch (``replica`` a range of R replicas) every path array has an
     R axis after time, e.g. states (n+1, R, N, d), and each summary is
     batched; replica j is read in place, as ``[:, j]`` of a path array and
-    ``summary.replica(j)`` of a node measure.  ``path`` and
-    ``write_paths_csv`` take one replica's ensemble; ``noise_paths`` takes
-    either.
+    ``summary.replica(j)`` of a node measure.  ``write_paths_csv`` takes
+    one replica's ensemble; ``noise_paths`` takes either.
 
     The reflection is held as ``events``, the particle-steps with a nonzero
     overshoot.  ``reflection`` (n+1, N, d), ``local_time`` (n+1, N) and
@@ -98,16 +96,6 @@ class Ensemble:
     def boundary_hits(self) -> np.ndarray:
         """Whether each particle-step hit the boundary, (n, N) bool."""
         return self.events.hits()
-
-    def path(self, i: int) -> ReflectedPath:
-        _check_single(self, "path")
-        return ReflectedPath(
-            grid=self.grid,
-            states=self.states[:, i, :],
-            reflection=self.reflection[:, i, :],
-            local_time=self.local_time[:, i],
-            boundary_hits=self.boundary_hits[:, i],
-        )
 
     def noise_paths(self) -> np.ndarray:
         """Cumulative driving noise w(t_k), shape (n+1, ..., N, d1), w(0) = 0.

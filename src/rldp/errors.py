@@ -13,10 +13,6 @@ class ModelError(RuntimeError):
     """Coefficient evaluation produced invalid (non-finite) output."""
 
 
-class AssumptionViolationError(ModelError):
-    """Strict-mode coefficient bound check failed."""
-
-
 class BudgetError(RuntimeError):
     """A configured resource budget would be exceeded."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -104,13 +104,6 @@ class ConvexDomain:
             return self.lo.shape[0]
         return self.center.shape[0]
 
-    @property
-    def bounding_radius(self) -> float:
-        """Radius of a ball centered at the origin containing the closure."""
-        if self.kind == "box":
-            return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
-        return float(np.linalg.norm(self.center) + self.radius)
-
     # -- membership ---------------------------------------------------------
 
     def contains(self, x) -> str:
@@ -167,13 +160,6 @@ class ConvexDomain:
 
     # -- normals ------------------------------------------------------------
 
-    def outward_normal(self, x) -> np.ndarray:
-        """Outward unit normal at one boundary point: ``normals_at(x)``,
-        once ``x`` is checked to lie on the boundary."""
-        if self.contains(x) != BOUNDARY:
-            raise PreconditionError("outward_normal requires a boundary point")
-        return self.normals_at(x)
-
     def normals_at(self, x) -> np.ndarray:
         """Batched outward normals; rows not on the boundary are zero."""
         x = _as_point(x, self.dimension)
@@ -192,7 +178,7 @@ class ConvexDomain:
     # -- sampling helpers ----------------------------------------------------
 
     def sample_interior(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points uniform on the closure (used by validators and tests)."""
+        """n points uniform on the closure (zoo models' default initial law)."""
         d = self.dimension
         if self.kind == "box":
             return rng.uniform(self.lo, self.hi, size=(n, d))

@@ -12,8 +12,7 @@ builds each node's empirical measure once.  Leading axes before the N
 particles stack independent systems (replicas), so one call steps a whole
 Monte Carlo batch; each replica gets the bits it would get alone.  The
 ``ensemble`` system (one replica or a range of them) and the Picard flow
-run on it, ``simulate_reflected_path`` on a one-particle system;
-``step_reflected`` is one checked ``_step``.
+run on it, ``simulate_reflected_path`` on a one-particle system.
 
 Reflection acts only on the boundary: the projection moves only points
 outside the domain, so the core keeps the overshoot of the few
@@ -38,6 +37,11 @@ from .geometry import ConvexDomain, EXTERIOR, _row_norm
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 
 
+def _is_count(v) -> bool:
+    """Whether ``v`` is an integer >= 1 (a bool is not)."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= 1
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k dt on [0, T]."""
@@ -50,7 +54,7 @@ class TimeGrid:
         if (isinstance(h, bool) or not isinstance(h, numbers.Real)
                 or not math.isfinite(h) or h <= 0):
             raise InputError(f"horizon must be a finite number > 0, got {h!r}")
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not _is_count(n):
             raise InputError(f"n_steps must be an integer >= 1, got {n!r}")
 
     @property
@@ -67,9 +71,6 @@ class TimeGrid:
         if not 0 <= k <= self.n_steps or abs(t - k * self.dt) > tol:
             raise InputError(f"time {t} is not a grid node")
         return int(k)
-
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.n_steps * factor)
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,8 @@ class BoundaryEvents:
         return self._accumulate(self.overshoot)
 
     def local_time(self) -> np.ndarray:
-        """Accumulated |y - p|, shape (n+1, ..., N); ``_row_norm`` of a row
-        gives the bits of ``step_reflected``'s |dK|."""
+        """Accumulated |y - p|, shape (n+1, ..., N): an event's |y - p| is
+        the ``_row_norm`` of its overshoot row."""
         return self._accumulate(_row_norm(self.overshoot))
 
     def hits(self) -> np.ndarray:
@@ -221,28 +222,6 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     return states, events, controls, tuple(summaries)
 
 
-def step_reflected(domain: ConvexDomain, x, drift_term, control_term,
-                   noise_term, dt: float):
-    """One checked projected-Euler step from a state inside the closed domain.
-
-    Returns (x_next, dK, d_abs_K, hit): dK = y - x_next is the overshoot,
-    d_abs_K its ``_row_norm`` and hit whether that is positive, the rule
-    ``BoundaryEvents`` applies to the stepping core's events.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if dt <= 0:
-        raise InputError("dt must be positive")
-    if domain.contains(x) == EXTERIOR:
-        raise PreconditionError("step_reflected requires x in the closed domain")
-    terms = [np.atleast_1d(np.asarray(v, dtype=float))
-             for v in (drift_term, control_term, noise_term)]
-    if not all(np.all(np.isfinite(v)) for v in terms):
-        raise InputError("step terms must be finite")
-    p, dK = _step(domain, x, *terms, dt)
-    disp = float(_row_norm(dK))
-    return p, dK, disp, disp > 0.0
-
-
 def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
                             mu_flow, control, noise, x0) -> ReflectedPath:
     """One path under a frozen measure flow: a one-particle ``_advance``.
@@ -286,27 +265,11 @@ def brownian_increments(rng: np.random.Generator, n_steps: int, d1: int,
     return rng.standard_normal((n_steps, d1)) * np.sqrt(dt)
 
 
-def refine_increments(dW: np.ndarray, dt: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Halve the step via Brownian-bridge midpoint sampling.
-
-    Splits each increment over [t, t + dt] into two half-step increments
-    that sum to it, so coarse and fine grids are couplings of the same
-    Brownian motion.  Returns shape (2 n_steps, d1) at step dt / 2.
-    """
-    dW = np.asarray(dW, dtype=float)
-    n, d1 = dW.shape
-    xi = rng.standard_normal((n, d1)) * np.sqrt(dt / 4.0)
-    first = dW / 2.0 + xi
-    second = dW / 2.0 - xi
-    out = np.empty((2 * n, d1))
-    out[0::2] = first
-    out[1::2] = second
-    return out
-
-
 def coarsen_increments(dW: np.ndarray, factor: int) -> np.ndarray:
-    """Sum consecutive blocks of increments (inverse view of refinement)."""
+    """Sum each block of ``factor`` consecutive increments (n_steps, d1):
+    the same Brownian path's increments on a grid ``factor`` times coarser."""
+    if not _is_count(factor):
+        raise InputError(f"factor must be an integer >= 1, got {factor!r}")
     dW = np.asarray(dW, dtype=float)
     n, d1 = dW.shape
     if n % factor != 0:

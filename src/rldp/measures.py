@@ -1,4 +1,4 @@
-"""Distances between probability measures and path-regularity statistics.
+"""Bounded-Lipschitz (BL) distances between probability measures.
 
 The bounded-Lipschitz distance sup { int f d(mu - nu) : |f| <= 1, Lip(f) <= 1 }
 is computed exactly against any Dirac, in any dimension, by the closed form
@@ -241,63 +241,3 @@ def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
     return BLEstimate(value=min(2.0, best), method=DICTIONARY,
                       dictionary_size=dictionary_size)
 
-
-# -- Hoelder statistic ---------------------------------------------------------------
-
-EXACT = "exact"
-DYADIC_BOUND = "dyadic_upper_bound"
-_HOLDER_EXACT_NODES = 2048  # "auto" evaluates grids up to this size exactly
-
-
-@dataclass(frozen=True)
-class HolderStatistic:
-    value: float
-    mode: str
-    alpha: float
-
-
-def holder_statistic(path, alpha: float, times,
-                     mode: str = "auto") -> HolderStatistic:
-    """Hoelder seminorm sup_{s<t} |f(t) - f(s)| / |t - s|^alpha on the grid
-    of a path's values (n,) or (n, d) at ``times`` (n,).
-
-    Exact O(n^2) evaluation for small grids; for larger ones an
-    O(n log n) dyadic-scale upper bound (mode flagged in the output).
-    ``mode`` "exact" or "dyadic" forces one of them.
-    """
-    if not 0.0 < alpha < 0.5:
-        raise InputError("alpha must lie in (0, 1/2)")
-    if mode not in ("auto", "exact", "dyadic"):
-        raise InputError(f"mode must be auto, exact or dyadic, got {mode!r}")
-    values = np.asarray(path, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if times is None:
-        raise InputError("times required")
-    times = np.asarray(times, dtype=float)
-    n = values.shape[0]
-    if n < 2:
-        return HolderStatistic(value=0.0, mode=EXACT, alpha=alpha)
-
-    if mode == "exact" or (mode == "auto" and n <= _HOLDER_EXACT_NODES):
-        best = 0.0
-        for i in range(n - 1):
-            d = np.linalg.norm(values[i + 1:] - values[i], axis=-1)
-            dt = times[i + 1:] - times[i]
-            best = max(best, float(np.max(d / dt ** alpha)))
-        return HolderStatistic(value=best, mode=EXACT, alpha=alpha)
-
-    # dyadic upper bound: any gap m in [2^j, 2^{j+1}) splits into at most
-    # one block per scale <= j, so the quotient is at most
-    # (sum_{i<=j} D_i) / (2^j dt)^alpha with D_i the max increment at scale 2^i
-    dt = float(times[1] - times[0])
-    scale_max = []
-    j = 0
-    while (1 << j) < n:
-        step = 1 << j
-        d = np.linalg.norm(values[step:] - values[:-step], axis=-1)
-        scale_max.append(float(np.max(d)))
-        j += 1
-    cum = np.cumsum(scale_max)
-    bound = max(cum[j] / ((1 << j) * dt) ** alpha for j in range(len(cum)))
-    return HolderStatistic(value=float(bound), mode=DYADIC_BOUND, alpha=alpha)

@@ -1,4 +1,4 @@
-"""Model coefficients, empirical-measure summaries, and assumption checks.
+"""Model coefficients and empirical-measure summaries.
 
 Coefficient callables take (t, x, mu) where mu is a MeasureSummary.  They
 must accept x of shape (d,), (N, d) or (..., N, d), and return arrays that
@@ -27,9 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolationError, InputError, ModelError
+from .errors import InputError, ModelError
 from .geometry import ConvexDomain
-from . import rng as rngmod
 
 _WEIGHT_TOL = 1e-12
 
@@ -137,8 +136,6 @@ class ModelSpec:
     horizon: float
     drift: Callable          # (t, x, mu) -> (..., d)
     diffusion: Callable      # (t, x, mu) -> (..., d, d1)
-    bound_L: float           # declared sup of |b| + ||sigma||_HS
-    lipschitz_K: float       # declared Lipschitz constant
     init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d)
     init_sampler: Callable | None = None       # (rng, n) -> (n, d)
     params: dict = field(default_factory=dict)
@@ -148,8 +145,6 @@ class ModelSpec:
             raise InputError("horizon must be positive")
         if self.d1 < 1:
             raise InputError("noise dimension must be >= 1")
-        if self.bound_L <= 0 or self.lipschitz_K <= 0:
-            raise InputError("declared constants L and K must be positive")
         if self.init_points is None and self.init_sampler is None:
             raise InputError("model needs deterministic inits or a sampler")
         if self.init_points is not None:
@@ -173,23 +168,15 @@ class ModelSpec:
         return np.asarray(self.init_sampler(rng, n), dtype=float)
 
 
-def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary,
-                      strict: bool = False):
-    """Evaluate (b, sigma) at a single state.
-
-    In strict mode asserts the declared bound |b| + ||sigma||_HS <= L.
-    """
+def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary):
+    """Evaluate (b, sigma) at a single state; non-finite values are a
+    ``ModelError``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.d,):
         raise InputError(f"x must be a single state of dimension {model.d}")
     b, sig = (v.copy() for v in coefficients_batch(model, t, x, mu))
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise ModelError(f"non-finite coefficients at t={t}, x={x}")
-    if strict:
-        total = np.linalg.norm(b) + np.linalg.norm(sig)
-        if total > model.bound_L + 1e-9:
-            raise AssumptionViolationError(
-                f"|b|+||sigma|| = {total:.6g} exceeds declared L = {model.bound_L}")
     return b, sig
 
 
@@ -209,70 +196,6 @@ def coefficients_batch(model: ModelSpec, t: float, x: np.ndarray,
     return b, sig
 
 
-# -- Assumption (A3) validation ------------------------------------------------
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    max_bound_observed: float
-    max_lipschitz_ratio_observed: float
-    bound_ok: bool
-    lipschitz_ok: bool
-    n_samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.bound_ok and self.lipschitz_ok
-
-
-def _random_summary(domain: ConvexDomain, rng: np.random.Generator) -> MeasureSummary:
-    n = int(rng.integers(1, 6))
-    pts = domain.sample_interior(rng, n)
-    w = rng.uniform(0.2, 1.0, size=n)
-    w /= w.sum()
-    return MeasureSummary.from_points(pts, w)
-
-
-def validate_assumptions(model: ModelSpec, n_samples: int = 1000,
-                         seed: int = 0) -> AssumptionReport:
-    """Sample (t, x, mu) tuples and pairs; check the declared (A3) constants.
-
-    Failures are report entries, not exceptions.  The Lipschitz denominator
-    uses the bounded-Lipschitz distance between the sampled measures.
-    """
-    from .measures import bl_distance  # local import to avoid a cycle
-
-    if n_samples < 2:
-        raise InputError("n_samples must be >= 2")
-    gen = rngmod.substream(seed, rngmod.SAMPLER)
-    max_bound = 0.0
-    max_ratio = 0.0
-    for _ in range(n_samples):
-        t = float(gen.uniform(0.0, model.horizon))
-        x = model.domain.sample_interior(gen, 2)
-        mu = _random_summary(model.domain, gen)
-        nu = _random_summary(model.domain, gen)
-        try:
-            b1, s1 = eval_coefficients(model, t, x[0], mu)
-            b2, s2 = eval_coefficients(model, t, x[1], nu)
-        except ModelError:
-            max_bound = np.inf
-            continue
-        max_bound = max(max_bound,
-                        np.linalg.norm(b1) + np.linalg.norm(s1),
-                        np.linalg.norm(b2) + np.linalg.norm(s2))
-        denom = float(np.linalg.norm(x[0] - x[1])) + bl_distance(mu, nu).value
-        if denom > 1e-9:
-            num = np.linalg.norm(b1 - b2) + np.linalg.norm(s1 - s2)
-            max_ratio = max(max_ratio, num / denom)
-    return AssumptionReport(
-        max_bound_observed=float(max_bound),
-        max_lipschitz_ratio_observed=float(max_ratio),
-        bound_ok=bool(max_bound <= model.bound_L + 1e-9),
-        lipschitz_ok=bool(max_ratio <= model.lipschitz_K + 1e-9),
-        n_samples=n_samples,
-    )
-
-
 # -- Model zoo -----------------------------------------------------------------
 
 def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
@@ -286,9 +209,9 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
                **params) -> ModelSpec:
     """A zoo model, its parameters checked first: ``params`` and ``horizon``
     finite reals (``b_const`` and ``init`` arrays of them), ``d1`` an
-    integer >= 1, d by default.  ``build(d1)`` gives (drift, diffusion,
-    bound_L, lipschitz_K) once they are; the initial states are the points
-    ``init``, else uniform on the domain.  ``params`` are kept as given.
+    integer >= 1, d by default.  ``build(d1)`` gives (drift, diffusion)
+    once they are; the initial states are the points ``init``, else
+    uniform on the domain.  ``params`` are kept as given.
     """
     for key, v in {**params, "horizon": horizon,
                    "init": [] if init is None else init}.items():
@@ -300,10 +223,10 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
     d1 = domain.dimension if d1 is None else d1
     if isinstance(d1, bool) or not isinstance(d1, numbers.Integral) or d1 < 1:
         raise InputError(f"{name} d1 must be an integer >= 1, got {d1!r}")
-    drift, diffusion, bound_L, lipschitz_K = build(d1)
+    drift, diffusion = build(d1)
     return ModelSpec(
         name=name, domain=domain, d1=d1, horizon=horizon, drift=drift,
-        diffusion=diffusion, bound_L=bound_L, lipschitz_K=lipschitz_K,
+        diffusion=diffusion,
         init_points=None if init is None else np.atleast_2d(
             np.asarray(init, dtype=float)),
         init_sampler=domain.sample_interior if init is None else None,
@@ -323,8 +246,8 @@ def make_m1(domain: ConvexDomain, d1: int | None = None, horizon: float = 1.0,
             sigma_scale: float = 1.0, init=None) -> ModelSpec:
     """M1: zero drift, constant (identity-like) diffusion."""
     def build(d1):
-        sig = _identity_sigma(domain.dimension, d1, sigma_scale)
-        return _zero_drift, _constant(sig), np.linalg.norm(sig) + 1.0, 1.0
+        return _zero_drift, _constant(_identity_sigma(domain.dimension, d1,
+                                                      sigma_scale))
 
     return _zoo_model("m1", domain, d1, horizon, init, build,
                       sigma_scale=sigma_scale)
@@ -337,11 +260,8 @@ def make_m2(domain: ConvexDomain, theta: float = 1.0, sigma_scale: float = 0.5,
         return theta * (mu.mean - np.asarray(x, dtype=float))
 
     def build(d1):
-        sig = _identity_sigma(domain.dimension, d1, sigma_scale)
-        diam = 2.0 * domain.bounding_radius
-        return (drift, _constant(sig),
-                abs(theta) * diam + np.linalg.norm(sig) + 1.0,
-                2.0 * abs(theta) + 1.0)
+        return drift, _constant(_identity_sigma(domain.dimension, d1,
+                                                sigma_scale))
 
     return _zoo_model("m2", domain, d1, horizon, init, build,
                       theta=theta, sigma_scale=sigma_scale)
@@ -362,9 +282,7 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
                 s = s[..., None, None, None]
             return s * eye
 
-        return (_zero_drift, diffusion, clip_L + 1.0,
-                max(1.0, 4.0 * sigma_scale * alpha * hs
-                    * domain.bounding_radius + 1.0))
+        return _zero_drift, diffusion
 
     return _zoo_model("m3", domain, d1, horizon, init, build,
                       sigma_scale=sigma_scale, alpha=alpha, clip_L=clip_L)
@@ -380,9 +298,8 @@ def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
         def drift(t, x, mu):
             return np.broadcast_to(b, np.shape(x))
 
-        sig = _identity_sigma(domain.dimension, d1, sigma_scale)
-        return (drift, _constant(sig),
-                float(np.linalg.norm(b) + np.linalg.norm(sig) + 1.0), 1.0)
+        return drift, _constant(_identity_sigma(domain.dimension, d1,
+                                                sigma_scale))
 
     return _zoo_model("drifted", domain, d1, horizon, init, build,
                       b_const=b_const, sigma_scale=sigma_scale)

@@ -25,9 +25,9 @@ import numpy as np
 NOISE = 0      # Brownian increments, keyed (NOISE, replica, particle)
 INIT = 1       # initial-condition sampling, keyed (INIT, replica)
 DICT = 2       # function dictionaries for measure distances
-SAMPLER = 3    # generic validation / diagnostic sampling
+SAMPLER = 3    # diagnostic sampling
 OPT = 4        # optimizer restart points
-BRIDGE = 5     # Brownian-bridge refinement, keyed (BRIDGE, replica, particle, level)
+BRIDGE = 5     # reserved for Brownian-bridge refinement; nothing draws from it
 
 # numpy's SeedSequence hashing constants (O'Neill's seed_seq_fe, pool of four
 # 32-bit words).  substream_keys reproduces SeedSequence with them.

@@ -4,9 +4,8 @@ import pytest
 from rldp import cli
 from rldp.controls import (ConstantPolicy, FeedbackPolicy,
                            PiecewiseConstantPolicy, ZeroPolicy,
-                           constant_family, ensemble_cost, feedback_family,
-                           relax_control)
-from rldp.errors import ConfigError, InputError
+                           constant_family, ensemble_cost, feedback_family)
+from rldp.errors import ConfigError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
 from rldp.model import MeasureSummary, make_m1
@@ -18,37 +17,6 @@ def policy_from_config(block, grid, d, d1):
            "grid": grid}
     run = {"n_particles": 2, "policy": block}
     return cli._parse(cli.KINDS["simulate"][1], run, "run", env)["policy"]
-
-
-class TestRelaxControl:
-    def test_zero(self):
-        grid = TimeGrid(1.0, 10)
-        r = relax_control(np.zeros((10, 1)), grid)
-        assert r.quadratic_cost == 0.0
-        assert r.first_moment == 0.0
-
-    def test_constant(self):
-        grid = TimeGrid(2.0, 8)
-        v = np.full((8, 1), 1.5)
-        r = relax_control(v, grid)
-        assert r.quadratic_cost == pytest.approx(1.5 ** 2 * 2.0)
-        assert r.first_moment == pytest.approx(1.5 * 2.0)
-
-    def test_piecewise(self):
-        grid = TimeGrid(1.0, 10)
-        h = np.zeros((10, 1))
-        h[:5] = 1.0  # 1 on [0, 1/2), 0 after
-        assert relax_control(h, grid).quadratic_cost == pytest.approx(0.5)
-
-    def test_time_marginal_is_lebesgue(self):
-        grid = TimeGrid(1.0, 4)
-        r = relax_control(np.ones((4, 1)), grid)
-        assert r.mass_up_to(0.75) == pytest.approx(0.75)
-
-    def test_nonfinite_rejected(self):
-        grid = TimeGrid(1.0, 2)
-        with pytest.raises(InputError):
-            relax_control(np.array([[np.inf], [0.0]]), grid)
 
 
 class TestEnsembleCost:

@@ -331,7 +331,7 @@ def _custom_model(domain, d1, sigma_of_x):
     return ModelSpec(
         name="custom", domain=domain, d1=d1, horizon=0.5,
         drift=lambda t, x, mu: 0.3 * (mu.mean - np.asarray(x)),
-        diffusion=diffusion, bound_L=10.0, lipschitz_K=10.0,
+        diffusion=diffusion,
         init_sampler=lambda rng, n: domain.sample_interior(rng, n))
 
 

@@ -305,9 +305,9 @@ class TestReferenceFlow:
             return np.zeros((1, 1))
 
         m = ModelSpec(name="contract", domain=dom, d1=1, horizon=1.0,
-                      drift=drift, diffusion=diffusion, bound_L=2.0,
-                      lipschitz_K=1.0, init_points=np.array([[0.5]]),
-                      init_sampler=None, params={})
+                      drift=drift, diffusion=diffusion,
+                      init_points=np.array([[0.5]]), init_sampler=None,
+                      params={})
         grid = TimeGrid(1.0, 100)
         for method in ("large_N", "picard"):
             flow = solve_mckean_vlasov_reference(m, grid, method=method,
@@ -508,14 +508,6 @@ class TestBatchHelpers:
         return simulate_particle_system(make_m2(BALL3, theta=0.5), 3,
                                         TimeGrid(1.0, 4), seed=2,
                                         replica=range(2))
-
-    def test_path_rejects_batch(self):
-        ens = self._batch()
-        with pytest.raises(InputError, match="not a batch"):
-            ens.path(0)
-        one = simulate_particle_system(make_m2(BALL3, theta=0.5), 3,
-                                       TimeGrid(1.0, 4), seed=2, replica=1)
-        assert np.array_equal(one.path(2).states, ens.states[:, 1, 2])
 
     def test_paths_csv_rejects_batch_before_writing(self, tmp_path):
         out = tmp_path / "paths.csv"

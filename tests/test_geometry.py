@@ -4,7 +4,7 @@ import pytest
 from rldp.errors import InputError
 from rldp.geometry import (BOUNDARY, BOUNDARY_TOL, EXTERIOR, INTERIOR,
                            ConvexDomain, _row_norm, _row_sumsq, skorokhod_1d)
-from rldp.integrator import step_reflected
+from rldp.integrator import _step
 
 
 class TestContains:
@@ -72,15 +72,15 @@ class TestProject:
 class TestOutwardNormal:
     def test_sphere_radial(self):
         dom = ConvexDomain.ball([0.0, 0.0], 1.0)
-        assert np.allclose(dom.outward_normal([0.0, 1.0]), [0.0, 1.0])
+        assert np.allclose(dom.normals_at([0.0, 1.0]), [0.0, 1.0])
 
     def test_interval_endpoint(self):
         dom = ConvexDomain.box([0.0], [1.0])
-        assert np.allclose(dom.outward_normal([0.0]), [-1.0])
+        assert np.allclose(dom.normals_at([0.0]), [-1.0])
 
     def test_symmetric_corner(self):
         dom = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])
-        n = dom.outward_normal([1.0, 1.0])
+        n = dom.normals_at([1.0, 1.0])
         assert np.allclose(n, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
     def test_supporting_hyperplane_inequality(self):
@@ -272,25 +272,24 @@ class TestRowNormBitwise:
                 assert _same_bytes(dom.project(x), _project_reference(dom, x))
 
     @pytest.mark.parametrize("d", range(1, 10))
-    def test_step_reflected_overshoot_norm(self, d):
-        """|dK| and the hit are ``np.linalg.norm(y - p, axis=-1)`` and its
-        sign."""
+    def test_step_overshoot_norm(self, d):
+        """``_step`` returns p = project(y) and dK = y - p, and the
+        ``_row_norm`` of dK, whose sign is the hit, is
+        ``np.linalg.norm(y - p, axis=-1)``: for a batch and each point."""
         rng = np.random.default_rng(300 + d)
-        zero = np.zeros(d)
         for dom in _domains(d):
             mid = (dom.center if dom.kind == "ball"
                    else (dom.lo + dom.hi) / 2.0)
-            for x in _edge_points(dom, rng):
-                noise = x - mid
-                y = mid + ((zero * 1.0 + noise) + zero * 1.0)
-                p, dK, dabs, hit = step_reflected(dom, mid, zero, zero,
-                                                  noise, 1.0)
-                norm = np.linalg.norm(y - _project_reference(dom, y), axis=-1)
-                assert _same_bytes(p, _project_reference(dom, y))
+            xs = _edge_points(dom, rng)
+            for x in (xs, *xs):
+                zero, noise = np.zeros_like(x), x - mid
+                y = mid + (zero * 1.0 + noise)
+                p, dK = _step(dom, mid, zero, None, noise, 1.0)
+                ref = _project_reference(dom, y)
+                assert _same_bytes(p, ref)
                 assert _same_bytes(dK, y - p)
-                assert type(dabs) is float and type(hit) is bool
-                assert np.float64(dabs).tobytes() == norm.tobytes()
-                assert hit == (norm > 0.0)
+                assert _same_bytes(_row_norm(dK),
+                                   np.linalg.norm(y - ref, axis=-1))
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_contains_all_and_normals_at(self, d):

@@ -8,8 +8,7 @@ from rldp.ensemble import marginal_flow, simulate_particle_system
 from rldp.errors import InputError, PreconditionError
 from rldp.geometry import ConvexDomain, skorokhod_1d
 from rldp.integrator import (TimeGrid, _advance, brownian_increments,
-                             coarsen_increments, refine_increments,
-                             simulate_reflected_path, step_reflected)
+                             coarsen_increments, simulate_reflected_path)
 from rldp.model import (MeasureSummary, ModelSpec, make_drifted, make_m1,
                         make_m2)
 from rldp.rng import NOISE, substream
@@ -31,10 +30,6 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(1.0, 4).node_index(0.3)
 
-    def test_refine(self):
-        g = TimeGrid(1.0, 4).refine(2)
-        assert g.n_steps == 8 and g.horizon == 1.0
-
     def test_invalid(self):
         with pytest.raises(InputError):
             TimeGrid(-1.0, 4)
@@ -51,52 +46,6 @@ class TestTimeGrid:
     def test_numpy_scalars_accepted(self):
         g = TimeGrid(np.float64(0.5), np.int64(4))
         assert g.dt == 0.125
-
-
-class TestStepReflected:
-    def test_no_motion(self):
-        x, dK, dabs, hit = step_reflected(BOX1, np.array([0.5]),
-                                          np.zeros(1), np.zeros(1),
-                                          np.zeros(1), 0.1)
-        assert x[0] == 0.5 and dabs == 0.0 and not hit
-
-    def test_clamp_arithmetic(self):
-        x, dK, dabs, hit = step_reflected(BOX1, np.array([0.9]),
-                                          np.array([2.0]), np.zeros(1),
-                                          np.zeros(1), 0.1)
-        assert x[0] == pytest.approx(1.0)
-        assert dabs == pytest.approx(0.1)
-        assert hit
-
-    def test_radial_projection(self):
-        dom = ConvexDomain.ball([0.0, 0.0], 1.0)
-        x, dK, dabs, hit = step_reflected(dom, np.array([0.8, 0.0]),
-                                          np.zeros(2), np.zeros(2),
-                                          np.array([0.4, 0.0]), 1.0)
-        assert np.allclose(x, [1.0, 0.0])
-        assert np.allclose(dK, [0.2, 0.0])
-
-
-    @pytest.mark.parametrize("dt", [0.0, -0.1])
-    def test_nonpositive_dt_rejected(self, dt):
-        with pytest.raises(InputError):
-            step_reflected(BOX1, [0.5], [0.0], [0.0], [0.0], dt)
-
-    @pytest.mark.parametrize("drift, control, noise", [
-        ([np.nan], [0.0], [0.0]),
-        ([0.0], [np.inf], [0.0]),
-        ([0.0], [0.0], [-np.inf]),
-    ])
-    def test_nonfinite_terms_rejected(self, drift, control, noise):
-        with pytest.raises(InputError):
-            step_reflected(BOX1, [0.5], drift, control, noise, 0.1)
-
-    @pytest.mark.parametrize("domain, x", [(BOX1, [1.5]),
-                                           (BALL2, [0.9, 0.9])])
-    def test_exterior_state_rejected(self, domain, x):
-        zero = np.zeros(domain.dimension)
-        with pytest.raises(PreconditionError):
-            step_reflected(domain, x, zero, zero, zero, 0.1)
 
 
 def _frozen_flow(grid, point):
@@ -122,9 +71,9 @@ class TestSimulateReflectedPath:
             return np.zeros((1, 1))
 
         m = ModelSpec(name="ode", domain=BOX1, d1=1, horizon=1.0,
-                      drift=drift, diffusion=diffusion, bound_L=3.0,
-                      lipschitz_K=1.0, init_points=np.array([[0.1]]),
-                      init_sampler=None, params={})
+                      drift=drift, diffusion=diffusion,
+                      init_points=np.array([[0.1]]), init_sampler=None,
+                      params={})
         grid = TimeGrid(1.0, 100)  # dt = 0.01
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.1]),
                                        None, np.zeros((100, 1)), [0.1])
@@ -188,7 +137,6 @@ class TestSimulateReflectedPath:
 
         m = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
                       drift=drift, diffusion=make_m1(BOX1).diffusion,
-                      bound_L=2.0, lipschitz_K=1.0,
                       init_points=np.array([[0.5]]), init_sampler=None,
                       params={})
         grid = TimeGrid(1.0, 4)
@@ -213,11 +161,10 @@ class TestOneSteppingCore:
         path = simulate_reflected_path(model, grid, marginal_flow(ens),
                                        control, ens.noises[:, 0],
                                        ens.states[0, 0])
-        particle = ens.path(0)
-        assert np.array_equal(path.states, particle.states)
-        assert np.array_equal(path.reflection, particle.reflection)
-        assert np.array_equal(path.local_time, particle.local_time)
-        assert np.array_equal(path.boundary_hits, particle.boundary_hits)
+        assert np.array_equal(path.states, ens.states[:, 0])
+        assert np.array_equal(path.reflection, ens.reflection[:, 0])
+        assert np.array_equal(path.local_time, ens.local_time[:, 0])
+        assert np.array_equal(path.boundary_hits, ens.boundary_hits[:, 0])
 
 
 class _CountingPolicy(ConstantPolicy):
@@ -267,14 +214,17 @@ class TestReflectionProperties:
 
 
 class TestBrownianCoupling:
-    def test_refine_then_coarsen_recovers(self):
-        rng = substream(11, NOISE, 0, 0)
-        dt = 0.25
-        dW = brownian_increments(rng, 8, 2, dt)
-        bridge_rng = substream(11, 5, 0)  # BRIDGE namespace
-        fine = refine_increments(dW, dt, bridge_rng)
-        assert fine.shape == (16, 2)
-        assert np.allclose(coarsen_increments(fine, 2), dW)
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4, 6, 12, np.int64(3)])
+    def test_coarsen_is_block_sums(self, factor):
+        dW = brownian_increments(substream(11, NOISE, 0, 0), 12, 2, 0.25)
+        got = coarsen_increments(dW, factor)
+        ref = dW.reshape(12 // factor, factor, 2).sum(axis=1)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("factor", [0, -1, 2.0, True, "2", None, 5])
+    def test_coarsen_bad_factor_rejected(self, factor):
+        with pytest.raises(InputError):
+            coarsen_increments(np.zeros((12, 2)), factor)
 
     def test_increment_variance(self):
         rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ from rldp import rng as rngmod
 from rldp.errors import InputError
 from rldp.integrator import TimeGrid
 from rldp.measures import (_bl_dictionary, _path_dictionary_gaps, _row_norm,
-                           bl_distance, holder_statistic, path_bl_distance)
+                           bl_distance, path_bl_distance)
 from rldp.model import MeasureSummary
 
 
@@ -406,56 +406,6 @@ class TestPathBL:
             assert all(v > 0 for v in vals)
             medians.append(np.median(vals))
         assert medians[1] < medians[0]
-
-
-class TestHolderStatistic:
-    def test_constant_path(self):
-        t = np.linspace(0, 1, 33)
-        assert holder_statistic(np.zeros((33, 1)), 0.125, t).value == 0.0
-
-    def test_linear_path(self):
-        t = np.linspace(0, 1, 65)
-        stat = holder_statistic(t[:, None], 0.125, t)
-        # sup |t-s| / |t-s|^{1/8} = 1^{7/8} = 1 at the endpoints
-        assert stat.value == pytest.approx(1.0, abs=1e-12)
-        assert stat.mode == "exact"
-
-    def test_dyadic_bound_dominates_exact(self):
-        rng = np.random.default_rng(1)
-        n = 256
-        t = np.linspace(0, 1, n + 1)
-        path = np.cumsum(rng.normal(0, 0.05, (n + 1, 1)), axis=0)
-        exact = holder_statistic(path, 0.125, t, mode="exact").value
-        bound = holder_statistic(path, 0.125, t, mode="dyadic").value
-        assert bound >= exact - 1e-12
-
-    def test_reflected_bm_stability(self):
-        # median over 64 reflected-BM paths stays within +-20% when the
-        # step size is halved (finiteness/tightness diagnostic)
-        from rldp.geometry import skorokhod_1d
-        rng = np.random.default_rng(2)
-        med = {}
-        for n in (1000, 2000):
-            dt = 1.0 / n
-            vals = []
-            for _ in range(64):
-                w = 0.5 + np.r_[0.0, np.cumsum(rng.normal(0, np.sqrt(dt), n))]
-                x, _ = skorokhod_1d(w, 0.0, 1.0)
-                t = np.linspace(0, 1, n + 1)
-                vals.append(holder_statistic(x[:, None], 0.125, t).value)
-            med[n] = np.median(vals)
-        assert abs(med[2000] - med[1000]) <= 0.2 * med[1000]
-
-    def test_alpha_validation(self):
-        from rldp.errors import InputError
-        with pytest.raises(InputError):
-            holder_statistic(np.zeros((5, 1)), 1.5, np.linspace(0, 1, 5))
-
-    @pytest.mark.parametrize("mode", ["bogus", "dyadic_upper_bound", None])
-    def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(InputError, match="mode"):
-            holder_statistic(np.zeros((5, 1)), 0.125, np.linspace(0, 1, 5),
-                             mode=mode)
 
 
 def _path_dictionary_loop(pf, qf, lo, hi, size, k, gen):

@@ -5,7 +5,7 @@ from rldp.errors import InputError, ModelError
 from rldp.geometry import ConvexDomain
 from rldp.model import (MeasureSummary, ModelSpec, eval_coefficients,
                         make_drifted, make_m1, make_m2, make_m3,
-                        model_from_config, validate_assumptions)
+                        model_from_config)
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 
@@ -93,49 +93,13 @@ class TestEvalCoefficients:
         assert b.shape == (1,) and sig.shape == (1, 1)
         b[0] = sig[0, 0] = 2.0
 
-    def test_strict_bound_violation_raises(self):
-        def bad_drift(t, x, mu):
-            return np.full(np.shape(x), 100.0)
-
+    def test_nonfinite_coefficients_raise(self):
         m = make_m1(BOX1)
-        bad = ModelSpec(name="bad", domain=BOX1, d1=1, horizon=1.0,
-                        drift=bad_drift, diffusion=m.diffusion,
-                        bound_L=2.0, lipschitz_K=1.0,
-                        init_points=np.array([[0.5]]), init_sampler=None,
-                        params={})
+        bad = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
+                        drift=lambda t, x, mu: np.full(np.shape(x), np.nan),
+                        diffusion=m.diffusion, init_points=np.array([[0.5]]))
         with pytest.raises(ModelError):
-            eval_coefficients(bad, 0.0, [0.5], MeasureSummary.dirac([0.5]),
-                              strict=True)
-
-
-class TestValidateAssumptions:
-    def test_constant_model_passes(self):
-        m = make_m1(BOX1)
-        rep = validate_assumptions(m, n_samples=200, seed=0)
-        assert rep.passed
-        # ||I||_HS = 1 in d=1 and b = 0
-        assert rep.max_bound_observed == pytest.approx(1.0)
-
-    def test_mean_attraction_lipschitz(self):
-        m = make_m2(BOX1, theta=1.0, sigma_scale=0.5)
-        rep = validate_assumptions(m, n_samples=500, seed=1)
-        assert rep.passed
-        assert rep.max_lipschitz_ratio_observed <= m.lipschitz_K
-
-    def test_unbounded_drift_fails(self):
-        def blowup(t, x, mu):
-            x = np.asarray(x, dtype=float)
-            return 1.0 / (1.0 - x)
-
-        m = make_m1(BOX1)
-        bad = ModelSpec(name="blowup", domain=BOX1, d1=1, horizon=1.0,
-                        drift=blowup, diffusion=m.diffusion,
-                        bound_L=10.0, lipschitz_K=10.0,
-                        init_points=np.array([[0.5]]), init_sampler=None,
-                        params={})
-        rep = validate_assumptions(bad, n_samples=2000, seed=2)
-        assert not rep.bound_ok
-        assert rep.max_bound_observed > 10.0
+            eval_coefficients(bad, 0.0, [0.5], MeasureSummary.dirac([0.5]))
 
 
 class TestModelZoo:
