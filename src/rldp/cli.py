@@ -7,9 +7,11 @@ Configs are JSON; flags override config fields (flag > file > default).
 ``GRID`` and ``KINDS`` declare each key with its default and check, and a
 config is checked whole before anything runs.  Each run writes a manifest
 (resolved config + seed + content hash) and a result JSON whose bytes
-depend only on (config, seed).  ``--workers`` must be >= 1 and changes
-nothing, as runs are serial.  Exit codes: 0 ok, 2 config error, 3 budget
-or guard flag.
+depend only on (config, seed).  ``--workers`` (>= 1; default 2) caps the
+threads that solve the exact 1D BL linear programs of the chaos kind, at
+most one per CPU (``measures.bl_values``); it changes no output byte, and
+with 1 no thread starts.  Exit codes: 0 ok, 2 config error, 3 budget or
+guard flag.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .ensemble import (marginal_flow, empirical_measure_at,
 from .errors import BudgetError, ConfigError, InputError
 from .geometry import _json_reals
 from .integrator import TimeGrid
-from .measures import bl_distance
+from .measures import bl_values, pool_size
 from .model import MeasureSummary, model_from_config
 
 SCHEMA_VERSION = 1
@@ -233,8 +235,9 @@ def _parse(table, block, where: str, env: dict) -> dict:
 
 
 # -- run kinds -------------------------------------------------------------------
-# A runner takes the config, the parsed run block and the output directory,
-# and returns its result fields and the files it wrote.
+# A runner takes the config, the parsed run block (with the worker cap, which
+# only chaos reads, under "workers") and the output directory, and returns
+# its result fields and the files it wrote.
 
 def _run_simulate(cfg, p, out: Path):
     grid = p["grid"]
@@ -258,18 +261,20 @@ def _run_chaos(cfg, p, out: Path):
     ref = solve_mckean_vlasov_reference(model, grid, method="large_N",
                                         n_ref=p["n_ref"], seed=cfg["seed"],
                                         budget=cfg.get("budget"))
-    rows, medians = [], {}
-    for n in n_values:
-        dists = []
-        for rep in range(1, p["n_replicas"] + 1):  # replica 0 feeds the reference
+    # replica 0 feeds the reference
+    keys = [(n, rep) for n in n_values for rep in range(1, p["n_replicas"] + 1)]
+
+    def pairs():  # simulated here while the threads solve earlier pairs' LPs
+        for n, rep in keys:
             ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
                                            replica=rep,
                                            budget=cfg.get("budget"))
-            dist = bl_distance(empirical_measure_at(ens, grid.horizon),
-                               ref.terminal).value
-            dists.append(dist)
-            rows.append((n, rep, dist))
-        medians[str(n)] = float(np.median(dists))
+            yield empirical_measure_at(ens, grid.horizon), ref.terminal
+
+    rows = [(n, rep, dist) for (n, rep), dist
+            in zip(keys, bl_values(pairs(), p["workers"]))]
+    medians = {str(n): float(np.median([d for m, _, d in rows if m == n]))
+               for n in n_values}
     with open(out / "distances.csv", "w", newline="") as fh:
         fh.write("n_particles,replica,bl_distance\r\n")
         for n, rep, dist in rows:
@@ -434,9 +439,14 @@ KINDS = {  # kind -> (runner, run-block table)
 }
 
 
-def run_scenario(cfg: dict, out_dir: str) -> int:
-    """Check the whole config, then run it: result.json, manifest.json, CSVs."""
+def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:
+    """Check the whole config, then run it: result.json, manifest.json, CSVs.
+
+    ``workers`` caps the threads of the exact 1D BL linear programs
+    (``measures.pool_size``); the output bytes do not depend on it.
+    """
     runner, table = KINDS[cfg["kind"]]
+    pool_size(workers)  # a bad cap fails before anything runs
     grid = TimeGrid(**_parse(GRID, cfg["grid"], "grid", {}))
     try:
         model = model_from_config(cfg["model"])
@@ -445,7 +455,8 @@ def run_scenario(cfg: dict, out_dir: str) -> int:
     if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
         raise ConfigError(f"grid horizon {grid.horizon} differs from model "
                           f"horizon {model.horizon}")
-    p = _parse(table, cfg["run"], "run", {"model": model, "grid": grid})
+    p = _parse(table, cfg["run"], "run",
+               {"model": model, "grid": grid, "workers": workers})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -481,16 +492,16 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted and checked to be >= 1; runs are "
-                            "serial, so it changes nothing")
+        p.add_argument("--workers", type=int, default=None,
+                       help="threads for the exact 1D BL linear programs "
+                            "of the chaos kind, at most one per CPU; "
+                            "default 2; 1 starts no thread; results do not "
+                            "change")
         p.add_argument("--out", default="out")
     args = parser.parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError("workers must be >= 1")
         cfg = load_config(args.config, args.kind, seed_override=args.seed)
-        return run_scenario(cfg, args.out)
+        return run_scenario(cfg, args.out, args.workers)
     except (ConfigError, InputError) as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}),
               file=sys.stderr)

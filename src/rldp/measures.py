@@ -9,11 +9,21 @@ certified lower bound: the maximum over a fixed, seeded dictionary of
 clipped affine functions, radial cones and a witness along the mean
 difference, evaluated as array passes over blocks of functions bounded in
 bytes, bitwise as each function alone.
+
+``bl_values`` maps ``bl_distance`` over a stream of pairs.  HiGHS releases
+the GIL while it solves, so the exact 1D linear programs go to a pool of at
+most ``workers`` threads (default 2, never more than the CPUs), one program
+each, while the caller makes the next pair; every other pair is computed
+on the calling thread, and the values are those of the plain loop, in its
+order.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +161,70 @@ def bl_distance(mu: MeasureSummary, nu: MeasureSummary,
         return BLEstimate(value=_bl_exact_1d(a, b), method=EXACT_1D)
     return BLEstimate(value=_bl_dictionary(a, b, dictionary_size, seed),
                       method=DICTIONARY, dictionary_size=dictionary_size)
+
+
+def _needs_lp(mu: MeasureSummary, nu: MeasureSummary) -> bool:
+    """Whether ``bl_distance(mu, nu)`` solves the exact 1D linear program."""
+    return (mu.dimension == nu.dimension == 1
+            and not (mu.is_dirac(tol=0.0) or nu.is_dirac(tol=0.0)))
+
+
+def _cpus() -> int:
+    """The CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(workers: int | None = None) -> int:
+    """The most threads ``bl_values`` starts: ``workers`` (default 2), at
+    most the CPUs this process may use.  Each thread that has run HiGHS
+    keeps its own working set, so the default stays at the two measured."""
+    if workers is not None and (isinstance(workers, bool)
+                                or not isinstance(workers, int) or workers < 1):
+        raise InputError(f"workers must be an integer >= 1, got {workers!r}")
+    return min(2 if workers is None else workers, _cpus())
+
+
+def bl_values(pairs, workers: int | None = None) -> list:
+    """``[bl_distance(mu, nu).value for mu, nu in pairs]``, bitwise and in
+    order, with up to ``pool_size(workers)`` exact 1D linear programs solving
+    on threads at once.  ``pairs`` is read lazily, one pair at a time, and a
+    pair that needs the LP waits for a free thread before the next is read;
+    the first failing pair raises the loop's error.  No thread starts unless
+    a pair needs the LP and the pool size is two or more, and a thread starts
+    only for an LP that finds none idle, so never more than the LP pairs.
+    """
+    size = pool_size(workers)
+    values, pending, pool = [], deque(), None  # pending: (slot, future), in order
+
+    def settle(keep):  # fill in the oldest pending values until keep remain
+        while len(pending) > keep:
+            slot, future = pending.popleft()
+            try:
+                values[slot] = future.result().value
+            except BaseException:
+                pending.clear()  # later pairs, which the loop never reaches
+                raise
+
+    try:
+        for mu, nu in pairs:
+            if size > 1 and _needs_lp(mu, nu):
+                if pool is None:
+                    pool = ThreadPoolExecutor(size)
+                settle(size - 1)
+                values.append(None)
+                pending.append((len(values) - 1, pool.submit(bl_distance, mu, nu)))
+            else:
+                values.append(bl_distance(mu, nu).value)
+        settle(0)
+    except BaseException:
+        settle(0)  # the loop meets an earlier pair's error first
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return values
 
 
 # -- path-measure distance ---------------------------------------------------------

@@ -1,10 +1,13 @@
 import csv
 import hashlib
 import json
+import threading
 
 import pytest
 
-from rldp.cli import main
+import rldp.measures as measures_mod
+from rldp.cli import load_config, main, run_scenario
+from rldp.errors import InputError
 
 BASE_MODEL = {"model": "m1",
               "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
@@ -80,6 +83,43 @@ class TestDeterminism:
         assert _digest(outs[0] / "result.json") == _digest(outs[1] / "result.json")
         assert _digest(outs[0] / "paths.csv") == _digest(outs[1] / "paths.csv")
 
+    def test_chaos_1d_identical_bytes_across_workers(self, tmp_path,
+                                                     monkeypatch):
+        # four CPUs whatever the host, so that 2 and the default (2) use the
+        # pool
+        monkeypatch.setattr(measures_mod, "_cpus", lambda: 4)
+        cfg = {"schema_version": 1, "seed": 5, "model": BASE_MODEL,
+               "grid": {"horizon": 0.5, "n_steps": 16},
+               "run": {"n_values": [8, 32], "n_replicas": 3, "n_ref": 128}}
+        cfg_path = _write(tmp_path, "chaos.json", cfg)
+        outs = []
+        for i, flag in enumerate((["--workers", "1"], ["--workers", "2"], [])):
+            out = tmp_path / f"out{i}"
+            assert main(["chaos", "--config", cfg_path, "--out", str(out),
+                         *flag]) == 0
+            outs.append(out)
+        for name in ("result.json", "distances.csv"):
+            assert len({_digest(out / name) for out in outs}) == 1, name
+
+    def test_huge_workers_accepted(self, tmp_path):
+        cfg_path = _write(tmp_path, "sim.json",
+                          {"schema_version": 1, "model": BASE_MODEL,
+                           "grid": {"horizon": 0.5, "n_steps": 8},
+                           "run": {"n_particles": 2}})
+        # simulate computes no BL distance, so this starts no thread
+        assert main(["simulate", "--config", cfg_path, "--workers", "100000",
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_run_scenario_rejects_bad_workers_first(self, tmp_path):
+        cfg_path = _write(tmp_path, "sim.json",
+                          {"schema_version": 1, "model": BASE_MODEL,
+                           "grid": {"horizon": 0.5, "n_steps": 8},
+                           "run": {"n_particles": 2}})
+        cfg = load_config(cfg_path, "simulate")
+        with pytest.raises(InputError):
+            run_scenario(cfg, str(tmp_path / "o"), workers=0)
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = {"schema_version": 1, "seed": 4, "model": BASE_MODEL,
                "grid": {"horizon": 0.5, "n_steps": 8},
@@ -93,6 +133,53 @@ class TestDeterminism:
         r2 = json.loads((out2 / "result.json").read_text())
         assert r1["seed"] == 4 and r2["seed"] == 99
         assert r1["config_hash"] != r2["config_hash"]
+
+
+class TestNoThreadOffTheLP:
+    """Only the chaos kind's exact 1D LP goes to a thread: a d >= 2 chaos
+    run and a rate run, against a Dirac or with the integrated 1D distance,
+    start none, whatever ``--workers`` says."""
+
+    @pytest.fixture(autouse=True)
+    def no_threads(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(measures_mod, "_cpus", lambda: 4)
+        monkeypatch.setattr(measures_mod, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_chaos_ball2d(self, tmp_path):
+        model = {"model": "m2", "theta": 1.0, "sigma_scale": 0.5,
+                 "horizon": 0.5, "domain": {"kind": "ball",
+                                            "center": [0.0, 0.0],
+                                            "radius": 1.0}}
+        cfg_path = _write(tmp_path, "chaos.json", {
+            "schema_version": 1, "seed": 2, "model": model,
+            "grid": {"horizon": 0.5, "n_steps": 8},
+            "run": {"n_values": [8, 16], "n_replicas": 2, "n_ref": 64}})
+        assert main(["chaos", "--config", cfg_path, "--workers", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_rate_against_dirac(self, tmp_path):
+        cfg_path = _write(tmp_path, "rate.json", {
+            "schema_version": 1, "seed": 3, "model": BASE_MODEL,
+            "grid": {"horizon": 0.5, "n_steps": 8},
+            "run": {"target": {"kind": "terminal_point", "point": [0.5]},
+                    "lambdas": [1.0], "n_particles": 4, "n_replicas": 2,
+                    "opt_budget": 4, "radius": 1.0}})
+        assert main(["rate", "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_rate_integrated_1d(self, tmp_path):
+        cfg_path = _write(tmp_path, "rate.json", {
+            "schema_version": 1, "seed": 3, "model": BASE_MODEL,
+            "grid": {"horizon": 0.5, "n_steps": 4},
+            "run": {"target": {"kind": "reference", "n_ref": 32},
+                    "distance_mode": "integrated", "lambdas": [1.0],
+                    "n_particles": 4, "n_replicas": 2, "opt_budget": 4,
+                    "radius": 1.0}})
+        assert main(["rate", "--config", cfg_path, "--workers", "4",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 class TestErrorHandling:
