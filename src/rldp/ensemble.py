@@ -45,7 +45,8 @@ import numpy as np
 
 from .controls import ControlPolicy
 from .errors import BudgetError, InputError
-from .integrator import BoundaryEvents, TimeGrid, _advance, brownian_increments
+from .integrator import (BoundaryEvents, TimeGrid, _advance, _is_count,
+                         brownian_increments)
 from .measures import bl_distance
 from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
@@ -246,8 +247,8 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
     stepped in one batch.  ``budget`` bounds the particle-steps of each
     replica's simulation, whatever the batch size.
     """
-    if n_particles < 1:
-        raise InputError("need at least one particle")
+    if not _is_count(n_particles):
+        raise InputError(f"n_particles must be an integer >= 1, got {n_particles!r}")
     if isinstance(replica, range) and len(replica) == 0:
         raise InputError("need at least one replica")
     _check_budget(n_particles, grid.n_steps, budget)
@@ -284,16 +285,18 @@ def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
              by the frozen flow nu^(m), from the constant-in-time initial flow.
     """
     if method == "large_N":
-        if n_ref < 1:
-            raise InputError("n_ref must be >= 1")
+        if not _is_count(n_ref):
+            raise InputError(f"n_ref must be an integer >= 1, got {n_ref!r}")
         ens = simulate_particle_system(model, n_ref, grid, policy=None,
                                        seed=seed, replica=0, budget=budget)
         return marginal_flow(ens, method="large_N")
 
     if method != "picard":
         raise InputError(f"unknown method {method!r}")
-    if n_iter < 1:
-        raise InputError("n_iter must be >= 1")
+    if not _is_count(n_iter):
+        raise InputError(f"n_iter must be an integer >= 1, got {n_iter!r}")
+    if not _is_count(n_inner):
+        raise InputError(f"n_inner must be an integer >= 1, got {n_inner!r}")
     _check_budget(n_inner, grid.n_steps * n_iter, budget)
 
     states0, noises = _replica_draws(model, grid, n_inner, seed, 0)

@@ -67,6 +67,8 @@ class TimeGrid:
 
     def node_index(self, t: float, tol: float = 1e-9) -> int:
         """Index of the grid node equal to t; off-grid times are errors."""
+        if not math.isfinite(t):
+            raise InputError(f"time {t} is not a grid node")
         k = round(t / self.dt)
         if not 0 <= k <= self.n_steps or abs(t - k * self.dt) > tol:
             raise InputError(f"time {t} is not a grid node")

@@ -5,10 +5,10 @@ is computed exactly against any Dirac, in any dimension, by the closed form
 BL(mu, delta_y) = sum_i w_i min(|x_i - y|, 2).  Between two other measures
 it is exact in one dimension (a small linear program over the values of
 the dual function on the merged support).  In higher dimension we report a
-certified lower bound: the maximum over a fixed, seeded dictionary of
-clipped affine functions, radial cones and a witness along the mean
-difference, evaluated as array passes over blocks of functions bounded in
-bytes, bitwise as each function alone.
+certified lower bound: the maximum over a fixed dictionary of 256 clipped
+affine functions and radial cones, drawn at seed 0, and a witness along the
+mean difference, evaluated as array passes over blocks of functions bounded
+in bytes, bitwise as each function alone.
 
 ``bl_values`` maps ``bl_distance`` over a stream of pairs.  HiGHS releases
 the GIL while it solves, so the exact 1D linear programs go to a pool of at
@@ -40,6 +40,8 @@ EXACT_1D = "exact_1d"
 EXACT_DIRAC = "exact_dirac"  # the Dirac closed form in d >= 2
 DICTIONARY = "dictionary"
 _BLOCK_BYTES = 256 * 1024  # cap on a (B, n, d) block of dictionary differences
+_DICTIONARY_SIZE = 256  # d >= 2 dictionary functions, besides the witness
+_DICTIONARY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -132,17 +134,9 @@ def _bl_dictionary(mu: MeasureSummary, nu: MeasureSummary, size: int,
     return min(2.0, float(gaps.max(initial=0.0)))
 
 
-def _check_dictionary_size(size):
-    if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
-            or size < 0):
-        raise InputError("dictionary_size must be a nonnegative integer")
-
-
-def bl_distance(mu: MeasureSummary, nu: MeasureSummary,
-                dictionary_size: int = 256, seed: int = 0) -> BLEstimate:
+def bl_distance(mu: MeasureSummary, nu: MeasureSummary) -> BLEstimate:
     """Bounded-Lipschitz distance: exact against any Dirac, in any dimension,
     and exact in d = 1; otherwise a dictionary lower bound in d >= 2."""
-    _check_dictionary_size(dictionary_size)
     if mu.dimension != nu.dimension:
         raise InputError("measures live on different-dimensional domains")
     # canonical argument order so the metric is bitwise symmetric
@@ -159,8 +153,9 @@ def bl_distance(mu: MeasureSummary, nu: MeasureSummary,
                           method=EXACT_1D if a.dimension == 1 else EXACT_DIRAC)
     if a.dimension == 1:
         return BLEstimate(value=_bl_exact_1d(a, b), method=EXACT_1D)
-    return BLEstimate(value=_bl_dictionary(a, b, dictionary_size, seed),
-                      method=DICTIONARY, dictionary_size=dictionary_size)
+    value = _bl_dictionary(a, b, _DICTIONARY_SIZE, _DICTIONARY_SEED)
+    return BLEstimate(value=value, method=DICTIONARY,
+                      dictionary_size=_DICTIONARY_SIZE)
 
 
 def _needs_lp(mu: MeasureSummary, nu: MeasureSummary) -> bool:
@@ -228,6 +223,12 @@ def bl_values(pairs, workers: int | None = None) -> list:
 
 
 # -- path-measure distance ---------------------------------------------------------
+
+def _check_dictionary_size(size):
+    if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
+            or size < 0):
+        raise InputError("dictionary_size must be a nonnegative integer")
+
 
 def _as_path_array(paths) -> np.ndarray:
     arr = np.asarray(paths, dtype=float)

@@ -67,6 +67,8 @@ class MeasureSummary:
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         n = points.shape[-2]
+        if n == 0 or points.shape[-1] == 0:
+            raise InputError(f"no atoms, or atoms in R^0: points of shape {points.shape}")
         if weights is None:
             weights = _uniform_weights(n)
         else:

@@ -205,6 +205,12 @@ class TestEmpiricalMeasure:
         mu = empirical_measure_at(ens, 1.0)
         assert mu.cov_trace() == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_time_rejected(self, t):
+        ens = simulate_particle_system(make_m1(BOX1), 2, TimeGrid(1.0, 4))
+        with pytest.raises(InputError, match="not a grid node"):
+            empirical_measure_at(ens, t)
+
 
 class TestStoredSummaries:
     """The stepping core's node measures are the ones a rebuild would give."""
@@ -334,6 +340,19 @@ class TestReferenceFlow:
         # update is already a fixed point, so the next gap is below tol
         assert len(flow.iteration_distances) <= 2
         assert flow.iteration_distances[-1] < 5e-3
+
+    @pytest.mark.parametrize("count", [2.5, True, 2.0, 0, -1, "4", None])
+    @pytest.mark.parametrize("name", ["n_particles", "n_ref", "n_inner",
+                                      "n_iter"])
+    def test_counts_must_be_integers(self, name, count):
+        m, grid = make_m1(BOX1), TimeGrid(0.5, 4)
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            if name == "n_particles":
+                simulate_particle_system(m, count, grid)
+            else:
+                method = "large_N" if name == "n_ref" else "picard"
+                solve_mckean_vlasov_reference(
+                    m, grid, method=method, **{"n_inner": 8, name: count})
 
     def test_picard_stops_after_three_increases_in_a_row(self, monkeypatch):
         calls = []

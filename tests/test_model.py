@@ -30,6 +30,17 @@ class TestMeasureSummary:
             MeasureSummary.from_points(np.array([[0.0], [1.0]]),
                                        weights=[2.0, 2.0])
 
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 1), (4, 0, 2), (3, 0)])
+    def test_no_atoms_rejected(self, shape):
+        # no atoms, or atoms in R^0: an InputError before any weight is built
+        with pytest.raises(InputError):
+            MeasureSummary.from_points(np.empty(shape))
+
+    def test_dirac_needs_a_point(self):
+        with pytest.raises(InputError):
+            MeasureSummary.dirac([])
+        assert MeasureSummary.dirac(0.5).points.shape == (1, 1)
+
     @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0],
                                          [np.inf, 0.0], [np.inf, np.nan]])
     def test_nonfinite_weights_rejected(self, weights):
