@@ -53,8 +53,8 @@ def _to_jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return "inf" if math.isinf(v) else v
+        v = float(obj)  # JSON has no NaN or infinity: write them as strings
+        return v if math.isfinite(v) else str(v)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -101,8 +101,9 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     budget = cfg.get("budget")
     if budget is not None and (isinstance(budget, bool)
                                or not isinstance(budget, (int, float))
-                               or not budget > 0):
-        raise ConfigError(f"budget must be a positive number, got {budget!r}")
+                               or not 0 < budget < math.inf):
+        raise ConfigError(f"budget must be a finite positive number, "
+                          f"got {budget!r}")
     return cfg
 
 
@@ -258,8 +259,8 @@ def _run_simulate(cfg, p, out: Path):
 
 def _run_chaos(cfg, p, out: Path):
     model, grid, n_values = p["model"], p["grid"], p["n_values"]
-    ref = solve_mckean_vlasov_reference(model, grid, method="large_N",
-                                        n_ref=p["n_ref"], seed=cfg["seed"],
+    ref = solve_mckean_vlasov_reference(model, grid, n_ref=p["n_ref"],
+                                        seed=cfg["seed"],
                                         budget=cfg.get("budget"))
     # replica 0 feeds the reference
     keys = [(n, rep) for n in n_values for rep in range(1, p["n_replicas"] + 1)]
@@ -322,7 +323,7 @@ def _run_rate(cfg, p, out: Path):
     model, grid, target = p["model"], p["grid"], p["target"]
     if not isinstance(target, MeasureSummary):
         target = solve_mckean_vlasov_reference(
-            model, grid, method="large_N", n_ref=target["n_ref"],
+            model, grid, n_ref=target["n_ref"],
             seed=cfg["seed"] + target["seed_offset"], budget=cfg.get("budget"))
     est = ldp.estimate_rate(
         model, target, p["lambdas"], p["family"], p["n_particles"], grid,

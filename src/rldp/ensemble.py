@@ -3,11 +3,11 @@
 Stepping is explicit Euler with start-of-step empirical coupling: at each
 node the shared measure summary is computed from the current states, the
 policy is evaluated per particle, and all particles advance one projected
-step of ``integrator._advance``, the one stepping core, which the Picard
-flow runs as well.  That core builds each node's empirical measure once;
-``Ensemble.summaries`` keeps them, and ``marginal_flow``,
-``empirical_measure_at`` and the Picard loop read them as they are instead
-of rebuilding them from the states.
+step of ``integrator._advance``, the one stepping core.  That core builds
+each node's empirical measure once; ``Ensemble.summaries`` keeps them, and
+``marginal_flow`` and ``empirical_measure_at`` read them as they are
+instead of rebuilding them from the states.  The McKean-Vlasov reference
+flow is the marginal flow of one large interacting ensemble.
 
 ``simulate_particle_system`` takes one replica (an int) or a ``range`` of
 them.  A range is stepped as one batch by a single ``_advance`` call: the
@@ -47,11 +47,10 @@ from .controls import ControlPolicy
 from .errors import BudgetError, InputError
 from .integrator import (BoundaryEvents, TimeGrid, _advance, _is_count,
                          brownian_increments)
-from .measures import bl_distance
 from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
 
-DEFAULT_STEP_BUDGET = 500_000_000  # particle-steps
+DEFAULT_STEP_BUDGET = 500_000_000  # particle-steps x max(d, d1) values
 _BLOCK_BYTES = 256 * 1024  # cap on the particle-major block of noise draws
 
 
@@ -126,13 +125,11 @@ def cumulative_noise(noises: np.ndarray):
 
 @dataclass(frozen=True)
 class MeasureFlow:
-    """Per-node measure summaries nu(t_k), plus solver metadata."""
+    """Per-node measure summaries nu(t_k), and how they were made."""
 
     grid: TimeGrid
     summaries: tuple
     method: str = "direct"
-    converged: bool = True
-    iteration_distances: tuple = ()
 
     def __post_init__(self):
         if len(self.summaries) != self.grid.n_steps + 1:
@@ -155,11 +152,14 @@ def _check_single(ens: Ensemble, what: str):
                          "not a batch")
 
 
-def _check_budget(n_particles: int, n_steps: int, budget: int | None):
+def _check_budget(n_particles: int, n_steps: int, width: int,
+                  budget: int | None):
+    """A particle-step counts as its ``width`` = max(d, d1) stored values."""
     budget = DEFAULT_STEP_BUDGET if budget is None else budget
-    if n_particles * n_steps > budget:
+    if n_particles * n_steps * width > budget:
         raise BudgetError(
-            f"{n_particles} particles x {n_steps} steps exceeds budget {budget}")
+            f"{n_particles} particles x {n_steps} steps x {width} values "
+            f"exceeds budget {budget}")
 
 
 def _particle_noise(seed: int, replica: int, n_particles: int, n_steps: int,
@@ -245,13 +245,14 @@ def simulate_particle_system(model: ModelSpec, n_particles: int, grid: TimeGrid,
 
     ``replica`` is one replica index or a nonempty ``range`` of them, all
     stepped in one batch.  ``budget`` bounds the particle-steps of each
-    replica's simulation, whatever the batch size.
+    replica's simulation, each counted as max(d, d1) values, whatever the
+    batch size.
     """
     if not _is_count(n_particles):
         raise InputError(f"n_particles must be an integer >= 1, got {n_particles!r}")
     if isinstance(replica, range) and len(replica) == 0:
         raise InputError("need at least one replica")
-    _check_budget(n_particles, grid.n_steps, budget)
+    _check_budget(n_particles, grid.n_steps, max(model.d, model.d1), budget)
     states0, noises = _replica_draws(model, grid, n_particles, seed, replica)
     states, events, controls, summaries = _advance(
         model, grid, states0, noises, policy, mu_flow=None)
@@ -273,59 +274,16 @@ def marginal_flow(ens: Ensemble, method: str = "empirical") -> MeasureFlow:
 # -- McKean-Vlasov reference flow ----------------------------------------------------
 
 def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
-                                  method: str = "large_N",
                                   n_ref: int = 4096, seed: int = 0,
-                                  n_iter: int = 8, n_inner: int = 1024,
-                                  tol: float = 5e-3,
                                   budget: int | None = None) -> MeasureFlow:
-    """Approximate the law flow of the reflected McKean-Vlasov equation.
-
-    large_N: marginal flow of one big interacting ensemble.
-    picard:  iterate nu^(m+1) = marginal flow of n_inner i.i.d. paths driven
-             by the frozen flow nu^(m), from the constant-in-time initial flow.
-    """
-    if method == "large_N":
-        if not _is_count(n_ref):
-            raise InputError(f"n_ref must be an integer >= 1, got {n_ref!r}")
-        ens = simulate_particle_system(model, n_ref, grid, policy=None,
-                                       seed=seed, replica=0, budget=budget)
-        return marginal_flow(ens, method="large_N")
-
-    if method != "picard":
-        raise InputError(f"unknown method {method!r}")
-    if not _is_count(n_iter):
-        raise InputError(f"n_iter must be an integer >= 1, got {n_iter!r}")
-    if not _is_count(n_inner):
-        raise InputError(f"n_inner must be an integer >= 1, got {n_inner!r}")
-    _check_budget(n_inner, grid.n_steps * n_iter, budget)
-
-    states0, noises = _replica_draws(model, grid, n_inner, seed, 0)
-    nu0 = MeasureSummary.from_points(states0)
-    flow = MeasureFlow(grid=grid,
-                       summaries=(nu0,) * (grid.n_steps + 1), method="picard")
-
-    distances = []
-    converged = False
-    increases = 0
-    for m in range(n_iter):
-        *_, new_summaries = _advance(model, grid, states0, noises, None,
-                                     mu_flow=flow)
-        dist = max(bl_distance(a, b).value
-                   for a, b in zip(flow.summaries, new_summaries))
-        distances.append(dist)
-        flow = MeasureFlow(grid=grid, summaries=new_summaries, method="picard")
-        if dist < tol:
-            converged = True
-            break
-        if len(distances) >= 2 and distances[-1] > distances[-2]:
-            increases += 1
-            if increases >= 3:
-                break
-        else:
-            increases = 0
-    return MeasureFlow(grid=grid, summaries=flow.summaries, method="picard",
-                       converged=converged,
-                       iteration_distances=tuple(distances))
+    """Approximate the law flow of the reflected McKean-Vlasov equation by
+    the marginal flow of one interacting ensemble of ``n_ref`` particles,
+    which propagation of chaos makes close to it for large ``n_ref``."""
+    if not _is_count(n_ref):
+        raise InputError(f"n_ref must be an integer >= 1, got {n_ref!r}")
+    ens = simulate_particle_system(model, n_ref, grid, policy=None,
+                                   seed=seed, replica=0, budget=budget)
+    return marginal_flow(ens, method="large_N")
 
 
 # -- export ---------------------------------------------------------------------------

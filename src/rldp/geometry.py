@@ -80,10 +80,12 @@ class ConvexDomain:
     def box(lo, hi) -> "ConvexDomain":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise InputError("box bounds must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise InputError("box bounds must be finite")
+        if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
+            raise InputError("box bounds must be nonempty 1-d arrays of "
+                             "equal length")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(hi - lo)):  # nor then are lo or hi
+                raise InputError("box bounds and widths hi - lo must be finite")
         if not np.all(hi > lo):
             raise InputError("box requires hi > lo on every axis")
         return ConvexDomain(kind="box", lo=lo, hi=hi)
@@ -92,8 +94,11 @@ class ConvexDomain:
     def ball(center, radius) -> "ConvexDomain":
         center = np.atleast_1d(np.asarray(center, dtype=float))
         radius = float(radius)
-        if not np.all(np.isfinite(center)) or not np.isfinite(radius):
-            raise InputError("ball parameters must be finite")
+        if center.ndim != 1 or center.size == 0:
+            raise InputError("ball center must be a nonempty 1-d array")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite([center - radius, center + radius])):
+                raise InputError("ball center +- radius must be finite")
         if radius <= 0:
             raise InputError("ball requires radius > 0")
         return ConvexDomain(kind="ball", center=center, radius=radius)

@@ -11,8 +11,9 @@ projection, overshoot) over the grid for states of shape (..., N, d) and
 builds each node's empirical measure once.  Leading axes before the N
 particles stack independent systems (replicas), so one call steps a whole
 Monte Carlo batch; each replica gets the bits it would get alone.  The
-``ensemble`` system (one replica or a range of them) and the Picard flow
-run on it, ``simulate_reflected_path`` on a one-particle system.
+``ensemble`` system (one replica or a range of them, and the large
+ensemble of the mean-field reference flow) runs on it, and
+``simulate_reflected_path`` on a one-particle system.
 
 Reflection acts only on the boundary: the projection moves only points
 outside the domain, so the core keeps the overshoot of the few
@@ -177,7 +178,7 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     the view ``states[k]`` (so it shares the states' memory), and returned
     as a tuple of n + 1 summaries after the controls: it is the
     coupling measure of the interacting system and the marginal flow that
-    ``ensemble`` and the Picard loop read.  For a batch it is one batched
+    ``ensemble`` reads.  For a batch it is one batched
     summary per node, whose mean broadcasts against the states.
     """
     n, lead = grid.n_steps, states0.shape[:-1]

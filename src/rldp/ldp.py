@@ -174,8 +174,9 @@ def laplace_functional_mc(model: ModelSpec, functional: Functional,
     """-(1/N) log mean exp(-N F(mu^N)) over independent uncontrolled replicas.
 
     Uses a shifted (log-sum-exp) average; the standard error comes from the
-    delta method on the exponential average and the effective-sample-size
-    guard flags degenerate weight concentration.
+    delta method on the exponential average.  The guard flags degenerate
+    weight concentration, and a value or standard error that is not finite
+    (N F(mu^N) overflowed), which it reports in place of a numpy warning.
     """
     if n_replicas < 2:
         raise InputError("need at least two replicas")
@@ -183,18 +184,21 @@ def laplace_functional_mc(model: ModelSpec, functional: Functional,
                        for _, flow in _replica_flows(model, n_particles, grid,
                                                      n_replicas, seed,
                                                      budget=budget)])
-    a = -n_particles * f_vals
-    a_max = float(np.max(a))
-    w = np.exp(a - a_max)
-    mean_w = float(np.mean(w))
-    value = -(a_max + math.log(mean_w)) / n_particles
-    sd_w = float(np.std(w, ddof=1))
-    std_error = sd_w / (mean_w * math.sqrt(n_replicas) * n_particles)
-    ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = -n_particles * f_vals
+        a_max = float(np.max(a))
+        w = np.exp(a - a_max)
+        mean_w = float(np.mean(w))
+        value = -(a_max + math.log(mean_w)) / n_particles
+        sd_w = float(np.std(w, ddof=1))
+        std_error = sd_w / (mean_w * math.sqrt(n_replicas) * n_particles)
+        ess = float(np.sum(w) ** 2 / np.sum(w ** 2))
     return LaplaceEstimate(
         value=value, std_error=std_error, n_particles=n_particles,
         n_replicas=n_replicas, effective_sample_size=ess,
-        log_sum_exp_guard=bool(ess < ESS_GUARD_FRACTION * n_replicas),
+        log_sum_exp_guard=bool(ess < ESS_GUARD_FRACTION * n_replicas
+                               or not math.isfinite(value)
+                               or not math.isfinite(std_error)),
     )
 
 

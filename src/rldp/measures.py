@@ -16,6 +16,9 @@ most ``workers`` threads (default 2, never more than the CPUs), one program
 each, while the caller makes the next pair; every other pair is computed
 on the calling thread, and the values are those of the plain loop, in its
 order.
+
+No CLI kind or criterion reads a distance between path laws, so none is
+computed; ``_path_dictionary_gaps`` has no caller, and goes with its test.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from scipy.optimize import linprog
 
 from .errors import InputError
 from .geometry import _row_norm
-from .integrator import TimeGrid
 from .model import MeasureSummary
 from . import rng as rngmod
 
@@ -48,7 +50,6 @@ _DICTIONARY_SEED = 0
 class BLEstimate:
     value: float
     method: str
-    dictionary_size: int | None = None
 
     def __post_init__(self):
         if not -1e-12 <= self.value <= 2.0 + 1e-12:
@@ -154,8 +155,7 @@ def bl_distance(mu: MeasureSummary, nu: MeasureSummary) -> BLEstimate:
     if a.dimension == 1:
         return BLEstimate(value=_bl_exact_1d(a, b), method=EXACT_1D)
     value = _bl_dictionary(a, b, _DICTIONARY_SIZE, _DICTIONARY_SEED)
-    return BLEstimate(value=value, method=DICTIONARY,
-                      dictionary_size=_DICTIONARY_SIZE)
+    return BLEstimate(value=value, method=DICTIONARY)
 
 
 def _needs_lp(mu: MeasureSummary, nu: MeasureSummary) -> bool:
@@ -222,22 +222,7 @@ def bl_values(pairs, workers: int | None = None) -> list:
     return values
 
 
-# -- path-measure distance ---------------------------------------------------------
-
-def _check_dictionary_size(size):
-    if (isinstance(size, bool) or not isinstance(size, (int, np.integer))
-            or size < 0):
-        raise InputError("dictionary_size must be a nonnegative integer")
-
-
-def _as_path_array(paths) -> np.ndarray:
-    arr = np.asarray(paths, dtype=float)
-    if arr.ndim == 2:  # (n_paths, n_nodes) scalar paths
-        arr = arr[:, :, None]
-    if arr.ndim != 3:
-        raise InputError("paths must have shape (n_paths, n_nodes, d)")
-    return arr
-
+# -- path skeleton functionals (no caller) ----------------------------------------
 
 def _path_dictionary_gaps(pf, qf, lo, hi, size: int, k: int,
                           gen: np.random.Generator) -> np.ndarray:
@@ -269,50 +254,3 @@ def _path_dictionary_gaps(pf, qf, lo, hi, size: int, k: int,
     return np.concatenate([np.empty(0)] + [
         np.abs(clipped_means(pf, rows) - clipped_means(qf, rows))
         for rows in (slice(i, i + b) for i in range(0, size, b))])
-
-
-def path_bl_distance(paths_p, paths_q, grid: TimeGrid | None = None,
-                     dictionary_size: int = 256, seed: int = 0,
-                     n_probe_nodes: int = 4) -> BLEstimate:
-    """Certified lower bound on the BL distance between empirical path laws.
-
-    Paths are grid skeletons (n_paths, n_nodes, d); both sets must share
-    the grid.  The dictionary holds Lipschitz functionals of finitely many
-    skeleton coordinates: f(phi) = clip(sum_j a_j phi_{c_j}(t_{k_j}) - c)
-    with sum |a_j| <= 1, which is Lipschitz-1 for the sup metric.  Between
-    two single paths the value is exact (``exact_dirac``).
-    """
-    _check_dictionary_size(dictionary_size)
-    p = _as_path_array(paths_p)
-    q = _as_path_array(paths_q)
-    if p.shape[1:] != q.shape[1:]:
-        raise InputError("path sets must share grid and dimension")
-    if grid is not None and grid.n_steps + 1 != p.shape[1]:
-        raise InputError("paths do not match the declared grid")
-
-    # Dirac vs Dirac: exact closed form min(2, sup-distance).
-    if p.shape[0] == 1 and q.shape[0] == 1:
-        sup = float(np.max(np.linalg.norm(p[0] - q[0], axis=-1)))
-        return BLEstimate(value=min(2.0, sup), method=EXACT_DIRAC)
-
-    n_nodes, d = p.shape[1], p.shape[2]
-    gen = rngmod.substream(seed, rngmod.DICT, 1)
-    flat_dim = n_nodes * d
-    pf = p.reshape(p.shape[0], flat_dim)
-    qf = q.reshape(q.shape[0], flat_dim)
-    lo = np.minimum(pf.min(axis=0), qf.min(axis=0))
-    hi = np.maximum(pf.max(axis=0), qf.max(axis=0))
-
-    best = float(_path_dictionary_gaps(pf, qf, lo, hi, dictionary_size,
-                                       min(n_probe_nodes, flat_dim),
-                                       gen).max(initial=0.0))
-    # adaptive witness: the single skeleton coordinate with the largest mean gap
-    gaps = np.abs(pf.mean(axis=0) - qf.mean(axis=0))
-    j = int(np.argmax(gaps))
-    c = float((lo[j] + hi[j]) / 2.0)
-    vp = np.clip(pf[:, j] - c, -1.0, 1.0)
-    vq = np.clip(qf[:, j] - c, -1.0, 1.0)
-    best = max(best, abs(float(vp.mean() - vq.mean())))
-    return BLEstimate(value=min(2.0, best), method=DICTIONARY,
-                      dictionary_size=dictionary_size)
-

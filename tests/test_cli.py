@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import math
 import threading
 
+import numpy as np
 import pytest
 
 import rldp.measures as measures_mod
-from rldp.cli import load_config, main, run_scenario
+from rldp.cli import canonical_json, load_config, main, run_scenario
 from rldp.errors import InputError
 
 BASE_MODEL = {"model": "m1",
@@ -66,6 +68,25 @@ class TestLaplace:
         result = json.loads((out / "result.json").read_text())
         assert result["value"] == 0.3
         assert result["std_error"] == 0.0
+
+    def test_non_finite_estimate_exits_3(self, tmp_path):
+        cfg = {"schema_version": 1, "seed": 2, "model": BASE_MODEL,
+               "grid": {"horizon": 0.5, "n_steps": 4},
+               "run": {"functional": {"functional": "constant", "c": 1e308},
+                       "n_particles": 4, "n_replicas": 4}}
+        out = tmp_path / "out"
+        assert main(["laplace", "--config", _write(tmp_path, "lap.json", cfg),
+                     "--out", str(out)]) == 3
+        result = json.loads((out / "result.json").read_text(),
+                            parse_constant=pytest.fail)  # strict JSON
+        assert result["guard"] is True and result["value"] == "nan"
+
+
+def test_non_finite_numbers_written_as_strings():
+    text = canonical_json({"a": float("nan"), "b": -math.inf, "c": math.inf,
+                           "d": np.array([-np.inf, 1.5])})
+    assert json.loads(text, parse_constant=pytest.fail) == {
+        "a": "nan", "b": "-inf", "c": "inf", "d": ["-inf", 1.5]}
 
 
 class TestDeterminism:
@@ -216,6 +237,19 @@ class TestErrorHandling:
         assert main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("d1, code", [(1, 0), (1000, 3)])
+    def test_budget_counts_noise_width(self, tmp_path, d1, code):
+        # 8 particles x 4 steps = 32 particle-steps, of d1 noise values each
+        cfg = {"schema_version": 1, "seed": 1,
+               "model": {**BASE_MODEL, "d1": d1},
+               "grid": {"horizon": 0.5, "n_steps": 4}, "budget": 100,
+               "run": {"n_particles": 8}}
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", _write(tmp_path, "sim.json", cfg),
+                     "--out", str(out)]) == code
+        result = json.loads((out / "result.json").read_text())
+        assert ("error" in result) == (code == 3)
+
     def test_bad_workers(self, tmp_path):
         cfg_path = _write(tmp_path, "sim.json",
                           {"schema_version": 1, "model": BASE_MODEL,
@@ -255,6 +289,32 @@ class TestConfigErrorsExit2:
     def test_non_numeric_budget(self, tmp_path, capsys):
         detail = self._run(tmp_path, capsys, "simulate", self._cfg(budget="big"))
         assert "budget" in detail
+
+    @pytest.mark.parametrize("token", ["Infinity", "1e999", "-Infinity",
+                                       "NaN"])
+    def test_non_finite_budget(self, tmp_path, capsys, token):
+        path = tmp_path / "bad.json"  # JSON has no infinity; Python reads it
+        path.write_text(json.dumps(self._cfg())[:-1] + f', "budget": {token}}}')
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and "budget" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("kind, run", [
+        ("simulate", {"n_particles": 2}),
+        ("chaos", {"n_values": [2, 4], "n_replicas": 2, "n_ref": 8})])
+    @pytest.mark.parametrize("domain", [
+        {"kind": "box", "lo": [], "hi": []},
+        {"kind": "ball", "center": [], "radius": 1.0},
+        {"kind": "box", "lo": [-1e308], "hi": [1e308]},
+        {"kind": "ball", "center": [1e308], "radius": 1e308}],
+        ids=["empty_box", "empty_ball", "wide_box", "wide_ball"])
+    def test_domain_that_cannot_be_sampled(self, tmp_path, capsys, kind, run,
+                                           domain):
+        model = {**BASE_MODEL, "domain": domain, "d1": 1}
+        detail = self._run(tmp_path, capsys, kind,
+                           self._cfg(model=model, run=run))
+        assert "invalid model block" in detail
 
     @pytest.mark.parametrize("seed", [-3, "7", 1.5, True])
     def test_bad_seed(self, tmp_path, capsys, seed):

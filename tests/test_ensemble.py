@@ -1,20 +1,18 @@
 import csv
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rldp.ensemble as ensemble_mod
 from rldp.controls import ConstantPolicy, ZeroPolicy
-from rldp.ensemble import (MeasureFlow, empirical_measure_at, marginal_flow,
+from rldp.ensemble import (empirical_measure_at, marginal_flow,
                            shared_replica_draws, simulate_particle_system,
                            solve_mckean_vlasov_reference, write_paths_csv)
 from rldp.errors import BudgetError, InputError
 from rldp.geometry import ConvexDomain
-from rldp.integrator import (TimeGrid, _advance, brownian_increments,
+from rldp.integrator import (TimeGrid, brownian_increments,
                              simulate_reflected_path)
-from rldp.measures import bl_distance
 from rldp.model import (MeasureSummary, ModelSpec, make_m1, make_m2)
 from rldp.rng import INIT, NOISE, iter_substreams, substream
 
@@ -97,6 +95,15 @@ class TestParticleSystem:
         with pytest.raises(BudgetError):
             simulate_particle_system(m, 100, grid, seed=0, budget=10)
 
+    @pytest.mark.parametrize("domain, d1, width", [(BOX1, 5, 5),
+                                                   (BALL3, 1, 3)])
+    def test_budget_counts_the_wider_of_state_and_noise(self, domain, d1,
+                                                        width):
+        m, grid = make_m1(domain, d1=d1), TimeGrid(0.5, 4)
+        with pytest.raises(BudgetError, match=f"x {width} values"):
+            simulate_particle_system(m, 2, grid, budget=2 * 4 * width - 1)
+        simulate_particle_system(m, 2, grid, budget=2 * 4 * width)
+
     def test_containment(self):
         m = make_m1(BOX1, sigma_scale=2.0)
         grid = TimeGrid(1.0, 64)
@@ -121,24 +128,6 @@ class TestNoiseContract:
                                        seed=0)
         with pytest.raises(ValueError):
             ens.noises[0, 0, 0] = 1.0
-
-    def test_picard_noise_equals_per_particle_substreams(self, monkeypatch):
-        seen = []
-        advance = ensemble_mod._advance
-
-        def recording_advance(model, grid, states0, noises, policy, mu_flow):
-            seen.append(noises)
-            return advance(model, grid, states0, noises, policy, mu_flow)
-
-        monkeypatch.setattr(ensemble_mod, "_advance", recording_advance)
-        m = make_m2(BALL3, theta=0.5)
-        grid = TimeGrid(1.0, 8)
-        solve_mckean_vlasov_reference(m, grid, method="picard", n_inner=64,
-                                      n_iter=2, seed=9)
-        assert len(seen) == 2 and seen[0] is seen[1]
-        for i in (0, 33, 63):
-            assert np.array_equal(seen[0][:, i],
-                                  _substream_noise(9, 0, i, grid, m.d1))
 
     @pytest.mark.parametrize("domain", [BOX1, BALL3])
     def test_noise_paths_equal_time_major_cumsum(self, domain):
@@ -251,53 +240,6 @@ class TestStoredSummaries:
             empirical_measure_at(ens, t)
         assert len(calls) == grid.n_steps + 1
 
-    @pytest.mark.parametrize("domain", [BOX1, BALL2], ids=["box1d", "ball2d"])
-    def test_picard_flow_equals_rebuilt_flow(self, domain):
-        m = make_m2(domain, theta=2.0)
-        grid = TimeGrid(0.5, 8)
-        flow = solve_mckean_vlasov_reference(m, grid, method="picard",
-                                             n_inner=48, n_iter=4, seed=7,
-                                             tol=1e-12)
-        ref = _picard_rebuilding_summaries(m, grid, n_inner=48, n_iter=4,
-                                           seed=7, tol=1e-12)
-        assert len(flow.iteration_distances) == 4
-        assert flow.iteration_distances == ref.iteration_distances
-        assert flow.converged == ref.converged
-        for a, b in zip(flow, ref):
-            _assert_same_summary(a, b)
-
-
-def _picard_rebuilding_summaries(model, grid, n_inner, n_iter, seed, tol):
-    """The Picard iteration with each iterate's node measures rebuilt from
-    its states by ``from_points``, ignoring the ones the core returns."""
-    states0, noises = ensemble_mod._replica_draws(model, grid, n_inner,
-                                                  seed, 0)
-    nu0 = MeasureSummary.from_points(states0)
-    flow = MeasureFlow(grid=grid, summaries=[nu0] * (grid.n_steps + 1),
-                       method="picard")
-    distances, converged, increases = [], False, 0
-    for _ in range(n_iter):
-        states, *_ = _advance(model, grid, states0, noises, None, mu_flow=flow)
-        new = [MeasureSummary.from_points(states[k])
-               for k in range(grid.n_steps + 1)]
-        dist = max(bl_distance(a, b).value
-                   for a, b in zip(flow.summaries, new))
-        distances.append(dist)
-        flow = MeasureFlow(grid=grid, summaries=new, method="picard")
-        if dist < tol:
-            converged = True
-            break
-        if len(distances) >= 2 and distances[-1] > distances[-2]:
-            increases += 1
-            if increases >= 3:
-                break
-        else:
-            increases = 0
-    return MeasureFlow(grid=grid, summaries=flow.summaries, method="picard",
-                       converged=converged,
-                       iteration_distances=tuple(distances))
-
-
 class TestReferenceFlow:
     def test_deterministic_contraction_flow(self):
         # sigma = 0, b = -x on [-1, 1], nu0 = delta_{0.5}:
@@ -315,12 +257,10 @@ class TestReferenceFlow:
                       init_points=np.array([[0.5]]), init_sampler=None,
                       params={})
         grid = TimeGrid(1.0, 100)
-        for method in ("large_N", "picard"):
-            flow = solve_mckean_vlasov_reference(m, grid, method=method,
-                                                 n_ref=64, n_inner=64, seed=0)
-            got = np.array([flow[k].mean[0] for k in range(101)])
-            exact = 0.5 * np.exp(-grid.nodes)
-            assert np.max(np.abs(got - exact)) <= 3 * grid.dt
+        flow = solve_mckean_vlasov_reference(m, grid, n_ref=64, seed=0)
+        got = np.array([flow[k].mean[0] for k in range(101)])
+        exact = 0.5 * np.exp(-grid.nodes)
+        assert np.max(np.abs(got - exact)) <= 3 * grid.dt
 
     def test_symmetric_marginal_mean(self):
         m = make_m1(BOX1)
@@ -330,44 +270,15 @@ class TestReferenceFlow:
         se = 0.3 / np.sqrt(4096)  # sub-interval sd bound
         assert np.all(np.abs(means - 0.5) <= 3 * se + 0.02)
 
-    def test_measure_free_picard_converges_immediately(self):
-        m = make_m1(BOX1)  # coefficients do not depend on mu
-        grid = TimeGrid(0.5, 16)
-        flow = solve_mckean_vlasov_reference(m, grid, method="picard",
-                                             n_inner=256, seed=0, tol=5e-3)
-        assert flow.converged
-        # first entry is the gap to the initial guess; the first true Picard
-        # update is already a fixed point, so the next gap is below tol
-        assert len(flow.iteration_distances) <= 2
-        assert flow.iteration_distances[-1] < 5e-3
-
     @pytest.mark.parametrize("count", [2.5, True, 2.0, 0, -1, "4", None])
-    @pytest.mark.parametrize("name", ["n_particles", "n_ref", "n_inner",
-                                      "n_iter"])
+    @pytest.mark.parametrize("name", ["n_particles", "n_ref"])
     def test_counts_must_be_integers(self, name, count):
         m, grid = make_m1(BOX1), TimeGrid(0.5, 4)
         with pytest.raises(InputError, match=f"{name} must be an integer"):
             if name == "n_particles":
                 simulate_particle_system(m, count, grid)
             else:
-                method = "large_N" if name == "n_ref" else "picard"
-                solve_mckean_vlasov_reference(
-                    m, grid, method=method, **{"n_inner": 8, name: count})
-
-    def test_picard_stops_after_three_increases_in_a_row(self, monkeypatch):
-        calls = []
-
-        def increasing(a, b):  # every distance larger than the one before
-            calls.append(1)
-            return SimpleNamespace(value=float(len(calls)))
-
-        monkeypatch.setattr(ensemble_mod, "bl_distance", increasing)
-        flow = solve_mckean_vlasov_reference(make_m2(BOX1), TimeGrid(0.5, 4),
-                                             method="picard", n_inner=8,
-                                             n_iter=8, seed=0)
-        assert flow.iteration_distances == (5.0, 10.0, 15.0, 20.0)
-        assert not flow.converged
-
+                solve_mckean_vlasov_reference(m, grid, n_ref=count)
 
 class TestOutputs:
     def test_paths_csv_row_count(self, tmp_path):
@@ -472,21 +383,6 @@ class TestTimeMajorNoise:
         _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, 5, 2, 1)
         _, ref = _particle_major_draws(m, NOISE_GRID, 5, 2, 1)
         assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
-
-    @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
-    def test_picard_equals_particle_major(self, monkeypatch, domain):
-        m = make_m2(domain, theta=0.5)
-        grid = TimeGrid(1.0, 8)
-        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
-                            _block_particles(16, m, grid))
-        kwargs = dict(method="picard", n_inner=40, n_iter=3, seed=9, tol=0.0)
-        flow = solve_mckean_vlasov_reference(m, grid, **kwargs)
-        monkeypatch.setattr(ensemble_mod, "_replica_draws",
-                            _particle_major_draws)
-        ref = solve_mckean_vlasov_reference(m, grid, **kwargs)
-        assert flow.iteration_distances == ref.iteration_distances
-        for a, b in zip(flow, ref, strict=True):
-            _assert_same_summary(a, b)
 
     @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
     def test_batch_noise_paths_equal_cumsum(self, domain):

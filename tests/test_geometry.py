@@ -157,6 +157,30 @@ class TestSkorokhod1D:
             skorokhod_1d([0.5, 0.6], 1.0, 0.0)
 
 
+class TestConstruction:
+    """A domain needs a dimension, and finite widths hi - lo or extent
+    center +- radius: without them sampling divides by zero or overflows."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([], []), ([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308])])
+    def test_box_needs_dimensions_and_finite_widths(self, lo, hi):
+        with pytest.raises(InputError):
+            ConvexDomain.box(lo, hi)
+
+    @pytest.mark.parametrize("center, radius", [
+        ([], 1.0), ([[0.0, 0.0]], 1.0), ([1e308], 1e308),
+        ([0.0, -1e308], 1e308)])
+    def test_ball_needs_dimensions_and_finite_extent(self, center, radius):
+        with pytest.raises(InputError):
+            ConvexDomain.ball(center, radius)
+
+    def test_widest_finite_domains_accepted(self):
+        assert ConvexDomain.ball([0.0], 1e308).radius == 1e308
+        box = ConvexDomain.box([-8e307], [8e307])
+        x = box.sample_interior(np.random.default_rng(0), 16)
+        assert np.all(np.isfinite(x)) and np.all(box.contains_all(x))
+
+
 class TestConfigRoundTrip:
     def test_box_and_ball(self):
         for dom in (ConvexDomain.box([0.0, -1.0], [1.0, 2.0]),

@@ -102,6 +102,14 @@ class TestLaplace:
         assert est.std_error == 0.0
         assert est.effective_sample_size == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_overflow_trips_the_guard(self, c):
+        # N c overflows: the estimate is not finite, and the guard says so
+        est = laplace_functional_mc(make_m1(BOX1), constant_functional(c), 4,
+                                    TimeGrid(0.25, 4), 4, seed=0)
+        assert not math.isfinite(est.value)
+        assert est.log_sum_exp_guard
+
     def test_n1_direct_mc_oracle(self):
         # N=1 reduces to -log E[exp(-g(X(T)))]; compare to a direct average
         # over the same replicas

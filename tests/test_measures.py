@@ -12,8 +12,7 @@ from rldp import rng as rngmod
 from rldp.errors import InputError
 from rldp.integrator import TimeGrid
 from rldp.measures import (_bl_dictionary, _path_dictionary_gaps, _row_norm,
-                           bl_distance, bl_values, path_bl_distance,
-                           pool_size)
+                           bl_distance, bl_values, pool_size)
 from rldp.model import MeasureSummary
 
 
@@ -286,7 +285,6 @@ class TestBLAgainstDirac:
                 nu = MeasureSummary.dirac(rng.uniform(-0.5, 0.5, d))
                 est = bl_distance(mu, nu)
                 assert est.method == "exact_dirac"
-                assert est.dictionary_size is None
                 assert est.value == pytest.approx(bl_lp_oracle(mu, nu),
                                                   abs=1e-12)
                 assert est.value >= _bl_dictionary(mu, nu, 256, 0)
@@ -532,72 +530,6 @@ class TestBLValues:
         assert sizes == [3, 2] and len(started) <= 3
 
 
-class TestPathBL:
-    def test_identical_sets_zero(self):
-        rng = np.random.default_rng(0)
-        grid = TimeGrid(1.0, 8)
-        paths = rng.uniform(0, 1, (4, 9, 1))
-        assert path_bl_distance(paths, paths, grid).value == 0.0
-
-    def test_two_constant_paths(self):
-        grid = TimeGrid(1.0, 8)
-        p0 = np.zeros((1, 9, 1))
-        p1 = np.ones((1, 9, 1))
-        assert path_bl_distance(p0, p1, grid).value == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_two_single_paths_labelled_exact(self, d):
-        rng = np.random.default_rng(d)
-        p, q = rng.uniform(0, 3, (2, 1, 9, d))
-        est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=16)
-        sup = np.max(np.linalg.norm(p[0] - q[0], axis=-1))
-        assert est.value == min(2.0, sup)
-        assert est.method == "exact_dirac" and est.dictionary_size is None
-
-    @pytest.mark.parametrize("size", [1.5, -1, True])
-    def test_bad_dictionary_size(self, size):
-        rng = np.random.default_rng(4)
-        p, q = rng.uniform(0, 1, (2, 4, 9, 1))
-        with pytest.raises(InputError):
-            path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=size)
-
-    def test_dictionary_size_zero_is_the_witness(self):
-        rng = np.random.default_rng(4)
-        p, q = rng.uniform(0, 1, (2, 4, 9, 1))
-        pf, qf = p[..., 0], q[..., 0]
-        j = np.argmax(np.abs(pf.mean(axis=0) - qf.mean(axis=0)))
-        c = (min(pf[:, j].min(), qf[:, j].min())
-             + max(pf[:, j].max(), qf[:, j].max())) / 2.0
-        witness = abs(np.clip(pf[:, j] - c, -1, 1).mean()
-                      - np.clip(qf[:, j] - c, -1, 1).mean())
-        est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=0)
-        assert est.value == witness > 0.0
-        assert est.dictionary_size == 0
-
-    def test_sampling_noise_decreases_in_n(self):
-        from rldp.ensemble import simulate_particle_system
-        from rldp.geometry import ConvexDomain
-        from rldp.model import make_m1
-
-        m = make_m1(ConvexDomain.box([0.0], [1.0]), sigma_scale=0.7,
-                    horizon=0.5)
-        grid = TimeGrid(0.5, 16)
-        medians = []
-        for n in (64, 256):
-            vals = []
-            for rep in range(8):
-                e1 = simulate_particle_system(m, n, grid, seed=5,
-                                              replica=2 * rep)
-                e2 = simulate_particle_system(m, n, grid, seed=5,
-                                              replica=2 * rep + 1)
-                vals.append(path_bl_distance(e1.states.transpose(1, 0, 2),
-                                             e2.states.transpose(1, 0, 2),
-                                             grid).value)
-            assert all(v > 0 for v in vals)
-            medians.append(np.median(vals))
-        assert medians[1] < medians[0]
-
-
 def _path_dictionary_loop(pf, qf, lo, hi, size, k, gen):
     """Reference: the per-functional loop, one gap per functional."""
     gaps = []
@@ -612,25 +544,6 @@ def _path_dictionary_loop(pf, qf, lo, hi, size, k, gen):
     return np.array(gaps)
 
 
-def _path_bl_loop(p, q, size, seed, n_probe_nodes=4):
-    """Reference: ``path_bl_distance``'s value with the loop above."""
-    if p.shape[0] == 1 and q.shape[0] == 1:
-        return min(2.0, float(np.max(np.linalg.norm(p[0] - q[0], axis=-1))))
-    flat_dim = p.shape[1] * p.shape[2]
-    pf, qf = p.reshape(len(p), flat_dim), q.reshape(len(q), flat_dim)
-    lo = np.minimum(pf.min(axis=0), qf.min(axis=0))
-    hi = np.maximum(pf.max(axis=0), qf.max(axis=0))
-    gen = rngmod.substream(seed, rngmod.DICT, 1)
-    best = max([0.0, *_path_dictionary_loop(pf, qf, lo, hi, size,
-                                             min(n_probe_nodes, flat_dim),
-                                             gen)])
-    j = int(np.argmax(np.abs(pf.mean(axis=0) - qf.mean(axis=0))))
-    c = float((lo[j] + hi[j]) / 2.0)
-    vp = np.clip(pf[:, j] - c, -1.0, 1.0)
-    vq = np.clip(qf[:, j] - c, -1.0, 1.0)
-    return min(2.0, max(best, abs(float(vp.mean() - vq.mean()))))
-
-
 def _flat(p, q):
     flat_dim = p.shape[1] * p.shape[2]
     pf, qf = p.reshape(len(p), flat_dim), q.reshape(len(q), flat_dim)
@@ -639,22 +552,6 @@ def _flat(p, q):
 
 
 class TestPathBLBlocked:
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257])
-    @pytest.mark.parametrize("n_p, n_q", [(1, 1), (1, 2), (2, 2), (64, 64),
-                                          (2, 64)])
-    def test_equals_loop(self, d, size, n_p, n_q):
-        rng = np.random.default_rng(10 * d + n_p + n_q)
-        p = rng.uniform(0, 1, (n_p, 9, d))
-        q = rng.uniform(0, 0.7, (n_q, 9, d))
-        est = path_bl_distance(p, q, TimeGrid(1.0, 8), dictionary_size=size,
-                               seed=3)
-        assert est.value == _path_bl_loop(p, q, size, 3)
-        # two single paths: the exact closed form, no dictionary
-        exact = n_p == n_q == 1
-        assert est.dictionary_size == (None if exact else size)
-        assert est.method == ("exact_dirac" if exact else "dictionary")
-
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("size", [1, 255, 256, 257])
     @pytest.mark.parametrize("n_p, n_q", [(1, 2), (2, 2), (64, 64), (2, 64)])
@@ -671,19 +568,3 @@ class TestPathBLBlocked:
         ref = _path_dictionary_loop(pf, qf, lo, hi, size, k,
                                     rngmod.substream(3, rngmod.DICT, 1))
         assert gaps.shape == (size,) and gaps.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("block_bytes", [1, 4096, 1 << 30])
-    def test_block_size_and_layout_do_not_change_gaps(self, monkeypatch,
-                                                      block_bytes):
-        rng = np.random.default_rng(5)
-        # column-major skeletons, as from ``ens.states.transpose(1, 0, 2)``
-        p = np.asfortranarray(rng.uniform(0, 1, (64, 17)))[:, :, None]
-        q = np.asfortranarray(rng.uniform(0, 1, (40, 17)))[:, :, None]
-        pf, qf, lo, hi = _flat(p, q)
-        ref = _path_dictionary_loop(pf, qf, lo, hi, 257, 4,
-                                    rngmod.substream(0, rngmod.DICT, 1))
-        monkeypatch.setattr(measures_mod, "_BLOCK_BYTES", block_bytes)
-        gaps = _path_dictionary_gaps(pf, qf, lo, hi, 257, 4,
-                                     rngmod.substream(0, rngmod.DICT, 1))
-        assert gaps.tobytes() == ref.tobytes()
-        assert path_bl_distance(p, q).value == _path_bl_loop(p, q, 256, 0)

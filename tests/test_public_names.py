@@ -48,9 +48,9 @@ def test_every_public_name_has_a_reader():
     assert [name for name in exported if name not in read] == []
 
 
-# Unread, and kept only while its 158 test ids are more than one change may
-# delete; the entry goes when the function does, or gains a reader.
-_AWAITING_REMOVAL = [("measures.py", "path_bl_distance")]
+# Public definitions that no reader reaches yet, each waiting for the change
+# that deletes it; none is waiting now.
+_AWAITING_REMOVAL = []
 
 
 def test_every_public_definition_has_a_reader():
