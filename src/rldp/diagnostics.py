@@ -209,23 +209,19 @@ def mf_process(f: TestFunction, states, controls, noise_path,
     particle-invariant generator terms once per node, not once per path,
     and skips the sigma h term when every control is zero.
 
-    states:     (n+1, d) or (n+1, N, d)
-    controls:   (n, d1) or (n, N, d1) atomic control values
+    states:     (n+1, N, d)
+    controls:   (n, N, d1) atomic control values
     noise_path: the n + 1 rows w(t_k) of the cumulative driving noise, each
-                (d1,) or (N, d1): an (n+1, [N,] d1) array or any iterable of
-                rows, read one node at a time, so that a stream such as
+                (N, d1): an (n+1, N, d1) array or any iterable of rows, read
+                one node at a time, so that a stream such as
                 ``ensemble.cumulative_noise`` is never held whole
-    Returns (n+1,) or (n+1, N).
+    Returns (n+1, N).
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    single = states.ndim == 2
-    if single:
-        states = states[:, None, :]
-        controls = controls[:, None, :]
     n = grid.n_steps
-    if states.shape[0] != n + 1:
-        raise InputError("states must have one row per node")
+    if states.ndim != 3 or states.shape[0] != n + 1:
+        raise InputError("states must have shape (n+1, N, d), a row per node")
     if controls.shape[0] != n:
         raise InputError("controls must have one value per grid cell")
     if len(nu_flow) != n + 1:
@@ -236,8 +232,7 @@ def mf_process(f: TestFunction, states, controls, noise_path,
         row = next(rows, None)
         if row is None:
             raise InputError("noise path must have one row per node")
-        row = np.asarray(row, dtype=float)
-        return row[None, :] if single else row
+        return np.asarray(row, dtype=float)
 
     dt, nodes = grid.dt, grid.nodes
     controlled = bool(np.any(controls))
@@ -258,13 +253,14 @@ def mf_process(f: TestFunction, states, controls, noise_path,
         m[k + 1] = (f1 - f0) - integral * dt
     if next(rows, None) is not None:
         raise InputError("noise path must have one row per node")
-    return m[:, 0] if single else m
+    return m
 
 
 # -- statistical submartingale test ------------------------------------------------------
 
-def default_psi_dictionary(domain: ConvexDomain):
-    """Nonnegative weights measurable at the conditioning time.
+def psi_weights(domain: ConvexDomain):
+    """The nonnegative weights Psi of ``submartingale_test``, by id, each
+    measurable at the conditioning time.
 
     Each entry maps (states_t0 (N, d), noise_t0 (N, d1)) -> weights (N,).
     Includes the constant weight (the unconditional test).
@@ -320,7 +316,6 @@ class SubmartingaleReport:
 def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
                        model: ModelSpec, time_pairs, n_paths: int | None = None,
                        confidence: float = 0.95, c_bias: float = 0.0,
-                       psi_dictionary=None,
                        skip_boundary_check: bool = False) -> SubmartingaleReport:
     """One-sided test of E[Psi (M_f(t1) - M_f(t0))] >= 0 on simulated paths.
 
@@ -349,8 +344,6 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
         if not k0 < k1:
             raise InputError("time pairs must satisfy t0 < t1")
         pairs.append((t0, t1, k0, k1))
-    if psi_dictionary is None:
-        psi_dictionary = default_psi_dictionary(model.domain)
 
     states = ens.states[:, :n_use, :]
     controls = ens.controls[:, :n_use, :]
@@ -371,7 +364,7 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
     entries = []
     for t0, t1, k0, k1 in pairs:
         dm = m[k1] - m[k0]
-        for psi_id, psi in psi_dictionary.items():
+        for psi_id, psi in psi_weights(model.domain).items():
             wts = np.asarray(psi(states[k0], w_t0[k0]), dtype=float)
             if np.any(wts < 0):
                 raise InputError(f"psi {psi_id} produced negative weights")

@@ -59,6 +59,18 @@ def _row_sumsq(x: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _check_extent(kind: str, extent) -> None:
+    """Reject a domain unless 4 |e|^2 is finite, e = ``extent()`` the
+    per-axis bound on |x_i| over the domain.  Then ``_row_sumsq`` of any
+    point, or of any difference of two points, is finite: it sums the same
+    number of terms, in the same order, each at most four times as large.
+    An overflow or a NaN on the way fails the check, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(4.0 * _row_sumsq(extent())):
+            raise InputError(f"{kind} must be finite with 4 |x|^2 finite at "
+                             f"its farthest point x from the origin")
+
+
 def _row_norm(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=-1)`` bit for bit: the root of
     ``_row_sumsq``, taken in place except for a single point."""
@@ -83,9 +95,7 @@ class ConvexDomain:
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
             raise InputError("box bounds must be nonempty 1-d arrays of "
                              "equal length")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(hi - lo)):  # nor then are lo or hi
-                raise InputError("box bounds and widths hi - lo must be finite")
+        _check_extent("box", lambda: np.maximum(np.abs(lo), np.abs(hi)))
         if not np.all(hi > lo):
             raise InputError("box requires hi > lo on every axis")
         return ConvexDomain(kind="box", lo=lo, hi=hi)
@@ -96,9 +106,7 @@ class ConvexDomain:
         radius = float(radius)
         if center.ndim != 1 or center.size == 0:
             raise InputError("ball center must be a nonempty 1-d array")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(np.isfinite([center - radius, center + radius])):
-                raise InputError("ball center +- radius must be finite")
+        _check_extent("ball", lambda: np.abs(center) + radius)
         if radius <= 0:
             raise InputError("ball requires radius > 0")
         return ConvexDomain(kind="ball", center=center, radius=radius)
@@ -206,16 +214,12 @@ class ConvexDomain:
         pts[np.arange(n), axes] = vals
         return pts
 
-    # -- config round-trip ---------------------------------------------------
-
-    def to_config(self) -> dict:
-        if self.kind == "box":
-            return {"kind": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
+    # -- config ---------------------------------------------------------------
 
     @staticmethod
     def from_config(cfg: dict) -> "ConvexDomain":
-        """The domain of ``to_config``'s keys, exactly, its bounds JSON numbers."""
+        """The domain of a config block: exactly the keys kind, lo, hi (box)
+        or kind, center, radius (ball), its bounds JSON numbers."""
         kind = cfg.get("kind")
         if kind not in ("box", "ball"):
             raise InputError(f"unknown domain kind: {kind!r}")

@@ -66,12 +66,12 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid node equal to t; off-grid times are errors."""
+    def node_index(self, t: float) -> int:
+        """Index of the grid node within 1e-9 of t; off-grid times are errors."""
         if not math.isfinite(t):
             raise InputError(f"time {t} is not a grid node")
         k = round(t / self.dt)
-        if not 0 <= k <= self.n_steps or abs(t - k * self.dt) > tol:
+        if not 0 <= k <= self.n_steps or abs(t - k * self.dt) > 1e-9:
             raise InputError(f"time {t} is not a grid node")
         return int(k)
 
@@ -242,8 +242,6 @@ def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
     policy = None
     if control is not None:
         control = np.asarray(control, dtype=float)
-        if control.shape == (n + 1, d1):
-            control = control[:-1]
         if control.shape != (n, d1):
             raise InputError(f"control must have shape ({n}, {d1})")
         policy = PiecewiseConstantPolicy(control, grid)

@@ -16,9 +16,6 @@ most ``workers`` threads (default 2, never more than the CPUs), one program
 each, while the caller makes the next pair; every other pair is computed
 on the calling thread, and the values are those of the plain loop, in its
 order.
-
-No CLI kind or criterion reads a distance between path laws, so none is
-computed; ``_path_dictionary_gaps`` has no caller, and goes with its test.
 """
 
 from __future__ import annotations
@@ -145,8 +142,8 @@ def bl_distance(mu: MeasureSummary, nu: MeasureSummary) -> BLEstimate:
     # Against a Dirac at y, BL = sum_i w_i min(|x_i - y|, 2) (Dudley, Real
     # Analysis and Probability, 11.8): f = min(|. - y|, 2) - 1 attains it, and
     # |f| <= 1, Lip(f) <= 1 give f(x) - f(y) <= min(|x - y|, 2) for every f.
-    a_dirac = a.is_dirac(tol=0.0)
-    if a_dirac or b.is_dirac(tol=0.0):
+    a_dirac = a.is_dirac()
+    if a_dirac or b.is_dirac():
         cloud, y = (b, a.points[0]) if a_dirac else (a, b.points[0])
         value = min(2.0, float(np.minimum(_row_norm(cloud.points - y), 2.0)
                                @ cloud.weights))
@@ -161,7 +158,7 @@ def bl_distance(mu: MeasureSummary, nu: MeasureSummary) -> BLEstimate:
 def _needs_lp(mu: MeasureSummary, nu: MeasureSummary) -> bool:
     """Whether ``bl_distance(mu, nu)`` solves the exact 1D linear program."""
     return (mu.dimension == nu.dimension == 1
-            and not (mu.is_dirac(tol=0.0) or nu.is_dirac(tol=0.0)))
+            and not (mu.is_dirac() or nu.is_dirac()))
 
 
 def _cpus() -> int:
@@ -220,37 +217,3 @@ def bl_values(pairs, workers: int | None = None) -> list:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return values
-
-
-# -- path skeleton functionals (no caller) ----------------------------------------
-
-def _path_dictionary_gaps(pf, qf, lo, hi, size: int, k: int,
-                          gen: np.random.Generator) -> np.ndarray:
-    """``|int f d(P - Q)|`` for each of ``size`` functionals
-    ``f(phi) = clip(phi[idx] @ a - c)`` of k flat skeleton coordinates.
-
-    Each functional's ``idx`` and ``a`` are drawn in turn, ``choice`` then
-    ``standard_normal``; c centres ``a`` on the midpoints of [lo, hi].  The
-    functionals are then evaluated B at a time, B the most whose
-    ``(B, n_paths, k)`` gather fits in ``_BLOCK_BYTES`` (at least one).  The
-    gather keeps the column-major layout of ``f[:, idx]``, so a row's stacked
-    matmul is the gemv of ``f[:, idx] @ a`` and its mean that of one row:
-    bitwise each functional alone.
-    """
-    idx = np.empty((size, k), dtype=np.intp)
-    a = np.empty((size, k))
-    for j in range(size):
-        idx[j] = gen.choice(len(lo), size=k, replace=False)
-        a[j] = gen.standard_normal(k)
-    a /= np.abs(a).sum(axis=1, keepdims=True)
-    c = (a[:, None, :] @ ((lo[idx] + hi[idx]) / 2.0)[:, :, None])[:, 0, 0]
-
-    def clipped_means(f, rows):
-        v = (f.T[idx[rows]].transpose(0, 2, 1) @ a[rows, :, None])[..., 0]
-        v -= c[rows, None]
-        return np.clip(v, -1.0, 1.0, out=v).mean(axis=1)
-
-    b = max(1, _BLOCK_BYTES // (max(len(pf), len(qf)) * max(k, 1) * 8))
-    return np.concatenate([np.empty(0)] + [
-        np.abs(clipped_means(pf, rows) - clipped_means(qf, rows))
-        for rows in (slice(i, i + b) for i in range(0, size, b))])

@@ -123,9 +123,9 @@ class MeasureSummary:
         return MeasureSummary(points=self.points[j], weights=self.weights,
                               mean=self.mean[j, 0])
 
-    def is_dirac(self, tol: float = 0.0) -> bool:
-        return self.n_atoms == 1 or bool(
-            np.all(np.abs(self.points - self.points[0]) <= tol))
+    def is_dirac(self) -> bool:
+        """Whether every atom sits at the same point."""
+        return self.n_atoms == 1 or bool(np.all(self.points == self.points[0]))
 
 
 @dataclass(frozen=True)

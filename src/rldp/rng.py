@@ -27,7 +27,6 @@ INIT = 1       # initial-condition sampling, keyed (INIT, replica)
 DICT = 2       # function dictionaries for measure distances
 SAMPLER = 3    # diagnostic sampling
 OPT = 4        # optimizer restart points
-BRIDGE = 5     # reserved for Brownian-bridge refinement; nothing draws from it
 
 # numpy's SeedSequence hashing constants (O'Neill's seed_seq_fe, pool of four
 # 32-bit words).  substream_keys reproduces SeedSequence with them.

@@ -69,17 +69,19 @@ class TestLaplace:
         assert result["value"] == 0.3
         assert result["std_error"] == 0.0
 
-    def test_non_finite_estimate_exits_3(self, tmp_path):
+    def test_huge_constant_exits_0(self, tmp_path):
+        # N c overflows, yet the estimate is c exactly, with no guard
         cfg = {"schema_version": 1, "seed": 2, "model": BASE_MODEL,
                "grid": {"horizon": 0.5, "n_steps": 4},
                "run": {"functional": {"functional": "constant", "c": 1e308},
                        "n_particles": 4, "n_replicas": 4}}
         out = tmp_path / "out"
         assert main(["laplace", "--config", _write(tmp_path, "lap.json", cfg),
-                     "--out", str(out)]) == 3
+                     "--out", str(out)]) == 0
         result = json.loads((out / "result.json").read_text(),
                             parse_constant=pytest.fail)  # strict JSON
-        assert result["guard"] is True and result["value"] == "nan"
+        assert result["value"] == 1e308 and result["std_error"] == 0.0
+        assert result["guard"] is False
 
 
 def test_non_finite_numbers_written_as_strings():
@@ -307,8 +309,11 @@ class TestConfigErrorsExit2:
         {"kind": "box", "lo": [], "hi": []},
         {"kind": "ball", "center": [], "radius": 1.0},
         {"kind": "box", "lo": [-1e308], "hi": [1e308]},
-        {"kind": "ball", "center": [1e308], "radius": 1e308}],
-        ids=["empty_box", "empty_ball", "wide_box", "wide_ball"])
+        {"kind": "ball", "center": [1e308], "radius": 1e308},
+        {"kind": "box", "lo": [-8e307], "hi": [8e307]},
+        {"kind": "ball", "center": [0.0, 0.0], "radius": 1e200}],
+        ids=["empty_box", "empty_ball", "wide_box", "wide_ball",
+             "overflowing_box", "overflowing_ball"])
     def test_domain_that_cannot_be_sampled(self, tmp_path, capsys, kind, run,
                                            domain):
         model = {**BASE_MODEL, "domain": domain, "d1": 1}

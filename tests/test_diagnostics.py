@@ -13,10 +13,9 @@ import rldp
 import rldp.diagnostics as diagnostics_mod
 from rldp.controls import ConstantPolicy
 from rldp.diagnostics import (boundary_condition_check,
-                              calibrate_bias_allowance,
-                              default_psi_dictionary, generator_apply,
-                              mf_process, standard_test_functions,
-                              submartingale_test)
+                              calibrate_bias_allowance, generator_apply,
+                              mf_process, psi_weights,
+                              standard_test_functions, submartingale_test)
 from rldp.ensemble import marginal_flow, simulate_particle_system
 from rldp.errors import InputError, PreconditionError
 from rldp import rng as rngmod
@@ -210,6 +209,14 @@ class TestMfProcess:
                         flow, m, grid)
         assert np.allclose(mf, 0.0, atol=1e-12)
 
+    def test_single_path_states_rejected(self):
+        # one path is an ensemble of one particle, (n+1, 1, d), not (n+1, d)
+        m, grid, ens, flow = self._setup()
+        f = standard_test_functions(1, 1)["neg_x_sq"]
+        with pytest.raises(InputError, match="shape"):
+            mf_process(f, ens.states[:, 0, :], ens.controls[:, 0, :],
+                       ens.noise_paths()[:, 0, :], flow, m, grid)
+
     def test_noise_coordinate_is_discrete_martingale(self):
         # f = z1: M_f(t) = w1(t) exactly, and E[w1(T)] = 0
         m, grid, ens, flow = self._setup(n_particles=1000)
@@ -220,14 +227,6 @@ class TestMfProcess:
         terminal = mf[-1]
         se = terminal.std(ddof=1) / np.sqrt(len(terminal))
         assert abs(terminal.mean()) <= 3 * se
-
-    def test_single_path_shape(self):
-        m, grid, ens, flow = self._setup()
-        f = standard_test_functions(1, 1)["neg_x_sq"]
-        mf = mf_process(f, ens.states[:, 0, :], ens.controls[:, 0, :],
-                        ens.noise_paths()[:, 0, :], flow, m, grid)
-        assert mf.shape == (grid.n_steps + 1,)
-        assert mf[0] == 0.0
 
 
 class TestSubmartingaleTest:
@@ -366,17 +365,6 @@ class TestMfProcessBitwise:
             assert np.array_equal(got, ref), fid
 
     @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
-    def test_single_path_equals_batched_column(self, model, v):
-        grid, ens, flow = self._run(model, v)
-        w = ens.noise_paths()
-        for fid, f in standard_test_functions(model.d, model.d1).items():
-            batched = mf_process(f, ens.states, ens.controls, w, flow, model,
-                                 grid)
-            single = mf_process(f, ens.states[:, 0, :], ens.controls[:, 0, :],
-                                w[:, 0, :], flow, model, grid)
-            assert np.array_equal(single, batched[:, 0]), fid
-
-    @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
     def test_hessian_views_equal_copies(self, model, v):
         """Read-only broadcast Hessians give the bits of one fresh array per
         particle, signed zeros included."""
@@ -495,7 +483,7 @@ def reference_report_entries(ens, flow, f, model, time_pairs, n_paths,
     entries = []
     for t0, t1 in time_pairs:
         k0, k1 = ens.grid.node_index(t0), ens.grid.node_index(t1)
-        for psi_id, psi in default_psi_dictionary(model.domain).items():
+        for psi_id, psi in psi_weights(model.domain).items():
             vals = psi(states[k0], w[k0]) * (m[k1] - m[k0])
             stat = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(n_use))

@@ -158,36 +158,46 @@ class TestSkorokhod1D:
 
 
 class TestConstruction:
-    """A domain needs a dimension, and finite widths hi - lo or extent
-    center +- radius: without them sampling divides by zero or overflows."""
+    """A domain needs a dimension, and 4 |x|^2 finite at its farthest point
+    x from the origin: without them sampling divides by zero, or a squared
+    norm of a point or of a difference of two points overflows."""
 
     @pytest.mark.parametrize("lo, hi", [
-        ([], []), ([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308])])
+        ([], []), ([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308]),
+        ([-8e307], [8e307]), ([0.0], [6.8e153]), ([0.0, 0.0], [6e153, 6e153])])
     def test_box_needs_dimensions_and_finite_widths(self, lo, hi):
         with pytest.raises(InputError):
             ConvexDomain.box(lo, hi)
 
     @pytest.mark.parametrize("center, radius", [
         ([], 1.0), ([[0.0, 0.0]], 1.0), ([1e308], 1e308),
-        ([0.0, -1e308], 1e308)])
+        ([0.0, -1e308], 1e308), ([0.0, 0.0], 1e200), ([6.7e153], 1e152)])
     def test_ball_needs_dimensions_and_finite_extent(self, center, radius):
         with pytest.raises(InputError):
             ConvexDomain.ball(center, radius)
 
     def test_widest_finite_domains_accepted(self):
-        assert ConvexDomain.ball([0.0], 1e308).radius == 1e308
-        box = ConvexDomain.box([-8e307], [8e307])
-        x = box.sample_interior(np.random.default_rng(0), 16)
-        assert np.all(np.isfinite(x)) and np.all(box.contains_all(x))
+        # 4 * 6.7e153 ** 2 is finite, 4 * 6.8e153 ** 2 (rejected above) is not
+        for dom in (ConvexDomain.ball([0.0], 6.7e153),
+                    ConvexDomain.ball([-3.35e153], 3.35e153),
+                    ConvexDomain.box([-6.7e153], [6.7e153])):
+            x = dom.sample_interior(np.random.default_rng(0), 16)
+            assert np.all(np.isfinite(x)) and np.all(dom.contains_all(x))
+            assert np.all(np.isfinite(_row_sumsq(x[:, None] - x[None, :])))
+        far = np.array([[-6.7e153], [6.7e153]])
+        assert np.isfinite(_row_sumsq(far[1] - far[0]))
 
 
 class TestConfigRoundTrip:
     def test_box_and_ball(self):
-        for dom in (ConvexDomain.box([0.0, -1.0], [1.0, 2.0]),
-                    ConvexDomain.ball([0.1], 0.9)):
-            back = ConvexDomain.from_config(dom.to_config())
-            assert back.kind == dom.kind
-            assert back.dimension == dom.dimension
+        box = ConvexDomain.from_config({"kind": "box", "lo": [0.0, -1.0],
+                                        "hi": [1.0, 2.0]})
+        assert box.kind == "box" and box.lo.tolist() == [0.0, -1.0]
+        assert box.hi.tolist() == [1.0, 2.0]
+        ball = ConvexDomain.from_config({"kind": "ball", "center": [0.1],
+                                         "radius": 0.9})
+        assert ball.kind == "ball" and ball.center.tolist() == [0.1]
+        assert ball.radius == 0.9
 
     @pytest.mark.parametrize("cfg", [
         {"kind": "box", "lo": [0.0], "hi": [1.0], "extra": 1},

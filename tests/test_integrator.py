@@ -116,20 +116,13 @@ class TestSimulateReflectedPath:
             simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
                                     None, np.zeros((4, 1)), [1.5])
 
-
-    def test_control_with_terminal_row_matches_its_trim(self):
-        m = make_m2(BALL2, theta=0.5)
-        grid = TimeGrid(1.0, 32)
-        gen = np.random.default_rng(3)
-        noise = brownian_increments(gen, 32, 2, grid.dt)
-        control = gen.uniform(-2.0, 2.0, size=(33, 2))
-        flow = _frozen_flow(grid, [0.1, -0.2])
-        full = simulate_reflected_path(m, grid, flow, control, noise,
-                                       [0.3, 0.4])
-        trim = simulate_reflected_path(m, grid, flow, control[:-1], noise,
-                                       [0.3, 0.4])
-        assert np.array_equal(full.states, trim.states)
-        assert np.array_equal(full.local_time, trim.local_time)
+    def test_control_with_terminal_row_rejected(self):
+        # one control value per cell: an (n + 1, d1) control is not trimmed
+        m = make_m1(BOX1)
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(InputError):
+            simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
+                                    np.zeros((5, 1)), np.zeros((4, 1)), [0.5])
 
     def test_nan_drift_rejected(self):
         def drift(t, x, mu):

@@ -103,12 +103,25 @@ class TestLaplace:
         assert est.effective_sample_size == pytest.approx(16.0)
 
     @pytest.mark.parametrize("c", [1e308, -1e308])
-    def test_overflow_trips_the_guard(self, c):
-        # N c overflows: the estimate is not finite, and the guard says so
+    def test_huge_constant_exact(self, c):
+        # N c overflows, N (F - F_min) does not: the shift comes first
         est = laplace_functional_mc(make_m1(BOX1), constant_functional(c), 4,
                                     TimeGrid(0.25, 4), 4, seed=0)
-        assert not math.isfinite(est.value)
-        assert est.log_sum_exp_guard
+        assert est.value == c and est.std_error == 0.0
+        assert not est.log_sum_exp_guard
+
+    def test_gap_past_the_float_range_is_finite(self):
+        # F spans [-1e308, 1e308]: F - F_min overflows, and those replicas
+        # weigh 0; no RuntimeWarning (the suite runs under -W error)
+        m = make_m1(ConvexDomain.box([-4.0], [4.0]), sigma_scale=4.0)
+        grid = TimeGrid(1.0, 4)
+        g = terminal_mean_functional(scale=1e308)
+        f_vals = [g(marginal_flow(simulate_particle_system(
+            m, 2, grid, seed=1, replica=r))) for r in range(16)]
+        assert max(f_vals) - min(f_vals) == math.inf
+        est = laplace_functional_mc(m, g, 2, grid, 16, seed=1)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert min(f_vals) <= est.value <= max(f_vals)
 
     def test_n1_direct_mc_oracle(self):
         # N=1 reduces to -log E[exp(-g(X(T)))]; compare to a direct average

@@ -11,8 +11,8 @@ import rldp.measures as measures_mod
 from rldp import rng as rngmod
 from rldp.errors import InputError
 from rldp.integrator import TimeGrid
-from rldp.measures import (_bl_dictionary, _path_dictionary_gaps, _row_norm,
-                           bl_distance, bl_values, pool_size)
+from rldp.measures import (_bl_dictionary, _row_norm, bl_distance, bl_values,
+                           pool_size)
 from rldp.model import MeasureSummary
 
 
@@ -528,43 +528,3 @@ class TestBLValues:
         assert sizes == [3] and len(started) == 1  # one LP pair, one thread
         bl_values([lp] * 10, 2)
         assert sizes == [3, 2] and len(started) <= 3
-
-
-def _path_dictionary_loop(pf, qf, lo, hi, size, k, gen):
-    """Reference: the per-functional loop, one gap per functional."""
-    gaps = []
-    for _ in range(size):
-        idx = gen.choice(pf.shape[1], size=k, replace=False)
-        a = gen.standard_normal(k)
-        a /= np.sum(np.abs(a))
-        c = float(a @ ((lo[idx] + hi[idx]) / 2.0))
-        vp = np.clip(pf[:, idx] @ a - c, -1.0, 1.0)
-        vq = np.clip(qf[:, idx] @ a - c, -1.0, 1.0)
-        gaps.append(abs(float(vp.mean() - vq.mean())))
-    return np.array(gaps)
-
-
-def _flat(p, q):
-    flat_dim = p.shape[1] * p.shape[2]
-    pf, qf = p.reshape(len(p), flat_dim), q.reshape(len(q), flat_dim)
-    return (pf, qf, np.minimum(pf.min(axis=0), qf.min(axis=0)),
-            np.maximum(pf.max(axis=0), qf.max(axis=0)))
-
-
-class TestPathBLBlocked:
-    @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("size", [1, 255, 256, 257])
-    @pytest.mark.parametrize("n_p, n_q", [(1, 2), (2, 2), (64, 64), (2, 64)])
-    @pytest.mark.parametrize("k", [1, 4, 9])
-    def test_every_gap_equals_loop(self, d, size, n_p, n_q, k):
-        # each functional's gap, not only the largest
-        rng = np.random.default_rng(7 * d + n_p + n_q + k)
-        p = rng.uniform(0, 1, (n_p, 5, d))
-        q = rng.uniform(0.2, 1, (n_q, 5, d))
-        pf, qf, lo, hi = _flat(p, q)
-        k = min(k, pf.shape[1])
-        gaps = _path_dictionary_gaps(pf, qf, lo, hi, size, k,
-                                     rngmod.substream(3, rngmod.DICT, 1))
-        ref = _path_dictionary_loop(pf, qf, lo, hi, size, k,
-                                    rngmod.substream(3, rngmod.DICT, 1))
-        assert gaps.shape == (size,) and gaps.tobytes() == ref.tobytes()

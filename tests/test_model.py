@@ -8,6 +8,7 @@ from rldp.model import (MeasureSummary, ModelSpec, eval_coefficients,
                         model_from_config)
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
+BOX1_CFG = {"kind": "box", "lo": [0.0], "hi": [1.0]}
 
 
 class TestMeasureSummary:
@@ -115,7 +116,7 @@ class TestEvalCoefficients:
 
 class TestModelZoo:
     def test_registry_round_trip(self):
-        cfg = {"model": "m2", "domain": BOX1.to_config(), "theta": 0.5,
+        cfg = {"model": "m2", "domain": BOX1_CFG, "theta": 0.5,
                "sigma_scale": 0.3}
         m = model_from_config(cfg)
         assert m.name == "m2"
@@ -123,7 +124,7 @@ class TestModelZoo:
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InputError):
-            model_from_config({"model": "nope", "domain": BOX1.to_config()})
+            model_from_config({"model": "nope", "domain": BOX1_CFG})
 
     def test_initial_states_deterministic_points(self):
         m = make_m1(BOX1, init=[[0.2], [0.5], [0.8]])
@@ -148,17 +149,17 @@ class TestModelFromConfigChecks:
                                       [[float("nan")]], [[0.5, 0.5]], []])
     def test_init_points_outside_domain_rejected(self, init):
         with pytest.raises(InputError, match="init"):
-            model_from_config({"model": "m1", "domain": BOX1.to_config(),
+            model_from_config({"model": "m1", "domain": BOX1_CFG,
                                "init": init})
 
     @pytest.mark.parametrize("init", ["0.5", [["0.5"]], [[True]], [[None]],
                                       [[0.5], ["0.5"]]])
     def test_init_entries_must_be_numbers(self, init):
         with pytest.raises(InputError, match="init"):
-            model_from_config({"model": "m1", "domain": BOX1.to_config(),
+            model_from_config({"model": "m1", "domain": BOX1_CFG,
                                "init": init})
 
     def test_init_points_on_the_boundary_accepted(self):
-        m = model_from_config({"model": "m1", "domain": BOX1.to_config(),
+        m = model_from_config({"model": "m1", "domain": BOX1_CFG,
                                "init": [[0.0], [1.0]]})
         assert m.init_points.shape == (2, 1)

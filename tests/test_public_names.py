@@ -1,7 +1,7 @@
-"""Every name ``rldp`` exports, and every public top-level function or class
-of an ``rldp`` module, has a reader: a library module, or the acceptance
-criteria.  A public name that only its own unit tests call is dead weight on
-the package surface."""
+"""Every name ``rldp`` exports, and every top-level function, class or
+constant of an ``rldp`` module, public or private, has a reader: a library
+module, or the acceptance criteria.  A name that only its own unit tests
+read is dead weight on the package."""
 
 import ast
 from pathlib import Path
@@ -29,11 +29,22 @@ def _loaded(path):
     return names
 
 
+def _top_level(path):
+    """(name, public function or class) for each name a module defines at
+    its top level, the names it assigns (its constants) included."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, not node.name.startswith("_")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)):
+                yield name.id, False
+
+
 def _defined(path):
     """The public functions and classes a module defines at its top level."""
-    return [node.name for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    return [name for name, public in _top_level(path) if public]
 
 
 def _read():
@@ -60,3 +71,13 @@ def test_every_public_definition_has_a_reader():
     read = _read()
     unread = [(m, name) for m, name in defined if name not in read]
     assert unread == _AWAITING_REMOVAL
+
+
+def test_every_other_top_level_name_has_a_reader():
+    # constants, public or private, and private functions and classes
+    others = [(p.name, name) for p in sorted(PACKAGE.glob("*.py"))
+              if p.name != "__init__.py"
+              for name, public in _top_level(p) if not public]
+    assert others
+    read = _read()
+    assert [(m, name) for m, name in others if name not in read] == []
