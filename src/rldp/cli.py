@@ -8,10 +8,9 @@ Configs are JSON; flags override config fields (flag > file > default).
 config is checked whole before anything runs.  Each run writes a manifest
 (resolved config + seed + content hash) and a result JSON whose bytes
 depend only on (config, seed).  ``--workers`` (>= 1; default 2) caps the
-threads that solve the exact 1D BL linear programs of the chaos kind, at
-most one per CPU (``measures.bl_values``); it changes no output byte, and
-with 1 no thread starts.  Exit codes: 0 ok, 2 config error, 3 budget or
-guard flag.
+threads of the chaos kind's pool for the exact 1D BL linear programs, at
+most one per CPU (``pool_size``); it changes no output byte, and with 1 no
+thread starts.  Exit codes: 0 ok, 2 config error, 3 budget or guard flag.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from .ensemble import (marginal_flow, empirical_measure_at,
 from .errors import BudgetError, ConfigError, InputError
 from .geometry import _json_reals
 from .integrator import TimeGrid
-from .measures import bl_values, pool_size
-from .model import MeasureSummary, model_from_config
+from .measures import bl_distance
+from .model import _MAGNITUDE_MAX, MeasureSummary, model_from_config
 
 SCHEMA_VERSION = 1
 
@@ -264,16 +265,21 @@ def _run_chaos(cfg, p, out: Path):
                                         budget=cfg.get("budget"))
     # replica 0 feeds the reference
     keys = [(n, rep) for n in n_values for rep in range(1, p["n_replicas"] + 1)]
-
-    def pairs():  # simulated here while the threads solve earlier pairs' LPs
+    # HiGHS releases the GIL, so in 1D each replica's distance solves on the
+    # pool while the next replica simulates here, at most `size` at once; a
+    # d >= 2 distance (numpy holds the GIL) or a pool of one is computed here.
+    size = pool_size(p["workers"]) if model.d == 1 else 1
+    dists = []
+    with ThreadPoolExecutor(size) as pool:
+        submit = pool.submit if size > 1 else _computed
         for n, rep in keys:
             ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
-                                           replica=rep,
-                                           budget=cfg.get("budget"))
-            yield empirical_measure_at(ens, grid.horizon), ref.terminal
-
-    rows = [(n, rep, dist) for (n, rep), dist
-            in zip(keys, bl_values(pairs(), p["workers"]))]
+                                           replica=rep, budget=cfg.get("budget"))
+            if len(dists) >= size:
+                dists[-size].result()
+            dists.append(submit(bl_distance, empirical_measure_at(ens, grid.horizon),
+                                ref.terminal))
+    rows = [(n, rep, d.result().value) for (n, rep), d in zip(keys, dists)]
     medians = {str(n): float(np.median([d for m, _, d in rows if m == n]))
                for n in n_values}
     with open(out / "distances.csv", "w", newline="") as fh:
@@ -358,6 +364,9 @@ def _run_submartingale(cfg, p, out: Path):
 
 _REAL = _num("a finite number")
 _POSITIVE = _num("a finite number > 0", lambda x, p: x > 0)
+# the largest control a feedback policy or an optimizer family may give
+_BOUND = _num(f"a number in (0, {_MAGNITUDE_MAX:g}]",
+              lambda x, p: 0 < x <= _MAGNITUDE_MAX)
 _FLAG = _choice(False, True)
 _GIVEN = _num("a finite number", keep=True)
 _FUNCTIONAL = ({}, _variant("functional", {
@@ -381,7 +390,7 @@ _POLICY = ({}, _variant("policy", {
         and (a.ndim < 3 or a.shape[1] == p["n_particles"])))},
         lambda h: PiecewiseConstantPolicy(h["values"], h["grid"])),
     "feedback": ({"theta": (None, _array("numbers", lambda a, p: True)),
-                  "bound": (3.0, _POSITIVE)},
+                  "bound": (3.0, _BOUND)},
                  lambda h: FeedbackPolicy(h["theta"], h["model"].d,
                                           h["model"].d1, h["bound"]))},
     "zero"))
@@ -417,7 +426,7 @@ KINDS = {  # kind -> (runner, run-block table)
         "target": _TARGET,
         "family": ({}, ({
             "family": ("constant", _choice("constant", "feedback")),
-            "bound": (3.0, _POSITIVE),
+            "bound": (3.0, _BOUND),
         }, lambda f: constant_family(f["model"].d1, bound=f["bound"])
             if f["family"] == "constant" else
             feedback_family(f["model"].d, f["model"].d1, bound=f["bound"]))),
@@ -440,11 +449,35 @@ KINDS = {  # kind -> (runner, run-block table)
 }
 
 
+def _cpus() -> int:
+    """The CPUs this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(workers: int | None = None) -> int:
+    """The most threads the chaos kind starts: ``workers`` (default 2), at
+    most the CPUs this process may use.  Each thread that has run HiGHS
+    keeps its own working set, so the default stays at the two measured."""
+    if workers is not None and (isinstance(workers, bool)
+                                or not isinstance(workers, int) or workers < 1):
+        raise InputError(f"workers must be an integer >= 1, got {workers!r}")
+    return min(2 if workers is None else workers, _cpus())
+
+
+def _computed(fn, *args) -> Future:
+    """The done future of ``fn(*args)``, computed on the calling thread."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:
     """Check the whole config, then run it: result.json, manifest.json, CSVs.
 
-    ``workers`` caps the threads of the exact 1D BL linear programs
-    (``measures.pool_size``); the output bytes do not depend on it.
+    ``workers`` caps the chaos kind's threads (``pool_size``); the output
+    bytes do not depend on it.
     """
     runner, table = KINDS[cfg["kind"]]
     pool_size(workers)  # a bad cap fails before anything runs

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .integrator import TimeGrid
-from .model import MeasureSummary
+from .model import _MAGNITUDE_MAX, MeasureSummary
 
 
 def ensemble_cost(h: np.ndarray, dt: float) -> float:
@@ -65,8 +65,9 @@ class ConstantPolicy(ControlPolicy):
 
     def __init__(self, v):
         self.v = np.atleast_1d(np.asarray(v, dtype=float))
-        if not np.all(np.isfinite(self.v)):
-            raise InputError("constant control must be finite")
+        if not np.all(np.abs(self.v) <= _MAGNITUDE_MAX):  # NaN too
+            raise InputError(f"constant control must be finite and at most "
+                             f"{_MAGNITUDE_MAX:g} in magnitude")
 
     def evaluate(self, t, states, mu):
         return np.broadcast_to(self.v, states.shape[:-1] + self.v.shape).copy()
@@ -90,8 +91,9 @@ class PiecewiseConstantPolicy(ControlPolicy):
             values = values[:, None]
         if values.shape[0] != grid.n_steps:
             raise InputError("values must have one row per grid cell")
-        if not np.all(np.isfinite(values)):
-            raise InputError("control values must be finite")
+        if not np.all(np.abs(values) <= _MAGNITUDE_MAX):  # NaN too
+            raise InputError(f"control values must be finite and at most "
+                             f"{_MAGNITUDE_MAX:g} in magnitude")
         self.values = values
         self.grid = grid
 
@@ -117,8 +119,8 @@ class FeedbackPolicy(ControlPolicy):
         self.d = d
         self.d1 = d1
         self.bound = float(bound)
-        if not (np.isfinite(self.bound) and self.bound > 0):
-            raise InputError(f"feedback bound must be finite and > 0, "
+        if not 0 < self.bound <= _MAGNITUDE_MAX:  # NaN too
+            raise InputError(f"feedback bound must be in (0, {_MAGNITUDE_MAX:g}], "
                              f"got {bound!r}")
         n_feat = self.n_features(d)
         weights = np.asarray(weights, dtype=float).reshape(n_feat, d1)

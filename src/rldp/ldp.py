@@ -213,6 +213,16 @@ class VariationalEstimate:
     n_replicas: int
 
 
+def _mean_and_error(x: np.ndarray) -> tuple[float, float]:
+    """The mean of x and its standard error (0 for one value), finite for
+    every finite x: past 2^500 in magnitude, x is first scaled down by a
+    power of two, which scales every rounding exactly, so that no sum or
+    square overflows; below that they are numpy's, bit for bit."""
+    s = 2.0 ** -max(0, math.frexp(float(np.max(np.abs(x))))[1] - 500)
+    se = float(np.std(x * s, ddof=1) / math.sqrt(len(x))) / s if len(x) > 1 else 0.0
+    return float(np.mean(x * s)) / s, se
+
+
 def variational_objective(model: ModelSpec, functional: Functional,
                           policy: ControlPolicy, n_particles: int,
                           grid: TimeGrid, n_replicas: int, seed: int = 0,
@@ -225,11 +235,10 @@ def variational_objective(model: ModelSpec, functional: Functional,
                                                  policy=policy, budget=budget)):
         costs[m] = ensemble_cost(h, grid.dt)
         f_vals[m] = functional(flow)
-    totals = costs + f_vals
-    se = float(np.std(totals, ddof=1) / math.sqrt(n_replicas)) if n_replicas > 1 else 0.0
+    objective, se = _mean_and_error(costs + f_vals)
     return VariationalEstimate(
-        objective=float(np.mean(totals)), cost_part=float(np.mean(costs)),
-        f_part=float(np.mean(f_vals)), std_error=se,
+        objective=objective, cost_part=_mean_and_error(costs)[0],
+        f_part=_mean_and_error(f_vals)[0], std_error=se,
         n_particles=n_particles, n_replicas=n_replicas,
     )
 

@@ -9,21 +9,11 @@ certified lower bound: the maximum over a fixed dictionary of 256 clipped
 affine functions and radial cones, drawn at seed 0, and a witness along the
 mean difference, evaluated as array passes over blocks of functions bounded
 in bytes, bitwise as each function alone.
-
-``bl_values`` maps ``bl_distance`` over a stream of pairs.  HiGHS releases
-the GIL while it solves, so the exact 1D linear programs go to a pool of at
-most ``workers`` threads (default 2, never more than the CPUs), one program
-each, while the caller makes the next pair; every other pair is computed
-on the calling thread, and the values are those of the plain loop, in its
-order.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,78 +132,17 @@ def bl_distance(mu: MeasureSummary, nu: MeasureSummary) -> BLEstimate:
     # Against a Dirac at y, BL = sum_i w_i min(|x_i - y|, 2) (Dudley, Real
     # Analysis and Probability, 11.8): f = min(|. - y|, 2) - 1 attains it, and
     # |f| <= 1, Lip(f) <= 1 give f(x) - f(y) <= min(|x - y|, 2) for every f.
+    # Differences are clipped to [-2, 2] first, so that no square overflows:
+    # a clipped row's norm reaches 2 exactly when the row's does, and a row
+    # already inside [-2, 2] keeps its bits.
     a_dirac = a.is_dirac()
     if a_dirac or b.is_dirac():
         cloud, y = (b, a.points[0]) if a_dirac else (a, b.points[0])
-        value = min(2.0, float(np.minimum(_row_norm(cloud.points - y), 2.0)
-                               @ cloud.weights))
+        diff = np.clip(cloud.points - y, -2.0, 2.0)
+        value = min(2.0, float(np.minimum(_row_norm(diff), 2.0) @ cloud.weights))
         return BLEstimate(value=value,
                           method=EXACT_1D if a.dimension == 1 else EXACT_DIRAC)
     if a.dimension == 1:
         return BLEstimate(value=_bl_exact_1d(a, b), method=EXACT_1D)
     value = _bl_dictionary(a, b, _DICTIONARY_SIZE, _DICTIONARY_SEED)
     return BLEstimate(value=value, method=DICTIONARY)
-
-
-def _needs_lp(mu: MeasureSummary, nu: MeasureSummary) -> bool:
-    """Whether ``bl_distance(mu, nu)`` solves the exact 1D linear program."""
-    return (mu.dimension == nu.dimension == 1
-            and not (mu.is_dirac() or nu.is_dirac()))
-
-
-def _cpus() -> int:
-    """The CPUs this process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def pool_size(workers: int | None = None) -> int:
-    """The most threads ``bl_values`` starts: ``workers`` (default 2), at
-    most the CPUs this process may use.  Each thread that has run HiGHS
-    keeps its own working set, so the default stays at the two measured."""
-    if workers is not None and (isinstance(workers, bool)
-                                or not isinstance(workers, int) or workers < 1):
-        raise InputError(f"workers must be an integer >= 1, got {workers!r}")
-    return min(2 if workers is None else workers, _cpus())
-
-
-def bl_values(pairs, workers: int | None = None) -> list:
-    """``[bl_distance(mu, nu).value for mu, nu in pairs]``, bitwise and in
-    order, with up to ``pool_size(workers)`` exact 1D linear programs solving
-    on threads at once.  ``pairs`` is read lazily, one pair at a time, and a
-    pair that needs the LP waits for a free thread before the next is read;
-    the first failing pair raises the loop's error.  No thread starts unless
-    a pair needs the LP and the pool size is two or more, and a thread starts
-    only for an LP that finds none idle, so never more than the LP pairs.
-    """
-    size = pool_size(workers)
-    values, pending, pool = [], deque(), None  # pending: (slot, future), in order
-
-    def settle(keep):  # fill in the oldest pending values until keep remain
-        while len(pending) > keep:
-            slot, future = pending.popleft()
-            try:
-                values[slot] = future.result().value
-            except BaseException:
-                pending.clear()  # later pairs, which the loop never reaches
-                raise
-
-    try:
-        for mu, nu in pairs:
-            if size > 1 and _needs_lp(mu, nu):
-                if pool is None:
-                    pool = ThreadPoolExecutor(size)
-                settle(size - 1)
-                values.append(None)
-                pending.append((len(values) - 1, pool.submit(bl_distance, mu, nu)))
-            else:
-                values.append(bl_distance(mu, nu).value)
-        settle(0)
-    except BaseException:
-        settle(0)  # the loop meets an earlier pair's error first
-        raise
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    return values

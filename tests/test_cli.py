@@ -2,14 +2,19 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import rldp.cli as cli_mod
 import rldp.measures as measures_mod
-from rldp.cli import canonical_json, load_config, main, run_scenario
-from rldp.errors import InputError
+from rldp.cli import canonical_json, load_config, main, pool_size, run_scenario
+from rldp.errors import BudgetError, InputError
 
 BASE_MODEL = {"model": "m1",
               "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
@@ -110,7 +115,7 @@ class TestDeterminism:
                                                      monkeypatch):
         # four CPUs whatever the host, so that 2 and the default (2) use the
         # pool
-        monkeypatch.setattr(measures_mod, "_cpus", lambda: 4)
+        monkeypatch.setattr(cli_mod, "_cpus", lambda: 4)
         cfg = {"schema_version": 1, "seed": 5, "model": BASE_MODEL,
                "grid": {"horizon": 0.5, "n_steps": 16},
                "run": {"n_values": [8, 32], "n_replicas": 3, "n_ref": 128}}
@@ -167,8 +172,11 @@ class TestNoThreadOffTheLP:
     def no_threads(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a thread was started")
-        monkeypatch.setattr(measures_mod, "_cpus", lambda: 4)
-        monkeypatch.setattr(measures_mod, "ThreadPoolExecutor", refuse)
+
+        class NoSubmit(ThreadPoolExecutor):
+            submit = refuse
+        monkeypatch.setattr(cli_mod, "_cpus", lambda: 4)
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", NoSubmit)
         monkeypatch.setattr(threading.Thread, "start", refuse)
 
     def test_chaos_ball2d(self, tmp_path):
@@ -203,6 +211,106 @@ class TestNoThreadOffTheLP:
                     "radius": 1.0}})
         assert main(["rate", "--config", cfg_path, "--workers", "4",
                      "--out", str(tmp_path / "o")]) == 0
+
+
+CHAOS_1D = {"schema_version": 1, "seed": 5, "model": BASE_MODEL,
+            "grid": {"horizon": 0.5, "n_steps": 16},
+            "run": {"n_values": [8, 32], "n_replicas": 3, "n_ref": 128}}
+
+
+class TestChaosPool:
+    """The chaos kind's 1D distances on a pool of ``pool_size(workers)``
+    threads: the bytes of the one-worker run, at most that many threads and
+    distances in flight, and no thread left when ``run_scenario`` returns."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus_switching_often(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_cpus", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a race
+        yield
+        sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, workers, cfg=CHAOS_1D):
+        """(exit code, output directory, threads started) of a chaos run."""
+        started, real_start = [], threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        out = tmp_path / f"out{workers}"
+        cfg_path = _write(tmp_path, f"chaos{workers}.json", cfg)
+        code = run_scenario(load_config(cfg_path, "chaos"), str(out), workers)
+        monkeypatch.setattr(threading.Thread, "start", real_start)
+        assert not any(t.is_alive() for t in started)
+        return code, out, started
+
+    @pytest.mark.parametrize("workers", [2, 4, 100000])
+    def test_bytes_and_threads(self, tmp_path, monkeypatch, workers):
+        code, one, started = self._run(tmp_path, monkeypatch, 1)
+        assert code == 0 and started == []
+        code, out, started = self._run(tmp_path, monkeypatch, workers)
+        assert code == 0 and 1 <= len(started) <= min(workers, 4)
+        for name in ("result.json", "distances.csv"):
+            assert (out / name).read_bytes() == (one / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_budget_error_while_distances_solve(self, tmp_path, monkeypatch,
+                                                workers):
+        # the first 512-particle replica exceeds the budget (16 steps x 512
+        # > 4096) while the slowed distances of the 32-particle ones solve
+        futures, most, at_error = [], [0], []
+        real_lp, real_sim = measures_mod._bl_exact_1d, cli_mod.simulate_particle_system
+
+        def pending():  # distances submitted and not yet done
+            return sum(not f.done() for f in futures)
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, *args):
+                futures.append(super().submit(*args))
+                most[0] = max(most[0], pending())
+                return futures[-1]
+
+        def slow_lp(mu, nu):
+            time.sleep(0.1)
+            return real_lp(mu, nu)
+
+        def simulate(*args, **kwargs):
+            try:
+                return real_sim(*args, **kwargs)
+            except BudgetError:
+                at_error.append(pending())
+                raise
+
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(measures_mod, "_bl_exact_1d", slow_lp)
+        monkeypatch.setattr(cli_mod, "simulate_particle_system", simulate)
+        cfg = {**CHAOS_1D, "budget": 4096,
+               "run": {"n_values": [8, 32, 512], "n_replicas": 3, "n_ref": 128}}
+        code, out, started = self._run(tmp_path, monkeypatch, workers, cfg)
+        assert code == 3
+        assert json.loads((out / "result.json").read_text())["error"] == \
+            "budget_exceeded"
+        assert at_error[0] >= 1 and pending() == 0  # in flight, then done
+        assert most[0] <= workers and 1 <= len(started) <= workers
+
+    def test_pool_size(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_cpus", lambda: 2)
+        assert pool_size(100000) == 2
+        assert pool_size(None) == pool_size() == 2
+        assert pool_size(1) == 1
+        monkeypatch.setattr(cli_mod, "_cpus", lambda: 8)
+        assert pool_size(3) == 3
+        assert pool_size(100000) == 8
+        assert pool_size() == 2  # the default stays at two on a larger host
+        monkeypatch.setattr(cli_mod, "_cpus", lambda: 1)
+        assert pool_size() == pool_size(4) == 1
+        for bad in (0, -1, True, 2.0, "2"):
+            with pytest.raises(InputError):
+                pool_size(bad)
 
 
 class TestErrorHandling:
@@ -455,3 +563,61 @@ class TestOtherKinds:
         with open(out / "distances.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2 * 3
+
+    @pytest.mark.parametrize("point", [1e200, -1e308])
+    def test_rate_far_dirac_target(self, tmp_path, point):
+        cfg = {"schema_version": 1, "seed": 3, "model": BASE_MODEL,
+               "grid": {"horizon": 0.5, "n_steps": 4},
+               "run": {"target": {"kind": "terminal_point", "point": [point]},
+                       "lambdas": [1.0, 4.0], "n_particles": 4,
+                       "n_replicas": 2, "opt_budget": 4, "radius": 1.0}}
+        out = tmp_path / "rate"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rate", "--config", _write(tmp_path, "r.json", cfg),
+                         "--out", str(out)]) == 0
+        res = json.loads((out / "result.json").read_text())
+        assert res["achieved_distances"] == [2.0, 2.0]
+
+
+# A tiny run of each policy variant the run tables build: (kind, policy
+# family the result names or None, run block), on BASE_MODEL (d = d1 = 1)
+# over 4 steps; a feedback policy has FeedbackPolicy.n_features(1) = 10
+# weights.
+POLICY_RUNS = {
+    "simulate_piecewise_shared": ("simulate", "piecewise_constant", {
+        "n_particles": 2, "policy": {"policy": "piecewise_constant",
+                                     "values": [[0.5], [-0.5], [0.25], [0.0]]}}),
+    "simulate_piecewise_per_particle": ("simulate", "piecewise_constant", {
+        "n_particles": 2, "policy": {"policy": "piecewise_constant",
+                                     "values": [[[0.5], [-1.0]]] * 4}}),
+    "simulate_feedback": ("simulate", "feedback", {
+        "n_particles": 2, "policy": {"policy": "feedback",
+                                     "theta": [0.1] * 10, "bound": 2.0}}),
+    "variational_piecewise_per_particle": ("variational", "piecewise_constant", {
+        "functional": {"functional": "terminal_mean"}, "n_particles": 2,
+        "n_replicas": 2, "policy": {"policy": "piecewise_constant",
+                                    "values": [[[0.5], [-1.0]]] * 4}}),
+    "variational_feedback": ("variational", "feedback", {
+        "functional": {"functional": "terminal_mean"}, "n_particles": 2,
+        "n_replicas": 2, "policy": {"policy": "feedback",
+                                    "theta": [-0.2] * 10}}),
+    "rate_feedback_family": ("rate", None, {
+        "target": {"kind": "terminal_point", "point": [0.5]},
+        "family": {"family": "feedback", "bound": 1.0}, "lambdas": [1.0],
+        "n_particles": 2, "n_replicas": 2, "opt_budget": 12, "radius": 1.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_RUNS))
+def test_policy_variants_run_end_to_end(tmp_path, name):
+    kind, family, run = POLICY_RUNS[name]
+    cfg_path = _write(tmp_path, "cfg.json", {
+        "schema_version": 1, "seed": 7, "model": BASE_MODEL,
+        "grid": {"horizon": 0.5, "n_steps": 4}, "run": run})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([kind, "--config", cfg_path, "--out", str(out)]) == 0
+    assert _digest(outs[0] / "result.json") == _digest(outs[1] / "result.json")
+    result = json.loads((outs[0] / "result.json").read_text())
+    assert result.get("policy") == family

@@ -121,6 +121,10 @@ MALFORMED = [
     ("rate", [(("run", "target"), {"kind": "reference", "point": [0.5]})]),
     ("rate", [(("run", "target"), {"kind": "terminal_point", "point": [0.5],
                                    "n_ref": 8})]),
+    ("rate", [(("run", "family", "bound"), 1e200)]),
+    ("variational", [(("run", "policy"), {"policy": "feedback",
+                                           "theta": [0.0] * 10,
+                                           "bound": 1e200})]),
 ]
 
 
@@ -331,7 +335,8 @@ def test_readme_simulate_example_runs(tmp_path):
 
 # -- fuzz: one path of a tiny valid config changed --------------------------------
 
-POOL = [None, True, "x", -1, 0, 1.5, NAN, float("inf"), [], {}, DELETE]
+POOL = [None, True, "x", -1, 0, 1.5, NAN, float("inf"), [], {}, DELETE,
+        1e200, -1e308, 5e-324]
 
 
 def _paths(kind):
@@ -349,16 +354,58 @@ def _paths(kind):
 CASES = [(kind, path) for kind in sorted(RUNS) for path in _paths(kind)]
 
 
-# Huge counts stay out of the pool: ``budget`` bounds the particle-steps of
-# one simulation, not how many replicas or optimizer evaluations a run makes.
-@settings(derandomize=True, deadline=None, max_examples=300, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(case=st.sampled_from(CASES), value=st.sampled_from(POOL))
-def test_exit_code_contract_under_one_changed_path(case, value):
-    kind, path = case
+# The one number README lets a run write as not finite: the rate upper
+# bound, "inf" when no penalty weight reaches the radius.
+DOCUMENTED_NON_FINITE = {("rate", "upper_bound")}
+
+
+def _non_finite(node):
+    """Whether a JSON tree holds a number written as "nan", "inf" or "-inf"."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return any(map(_non_finite, node))
+    return node in ("nan", "inf", "-inf")
+
+
+def _assert_exit_contract(kind, path, value):
     with tempfile.TemporaryDirectory() as out_dir:
         code, err = _main(kind, _config(kind, [(path, value)]), out_dir)
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
         if code == 2:
             _assert_config_error(code, err, out_dir)
+        if code == 0:
+            result = json.loads((Path(out_dir) / "o" / "result.json").read_text())
+            assert [key for key, v in result.items() if _non_finite(v)
+                    and (kind, key) not in DOCUMENTED_NON_FINITE] == []
+
+
+# Huge counts stay out of the pool: ``budget`` bounds the particle-steps of
+# one simulation, not how many replicas or optimizer evaluations a run makes.
+@settings(derandomize=True, deadline=None, max_examples=300, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(CASES), value=st.sampled_from(POOL))
+def test_exit_code_contract_under_one_changed_path(case, value):
+    _assert_exit_contract(*case, value)
+
+
+# The fuzz draws about a fifth of the (case, value) pairs; these once
+# overflowed (an escaping RuntimeWarning under -W error), so each is pinned.
+OVERFLOWED = [
+    ("rate", ("run", "target", "point"), 1e200),
+    ("rate", ("run", "target", "point"), -1e308),
+    ("simulate", ("model", "sigma_scale"), 1e200),
+    ("simulate", ("model", "sigma_scale"), -1e308),
+    ("simulate", ("run", "policy", "v"), 1e200),
+    ("simulate", ("run", "policy", "v"), -1e308),
+    ("submartingale", ("model", "sigma_scale"), 1e200),
+    ("submartingale", ("model", "sigma_scale"), -1e308),
+    ("variational", ("run", "functional", "c"), -1e308),
+]
+
+
+@pytest.mark.parametrize("kind, path, value", OVERFLOWED, ids=[
+    f"{kind}-{'.'.join(path[1:])}-{value:g}" for kind, path, value in OVERFLOWED])
+def test_exit_code_contract_at_huge_magnitudes(kind, path, value):
+    _assert_exit_contract(kind, path, value)

@@ -5,7 +5,7 @@ from rldp import cli
 from rldp.controls import (ConstantPolicy, FeedbackPolicy,
                            PiecewiseConstantPolicy, ZeroPolicy,
                            constant_family, ensemble_cost, feedback_family)
-from rldp.errors import ConfigError
+from rldp.errors import ConfigError, InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
 from rldp.model import MeasureSummary, make_m1
@@ -53,6 +53,20 @@ class TestPolicies:
         p = fam.make(np.array([10.0]))
         out = p.evaluate(0.0, np.zeros((2, 1)), self._mu())
         assert np.all(np.abs(out) <= 3.0 + 1e-12)
+
+    def test_control_magnitudes_bounded(self):
+        grid = TimeGrid(1.0, 2)
+        assert FeedbackPolicy(np.zeros(10), 1, 1, bound=1e50).bound == 1e50
+        for far in (1.01e50, np.nan, np.inf):
+            with pytest.raises(InputError, match="bound"):
+                FeedbackPolicy(np.zeros(10), 1, 1, bound=far)
+        assert ConstantPolicy([-1e50]).v[0] == -1e50
+        assert PiecewiseConstantPolicy([[1e50], [0.0]], grid).values[0, 0] == 1e50
+        for far in (1.01e50, -1e308, np.nan, np.inf):
+            with pytest.raises(InputError, match="magnitude"):
+                ConstantPolicy([far])
+            with pytest.raises(InputError, match="magnitude"):
+                PiecewiseConstantPolicy([[0.0], [far]], grid)
 
     def test_piecewise_lookup(self):
         grid = TimeGrid(1.0, 2)

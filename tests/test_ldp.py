@@ -169,6 +169,22 @@ class TestVariational:
         assert est.objective == pytest.approx(0.5 * v * v * 1.0, abs=1e-12)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_huge_constant_finite(self, c):
+        # the replica totals' sum overflows; their mean is c
+        est = variational_objective(make_m1(BOX1), constant_functional(c),
+                                    ZeroPolicy(1), 4, TimeGrid(0.25, 4), 4, seed=0)
+        assert est.objective == est.f_part == c and est.std_error == 0.0
+
+    def test_mean_and_error_is_numpys_below_the_scaling(self):
+        rng = np.random.default_rng(9)
+        for scale in (1e-300, 1.0, 1e150):
+            x = rng.standard_normal(7) * scale
+            assert ldp_mod._mean_and_error(x) == (
+                float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(7)))
+        mean, se = ldp_mod._mean_and_error(np.array([-1.7e308, 1.7e308, 1.7e308]))
+        assert mean == pytest.approx(1.7e308 / 3) and math.isfinite(se)
+
     def test_representation_inequality_sample(self):
         # infimum over controls upper-bounds nothing: any policy's objective
         # dominates the Laplace value up to noise

@@ -1,18 +1,12 @@
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
-import rldp.measures as measures_mod
 from rldp import rng as rngmod
 from rldp.errors import InputError
 from rldp.integrator import TimeGrid
-from rldp.measures import (_bl_dictionary, _row_norm, bl_distance, bl_values,
-                           pool_size)
+from rldp.measures import _bl_dictionary, _row_norm, bl_distance
 from rldp.model import MeasureSummary
 
 
@@ -316,6 +310,22 @@ class TestBLAgainstDirac:
             assert got.value == pytest.approx(
                 min(2.0, float(np.linalg.norm(x - y))), rel=1e-15)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_far_dirac_saturates_without_overflow(self, d):
+        # |x - y|^2 overflows for these y; the value is 2 all the same
+        rng = np.random.default_rng(75 + d)
+        mu = MeasureSummary.from_points(rng.uniform(0, 1, (9, d)),
+                                        rng.dirichlet(np.ones(9)))
+        saturated = min(2.0, float(np.full(9, 2.0) @ mu.weights))
+        for y in (1e200, -1e308, np.finfo(float).max):
+            nu = MeasureSummary.dirac(np.full(d, y))
+            assert bl_distance(mu, nu).value == bl_distance(nu, mu).value == saturated
+        # near y, saturated rows included, the value is the unclipped sum's
+        nu = MeasureSummary.dirac(rng.uniform(-2, 3, d))
+        rows = np.linalg.norm(mu.points - nu.points[0], axis=-1)
+        assert bl_distance(mu, nu).value == min(
+            2.0, float(np.minimum(rows, 2.0) @ mu.weights))
+
     def test_rate_on_terminal_point_solves_no_lp(self, monkeypatch):
         from rldp import measures
         from rldp.controls import constant_family
@@ -335,196 +345,3 @@ class TestBLAgainstDirac:
                             TimeGrid(0.25, 8), 4, 10, seed=3, radius=0.3)
         assert all(0.0 < v < 2.0 for v in est.achieved_distances)
 
-
-def _cloud(rng, n, d, width=1.0):
-    return MeasureSummary.from_points(rng.uniform(-width, width, (n, d)),
-                                      rng.dirichlet(np.ones(n)))
-
-
-def _mixed_pairs():
-    """Pairs of every kind ``bl_distance`` tells apart."""
-    rng = np.random.default_rng(80)
-    c1 = _cloud(rng, 9, 1)
-    return [
-        (_cloud(rng, 7, 1, 0.5), _cloud(rng, 12, 1, 0.5)),  # LP, span <= 2
-        (_cloud(rng, 20, 1, 3.0), _cloud(rng, 5, 1, 3.0)),  # LP, span > 2
-        (MeasureSummary.dirac([0.3]), _cloud(rng, 6, 1)),   # 1D Dirac
-        (_cloud(rng, 8, 3), MeasureSummary.dirac([0.1, 0.2, -0.4])),  # 3D Dirac
-        (_cloud(rng, 10, 2), _cloud(rng, 11, 2)),           # 2D dictionary
-        (c1, c1),                                           # equal measures
-        (_cloud(rng, 30, 1, 2.0), _cloud(rng, 3, 1, 0.2)),
-        (MeasureSummary.dirac([0.5]), MeasureSummary.dirac([-0.5])),
-        (_cloud(rng, 4, 1), _cloud(rng, 4, 1)),
-    ]
-
-
-def _bits(values):
-    return [float(v).hex() for v in values]
-
-
-@pytest.fixture
-def four_cpus(monkeypatch):
-    """A pool of up to four threads, whatever CPUs the host has."""
-    monkeypatch.setattr(measures_mod, "_cpus", lambda: 4)
-
-
-@pytest.fixture
-def no_threads(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
-    monkeypatch.setattr(measures_mod, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-
-
-class TestBLValues:
-    """``bl_values`` is the loop over ``bl_distance``, whatever the pool."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_mixed_pairs_equal_loop_bitwise(self, four_cpus, workers):
-        pairs = _mixed_pairs()
-        loop = [bl_distance(a, b).value for a, b in pairs]
-        assert _bits(bl_values(pairs, workers)) == _bits(loop)
-        assert _bits(bl_values(iter(pairs), workers)) == _bits(loop)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_many_small_lps(self, four_cpus, workers):
-        rng = np.random.default_rng(81)
-        pairs = [(_cloud(rng, int(rng.integers(2, 15)), 1, 1.5),
-                  _cloud(rng, int(rng.integers(2, 15)), 1, 1.5))
-                 for _ in range(200)]
-        loop = [bl_distance(a, b).value for a, b in pairs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, to expose a race
-        try:
-            values = bl_values(pairs, workers)
-        finally:
-            sys.setswitchinterval(interval)
-        assert _bits(values) == _bits(loop)
-
-    def test_empty(self, four_cpus):
-        assert bl_values([], 2) == []
-
-    @staticmethod
-    def _raised(fn):
-        with pytest.raises(Exception) as info:
-            fn()
-        return type(info.value), str(info.value)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_first_failing_pair_raises_the_loops_error(self, four_cpus,
-                                                       monkeypatch, workers):
-        rng = np.random.default_rng(82)
-        real = measures_mod._bl_exact_1d
-
-        def failing(mu, nu):  # an LP pair with a 13- or 17-atom side fails
-            for n in (13, 17):
-                if n in (mu.n_atoms, nu.n_atoms):
-                    raise RuntimeError(f"LP of {n} atoms failed")
-            return real(mu, nu)
-
-        monkeypatch.setattr(measures_mod, "_bl_exact_1d", failing)
-        lp = [(_cloud(rng, 5, 1), _cloud(rng, 6, 1)) for _ in range(4)]
-        mismatch = (_cloud(rng, 5, 1), _cloud(rng, 5, 2))
-        lp13, lp17 = ((_cloud(rng, n, 1), _cloud(rng, 4, 1)) for n in (13, 17))
-        cases = [
-            lp[:2] + [mismatch] + lp[2:],       # InputError, inline
-            lp[:1] + [lp13] + lp[1:] + [mismatch],  # LP error before inline
-            [lp13] + lp + [lp17],               # two LP errors: the first
-            lp[:3] + [lp17, lp13],
-            [mismatch, lp13],
-        ]
-        for pairs in cases:
-            loop = self._raised(lambda: [bl_distance(a, b).value
-                                         for a, b in pairs])
-            assert self._raised(lambda: bl_values(pairs, workers)) == loop
-
-        def producer():  # an LP error comes before the producer's own
-            yield lp[0]
-            yield lp13
-            raise ValueError("producer failed")
-        assert self._raised(lambda: bl_values(producer(), workers)) == (
-            RuntimeError, "LP of 13 atoms failed")
-
-    def test_reads_pairs_lazily_with_bounded_lps_in_flight(self, four_cpus,
-                                                          monkeypatch):
-        rng = np.random.default_rng(83)
-        pairs = [(_cloud(rng, 40, 1), _cloud(rng, 50, 1)) for _ in range(12)]
-        lock = threading.Lock()
-        in_flight, most, done = [0], [0], [0]
-        real = measures_mod._bl_exact_1d
-
-        def counted(mu, nu):
-            with lock:
-                in_flight[0] += 1
-                most[0] = max(most[0], in_flight[0])
-            try:
-                return real(mu, nu)
-            finally:
-                with lock:
-                    in_flight[0] -= 1
-                    done[0] += 1
-
-        def producer():  # pair i is read once all but two before it are done
-            for i, pair in enumerate(pairs):
-                assert done[0] >= i - 2
-                yield pair
-
-        monkeypatch.setattr(measures_mod, "_bl_exact_1d", counted)
-        values = bl_values(producer(), 2)
-        assert most[0] <= 2 and done[0] == 12
-        assert _bits(values) == _bits(bl_distance(a, b).value for a, b in pairs)
-
-    def test_no_thread_without_an_lp_pair(self, four_cpus, no_threads):
-        rng = np.random.default_rng(84)
-        pairs = [(_cloud(rng, 6, 2), _cloud(rng, 7, 2)),
-                 (_cloud(rng, 5, 3), _cloud(rng, 5, 3)),
-                 (MeasureSummary.dirac([0.2]), _cloud(rng, 9, 1)),
-                 (_cloud(rng, 4, 1), MeasureSummary.dirac([0.7])),
-                 (MeasureSummary.dirac([0.1, 0.2]), _cloud(rng, 8, 2))]
-        loop = [bl_distance(a, b).value for a, b in pairs]
-        assert _bits(bl_values(pairs, 4)) == _bits(loop)
-        assert _bits(bl_values(pairs)) == _bits(loop)
-
-    def test_one_worker_starts_no_thread(self, four_cpus, no_threads):
-        pairs = _mixed_pairs()
-        assert _bits(bl_values(pairs, 1)) == _bits(
-            bl_distance(a, b).value for a, b in pairs)
-
-    def test_pool_size(self, monkeypatch):
-        monkeypatch.setattr(measures_mod, "_cpus", lambda: 2)
-        assert pool_size(100000) == 2
-        assert pool_size(None) == pool_size() == 2
-        assert pool_size(1) == 1
-        monkeypatch.setattr(measures_mod, "_cpus", lambda: 8)
-        assert pool_size(3) == 3
-        assert pool_size(100000) == 8
-        assert pool_size() == 2  # the default stays at two on a larger host
-        monkeypatch.setattr(measures_mod, "_cpus", lambda: 1)
-        assert pool_size() == pool_size(4) == 1
-        for bad in (0, -1, True, 2.0, "2"):
-            with pytest.raises(InputError):
-                pool_size(bad)
-
-    def test_threads_at_most_lp_pairs_and_cpus(self, monkeypatch):
-        monkeypatch.setattr(measures_mod, "_cpus", lambda: 3)
-        sizes, started = [], []
-        real_start = threading.Thread.start
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        def start(thread):
-            started.append(thread)
-            real_start(thread)
-
-        monkeypatch.setattr(measures_mod, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(threading.Thread, "start", start)
-        rng = np.random.default_rng(85)
-        lp = (_cloud(rng, 9, 1), _cloud(rng, 8, 1))
-        dictionary = (_cloud(rng, 9, 2), _cloud(rng, 8, 2))
-        bl_values([dictionary, lp, dictionary], 100000)
-        assert sizes == [3] and len(started) == 1  # one LP pair, one thread
-        bl_values([lp] * 10, 2)
-        assert sizes == [3, 2] and len(started) <= 3

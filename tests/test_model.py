@@ -163,3 +163,16 @@ class TestModelFromConfigChecks:
         m = model_from_config({"model": "m1", "domain": BOX1_CFG,
                                "init": [[0.0], [1.0]]})
         assert m.init_points.shape == (2, 1)
+
+    @pytest.mark.parametrize("model, key", [("m1", "sigma_scale"),
+                                            ("m2", "theta"), ("m3", "alpha"),
+                                            ("drifted", "b_const")])
+    def test_parameter_magnitude_bounded(self, model, key):
+        cfg = {"model": model, "domain": BOX1_CFG,
+               "b_const": [0.0] if model == "drifted" else None}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        edge = [1e50] if key == "b_const" else 1e50
+        assert model_from_config({**cfg, key: edge}).params[key] == edge
+        for far in (1.01e50, -1e200):
+            with pytest.raises(InputError, match=key):
+                model_from_config({**cfg, key: [far] if key == "b_const" else far})
