@@ -7,10 +7,14 @@ Configs are JSON; flags override config fields (flag > file > default).
 ``GRID`` and ``KINDS`` declare each key with its default and check, and a
 config is checked whole before anything runs.  Each run writes a manifest
 (resolved config + seed + content hash) and a result JSON whose bytes
-depend only on (config, seed).  ``--workers`` (>= 1; default 2) caps the
-threads of the chaos kind's pool for the exact 1D BL linear programs, at
-most one per CPU (``pool_size``); it changes no output byte, and with 1 no
-thread starts.  Exit codes: 0 ok, 2 config error, 3 budget or guard flag.
+depend only on (config, seed).  The laplace, variational, rate and
+submartingale results are their ``ldp`` or ``diagnostics`` result dataclass
+as ``dataclasses.asdict`` writes it (laplace and variational add the
+functional id, variational the policy id): each key is its field's name.
+``--workers`` (>= 1; default 2) caps the threads of the chaos kind's pool
+for the exact 1D BL linear programs, at most one per CPU (``pool_size``); it
+changes no output byte, and with 1 no thread starts.  Exit codes: 0 ok, 2
+config error, 3 budget or guard flag.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -300,29 +305,15 @@ def _run_laplace(cfg, p, out: Path):
     est = ldp.laplace_functional_mc(
         p["model"], p["functional"], p["n_particles"], p["grid"],
         p["n_replicas"], seed=cfg["seed"], budget=cfg.get("budget"))
-    return {
-        "functional": p["functional"].id,
-        "value": est.value,
-        "std_error": est.std_error,
-        "n_particles": est.n_particles,
-        "n_replicas": est.n_replicas,
-        "effective_sample_size": est.effective_sample_size,
-        "guard": est.log_sum_exp_guard,
-    }, []
+    return {"functional": p["functional"].id, **asdict(est)}, []
 
 
 def _run_variational(cfg, p, out: Path):
     est = ldp.variational_objective(
         p["model"], p["functional"], p["policy"], p["n_particles"], p["grid"],
         p["n_replicas"], seed=cfg["seed"], budget=cfg.get("budget"))
-    return {
-        "functional": p["functional"].id,
-        "policy": p["policy"].policy_id,
-        "objective": est.objective,
-        "cost_part": est.cost_part,
-        "f_part": est.f_part,
-        "std_error": est.std_error,
-    }, []
+    return {"functional": p["functional"].id,
+            "policy": p["policy"].policy_id, **asdict(est)}, []
 
 
 def _run_rate(cfg, p, out: Path):
@@ -331,21 +322,11 @@ def _run_rate(cfg, p, out: Path):
         target = solve_mckean_vlasov_reference(
             model, grid, n_ref=target["n_ref"],
             seed=cfg["seed"] + target["seed_offset"], budget=cfg.get("budget"))
-    est = ldp.estimate_rate(
+    return asdict(ldp.estimate_rate(
         model, target, p["lambdas"], p["family"], p["n_particles"], grid,
         p["n_replicas"], p["opt_budget"], seed=cfg["seed"],
         radius=p["radius"], distance_mode=p["distance_mode"],
-        sim_budget=cfg.get("budget"))
-    return {
-        "target": est.target_description,
-        "radius": est.radius,
-        "lambdas": est.lambdas,
-        "achieved_distances": est.achieved_distances,
-        "cost_values": est.cost_values,
-        "feasible": est.feasible,
-        "upper_bound": est.upper_bound,
-        "selected_lambda": est.selected_lambda,
-    }, []
+        sim_budget=cfg.get("budget"))), []
 
 
 def _run_submartingale(cfg, p, out: Path):
@@ -359,7 +340,7 @@ def _run_submartingale(cfg, p, out: Path):
     report = diagnostics.submartingale_test(  # the run table checked f
         ens, marginal_flow(ens), f, model, p["time_pairs"], confidence=p["confidence"],
         c_bias=c_bias, skip_boundary_check=True)
-    return report.to_dict(), []
+    return asdict(report), []
 
 
 _REAL = _num("a finite number")

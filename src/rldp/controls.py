@@ -124,8 +124,9 @@ class FeedbackPolicy(ControlPolicy):
                              f"got {bound!r}")
         n_feat = self.n_features(d)
         weights = np.asarray(weights, dtype=float).reshape(n_feat, d1)
-        if not np.all(np.isfinite(weights)):
-            raise InputError("feedback weights must be finite")
+        if not np.all(np.abs(weights) <= _MAGNITUDE_MAX):  # NaN too
+            raise InputError(f"feedback weights must be finite and at most "
+                             f"{_MAGNITUDE_MAX:g} in magnitude")
         self.weights = weights
 
     @staticmethod

@@ -281,7 +281,7 @@ def psi_weights(domain: ConvexDomain):
 class SubmartingaleEntry:
     t0: float
     t1: float
-    psi_id: str
+    psi: str
     statistic: float       # weighted mean of M_f(t1) - M_f(t0)
     std_error: float
     lower_bound: float     # statistic - z * std_error
@@ -291,26 +291,11 @@ class SubmartingaleEntry:
 
 @dataclass(frozen=True)
 class SubmartingaleReport:
-    function_id: str
+    function: str
     confidence: float
     c_bias: float
     entries: tuple
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "function": self.function_id,
-            "confidence": self.confidence,
-            "c_bias": self.c_bias,
-            "passed": self.passed,
-            "entries": [
-                {"t0": e.t0, "t1": e.t1, "psi": e.psi_id,
-                 "statistic": e.statistic, "std_error": e.std_error,
-                 "lower_bound": e.lower_bound, "threshold": e.threshold,
-                 "passed": e.passed}
-                for e in self.entries
-            ],
-        }
 
 
 def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
@@ -364,21 +349,21 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
     entries = []
     for t0, t1, k0, k1 in pairs:
         dm = m[k1] - m[k0]
-        for psi_id, psi in psi_weights(model.domain).items():
+        for name, psi in psi_weights(model.domain).items():
             wts = np.asarray(psi(states[k0], w_t0[k0]), dtype=float)
             if np.any(wts < 0):
-                raise InputError(f"psi {psi_id} produced negative weights")
+                raise InputError(f"psi {name} produced negative weights")
             vals = wts * dm
             stat = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(n_use))
             lower = stat - z_crit * se
             threshold = -(z_crit * se + c_bias * dt)
             entries.append(SubmartingaleEntry(
-                t0=float(t0), t1=float(t1), psi_id=psi_id, statistic=stat,
+                t0=float(t0), t1=float(t1), psi=name, statistic=stat,
                 std_error=se, lower_bound=lower, threshold=threshold,
                 passed=bool(lower >= threshold)))
     return SubmartingaleReport(
-        function_id=f.id, confidence=confidence, c_bias=c_bias,
+        function=f.id, confidence=confidence, c_bias=c_bias,
         entries=tuple(entries), passed=all(e.passed for e in entries))
 
 

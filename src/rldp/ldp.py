@@ -129,7 +129,7 @@ class LaplaceEstimate:
     n_particles: int
     n_replicas: int
     effective_sample_size: float
-    log_sum_exp_guard: bool  # True when the estimate is unreliable
+    guard: bool  # True when the estimate is unreliable
 
 
 class _ReplicaFlow:
@@ -197,7 +197,7 @@ def laplace_functional_mc(model: ModelSpec, functional: Functional,
     return LaplaceEstimate(
         value=value, std_error=std_error, n_particles=n_particles,
         n_replicas=n_replicas, effective_sample_size=ess,
-        log_sum_exp_guard=bool(ess < ESS_GUARD_FRACTION * n_replicas),
+        guard=bool(ess < ESS_GUARD_FRACTION * n_replicas),
     )
 
 
@@ -209,8 +209,6 @@ class VariationalEstimate:
     cost_part: float
     f_part: float
     std_error: float
-    n_particles: int
-    n_replicas: int
 
 
 def _mean_and_error(x: np.ndarray) -> tuple[float, float]:
@@ -238,9 +236,7 @@ def variational_objective(model: ModelSpec, functional: Functional,
     objective, se = _mean_and_error(costs + f_vals)
     return VariationalEstimate(
         objective=objective, cost_part=_mean_and_error(costs)[0],
-        f_part=_mean_and_error(f_vals)[0], std_error=se,
-        n_particles=n_particles, n_replicas=n_replicas,
-    )
+        f_part=_mean_and_error(f_vals)[0], std_error=se)
 
 
 # -- control optimization ---------------------------------------------------------------
@@ -316,7 +312,7 @@ def optimize_controls(model: ModelSpec, functional: Functional,
 
 @dataclass(frozen=True)
 class RateEstimate:
-    target_description: str
+    target: str
     radius: float
     lambdas: tuple
     achieved_distances: tuple
@@ -372,7 +368,7 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
                    if isinstance(target, MeasureSummary)
                    else f"measure flow ({getattr(target, 'method', 'direct')})")
     return RateEstimate(
-        target_description=target_desc, radius=radius, lambdas=tuple(lambdas),
+        target=target_desc, radius=radius, lambdas=tuple(lambdas),
         achieved_distances=tuple(dists), cost_values=tuple(costs),
         feasible=selected[0] is not None, upper_bound=max(0.0, selected[1]),
         selected_lambda=selected[0])

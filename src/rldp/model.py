@@ -213,8 +213,8 @@ def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
 def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
                **params) -> ModelSpec:
     """A zoo model, its parameters checked first: ``params`` and ``horizon``
-    finite reals (``b_const`` and ``init`` arrays of them), ``params`` at
-    most ``_MAGNITUDE_MAX`` in magnitude, ``d1`` an integer >= 1, d by
+    finite reals (``b_const`` and ``init`` arrays of them), all but ``init``
+    at most ``_MAGNITUDE_MAX`` in magnitude, ``d1`` an integer >= 1, d by
     default.  ``build(d1)`` gives (drift, diffusion) once they are; the
     initial states are the points ``init``, else uniform on the domain.
     ``params`` are kept as given.
@@ -223,7 +223,7 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
                    "init": [] if init is None else init}.items():
         vals = (np.ravel(np.asarray(v, dtype=object))
                 if key in ("b_const", "init") else [v])
-        top = math.inf if key in ("horizon", "init") else _MAGNITUDE_MAX
+        top = math.inf if key == "init" else _MAGNITUDE_MAX
         if not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
                    and math.isfinite(u) and abs(u) <= top for u in vals):
             most = "" if top == math.inf else f" at most {top:g} in magnitude"

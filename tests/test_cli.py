@@ -96,6 +96,41 @@ def test_non_finite_numbers_written_as_strings():
         "a": "nan", "b": "-inf", "c": "inf", "d": ["-inf", 1.5]}
 
 
+# Output bytes of the kinds no benchmark digest covers, recorded on an
+# x86-64 host (numpy 2.4.6): a change that keeps them keeps every number and
+# key of these results.  Like perfbench's digests they depend on the CPU,
+# whose BLAS kernels may round differently; re-record them only on purpose.
+PINNED = {
+    "simulate": ({"n_particles": 4,
+                  "policy": {"policy": "constant", "v": [0.5]}}, {
+        "result.json": "53a92c1780551c24c5db5dd58348ba04"
+                       "a3c4498c24683719a41df1553ff7f81a",
+        "paths.csv": "e58a597c31367fb3a4decf2a57d1782f"
+                     "dd32f65b59cdee056d096bef2b1354a7"}),
+    "laplace": ({"functional": {"functional": "terminal_mean", "center": 0.5},
+                 "n_particles": 4, "n_replicas": 4}, {
+        "result.json": "19983cc45bc8b140b1b22cdb6ed113cd"
+                       "c2d07d149b8e93496446564a530ffff9"}),
+    "variational": ({"functional": {"functional": "terminal_mean",
+                                    "center": 0.5},
+                     "policy": {"policy": "constant", "v": [0.5]},
+                     "n_particles": 4, "n_replicas": 4}, {
+        "result.json": "997f0781f4d1c8ea708d419bb443dcd6"
+                       "0f89031da49377d09e6472ec21c9d3b4"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_output_bytes_pinned(tmp_path, kind):
+    run, digests = PINNED[kind]
+    cfg_path = _write(tmp_path, "cfg.json", {
+        "schema_version": 1, "seed": 3, "model": BASE_MODEL,
+        "grid": {"horizon": 0.5, "n_steps": 8}, "run": run})
+    out = tmp_path / "out"
+    assert main([kind, "--config", cfg_path, "--out", str(out)]) == 0
+    assert {name: _digest(out / name) for name in digests} == digests
+
+
 class TestDeterminism:
     def test_same_config_identical_bytes(self, tmp_path):
         cfg = {"schema_version": 1, "seed": 4, "model": BASE_MODEL,

@@ -300,17 +300,23 @@ def test_strict_schema_exits_2_before_simulating(
     assert calls == []
 
 
-def test_readme_names_every_config_key():
-    """README's config table lists each (kind, key) the tables declare."""
+def _readme_keys(heading):
+    """The (kind, key) pairs of the table under README's ``heading``: each
+    kind named in a row's first column ("all" for every kind), with each key
+    in its second."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    section = re.split(r"\n##+ ", readme.split(heading, 1)[1])[0]
     listed = set()
     for row in re.findall(r"^\| (.+?) \| (.+?) \|", section, re.M):
         kinds = (sorted(cli.KINDS) if row[0] == "all"
                  else re.findall(r"`(\w+)`", row[0]))
         listed |= {(k, key) for k in kinds
                    for key in re.findall(r"`([\w.]+)`", row[1])}
+    return listed
 
+
+def test_readme_names_every_config_key():
+    """README's config table lists each (kind, key) the tables declare."""
     def keys(table, prefix=""):
         """Dotted keys of a table, its nested blocks and variants expanded."""
         out = set()
@@ -322,7 +328,22 @@ def test_readme_names_every_config_key():
 
     declared = {(kind, key) for kind, (_, table) in cli.KINDS.items()
                 for key in keys(cli.GRID, "grid.") | keys(table, "")}
-    assert listed == declared
+    assert _readme_keys("### Config keys") == declared
+
+
+def test_readme_names_every_result_key(tmp_path):
+    """README's result table lists each (kind, key) a tiny run writes, a
+    submartingale entry's keys as ``entries.<key>``."""
+    written = set()
+    for kind in sorted(RUNS):
+        (tmp_path / kind).mkdir()
+        code, err = _main(kind, _config(kind), tmp_path / kind)
+        assert code == 0, err
+        result = json.loads((tmp_path / kind / "o" / "result.json").read_text())
+        written |= {(kind, key) for key in result}
+        written |= {(kind, f"entries.{key}")
+                    for entry in result.get("entries", []) for key in entry}
+    assert _readme_keys("### Result keys") == written
 
 
 def test_readme_simulate_example_runs(tmp_path):
@@ -368,9 +389,9 @@ def _non_finite(node):
     return node in ("nan", "inf", "-inf")
 
 
-def _assert_exit_contract(kind, path, value):
+def _assert_exit_contract(kind, changes):
     with tempfile.TemporaryDirectory() as out_dir:
-        code, err = _main(kind, _config(kind, [(path, value)]), out_dir)
+        code, err = _main(kind, _config(kind, changes), out_dir)
         assert code in (0, 2, 3), err
         assert "Traceback" not in err
         if code == 2:
@@ -387,12 +408,14 @@ def _assert_exit_contract(kind, path, value):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.sampled_from(CASES), value=st.sampled_from(POOL))
 def test_exit_code_contract_under_one_changed_path(case, value):
-    _assert_exit_contract(*case, value)
+    kind, path = case
+    _assert_exit_contract(kind, [(path, value)])
 
 
 # The fuzz draws about a fifth of the (case, value) pairs; these once
 # overflowed (an escaping RuntimeWarning under -W error), so each is pinned.
-OVERFLOWED = [
+OVERFLOWED = {f"{kind}-{'.'.join(path[1:])}-{value:g}": (kind, [(path, value)])
+              for kind, path, value in [
     ("rate", ("run", "target", "point"), 1e200),
     ("rate", ("run", "target", "point"), -1e308),
     ("simulate", ("model", "sigma_scale"), 1e200),
@@ -402,10 +425,15 @@ OVERFLOWED = [
     ("submartingale", ("model", "sigma_scale"), 1e200),
     ("submartingale", ("model", "sigma_scale"), -1e308),
     ("variational", ("run", "functional", "c"), -1e308),
-]
+]}
+# Two more the fuzz cannot reach: it changes the two horizons one at a time,
+# and its tiny configs hold no feedback policy.
+OVERFLOWED["simulate-horizons-1e+308"] = ("simulate", [
+    (("grid", "horizon"), 1e308), (("model", "horizon"), 1e308)])
+OVERFLOWED["simulate-policy.theta-1e+308"] = ("simulate", [
+    (("run", "policy"), {"policy": "feedback", "theta": [1e308] * 10})])
 
 
-@pytest.mark.parametrize("kind, path, value", OVERFLOWED, ids=[
-    f"{kind}-{'.'.join(path[1:])}-{value:g}" for kind, path, value in OVERFLOWED])
-def test_exit_code_contract_at_huge_magnitudes(kind, path, value):
-    _assert_exit_contract(kind, path, value)
+@pytest.mark.parametrize("kind, changes", OVERFLOWED.values(), ids=list(OVERFLOWED))
+def test_exit_code_contract_at_huge_magnitudes(kind, changes):
+    _assert_exit_contract(kind, changes)

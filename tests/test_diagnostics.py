@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import rldp
 import rldp.diagnostics as diagnostics_mod
+from rldp.cli import canonical_json
 from rldp.controls import ConstantPolicy
 from rldp.diagnostics import (boundary_condition_check,
                               calibrate_bias_allowance, generator_apply,
@@ -277,7 +279,7 @@ class TestSubmartingaleTest:
         ens = simulate_particle_system(m, 16, grid, seed=0)
         f = standard_test_functions(1, 1)["constant"]
         rep = submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)])
-        d = rep.to_dict()
+        d = json.loads(canonical_json(dataclasses.asdict(rep)))
         assert d["passed"] is True
         assert isinstance(d["entries"], list)
 
@@ -510,7 +512,7 @@ class TestStreamedNoise:
             rep = submartingale_test(ens, flow, f, model, self.PAIRS,
                                      n_paths=n_paths,
                                      skip_boundary_check=True)
-            got = [(e.t0, e.t1, e.psi_id, e.statistic, e.std_error,
+            got = [(e.t0, e.t1, e.psi, e.statistic, e.std_error,
                     e.lower_bound, e.threshold) for e in rep.entries]
             assert got == reference_report_entries(
                 ens, flow, f, model, self.PAIRS, n_paths), fid

@@ -108,7 +108,7 @@ class TestLaplace:
         est = laplace_functional_mc(make_m1(BOX1), constant_functional(c), 4,
                                     TimeGrid(0.25, 4), 4, seed=0)
         assert est.value == c and est.std_error == 0.0
-        assert not est.log_sum_exp_guard
+        assert not est.guard
 
     def test_gap_past_the_float_range_is_finite(self):
         # F spans [-1e308, 1e308]: F - F_min overflows, and those replicas
