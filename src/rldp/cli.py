@@ -39,10 +39,10 @@ from .ensemble import (marginal_flow, empirical_measure_at,
                        simulate_particle_system, solve_mckean_vlasov_reference,
                        write_paths_csv)
 from .errors import BudgetError, ConfigError, InputError
-from .geometry import _json_reals
+from .geometry import _MAGNITUDE_MAX, _json_reals
 from .integrator import TimeGrid
 from .measures import bl_distance
-from .model import _MAGNITUDE_MAX, MeasureSummary, model_from_config
+from .model import MeasureSummary, model_from_config
 
 SCHEMA_VERSION = 1
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .geometry import _MAGNITUDE_MAX, _bounded
 from .integrator import TimeGrid
-from .model import _MAGNITUDE_MAX, MeasureSummary
+from .model import MeasureSummary
 
 
 def ensemble_cost(h: np.ndarray, dt: float) -> float:
@@ -64,10 +65,7 @@ class ConstantPolicy(ControlPolicy):
     family = "constant"
 
     def __init__(self, v):
-        self.v = np.atleast_1d(np.asarray(v, dtype=float))
-        if not np.all(np.abs(self.v) <= _MAGNITUDE_MAX):  # NaN too
-            raise InputError(f"constant control must be finite and at most "
-                             f"{_MAGNITUDE_MAX:g} in magnitude")
+        self.v = np.atleast_1d(_bounded(v, "constant control"))
 
     def evaluate(self, t, states, mu):
         return np.broadcast_to(self.v, states.shape[:-1] + self.v.shape).copy()
@@ -86,14 +84,11 @@ class PiecewiseConstantPolicy(ControlPolicy):
     family = "piecewise_constant"
 
     def __init__(self, values, grid: TimeGrid):
-        values = np.asarray(values, dtype=float)
+        values = _bounded(values, "control values")
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != grid.n_steps:
             raise InputError("values must have one row per grid cell")
-        if not np.all(np.abs(values) <= _MAGNITUDE_MAX):  # NaN too
-            raise InputError(f"control values must be finite and at most "
-                             f"{_MAGNITUDE_MAX:g} in magnitude")
         self.values = values
         self.grid = grid
 
@@ -122,12 +117,8 @@ class FeedbackPolicy(ControlPolicy):
         if not 0 < self.bound <= _MAGNITUDE_MAX:  # NaN too
             raise InputError(f"feedback bound must be in (0, {_MAGNITUDE_MAX:g}], "
                              f"got {bound!r}")
-        n_feat = self.n_features(d)
-        weights = np.asarray(weights, dtype=float).reshape(n_feat, d1)
-        if not np.all(np.abs(weights) <= _MAGNITUDE_MAX):  # NaN too
-            raise InputError(f"feedback weights must be finite and at most "
-                             f"{_MAGNITUDE_MAX:g} in magnitude")
-        self.weights = weights
+        self.weights = _bounded(weights, "feedback weights").reshape(
+            self.n_features(d), d1)
 
     @staticmethod
     def n_features(d: int) -> int:

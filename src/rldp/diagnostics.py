@@ -111,8 +111,6 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
 class BoundaryCheck:
     passed: bool
     worst_value: float
-    worst_point: np.ndarray
-    n_samples: int
 
 
 # Boundary points sampled, scale of the sampled z and the pass threshold.
@@ -124,21 +122,19 @@ def boundary_condition_check(f: TestFunction, domain: ConvexDomain,
     """Max of <grad_x f, n(x)> over sampled boundary points; pass iff it is
     at most ``_BOUNDARY_TOL``.
 
-    The normals come from one ``domain.normals_at`` call.  The worst point
+    The normals come from one ``domain.normals_at`` call.  The worst value
     is the first maximum, and a NaN value is the worst, so a NaN gradient
     fails the check.
     """
-    n_samples = _BOUNDARY_SAMPLES
     gen = rngmod.substream(seed, rngmod.SAMPLER, 1)
-    xs = domain.sample_boundary(gen, n_samples)
-    zs = gen.standard_normal((n_samples, f.d1)) * _BOUNDARY_Z_SCALE
-    ts = gen.uniform(0.0, horizon, size=n_samples)
+    xs = domain.sample_boundary(gen, _BOUNDARY_SAMPLES)
+    zs = gen.standard_normal((_BOUNDARY_SAMPLES, f.d1)) * _BOUNDARY_Z_SCALE
+    ts = gen.uniform(0.0, horizon, size=_BOUNDARY_SAMPLES)
     vals = [float(f.grad_x(t, x[None, :], z[None, :])[0] @ n)
             for t, x, z, n in zip(ts, xs, zs, domain.normals_at(xs))]
     worst = int(np.argmax(vals))
     return BoundaryCheck(passed=bool(vals[worst] <= _BOUNDARY_TOL),
-                         worst_value=vals[worst], worst_point=xs[worst],
-                         n_samples=n_samples)
+                         worst_value=vals[worst])
 
 
 # -- generator -----------------------------------------------------------------------

@@ -127,13 +127,8 @@ def cumulative_noise(noises: np.ndarray):
 class MeasureFlow:
     """Per-node measure summaries nu(t_k), and how they were made."""
 
-    grid: TimeGrid
     summaries: tuple
     method: str = "direct"
-
-    def __post_init__(self):
-        if len(self.summaries) != self.grid.n_steps + 1:
-            raise InputError("flow must have one summary per grid node")
 
     def __getitem__(self, k: int) -> MeasureSummary:
         return self.summaries[k]
@@ -268,7 +263,7 @@ def empirical_measure_at(ens: Ensemble, t: float) -> MeasureSummary:
 
 def marginal_flow(ens: Ensemble, method: str = "empirical") -> MeasureFlow:
     """The per-node empirical measures the simulation built, as a flow."""
-    return MeasureFlow(grid=ens.grid, summaries=ens.summaries, method=method)
+    return MeasureFlow(summaries=ens.summaries, method=method)
 
 
 # -- McKean-Vlasov reference flow ----------------------------------------------------

@@ -22,6 +22,10 @@ BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
 BOUNDARY_TOL = 1e-12  # how far from the boundary a point still counts as on it
+# The largest magnitude of a domain bound (box corner, ball centre or
+# radius), a model parameter or a control value: a product of two such
+# numbers stays finite.
+_MAGNITUDE_MAX = 1e50
 
 # Two-sided Skorokhod fixed-point iteration controls.
 _SK_TOL = 1e-14
@@ -37,6 +41,16 @@ def _as_point(x, d: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InputError("point has non-finite coordinates")
     return x
+
+
+def _bounded(values, what: str) -> np.ndarray:
+    """``values`` as a float array, unless an entry is NaN or more than
+    ``_MAGNITUDE_MAX`` in magnitude."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.abs(values) <= _MAGNITUDE_MAX):  # NaN too
+        raise InputError(f"{what} must be finite and at most "
+                         f"{_MAGNITUDE_MAX:g} in magnitude")
+    return values
 
 
 def _json_reals(v) -> bool:
@@ -59,18 +73,6 @@ def _row_sumsq(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _check_extent(kind: str, extent) -> None:
-    """Reject a domain unless 4 |e|^2 is finite, e = ``extent()`` the
-    per-axis bound on |x_i| over the domain.  Then ``_row_sumsq`` of any
-    point, or of any difference of two points, is finite: it sums the same
-    number of terms, in the same order, each at most four times as large.
-    An overflow or a NaN on the way fails the check, with no warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(4.0 * _row_sumsq(extent())):
-            raise InputError(f"{kind} must be finite with 4 |x|^2 finite at "
-                             f"its farthest point x from the origin")
-
-
 def _row_norm(x: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(x, axis=-1)`` bit for bit: the root of
     ``_row_sumsq``, taken in place except for a single point."""
@@ -90,23 +92,21 @@ class ConvexDomain:
 
     @staticmethod
     def box(lo, hi) -> "ConvexDomain":
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.atleast_1d(_bounded(lo, "box lo"))
+        hi = np.atleast_1d(_bounded(hi, "box hi"))
         if lo.shape != hi.shape or lo.ndim != 1 or lo.size == 0:
             raise InputError("box bounds must be nonempty 1-d arrays of "
                              "equal length")
-        _check_extent("box", lambda: np.maximum(np.abs(lo), np.abs(hi)))
         if not np.all(hi > lo):
             raise InputError("box requires hi > lo on every axis")
         return ConvexDomain(kind="box", lo=lo, hi=hi)
 
     @staticmethod
     def ball(center, radius) -> "ConvexDomain":
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        radius = float(radius)
+        center = np.atleast_1d(_bounded(center, "ball center"))
+        radius = float(_bounded(radius, "ball radius"))
         if center.ndim != 1 or center.size == 0:
             raise InputError("ball center must be a nonempty 1-d array")
-        _check_extent("ball", lambda: np.abs(center) + radius)
         if radius <= 0:
             raise InputError("ball requires radius > 0")
         return ConvexDomain(kind="ball", center=center, radius=radius)

@@ -19,7 +19,6 @@ cached moments): every measure the simulator produces is empirical.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -28,12 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, ModelError
-from .geometry import ConvexDomain
+from .geometry import ConvexDomain, _bounded
 
 _WEIGHT_TOL = 1e-12
-# The largest magnitude of a model parameter or a control value: the squares
-# of the steps and generator terms these scale, and sums of those, stay finite.
-_MAGNITUDE_MAX = 1e50
 
 
 @lru_cache(maxsize=8)
@@ -212,23 +208,21 @@ def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
 
 def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
                **params) -> ModelSpec:
-    """A zoo model, its parameters checked first: ``params`` and ``horizon``
-    finite reals (``b_const`` and ``init`` arrays of them), all but ``init``
-    at most ``_MAGNITUDE_MAX`` in magnitude, ``d1`` an integer >= 1, d by
-    default.  ``build(d1)`` gives (drift, diffusion) once they are; the
-    initial states are the points ``init``, else uniform on the domain.
-    ``params`` are kept as given.
+    """A zoo model, its parameters checked first: ``params``, ``horizon``
+    and ``init`` real numbers (``b_const`` and ``init`` arrays of them),
+    finite and at most ``_MAGNITUDE_MAX`` in magnitude, like the domain's
+    bounds, ``d1`` an integer >= 1, d by default.  ``build(d1)`` gives
+    (drift, diffusion) once they are; the initial states are the points
+    ``init``, else uniform on the domain.  ``params`` are kept as given.
     """
     for key, v in {**params, "horizon": horizon,
                    "init": [] if init is None else init}.items():
         vals = (np.ravel(np.asarray(v, dtype=object))
                 if key in ("b_const", "init") else [v])
-        top = math.inf if key == "init" else _MAGNITUDE_MAX
         if not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
-                   and math.isfinite(u) and abs(u) <= top for u in vals):
-            most = "" if top == math.inf else f" at most {top:g} in magnitude"
-            raise InputError(f"{name} {key} must be a finite real number{most}, "
-                             f"got {v!r}")
+                   for u in vals):
+            raise InputError(f"{name} {key} must be a real number, got {v!r}")
+        _bounded(vals, f"{name} {key}")
     d1 = domain.dimension if d1 is None else d1
     if isinstance(d1, bool) or not isinstance(d1, numbers.Integral) or d1 < 1:
         raise InputError(f"{name} d1 must be an integer >= 1, got {d1!r}")

@@ -100,32 +100,70 @@ def test_non_finite_numbers_written_as_strings():
 # x86-64 host (numpy 2.4.6): a change that keeps them keeps every number and
 # key of these results.  Like perfbench's digests they depend on the CPU,
 # whose BLAS kernels may round differently; re-record them only on purpose.
+BALL_MODEL = {"model": "m2",
+              "domain": {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+              "horizon": 0.5}
+# id -> (config parts over BASE_MODEL's, digests); the kind is the id's
+# first word.
 PINNED = {
-    "simulate": ({"n_particles": 4,
-                  "policy": {"policy": "constant", "v": [0.5]}}, {
+    "simulate": ({"run": {"n_particles": 4,
+                          "policy": {"policy": "constant", "v": [0.5]}}}, {
         "result.json": "53a92c1780551c24c5db5dd58348ba04"
                        "a3c4498c24683719a41df1553ff7f81a",
         "paths.csv": "e58a597c31367fb3a4decf2a57d1782f"
                      "dd32f65b59cdee056d096bef2b1354a7"}),
-    "laplace": ({"functional": {"functional": "terminal_mean", "center": 0.5},
-                 "n_particles": 4, "n_replicas": 4}, {
+    "laplace": ({"run": {"functional": {"functional": "terminal_mean",
+                                        "center": 0.5},
+                         "n_particles": 4, "n_replicas": 4}}, {
         "result.json": "19983cc45bc8b140b1b22cdb6ed113cd"
                        "c2d07d149b8e93496446564a530ffff9"}),
-    "variational": ({"functional": {"functional": "terminal_mean",
-                                    "center": 0.5},
-                     "policy": {"policy": "constant", "v": [0.5]},
-                     "n_particles": 4, "n_replicas": 4}, {
+    "variational": ({"run": {"functional": {"functional": "terminal_mean",
+                                            "center": 0.5},
+                             "policy": {"policy": "constant", "v": [0.5]},
+                             "n_particles": 4, "n_replicas": 4}}, {
         "result.json": "997f0781f4d1c8ea708d419bb443dcd6"
                        "0f89031da49377d09e6472ec21c9d3b4"}),
+    # the exact 1D LPs, on the pool when there are two CPUs
+    "chaos-box1d": ({"run": {"n_values": [4, 8], "n_replicas": 2,
+                             "n_ref": 32}}, {
+        "result.json": "d4e6a6725d62b0c77fdb909a975b6e3d"
+                       "8c2dacb098afc7d1a60acffbbeee18f5",
+        "distances.csv": "5f4175928c72d69827744c46ff662264"
+                         "6a23eea60c7f95d04741a1c1da7a2abc"}),
+    # the d >= 2 dictionary bound
+    "chaos-ball2d": ({"model": BALL_MODEL,
+                      "run": {"n_values": [4, 8], "n_replicas": 2,
+                              "n_ref": 32}}, {
+        "result.json": "eb49e199a03c7703ad273ea86f73dcd8"
+                       "6f7268fa3e6f906c1ad302072797bb2e",
+        "distances.csv": "cc02198f6dce0761f7f0e05f0206ad36"
+                         "bc19093416f6133926a75b21e1d65d6e"}),
+    "rate-terminal_point": ({"run": {
+        "target": {"kind": "terminal_point", "point": [0.8]},
+        "lambdas": [1.0], "n_particles": 4, "n_replicas": 2,
+        "opt_budget": 3, "radius": 0.5}}, {
+        "result.json": "972fd087498bc0d2ff096616a0dc3393"
+                       "9e8847951777d449d8444a717400ba03"}),
+    "rate-reference-integrated": ({"run": {
+        "target": {"kind": "reference", "n_ref": 16},
+        "distance_mode": "integrated", "lambdas": [16.0], "n_particles": 4,
+        "n_replicas": 2, "opt_budget": 5, "radius": 0.2}}, {
+        "result.json": "de5154e35638213a6703f9c0c5a6e622"
+                       "25fd73ebe749b63ac55e8a08a52091f0"}),
+    "submartingale-calibrate": ({"run": {"n_particles": 8,
+                                         "calibrate": True}}, {
+        "result.json": "9cd8a47689175afdfb5a7a952d311828"
+                       "b059cfe9f615afde749d3ec46b12d57c"}),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(PINNED))
-def test_output_bytes_pinned(tmp_path, kind):
-    run, digests = PINNED[kind]
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_output_bytes_pinned(tmp_path, case):
+    parts, digests = PINNED[case]
+    kind = case.split("-")[0]
     cfg_path = _write(tmp_path, "cfg.json", {
         "schema_version": 1, "seed": 3, "model": BASE_MODEL,
-        "grid": {"horizon": 0.5, "n_steps": 8}, "run": run})
+        "grid": {"horizon": 0.5, "n_steps": 8}, **parts})
     out = tmp_path / "out"
     assert main([kind, "--config", cfg_path, "--out", str(out)]) == 0
     assert {name: _digest(out / name) for name in digests} == digests

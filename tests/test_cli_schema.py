@@ -432,6 +432,15 @@ OVERFLOWED["simulate-horizons-1e+308"] = ("simulate", [
     (("grid", "horizon"), 1e308), (("model", "horizon"), 1e308)])
 OVERFLOWED["simulate-policy.theta-1e+308"] = ("simulate", [
     (("run", "policy"), {"policy": "feedback", "theta": [1e308] * 10})])
+# The features of a feedback policy hold x^2 and x m, so on a domain wider
+# than 1e50 weights within the cap overflowed the product phi theta.
+WIDE_BOX = {"kind": "box", "lo": [-1e150], "hi": [1e150]}
+OVERFLOWED["simulate-wide_box-policy.theta-1e+10"] = ("simulate", [
+    (("model", "domain"), WIDE_BOX),
+    (("run", "policy"), {"policy": "feedback", "theta": [1e10] * 10})])
+OVERFLOWED["variational-wide_box-policy.theta-1e+50"] = ("variational", [
+    (("model", "domain"), WIDE_BOX),
+    (("run", "policy"), {"policy": "feedback", "theta": [1e50] * 10})])
 
 
 @pytest.mark.parametrize("kind, changes", OVERFLOWED.values(), ids=list(OVERFLOWED))

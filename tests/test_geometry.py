@@ -158,33 +158,36 @@ class TestSkorokhod1D:
 
 
 class TestConstruction:
-    """A domain needs a dimension, and 4 |x|^2 finite at its farthest point
-    x from the origin: without them sampling divides by zero, or a squared
-    norm of a point or of a difference of two points overflows."""
+    """A domain needs a dimension, and bounds (box lo and hi, ball centre and
+    radius) finite and at most 1e50 in magnitude, the rule of every model
+    parameter and control value: without a dimension sampling divides by
+    zero, and within the cap every squared distance between two points of
+    the domain is finite."""
 
     @pytest.mark.parametrize("lo, hi", [
         ([], []), ([-1e308], [1e308]), ([0.0, -1e308], [1.0, 1e308]),
-        ([-8e307], [8e307]), ([0.0], [6.8e153]), ([0.0, 0.0], [6e153, 6e153])])
+        ([-8e307], [8e307]), ([0.0], [6.8e153]), ([0.0, 0.0], [6e153, 6e153]),
+        ([0.0], [2e50]), ([-2e50, 0.0], [0.0, 1.0])])
     def test_box_needs_dimensions_and_finite_widths(self, lo, hi):
         with pytest.raises(InputError):
             ConvexDomain.box(lo, hi)
 
     @pytest.mark.parametrize("center, radius", [
         ([], 1.0), ([[0.0, 0.0]], 1.0), ([1e308], 1e308),
-        ([0.0, -1e308], 1e308), ([0.0, 0.0], 1e200), ([6.7e153], 1e152)])
+        ([0.0, -1e308], 1e308), ([0.0, 0.0], 1e200), ([6.7e153], 1e152),
+        ([0.0], 2e50), ([0.0, 2e50], 1.0)])
     def test_ball_needs_dimensions_and_finite_extent(self, center, radius):
         with pytest.raises(InputError):
             ConvexDomain.ball(center, radius)
 
     def test_widest_finite_domains_accepted(self):
-        # 4 * 6.7e153 ** 2 is finite, 4 * 6.8e153 ** 2 (rejected above) is not
-        for dom in (ConvexDomain.ball([0.0], 6.7e153),
-                    ConvexDomain.ball([-3.35e153], 3.35e153),
-                    ConvexDomain.box([-6.7e153], [6.7e153])):
+        for dom in (ConvexDomain.ball([0.0], 1e50),
+                    ConvexDomain.ball([-1e50], 1e50),
+                    ConvexDomain.box([-1e50], [1e50])):
             x = dom.sample_interior(np.random.default_rng(0), 16)
             assert np.all(np.isfinite(x)) and np.all(dom.contains_all(x))
             assert np.all(np.isfinite(_row_sumsq(x[:, None] - x[None, :])))
-        far = np.array([[-6.7e153], [6.7e153]])
+        far = np.array([[-1e50], [1e50]])
         assert np.isfinite(_row_sumsq(far[1] - far[0]))
 
 
