@@ -18,7 +18,6 @@ allowance proportional to the step size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ from .ensemble import (Ensemble, MeasureFlow, cumulative_noise, marginal_flow,
 from .errors import InputError, ModelError, PreconditionError
 from .geometry import ConvexDomain, _row_sumsq
 from .integrator import TimeGrid
+from .ldp import _mean_and_error
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 from . import rng as rngmod
 
@@ -118,15 +118,15 @@ _BOUNDARY_SAMPLES, _BOUNDARY_Z_SCALE, _BOUNDARY_TOL = 256, 2.0, 1e-10
 
 
 def boundary_condition_check(f: TestFunction, domain: ConvexDomain,
-                             seed: int = 0, horizon: float = 1.0) -> BoundaryCheck:
-    """Max of <grad_x f, n(x)> over sampled boundary points; pass iff it is
-    at most ``_BOUNDARY_TOL``.
+                             horizon: float = 1.0) -> BoundaryCheck:
+    """Max of <grad_x f, n(x)> over sampled boundary points (seed 0); pass
+    iff it is at most ``_BOUNDARY_TOL``.
 
     The normals come from one ``domain.normals_at`` call.  The worst value
     is the first maximum, and a NaN value is the worst, so a NaN gradient
     fails the check.
     """
-    gen = rngmod.substream(seed, rngmod.SAMPLER, 1)
+    gen = rngmod.substream(0, rngmod.SAMPLER, 1)
     xs = domain.sample_boundary(gen, _BOUNDARY_SAMPLES)
     zs = gen.standard_normal((_BOUNDARY_SAMPLES, f.d1)) * _BOUNDARY_Z_SCALE
     ts = gen.uniform(0.0, horizon, size=_BOUNDARY_SAMPLES)
@@ -295,8 +295,8 @@ class SubmartingaleReport:
 
 
 def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
-                       model: ModelSpec, time_pairs, n_paths: int | None = None,
-                       confidence: float = 0.95, c_bias: float = 0.0,
+                       model: ModelSpec, time_pairs, confidence: float = 0.95,
+                       c_bias: float = 0.0,
                        skip_boundary_check: bool = False) -> SubmartingaleReport:
     """One-sided test of E[Psi (M_f(t1) - M_f(t0))] >= 0 on simulated paths.
 
@@ -304,14 +304,14 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
     violating functions are rejected unless skip_boundary_check is set
     (the hook used by designed negative controls).  A confidence outside
     (0, 1) or fewer than two paths raise InputError: the one-sided bound
-    needs a finite normal quantile and a sample standard deviation.
+    needs a finite normal quantile and a sample standard deviation.  Every
+    path of ``ens`` is used.
     """
     if not 0.0 < confidence < 1.0:
         raise InputError(f"confidence must lie in (0, 1), got {confidence}")
-    n_use = ens.n_particles if n_paths is None else min(n_paths, ens.n_particles)
-    if n_use < 2:
+    if ens.n_particles < 2:
         raise InputError(f"the submartingale test needs at least two paths, "
-                         f"got {n_use}")
+                         f"got {ens.n_particles}")
     if not skip_boundary_check:
         check = boundary_condition_check(f, model.domain,
                                          horizon=model.horizon)
@@ -326,18 +326,16 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
             raise InputError("time pairs must satisfy t0 < t1")
         pairs.append((t0, t1, k0, k1))
 
-    states = ens.states[:, :n_use, :]
-    controls = ens.controls[:, :n_use, :]
     w_t0 = dict.fromkeys(k0 for _, _, k0, _ in pairs)
 
     def noise_rows():
-        """w(t_k) of the paths in use, keeping the rows at the t0 nodes."""
-        for k, w in enumerate(cumulative_noise(ens.noises[:, :n_use])):
+        """w(t_k) of every path, keeping the rows at the t0 nodes."""
+        for k, w in enumerate(cumulative_noise(ens.noises)):
             if k in w_t0:
                 w_t0[k] = w
             yield w
 
-    m = mf_process(f, states, controls, noise_rows(), nu_flow, model,
+    m = mf_process(f, ens.states, ens.controls, noise_rows(), nu_flow, model,
                    ens.grid)
 
     z_crit = float(ndtri(confidence))  # the standard normal quantile
@@ -346,12 +344,10 @@ def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
     for t0, t1, k0, k1 in pairs:
         dm = m[k1] - m[k0]
         for name, psi in psi_weights(model.domain).items():
-            wts = np.asarray(psi(states[k0], w_t0[k0]), dtype=float)
+            wts = np.asarray(psi(ens.states[k0], w_t0[k0]), dtype=float)
             if np.any(wts < 0):
                 raise InputError(f"psi {name} produced negative weights")
-            vals = wts * dm
-            stat = float(np.mean(vals))
-            se = float(np.std(vals, ddof=1) / math.sqrt(n_use))
+            stat, se = _mean_and_error(wts * dm)
             lower = stat - z_crit * se
             threshold = -(z_crit * se + c_bias * dt)
             entries.append(SubmartingaleEntry(

@@ -162,11 +162,7 @@ class ConvexDomain:
             return np.clip(x, self.lo, self.hi)
         delta = x - self.center
         r = _row_norm(delta)
-        if r.ndim == 0:  # a single point
-            if r > self.radius:
-                return self.center + delta * (self.radius / r)
-            return x.copy()
-        out = r > self.radius
+        out = r > self.radius  # a 0-d mask for a single point
         p = x.copy()
         p[out] = self.center + delta[out] * (self.radius / r[out])[:, None]
         return p
@@ -236,13 +232,15 @@ class ConvexDomain:
 
 # -- 1D Skorokhod maps --------------------------------------------------------
 
-def skorokhod_1d(w, lo: float, hi: float = np.inf):
-    """Discrete Skorokhod reflection map on a sampled scalar path.
+def skorokhod_1d(w, lo: float, hi: float):
+    """Discrete two-sided Skorokhod reflection map on [lo, hi] of a sampled
+    scalar path.
 
-    One-sided (hi = +inf): x(t) = w(t) + max(0, sup_{s<=t}(lo - w(s))).
-    Two-sided: fixed-point iteration of the one-sided maps until the
-    correction stabilizes.  Returns (x, ell) where ell is the cumulative
-    local time (total boundary push), nondecreasing with ell[0] = 0.
+    Fixed-point iteration of the one-sided maps
+    x(t) = w(t) + max(0, sup_{s<=t}(lo - w(s))) (and its mirror at hi)
+    until the correction stabilizes.  Returns (x, ell) where ell is the
+    cumulative local time (total boundary push), nondecreasing with
+    ell[0] = 0.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
@@ -255,10 +253,6 @@ def skorokhod_1d(w, lo: float, hi: float = np.inf):
         raise InputError("requires lo < hi")
     if not (lo <= w[0] <= hi):
         raise InputError("path must start inside [lo, hi]")
-
-    if np.isinf(hi):
-        ell = np.maximum.accumulate(np.maximum(lo - w, 0.0))
-        return w + ell, ell
 
     lower = np.zeros_like(w)
     upper = np.zeros_like(w)

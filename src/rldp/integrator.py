@@ -67,11 +67,13 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def node_index(self, t: float) -> int:
-        """Index of the grid node within 1e-9 of t; off-grid times are errors."""
+        """Index of the grid node within 1e-9 horizons of t; off-grid times
+        are errors."""
         if not math.isfinite(t):
             raise InputError(f"time {t} is not a grid node")
         k = round(t / self.dt)
-        if not 0 <= k <= self.n_steps or abs(t - k * self.dt) > 1e-9:
+        if (not 0 <= k <= self.n_steps
+                or abs(t - self.nodes[k]) > 1e-9 * self.horizon):
             raise InputError(f"time {t} is not a grid node")
         return int(k)
 
@@ -226,32 +228,24 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
 
 
 def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
-                            mu_flow, control, noise, x0) -> ReflectedPath:
-    """One path under a frozen measure flow: a one-particle ``_advance``.
+                            mu_flow, noise, x0) -> ReflectedPath:
+    """One uncontrolled path under a frozen measure flow: a one-particle
+    ``_advance``.
 
     mu_flow: one MeasureSummary per grid node (len n_steps + 1).
-    control: per-cell h values, shape (n_steps, d1) (or None for zero).
     noise:   Brownian increments, shape (n_steps, d1).
     """
-    from .controls import PiecewiseConstantPolicy  # local import to avoid a cycle
-
     d1, n = model.d1, grid.n_steps
     noise = np.asarray(noise, dtype=float)
     if noise.shape != (n, d1):
         raise InputError(f"noise must have shape ({n}, {d1})")
-    policy = None
-    if control is not None:
-        control = np.asarray(control, dtype=float)
-        if control.shape != (n, d1):
-            raise InputError(f"control must have shape ({n}, {d1})")
-        policy = PiecewiseConstantPolicy(control, grid)
     if len(mu_flow) != n + 1:
         raise InputError("mu_flow must supply one summary per grid node")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if model.domain.contains(x) == EXTERIOR:
         raise PreconditionError("initial state outside the closed domain")
     states, events, *_ = _advance(
-        model, grid, x[None, :], noise[:, None, :], policy, mu_flow)
+        model, grid, x[None, :], noise[:, None, :], None, mu_flow)
     return ReflectedPath(grid=grid, states=states[:, 0],
                          reflection=events.reflection()[:, 0],
                          local_time=events.local_time()[:, 0],

@@ -244,13 +244,8 @@ def variational_objective(model: ModelSpec, functional: Functional,
 @dataclass(frozen=True)
 class OptimizationResult:
     policy: ControlPolicy
-    theta: np.ndarray
-    objective: float
     cost_part: float
-    f_part: float
-    trace: np.ndarray         # best-so-far objective per evaluation
     n_evaluations: int
-    budget_exhausted: bool
 
 
 @shared_replica_draws()
@@ -288,24 +283,18 @@ def optimize_controls(model: ModelSpec, functional: Functional,
         starts.append(start_rng.uniform(-family.bound / 2, family.bound / 2,
                                         size=family.dim))
 
-    exhausted = False
     per_restart = max(family.dim + 2, budget // max(1, len(starts)))
     for x0 in starts:
         if len(record) >= budget:
-            exhausted = True
             break
         minimize(objective_fn, x0, method="Nelder-Mead",
                  options={"maxfev": min(per_restart, budget - len(record)),
                           "xatol": 1e-4, "fatol": 1e-8})
 
-    objectives = np.array([est.objective for est, _ in record])
-    best, theta = record[int(np.argmin(objectives))]
-    return OptimizationResult(
-        policy=family.make(theta), theta=theta, objective=best.objective,
-        cost_part=best.cost_part, f_part=best.f_part,
-        trace=np.minimum.accumulate(objectives), n_evaluations=len(record),
-        budget_exhausted=exhausted,
-    )
+    best, theta = record[int(np.argmin([est.objective for est, _ in record]))]
+    return OptimizationResult(policy=family.make(theta),
+                              cost_part=best.cost_part,
+                              n_evaluations=len(record))
 
 
 # -- rate-function upper estimate ----------------------------------------------------------

@@ -29,8 +29,6 @@ import numpy as np
 from .errors import InputError, ModelError
 from .geometry import ConvexDomain, _bounded
 
-_WEIGHT_TOL = 1e-12
-
 
 @lru_cache(maxsize=8)
 def _uniform_weights(n: int) -> np.ndarray:
@@ -53,12 +51,12 @@ class MeasureSummary:
     """
 
     points: np.ndarray   # (n, d), or (..., n, d) for a batch
-    weights: np.ndarray  # (n,), nonnegative, sums to 1
+    weights: np.ndarray  # (n,), every entry 1/n
     mean: np.ndarray     # (d,), or (..., 1, d) for a batch
 
     @staticmethod
-    def from_points(points, weights=None) -> "MeasureSummary":
-        """The measure sum_i w_i delta_{x_i}, uniform unless ``weights``.
+    def from_points(points) -> "MeasureSummary":
+        """The uniform empirical measure (1/n) sum_i delta_{x_i}.
 
         ``points`` (n, d) or a batch (..., n, d); the batched mean is the
         stacked product ``weights @ points``, bit for bit that of each
@@ -68,20 +66,9 @@ class MeasureSummary:
         n = points.shape[-2]
         if n == 0 or points.shape[-1] == 0:
             raise InputError(f"no atoms, or atoms in R^0: points of shape {points.shape}")
-        if weights is None:
-            weights = _uniform_weights(n)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n,):
-                raise InputError("weights must match the number of support points")
-            if not np.all(np.isfinite(weights)):
-                raise InputError("weights must be finite")
-            if np.any(weights < 0):
-                raise InputError("weights must be nonnegative")
-            if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
-                raise InputError("weights must sum to 1")
         if not np.all(np.isfinite(points)):
             raise InputError("support points must be finite")
+        weights = _uniform_weights(n)
         mean = weights @ points
         if points.ndim > 2:
             mean = mean[..., None, :]
@@ -273,14 +260,18 @@ def make_m2(domain: ConvexDomain, theta: float = 1.0, sigma_scale: float = 0.5,
 def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
             clip_L: float = 2.0, d1: int | None = None, horizon: float = 1.0,
             init=None) -> ModelSpec:
-    """M3: distribution-dependent diffusion s (1 + alpha tr cov(mu)) I, clipped."""
+    """M3: distribution-dependent diffusion s I, s = sigma_scale (1 + alpha
+    tr cov(mu)) clipped from above at c = clip_L / max(|I|, 1) and from
+    below at -|c| (tr cov can go negative by cancellation far from the
+    origin)."""
     def build(d1):
         eye = _identity_sigma(domain.dimension, d1, 1.0)
-        hs = np.linalg.norm(eye)
+        lim = clip_L / max(np.linalg.norm(eye), 1.0)
 
         def diffusion(t, x, mu):
-            s = np.minimum(clip_L / max(hs, 1.0),
-                           sigma_scale * (1.0 + alpha * mu.cov_trace()))
+            s = np.maximum(np.minimum(lim, sigma_scale
+                                      * (1.0 + alpha * mu.cov_trace())),
+                           -abs(lim))
             if np.ndim(s):  # one scale per replica of a batch: (..., 1, 1, 1)
                 s = s[..., None, None, None]
             return s * eye

@@ -91,8 +91,7 @@ def test_02_skorokhod_oracle_monotone_gap(capfd):
                 grid = TimeGrid(horizon, n)
                 dw = coarsen_increments(dw_fine, finest // n)
                 flow = [MeasureSummary.dirac([x0])] * (n + 1)
-                path = simulate_reflected_path(model, grid, flow, None,
-                                               dw, [x0])
+                path = simulate_reflected_path(model, grid, flow, dw, [x0])
                 stride = finest // n
                 gap = np.max(np.abs(path.states[:, 0] - x_ref[::stride]))
                 gaps[n].append(gap)

@@ -442,7 +442,38 @@ OVERFLOWED["variational-wide_box-policy.theta-1e+50"] = ("variational", [
     (("model", "domain"), WIDE_BOX),
     (("run", "policy"), {"policy": "feedback", "theta": [1e50] * 10})])
 
+# Joint extremes inside the 1e50 rule, every parameter and both horizons at
+# 1e50.  m2's submartingale statistics squared values past 1e154; m3's scale,
+# clipped from above only, went to about -1e183 (tr cov < 0 by cancellation
+# far from the origin) and overflowed the projection.
+HUGE_GRID = {"horizon": 1e50, "n_steps": 4}
+OVERFLOWED["submartingale-m2-box_1e50"] = ("submartingale", [
+    (("model",), {"model": "m2", "domain": {"kind": "box", "lo": [-1e50],
+                                            "hi": [1e50]},
+                  "theta": 1e50, "sigma_scale": 1e50, "horizon": 1e50}),
+    (("grid",), HUGE_GRID), (("run",), {"n_particles": 4})])
+OVERFLOWED["simulate-m3-ball_at_1e50-policy.theta-1e+50"] = ("simulate", [
+    (("model",), {"model": "m3", "domain": {"kind": "ball",
+                                            "center": [1e50, -1e50],
+                                            "radius": 1e50},
+                  "sigma_scale": 1e50, "alpha": 1e50, "clip_L": 1e50,
+                  "horizon": 1e50}),
+    (("grid",), HUGE_GRID),
+    (("run",), {"n_particles": 8, "policy": {
+        "policy": "feedback", "theta": [1e50] * 42, "bound": 1e50}})])
+
 
 @pytest.mark.parametrize("kind, changes", OVERFLOWED.values(), ids=list(OVERFLOWED))
 def test_exit_code_contract_at_huge_magnitudes(kind, changes):
     _assert_exit_contract(kind, changes)
+
+
+# The horizon is the grid's last node however the steps divide it: with
+# horizon 1e9 and 29 steps, 29 dt is 999999999.9999999.
+@pytest.mark.parametrize("kind", ["simulate", "chaos", "submartingale"])
+def test_large_horizon_is_a_grid_node(kind):
+    changes = [(("grid",), {"horizon": 1e9, "n_steps": 29}),
+               (("model", "horizon"), 1e9), (("run", "time_pairs"), DELETE)]
+    with tempfile.TemporaryDirectory() as out_dir:
+        code, err = _main(kind, _config(kind, changes), out_dir)
+    assert code == 0, err

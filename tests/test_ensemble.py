@@ -61,8 +61,8 @@ class TestParticleSystem:
         grid = TimeGrid(1.0, 32)
         ens = simulate_particle_system(m, 1, grid, seed=13)
         flow = [empirical_measure_at(ens, t) for t in grid.nodes]
-        path = simulate_reflected_path(m, grid, flow, None,
-                                       ens.noises[:, 0, :], [0.5])
+        path = simulate_reflected_path(m, grid, flow, ens.noises[:, 0, :],
+                                       [0.5])
         # bit-identical: the N=1 system couples to its own empirical law
         assert np.array_equal(path.states, ens.states[:, 0, :])
         assert np.array_equal(path.local_time, ens.local_time[:, 0])
@@ -226,9 +226,9 @@ class TestStoredSummaries:
         calls = []
         from_points = MeasureSummary.__dict__["from_points"].__func__
 
-        def counting(points, weights=None):
+        def counting(points):
             calls.append(points.shape)
-            return from_points(points, weights)
+            return from_points(points)
 
         monkeypatch.setattr(MeasureSummary, "from_points",
                             staticmethod(counting))

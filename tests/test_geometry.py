@@ -112,13 +112,13 @@ def _brute_force_two_barrier(w, lo, hi):
 class TestSkorokhod1D:
     def test_push_into_barrier(self):
         t = np.linspace(0, 1, 101)
-        x, ell = skorokhod_1d(-t, 0.0)
+        x, ell = skorokhod_1d(-t, 0.0, 1.0)
         assert np.allclose(x, 0.0)
         assert np.allclose(ell, t)
 
     def test_never_touches(self):
         t = np.linspace(0, 1, 101)
-        x, ell = skorokhod_1d(t, 0.0)
+        x, ell = skorokhod_1d(t, 0.0, 2.0)
         assert np.allclose(x, t)
         assert np.allclose(ell, 0.0)
 
@@ -145,12 +145,14 @@ class TestSkorokhod1D:
         assert np.all(np.diff(ell) >= -1e-12)  # nondecreasing local time
 
     def test_one_sided_closed_form(self):
+        # an upper barrier the path never reaches leaves the one-sided map:
+        # the classic reflection formula x = w + max(0, running max of -w)
         rng = np.random.default_rng(4)
         w = np.cumsum(np.r_[0.2, rng.normal(0, 0.3, 300)])
-        x, ell = skorokhod_1d(w, 0.0)
-        # classic reflection formula x = w + max(0, running max of -w)
         push = np.maximum.accumulate(np.maximum(0.0, -w))
+        x, ell = skorokhod_1d(w, 0.0, float(np.max(w + push)) + 1.0)
         assert np.allclose(x, w + push)
+        assert np.allclose(ell, push)
 
     def test_invalid_barriers(self):
         with pytest.raises(InputError):
@@ -408,6 +410,21 @@ class TestProjectCopies:
             assert _same_bytes(dom.project(batch),
                                np.stack([dom.project(b) for b in batch]))
             for x in (inside, mixed, batch):
+                self._assert_new_array(dom, x)
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 8, 9))
+    def test_single_point_is_a_one_row_batch(self, d):
+        """A single point takes the batched path, its mask of rows outside
+        0-d (from a numpy scalar norm in d >= 8): bit for bit row 0 of the
+        point projected as a one-row batch, and a new array."""
+        rng = np.random.default_rng(850 + d)
+        for dom in _domains(d)[:2]:
+            xs = _edge_points(dom, rng)  # inside, outside, on it, -0.0
+            r = np.linalg.norm(xs - dom.center, axis=-1)
+            assert np.any(r > dom.radius) and np.any(r == dom.radius)
+            assert np.any(r < dom.radius)
+            for x in xs:
+                assert _same_bytes(dom.project(x), dom.project(x[None])[0])
                 self._assert_new_array(dom, x)
 
     @pytest.mark.parametrize("d", (1, 2, 3, 9))

@@ -30,6 +30,16 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(1.0, 4).node_index(0.3)
 
+    def test_every_node_is_its_own_index(self):
+        """The tolerance is relative to the horizon: with horizon 1e9 and
+        29 steps, 29 dt is 999999999.9999999, yet the horizon is node 29."""
+        for horizon in (10.0 ** e for e in range(51)):
+            for n in (*range(1, 40), 100, 1000, 1024):
+                g = TimeGrid(horizon, n)
+                assert [g.node_index(t) for t in g.nodes] == list(range(n + 1))
+                with pytest.raises(InputError):
+                    g.node_index(g.nodes[0] + g.dt / 2)
+
     def test_invalid(self):
         with pytest.raises(InputError):
             TimeGrid(-1.0, 4)
@@ -57,7 +67,7 @@ class TestSimulateReflectedPath:
         m = make_m1(BOX1)
         grid = TimeGrid(1.0, 50)
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.3]),
-                                       None, np.zeros((50, 1)), [0.3])
+                                       np.zeros((50, 1)), [0.3])
         assert np.allclose(path.states, 0.3)
         assert path.local_time[-1] == 0.0
 
@@ -76,7 +86,7 @@ class TestSimulateReflectedPath:
                       params={})
         grid = TimeGrid(1.0, 100)  # dt = 0.01
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.1]),
-                                       None, np.zeros((100, 1)), [0.1])
+                                       np.zeros((100, 1)), [0.1])
         t = grid.nodes
         exact_x = np.maximum(0.0, 0.1 - 2.0 * t)
         exact_k = 2.0 * np.maximum(0.0, t - 0.05)
@@ -93,7 +103,7 @@ class TestSimulateReflectedPath:
         noise = brownian_increments(rng, 256, 1, grid.dt)
         x0 = 0.5
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
-                                       None, noise, [x0])
+                                       noise, [x0])
         w = x0 + np.r_[0.0, np.cumsum(noise[:, 0])]
         x_oracle, ell_oracle = skorokhod_1d(w, 0.0, 1.0)
         overshoot = 2 * np.max(np.abs(noise))
@@ -106,7 +116,7 @@ class TestSimulateReflectedPath:
         rng = substream(7, NOISE, 0, 0)
         noise = brownian_increments(rng, 64, 1, grid.dt)
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
-                                       None, noise, [0.5])
+                                       noise, [0.5])
         assert m.domain.contains_all(path.states).all()
 
     def test_exterior_start_rejected(self):
@@ -114,15 +124,7 @@ class TestSimulateReflectedPath:
         grid = TimeGrid(1.0, 4)
         with pytest.raises(PreconditionError):
             simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
-                                    None, np.zeros((4, 1)), [1.5])
-
-    def test_control_with_terminal_row_rejected(self):
-        # one control value per cell: an (n + 1, d1) control is not trimmed
-        m = make_m1(BOX1)
-        grid = TimeGrid(1.0, 4)
-        with pytest.raises(InputError):
-            simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
-                                    np.zeros((5, 1)), np.zeros((4, 1)), [0.5])
+                                    np.zeros((4, 1)), [1.5])
 
     def test_nan_drift_rejected(self):
         def drift(t, x, mu):
@@ -135,25 +137,22 @@ class TestSimulateReflectedPath:
         grid = TimeGrid(1.0, 4)
         with pytest.raises(InputError):
             simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
-                                    None, np.zeros((4, 1)), [0.5])
+                                    np.zeros((4, 1)), [0.5])
 
 
 class TestOneSteppingCore:
     """A path under the ensemble's own flow and noise is its particle."""
 
-    @pytest.mark.parametrize("model, v", [
-        (make_drifted(BALL2, [0.8, -0.5]), None),
-        (make_m1(BOX1), [0.7]),
-        (make_m2(BALL3, theta=0.5), [0.4, -0.9, 0.3]),
-    ], ids=["drifted-ball2d", "m1-constant-1d", "m2-constant-ball3d"])
-    def test_path_equals_one_particle_system(self, model, v):
+    @pytest.mark.parametrize("model", [
+        make_drifted(BALL2, [0.8, -0.5]), make_m1(BOX1, sigma_scale=2.0),
+        make_m2(BALL3, theta=0.5, sigma_scale=1.5),
+    ], ids=["drifted-ball2d", "m1-1d", "m2-ball3d"])
+    def test_path_equals_one_particle_system(self, model):
         grid = TimeGrid(1.0, 64)
-        policy = None if v is None else ConstantPolicy(v)
-        ens = simulate_particle_system(model, 1, grid, policy=policy, seed=17)
-        control = None if v is None else np.tile(v, (grid.n_steps, 1))
+        ens = simulate_particle_system(model, 1, grid, seed=17)
         path = simulate_reflected_path(model, grid, marginal_flow(ens),
-                                       control, ens.noises[:, 0],
-                                       ens.states[0, 0])
+                                       ens.noises[:, 0], ens.states[0, 0])
+        assert ens.boundary_hits.any()
         assert np.array_equal(path.states, ens.states[:, 0])
         assert np.array_equal(path.reflection, ens.reflection[:, 0])
         assert np.array_equal(path.local_time, ens.local_time[:, 0])
@@ -188,19 +187,17 @@ class TestReflectionProperties:
     @given(domain=st.sampled_from([BOX2, BALL3]),
            seed=st.integers(0, 2**32 - 1),
            sigma=st.floats(0.0, 4.0),
-           drift=st.floats(-20.0, 20.0),
-           v=st.floats(-5.0, 5.0))
+           drift=st.floats(-20.0, 20.0))
     def test_states_contained_and_local_time_nondecreasing(
-            self, domain, seed, sigma, drift, v):
+            self, domain, seed, sigma, drift):
         d = domain.dimension
         m = make_drifted(domain, drift, sigma_scale=sigma)
         grid = TimeGrid(1.0, 32)
         gen = np.random.default_rng(seed)
         x0 = domain.sample_interior(gen, 1)[0]
         noise = brownian_increments(gen, 32, d, grid.dt)
-        control = np.full((32, d), v)
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, x0),
-                                       control, noise, x0)
+                                       noise, x0)
         assert domain.contains_all(path.states).all()
         assert path.local_time[0] == 0.0
         assert np.all(np.diff(path.local_time) >= 0.0)

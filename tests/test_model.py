@@ -26,11 +26,6 @@ class TestMeasureSummary:
         assert mu.cov_trace() == pytest.approx(0.0)
         assert mu.is_dirac()
 
-    def test_unnormalized_weights_rejected(self):
-        with pytest.raises(InputError):
-            MeasureSummary.from_points(np.array([[0.0], [1.0]]),
-                                       weights=[2.0, 2.0])
-
     @pytest.mark.parametrize("shape", [(0, 2), (0, 1), (4, 0, 2), (3, 0)])
     def test_no_atoms_rejected(self, shape):
         # no atoms, or atoms in R^0: an InputError before any weight is built
@@ -42,20 +37,19 @@ class TestMeasureSummary:
             MeasureSummary.dirac([])
         assert MeasureSummary.dirac(0.5).points.shape == (1, 1)
 
-    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0],
-                                         [np.inf, 0.0], [np.inf, np.nan]])
-    def test_nonfinite_weights_rejected(self, weights):
-        with pytest.raises(InputError):
-            MeasureSummary.from_points(np.array([[0.0], [1.0]]),
-                                       weights=weights)
+    @pytest.mark.parametrize("coords", [[np.nan, np.nan], [np.nan, 1.0],
+                                        [np.inf, 0.0], [-np.inf, np.nan]])
+    def test_nonfinite_points_rejected(self, coords):
+        with pytest.raises(InputError, match="finite"):
+            MeasureSummary.from_points(np.array(coords)[:, None])
 
     @pytest.mark.parametrize("n, d", [(1, 1), (5, 2), (64, 3), (1000, 5)])
     def test_lazy_second_moment_equals_eager_formula(self, n, d):
         rng = np.random.default_rng(n + d)
         points = rng.normal(size=(n, d))
-        weights = rng.uniform(0.1, 1.0, size=n)
-        weights /= weights.sum()
-        mu = MeasureSummary.from_points(points, weights)
+        weights = np.full(n, 1.0 / n)
+        mu = MeasureSummary.from_points(points)
+        assert np.array_equal(mu.weights, weights)
         assert "second_moment" not in vars(mu)
         second = (points.T * weights) @ points
         assert np.array_equal(mu.second_moment, second)
@@ -86,6 +80,22 @@ class TestEvalCoefficients:
         mu = MeasureSummary.dirac([0.4])
         _, sig = eval_coefficients(m, 0.0, [0.4], mu)
         assert np.allclose(sig, np.eye(1))
+
+    @pytest.mark.parametrize("alpha", [-100.0, -10.0, -2.0, 0.5, 1.0, 100.0])
+    @pytest.mark.parametrize("clip_L", [2.0, -2.0])
+    def test_m3_scale_clipped_on_both_sides(self, alpha, clip_L):
+        """|s| <= |clip_L| / max(|I|, 1), and a scale that the upper clip
+        alone puts inside that bound keeps its bits.  Negative alphas stand
+        in for the negative tr cov that cancellation gives far from the
+        origin."""
+        dom = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])
+        m = make_m3(dom, sigma_scale=0.8, alpha=alpha, clip_L=clip_L)
+        mu = MeasureSummary.from_points(np.array([[0.0, 0.0], [1.0, 0.5]]))
+        _, sig = eval_coefficients(m, 0.0, [0.5, 0.5], mu)
+        lim = clip_L / np.linalg.norm(np.eye(2))
+        upper = min(lim, 0.8 * (1.0 + alpha * mu.cov_trace()))
+        want = upper if abs(upper) <= abs(lim) else -abs(lim)
+        assert np.array_equal(sig, want * np.eye(2))
 
     @pytest.mark.parametrize("t", [-0.1, 1.5])
     def test_time_outside_horizon_rejected(self, t):
