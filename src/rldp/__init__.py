@@ -9,8 +9,8 @@ from .diagnostics import (SubmartingaleReport, TestFunction,
                           boundary_condition_check, calibrate_bias_allowance,
                           generator_apply, mf_process,
                           standard_test_functions, submartingale_test)
-from .ensemble import (Ensemble, MeasureFlow, empirical_measure_at,
-                       marginal_flow, simulate_particle_system,
+from .ensemble import (Ensemble, empirical_measure_at, marginal_flow,
+                       simulate_particle_system,
                        solve_mckean_vlasov_reference, write_paths_csv)
 from .errors import (BudgetError, ConfigError, InputError, ModelError,
                      PreconditionError)

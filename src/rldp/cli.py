@@ -10,7 +10,8 @@ config is checked whole before anything runs.  Each run writes a manifest
 depend only on (config, seed).  The laplace, variational, rate and
 submartingale results are their ``ldp`` or ``diagnostics`` result dataclass
 as ``dataclasses.asdict`` writes it (laplace and variational add the
-functional id, variational the policy id): each key is its field's name.
+functional id, variational the policy id, rate a description of its
+target): each key is its field's name.
 ``--workers`` (>= 1; default 2) caps the threads of the chaos kind's pool
 for the exact 1D BL linear programs, at most one per CPU (``pool_size``); it
 changes no output byte, and with 1 no thread starts.  Exit codes: 0 ok, 2
@@ -283,7 +284,7 @@ def _run_chaos(cfg, p, out: Path):
             if len(dists) >= size:
                 dists[-size].result()
             dists.append(submit(bl_distance, empirical_measure_at(ens, grid.horizon),
-                                ref.terminal))
+                                ref[-1]))
     rows = [(n, rep, d.result().value) for (n, rep), d in zip(keys, dists)]
     medians = {str(n): float(np.median([d for m, _, d in rows if m == n]))
                for n in n_values}
@@ -318,15 +319,19 @@ def _run_variational(cfg, p, out: Path):
 
 def _run_rate(cfg, p, out: Path):
     model, grid, target = p["model"], p["grid"], p["target"]
-    if not isinstance(target, MeasureSummary):
+    if isinstance(target, MeasureSummary):
+        desc = f"terminal summary, mean={np.array2string(target.mean, precision=4)}"
+    else:
+        desc = "measure flow (large_N)"
         target = solve_mckean_vlasov_reference(
             model, grid, n_ref=target["n_ref"],
             seed=cfg["seed"] + target["seed_offset"], budget=cfg.get("budget"))
-    return asdict(ldp.estimate_rate(
+    est = ldp.estimate_rate(
         model, target, p["lambdas"], p["family"], p["n_particles"], grid,
         p["n_replicas"], p["opt_budget"], seed=cfg["seed"],
         radius=p["radius"], distance_mode=p["distance_mode"],
-        sim_budget=cfg.get("budget"))), []
+        sim_budget=cfg.get("budget"))
+    return {"target": desc, **asdict(est)}, []
 
 
 def _run_submartingale(cfg, p, out: Path):

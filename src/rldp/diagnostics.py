@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .ensemble import (Ensemble, MeasureFlow, cumulative_noise, marginal_flow,
+from .ensemble import (Ensemble, cumulative_noise, marginal_flow,
                        simulate_particle_system)
 from .errors import InputError, ModelError, PreconditionError
 from .geometry import ConvexDomain, _row_sumsq
@@ -197,7 +197,7 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
 # -- the compensated process -----------------------------------------------------------
 
 def mf_process(f: TestFunction, states, controls, noise_path,
-               nu_flow: MeasureFlow, model: ModelSpec,
+               nu_flow, model: ModelSpec,
                grid: TimeGrid) -> np.ndarray:
     """Discrete M_f series with left-endpoint Riemann sums; M_f(0) = 0.
 
@@ -294,7 +294,7 @@ class SubmartingaleReport:
     passed: bool
 
 
-def submartingale_test(ens: Ensemble, nu_flow: MeasureFlow, f: TestFunction,
+def submartingale_test(ens: Ensemble, nu_flow, f: TestFunction,
                        model: ModelSpec, time_pairs, confidence: float = 0.95,
                        c_bias: float = 0.0,
                        skip_boundary_check: bool = False) -> SubmartingaleReport:

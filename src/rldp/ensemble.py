@@ -5,9 +5,10 @@ node the shared measure summary is computed from the current states, the
 policy is evaluated per particle, and all particles advance one projected
 step of ``integrator._advance``, the one stepping core.  That core builds
 each node's empirical measure once; ``Ensemble.summaries`` keeps them, and
-``marginal_flow`` and ``empirical_measure_at`` read them as they are
-instead of rebuilding them from the states.  The McKean-Vlasov reference
-flow is the marginal flow of one large interacting ensemble.
+``empirical_measure_at`` reads them as they are instead of rebuilding them
+from the states.  A flow is that tuple of node summaries: ``marginal_flow``
+returns it, and the McKean-Vlasov reference flow is the marginal flow of
+one large interacting ensemble.
 
 ``simulate_particle_system`` takes one replica (an int) or a ``range`` of
 them.  A range is stepped as one batch by a single ``_advance`` call: the
@@ -121,24 +122,6 @@ def cumulative_noise(noises: np.ndarray):
     for k in range(1, noises.shape[0]):
         w = np.add(w, noises[k])
         yield w
-
-
-@dataclass(frozen=True)
-class MeasureFlow:
-    """Per-node measure summaries nu(t_k), and how they were made."""
-
-    summaries: tuple
-    method: str = "direct"
-
-    def __getitem__(self, k: int) -> MeasureSummary:
-        return self.summaries[k]
-
-    def __len__(self) -> int:
-        return len(self.summaries)
-
-    @property
-    def terminal(self) -> MeasureSummary:
-        return self.summaries[-1]
 
 
 def _check_single(ens: Ensemble, what: str):
@@ -261,24 +244,26 @@ def empirical_measure_at(ens: Ensemble, t: float) -> MeasureSummary:
     return ens.summaries[ens.grid.node_index(t)]
 
 
-def marginal_flow(ens: Ensemble, method: str = "empirical") -> MeasureFlow:
-    """The per-node empirical measures the simulation built, as a flow."""
-    return MeasureFlow(summaries=ens.summaries, method=method)
+def marginal_flow(ens: Ensemble) -> tuple:
+    """The flow t_k -> mu^N(t_k): the per-node empirical measures the
+    simulation built, ``ens.summaries`` itself."""
+    return ens.summaries
 
 
 # -- McKean-Vlasov reference flow ----------------------------------------------------
 
 def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
                                   n_ref: int = 4096, seed: int = 0,
-                                  budget: int | None = None) -> MeasureFlow:
+                                  budget: int | None = None) -> tuple:
     """Approximate the law flow of the reflected McKean-Vlasov equation by
     the marginal flow of one interacting ensemble of ``n_ref`` particles,
-    which propagation of chaos makes close to it for large ``n_ref``."""
+    which propagation of chaos makes close to it for large ``n_ref``: a
+    tuple of one summary per grid node, like ``marginal_flow``."""
     if not _is_count(n_ref):
         raise InputError(f"n_ref must be an integer >= 1, got {n_ref!r}")
     ens = simulate_particle_system(model, n_ref, grid, policy=None,
                                    seed=seed, replica=0, budget=budget)
-    return marginal_flow(ens, method="large_N")
+    return marginal_flow(ens)
 
 
 # -- export ---------------------------------------------------------------------------

@@ -105,9 +105,9 @@ def check_distance_mode(target, mode: str) -> str:
 def flow_distance(flow, target, mode: str = "terminal") -> float:
     """BL distance between a marginal flow and a target flow or summary.
 
-    A flow is a MeasureFlow or a list of per-node summaries; both index
-    and iterate alike.  A summary target is a terminal target only; an
-    integrated target must have the flow's number of nodes.
+    A flow is a sequence of per-node summaries, such as ``marginal_flow``'s
+    tuple.  A summary target is a terminal target only; an integrated
+    target must have the flow's number of nodes.
     """
     check_distance_mode(target, mode)
     if mode == "terminal":
@@ -301,7 +301,6 @@ def optimize_controls(model: ModelSpec, functional: Functional,
 
 @dataclass(frozen=True)
 class RateEstimate:
-    target: str
     radius: float
     lambdas: tuple
     achieved_distances: tuple
@@ -353,11 +352,8 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
         costs.append(res.cost_part)
         if dist <= radius:
             selected = (lam, res.cost_part)
-    target_desc = (f"terminal summary, mean={np.array2string(target.mean, precision=4)}"
-                   if isinstance(target, MeasureSummary)
-                   else f"measure flow ({getattr(target, 'method', 'direct')})")
     return RateEstimate(
-        target=target_desc, radius=radius, lambdas=tuple(lambdas),
+        radius=radius, lambdas=tuple(lambdas),
         achieved_distances=tuple(dists), cost_values=tuple(costs),
         feasible=selected[0] is not None, upper_bound=max(0.0, selected[1]),
         selected_lambda=selected[0])

@@ -5,16 +5,18 @@ must accept x of shape (d,), (N, d) or (..., N, d), and return arrays that
 broadcast to x.shape for the drift and x.shape[:-1] + (d, d1) for the
 diffusion.  A state of shape (..., N, d) with leading batch axes is a stack
 of independent N-particle systems (replicas); its node summary is batched
-the same way: ``points`` (..., N, d), one weight vector (N,) shared by the
-stack, and ``mean`` (..., 1, d), which broadcasts against x.  An unbatched
-summary keeps its (d,) mean; ``replica(j)`` reads one measure of a batch as
-an unbatched summary, without copying its points.  Every measure-dependent quantity a
+the same way: ``points`` (..., N, d) and ``mean`` (..., 1, d), which
+broadcasts against x.  An unbatched summary keeps its (d,) mean;
+``replica(j)`` reads one measure of a batch as an unbatched summary,
+without copying its points.  Every measure-dependent quantity a
 coefficient reads (the mean, ``cov_trace()``) therefore carries the batch
 axes, and a coefficient must keep them apart: m2's drift broadcasts as it
 is, m3 reshapes the per-replica covariance trace.  Control policies follow
 the same contract (see ``controls``).
-All measure dependence enters through the summary (finite support plus
-cached moments): every measure the simulator produces is empirical.
+All measure dependence enters through the summary.  Every measure the
+simulator produces is the uniform empirical measure (1/N) sum_i delta_{x_i},
+so a summary holds only its points and their mean; its weights 1/N follow
+from the number of points.
 """
 
 from __future__ import annotations
@@ -41,17 +43,17 @@ def _uniform_weights(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureSummary:
-    """A finite-support probability measure with cached moments.
+    """The uniform empirical measure of its points, with their mean.
 
-    The mean is computed on construction; the second moment (and with it
-    the covariance) is computed on first use and then cached.  A batched
+    Build one with ``from_points`` (or ``dirac``, ``replica``), which
+    computes the mean from the points; the second moment (and with it the
+    covariance) is computed on first use and then cached.  A batched
     summary stacks measures on the same number of atoms along leading axes
     of ``points``; see the module docstring for its shapes.  ``replica``
     reads one measure of a batch with the bits it would get on its own.
     """
 
     points: np.ndarray   # (n, d), or (..., n, d) for a batch
-    weights: np.ndarray  # (n,), every entry 1/n
     mean: np.ndarray     # (d,), or (..., 1, d) for a batch
 
     @staticmethod
@@ -68,11 +70,10 @@ class MeasureSummary:
             raise InputError(f"no atoms, or atoms in R^0: points of shape {points.shape}")
         if not np.all(np.isfinite(points)):
             raise InputError("support points must be finite")
-        weights = _uniform_weights(n)
-        mean = weights @ points
+        mean = _uniform_weights(n) @ points
         if points.ndim > 2:
             mean = mean[..., None, :]
-        return MeasureSummary(points=points, weights=weights, mean=mean)
+        return MeasureSummary(points=points, mean=mean)
 
     @staticmethod
     def dirac(x) -> "MeasureSummary":
@@ -85,6 +86,12 @@ class MeasureSummary:
     @property
     def n_atoms(self) -> int:
         return self.points.shape[-2]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The read-only weights 1/n, (n,), shared by every summary of n
+        atoms (a batch's measures too)."""
+        return _uniform_weights(self.n_atoms)
 
     @cached_property
     def second_moment(self) -> np.ndarray:
@@ -106,8 +113,7 @@ class MeasureSummary:
 
         It has the mean and second moment it would have if built alone.
         """
-        return MeasureSummary(points=self.points[j], weights=self.weights,
-                              mean=self.mean[j, 0])
+        return MeasureSummary(points=self.points[j], mean=self.mean[j, 0])
 
     def is_dirac(self) -> bool:
         """Whether every atom sits at the same point."""

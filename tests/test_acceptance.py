@@ -158,7 +158,7 @@ def test_04_propagation_of_chaos(capfd):
                     ens = simulate_particle_system(model, n, grid,
                                                    seed=101, replica=rep)
                     dists.append(bl_distance(
-                        empirical_measure_at(ens, 0.5), ref.terminal).value)
+                        empirical_measure_at(ens, 0.5), ref[-1]).value)
                 medians.append(float(np.median(dists)))
             assert medians[0] > medians[1] > medians[2], (model.name, medians)
 

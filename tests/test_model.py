@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,19 @@ class TestMeasureSummary:
         mu = MeasureSummary.from_points(np.array([[0.0], [1.0]]))
         assert np.allclose(mu.weights, [0.5, 0.5])
         assert mu.mean[0] == pytest.approx(0.5)
+
+    def test_a_summary_is_its_points_and_mean(self):
+        # the weights are derived: the one read-only vector 1/n for n atoms,
+        # shared by a batch, its replicas and every other summary of n atoms
+        mu = MeasureSummary.from_points(np.arange(6.0).reshape(3, 2))
+        assert tuple(f.name for f in fields(mu)) == ("points", "mean")
+        assert np.array_equal(mu.weights, np.full(3, 1.0 / 3))
+        assert not mu.weights.flags.writeable
+        batch = MeasureSummary.from_points(np.zeros((4, 3, 1)))
+        assert batch.weights is mu.weights
+        assert batch.replica(2).weights is mu.weights
+        with pytest.raises(AttributeError):
+            mu.weights = np.ones(3)
 
     def test_singleton_is_dirac(self):
         mu = MeasureSummary.from_points(np.array([[0.3]]))

@@ -73,6 +73,33 @@ def test_every_public_definition_has_a_reader():
     assert unread == _AWAITING_REMOVAL
 
 
+def _summary_builders(path):
+    """(module, enclosing function) of each direct ``MeasureSummary(...)``
+    call in a module; the function is None at module level."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name == "MeasureSummary":
+                    found.add((path.name, where))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_model_builds_a_summary():
+    # a summary holds its points and their mean, so only the constructors
+    # that take the mean from the points may build one
+    builders = set().union(*map(_summary_builders, PACKAGE.glob("*.py")))
+    assert builders == {("model.py", "from_points"), ("model.py", "replica")}
+
+
 def test_every_other_top_level_name_has_a_reader():
     # constants, public or private, and private functions and classes
     others = [(p.name, name) for p in sorted(PACKAGE.glob("*.py"))
