@@ -57,6 +57,13 @@ class TimeGrid:
             raise InputError(f"horizon must be a finite number > 0, got {h!r}")
         if not _is_count(n):
             raise InputError(f"n_steps must be an integer >= 1, got {n!r}")
+        try:
+            positive = self.dt > 0.0
+        except OverflowError:  # n_steps past the float range
+            positive = False
+        if not positive:
+            raise InputError(f"the step horizon / n_steps must be > 0; with "
+                             f"horizon {h!r} it underflows to 0")
 
     @property
     def dt(self) -> float:
@@ -67,15 +74,13 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def node_index(self, t: float) -> int:
-        """Index of the grid node within 1e-9 horizons of t; off-grid times
-        are errors."""
-        if not math.isfinite(t):
+        """Index of the grid node k dt within 1e-9 horizons of t; off-grid
+        times are errors.  It reads no ``nodes``, so checking a time on a
+        grid too large to build costs nothing."""
+        k = round(t / self.dt) if 0.5 * abs(t) <= self.horizon else -1
+        if not 0 <= k <= self.n_steps or abs(t - k * self.dt) > 1e-9 * self.horizon:
             raise InputError(f"time {t} is not a grid node")
-        k = round(t / self.dt)
-        if (not 0 <= k <= self.n_steps
-                or abs(t - self.nodes[k]) > 1e-9 * self.horizon):
-            raise InputError(f"time {t} is not a grid node")
-        return int(k)
+        return k
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rldp
 import rldp.ensemble as ensemble_mod
 from rldp import cli, diagnostics
 from rldp.integrator import TimeGrid
@@ -477,3 +481,47 @@ def test_large_horizon_is_a_grid_node(kind):
     with tempfile.TemporaryDirectory() as out_dir:
         code, err = _main(kind, _config(kind, changes), out_dir)
     assert code == 0, err
+
+
+def _horizons(horizon, n_steps):
+    """Both horizons and the grid's steps changed, default time pairs."""
+    return [(("grid",), {"horizon": horizon, "n_steps": n_steps}),
+            (("model", "horizon"), horizon), (("run", "time_pairs"), DELETE)]
+
+
+# 5e-324 / 2 rounds to a step of 0, which escaped as a ZeroDivisionError.
+@pytest.mark.parametrize("kind", ["simulate", "submartingale"])
+def test_grid_step_underflow_exits_2(tmp_path, kind):
+    code, err = _main(kind, _config(kind, _horizons(5e-324, 2)), tmp_path)
+    _assert_config_error(code, err, tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["simulate", "submartingale"])
+@pytest.mark.parametrize("horizon, n_steps", [(5e-324, 1), (1e-320, 2)])
+def test_subnormal_grid_step_keeps_the_exit_contract(kind, horizon, n_steps):
+    _assert_exit_contract(kind, _horizons(horizon, n_steps))
+
+
+# With 1e11 steps the time pairs were checked against the grid's nodes,
+# built (745 GiB) before the step budget, and the run escaped as a
+# MemoryError.  The address space is capped at 3 GiB so that a regression
+# fails fast on a host that overcommits memory.
+def test_huge_grid_exits_3_before_building_its_nodes(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config("submartingale",
+                                       _horizons(0.5, 10**11))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rldp.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "from rldp import cli; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, "submartingale",
+         "--config", str(path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    result = json.loads((tmp_path / "o" / "result.json").read_text())
+    assert result["error"] == "budget_exceeded"

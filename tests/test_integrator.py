@@ -53,6 +53,27 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(horizon, n_steps)
 
+    def test_step_underflow_rejected(self):
+        # 5e-324 / 2 rounds to 0, and 1.0 / 10**400 has no float at all
+        for horizon, n_steps in [(5e-324, 2), (1.0, 10**400)]:
+            with pytest.raises(InputError, match="step"):
+                TimeGrid(horizon, n_steps)
+
+    @pytest.mark.parametrize("horizon, n_steps", [(5e-324, 1), (1e-320, 2)])
+    def test_subnormal_step_accepted(self, horizon, n_steps):
+        g = TimeGrid(horizon, n_steps)
+        assert g.dt > 0
+        assert g.node_index(horizon) == n_steps
+        for t in (1.0, -horizon, float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                g.node_index(t)
+
+    def test_node_index_builds_no_nodes(self):
+        # the CLI checks time pairs on grids of any size, before the budget
+        g = TimeGrid(0.5, 10**6)
+        assert g.node_index(0.5) == 10**6 and g.node_index(0.25) == 5 * 10**5
+        assert "nodes" not in vars(g)
+
     def test_numpy_scalars_accepted(self):
         g = TimeGrid(np.float64(0.5), np.int64(4))
         assert g.dt == 0.125
