@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import InputError, ModelError
-from .geometry import ConvexDomain, _bounded
+from .geometry import ConvexDomain, _bounded, _row_sumsq
 
 
 @lru_cache(maxsize=8)
@@ -46,8 +46,7 @@ class MeasureSummary:
     """The uniform empirical measure of its points, with their mean.
 
     Build one with ``from_points`` (or ``dirac``, ``replica``), which
-    computes the mean from the points; the second moment (and with it the
-    covariance) is computed on first use and then cached.  A batched
+    computes the mean from the points.  A batched
     summary stacks measures on the same number of atoms along leading axes
     of ``points``; see the module docstring for its shapes.  ``replica``
     reads one measure of a batch with the bits it would get on its own.
@@ -93,25 +92,16 @@ class MeasureSummary:
         atoms (a batch's measures too)."""
         return _uniform_weights(self.n_atoms)
 
-    @cached_property
-    def second_moment(self) -> np.ndarray:
-        """(d, d) matrix sum_i w_i x_i x_i^T; (..., d, d) for a batch."""
-        return (self.points.swapaxes(-1, -2) * self.weights) @ self.points
-
-    def covariance(self) -> np.ndarray:
-        m = self.mean
-        outer = np.outer(m, m) if m.ndim == 1 else m.swapaxes(-1, -2) * m
-        return self.second_moment - outer
-
     def cov_trace(self):
-        """Trace of the covariance: a float, or an array of the batch shape."""
-        tr = np.trace(self.covariance(), axis1=-2, axis2=-1)
+        """Trace of the covariance, (1/n) sum_i |x_i - mean|^2, taken about
+        the mean, so >= 0: a float, or an array of the batch shape."""
+        tr = np.mean(_row_sumsq(self.points - self.mean), axis=-1)
         return float(tr) if tr.ndim == 0 else tr
 
     def replica(self, j: int) -> "MeasureSummary":
         """Measure ``j`` along a batch's first axis, as a view.
 
-        It has the mean and second moment it would have if built alone.
+        It has the mean and covariance trace it would have if built alone.
         """
         return MeasureSummary(points=self.points[j], mean=self.mean[j, 0])
 
@@ -268,8 +258,8 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
             init=None) -> ModelSpec:
     """M3: distribution-dependent diffusion s I, s = sigma_scale (1 + alpha
     tr cov(mu)) clipped from above at c = clip_L / max(|I|, 1) and from
-    below at -|c| (tr cov can go negative by cancellation far from the
-    origin)."""
+    below at -|c|: tr cov >= 0, but sigma_scale, alpha and clip_L may be
+    negative."""
     def build(d1):
         eye = _identity_sigma(domain.dimension, d1, 1.0)
         lim = clip_L / max(np.linalg.norm(eye), 1.0)

@@ -108,8 +108,8 @@ BALL_MODEL = {"model": "m2",
 PINNED = {
     "simulate": ({"run": {"n_particles": 4,
                           "policy": {"policy": "constant", "v": [0.5]}}}, {
-        "result.json": "53a92c1780551c24c5db5dd58348ba04"
-                       "a3c4498c24683719a41df1553ff7f81a",
+        "result.json": "5f92db15583306ff8d4a2fe55f1ce223"
+                       "259adcf9d477895cd6749db3b3812e35",
         "paths.csv": "e58a597c31367fb3a4decf2a57d1782f"
                      "dd32f65b59cdee056d096bef2b1354a7"}),
     "laplace": ({"run": {"functional": {"functional": "terminal_mean",

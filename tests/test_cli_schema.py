@@ -394,6 +394,7 @@ def _non_finite(node):
 
 
 def _assert_exit_contract(kind, changes):
+    """The run's result when it exits 0, else None."""
     with tempfile.TemporaryDirectory() as out_dir:
         code, err = _main(kind, _config(kind, changes), out_dir)
         assert code in (0, 2, 3), err
@@ -404,6 +405,8 @@ def _assert_exit_contract(kind, changes):
             result = json.loads((Path(out_dir) / "o" / "result.json").read_text())
             assert [key for key, v in result.items() if _non_finite(v)
                     and (kind, key) not in DOCUMENTED_NON_FINITE] == []
+            return result
+    return None
 
 
 # Huge counts stay out of the pool: ``budget`` bounds the particle-steps of
@@ -449,7 +452,8 @@ OVERFLOWED["variational-wide_box-policy.theta-1e+50"] = ("variational", [
 # Joint extremes inside the 1e50 rule, every parameter and both horizons at
 # 1e50.  m2's submartingale statistics squared values past 1e154; m3's scale,
 # clipped from above only, went to about -1e183 (tr cov < 0 by cancellation
-# far from the origin) and overflowed the projection.
+# far from the origin, before it was taken about the mean) and overflowed
+# the projection.
 HUGE_GRID = {"horizon": 1e50, "n_steps": 4}
 OVERFLOWED["submartingale-m2-box_1e50"] = ("submartingale", [
     (("model",), {"model": "m2", "domain": {"kind": "box", "lo": [-1e50],
@@ -469,7 +473,10 @@ OVERFLOWED["simulate-m3-ball_at_1e50-policy.theta-1e+50"] = ("simulate", [
 
 @pytest.mark.parametrize("kind, changes", OVERFLOWED.values(), ids=list(OVERFLOWED))
 def test_exit_code_contract_at_huge_magnitudes(kind, changes):
-    _assert_exit_contract(kind, changes)
+    result = _assert_exit_contract(kind, changes) or {}
+    # a covariance trace taken about the mean: m3 far from the origin wrote
+    # -1.2e83 when it was the second moment minus |mean|^2
+    assert result.get("terminal_cov_trace", 0.0) >= 0.0
 
 
 # The horizon is the grid's last node however the steps divide it: with
