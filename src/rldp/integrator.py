@@ -57,13 +57,9 @@ class TimeGrid:
             raise InputError(f"horizon must be a finite number > 0, got {h!r}")
         if not _is_count(n):
             raise InputError(f"n_steps must be an integer >= 1, got {n!r}")
-        try:
-            positive = self.dt > 0.0
-        except OverflowError:  # n_steps past the float range
-            positive = False
-        if not positive:
-            raise InputError(f"the step horizon / n_steps must be > 0; with "
-                             f"horizon {h!r} it underflows to 0")
+        if n > 2**1023 or not h / n > 0.0:  # past the float range, or 0
+            raise InputError(f"the step horizon / n_steps must be a float "
+                             f"> 0, with horizon {h!r}")
 
     @property
     def dt(self) -> float:

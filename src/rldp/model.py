@@ -13,10 +13,9 @@ coefficient reads (the mean, ``cov_trace()``) therefore carries the batch
 axes, and a coefficient must keep them apart: m2's drift broadcasts as it
 is, m3 reshapes the per-replica covariance trace.  Control policies follow
 the same contract (see ``controls``).
-All measure dependence enters through the summary.  Every measure the
-simulator produces is the uniform empirical measure (1/N) sum_i delta_{x_i},
-so a summary holds only its points and their mean; its weights 1/N follow
-from the number of points.
+All measure dependence enters through the summary: every measure the
+simulator produces is uniform, (1/N) sum_i delta_{x_i}, so a summary is its
+points and their mean.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ def _uniform_weights(n: int) -> np.ndarray:
 class MeasureSummary:
     """The uniform empirical measure of its points, with their mean.
 
-    Build one with ``from_points`` (or ``dirac``, ``replica``), which
-    computes the mean from the points.  A batched
-    summary stacks measures on the same number of atoms along leading axes
-    of ``points``; see the module docstring for its shapes.  ``replica``
-    reads one measure of a batch with the bits it would get on its own.
+    Built by ``from_points`` (and ``dirac``, ``replica``), which take the
+    mean from the points.  A batched summary stacks measures on the same
+    number of atoms along leading axes of ``points``; see the module
+    docstring for its shapes.  ``replica`` reads one measure of a batch
+    with the bits it would get on its own.
     """
 
     points: np.ndarray   # (n, d), or (..., n, d) for a batch
