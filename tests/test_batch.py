@@ -157,7 +157,6 @@ def test_batched_summary_replica_is_its_measure():
         assert np.shares_memory(mu.points, batch.points)
         assert mu.mean.shape == alone.mean.shape == (3,)
         assert _same(mu.mean, alone.mean)
-        assert _same(mu.cov_trace(), alone.cov_trace())
         assert mu.cov_trace() == alone.cov_trace() == batch.cov_trace()[j]
 
 
