@@ -36,9 +36,8 @@ import numpy as np
 from . import diagnostics, ldp
 from .controls import (ConstantPolicy, FeedbackPolicy, PiecewiseConstantPolicy,
                        ZeroPolicy, constant_family, feedback_family)
-from .ensemble import (marginal_flow, empirical_measure_at,
-                       simulate_particle_system, solve_mckean_vlasov_reference,
-                       write_paths_csv)
+from .ensemble import (empirical_measure_at, simulate_particle_system,
+                       solve_mckean_vlasov_reference, write_paths_csv)
 from .errors import BudgetError, ConfigError, InputError
 from .geometry import _MAGNITUDE_MAX, _json_reals
 from .integrator import TimeGrid
@@ -343,7 +342,7 @@ def _run_submartingale(cfg, p, out: Path):
         c_bias = diagnostics.calibrate_bias_allowance(
             model, f, grid, n_paths=min(n, 512), seed=cfg["seed"])
     report = diagnostics.submartingale_test(  # the run table checked f
-        ens, marginal_flow(ens), f, model, p["time_pairs"], confidence=p["confidence"],
+        ens, f, model, p["time_pairs"], confidence=p["confidence"],
         c_bias=c_bias, skip_boundary_check=True)
     return asdict(report), []
 

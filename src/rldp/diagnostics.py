@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .ensemble import (Ensemble, cumulative_noise, marginal_flow,
-                       simulate_particle_system)
+from .ensemble import (Ensemble, _check_single, cumulative_noise,
+                       marginal_flow, simulate_particle_system)
 from .errors import InputError, ModelError, PreconditionError
 from .geometry import ConvexDomain, _row_sumsq
 from .integrator import TimeGrid
@@ -196,47 +196,28 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
 
 # -- the compensated process -----------------------------------------------------------
 
-def mf_process(f: TestFunction, states, controls, noise_path,
-               nu_flow, model: ModelSpec,
-               grid: TimeGrid) -> np.ndarray:
-    """Discrete M_f series with left-endpoint Riemann sums; M_f(0) = 0.
+def mf_process(f: TestFunction, ens: Ensemble,
+               model: ModelSpec) -> np.ndarray:
+    """Discrete M_f series of one replica's ensemble, (n+1, N), with
+    left-endpoint Riemann sums; M_f(0) = 0.
 
-    The integrand is ``_generator_batch`` at each node, which forms the
-    particle-invariant generator terms once per node, not once per path,
-    and skips the sigma h term when every control is zero.
-
-    states:     (n+1, N, d)
-    controls:   (n, N, d1) atomic control values
-    noise_path: the n + 1 rows w(t_k) of the cumulative driving noise, each
-                (N, d1): an (n+1, N, d1) array or any iterable of rows, read
-                one node at a time, so that a stream such as
-                ``ensemble.cumulative_noise`` is never held whole
-    Returns (n+1, N).
+    The states, controls and grid are the ensemble's and the node measures
+    ``marginal_flow(ens)``; the driving noise w(t_k) is streamed from
+    ``cumulative_noise(ens.noises)`` one node at a time, so no (n+1, N, d1)
+    noise path is stored.  The integrand is ``_generator_batch`` at each
+    node, which forms the particle-invariant generator terms once per node,
+    not once per path, and skips the sigma h term when every control is zero.
     """
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    n = grid.n_steps
-    if states.ndim != 3 or states.shape[0] != n + 1:
-        raise InputError("states must have shape (n+1, N, d), a row per node")
-    if controls.shape[0] != n:
-        raise InputError("controls must have one value per grid cell")
-    if len(nu_flow) != n + 1:
-        raise InputError("nu_flow must share the grid")
-    rows = iter(noise_path)
-
-    def next_row():
-        row = next(rows, None)
-        if row is None:
-            raise InputError("noise path must have one row per node")
-        return np.asarray(row, dtype=float)
-
-    dt, nodes = grid.dt, grid.nodes
+    _check_single(ens, "mf_process")
+    states, controls, nu_flow = ens.states, ens.controls, marginal_flow(ens)
+    dt, nodes = ens.grid.dt, ens.grid.nodes
     controlled = bool(np.any(controls))
-    m = np.zeros((n + 1, states.shape[1]))
-    w = next_row()
+    m = np.zeros((ens.grid.n_steps + 1, ens.n_particles))
+    rows = cumulative_noise(ens.noises)
+    w = next(rows)
     f0 = np.asarray(f.f(nodes[0], states[0], w), dtype=float)
     integral = None  # running left-endpoint sum, in cumsum's order
-    for k in range(n):
+    for k, w_next in enumerate(rows):
         t = nodes[k]
         g = np.asarray(f.f_t(t, states[k], w)
                        + _generator_batch(model, f, t, states[k],
@@ -244,11 +225,9 @@ def mf_process(f: TestFunction, states, controls, noise_path,
                                           w, nu_flow[k]),
                        dtype=float)
         integral = g if integral is None else integral + g
-        w = next_row()
+        w = w_next
         f1 = np.asarray(f.f(nodes[k + 1], states[k + 1], w), dtype=float)
         m[k + 1] = (f1 - f0) - integral * dt
-    if next(rows, None) is not None:
-        raise InputError("noise path must have one row per node")
     return m
 
 
@@ -282,7 +261,7 @@ class SubmartingaleEntry:
     std_error: float
     lower_bound: float     # statistic - z * std_error
     threshold: float       # -(z * std_error + c_bias * dt)
-    passed: bool
+    passed: bool           # statistic >= threshold
 
 
 @dataclass(frozen=True)
@@ -294,19 +273,23 @@ class SubmartingaleReport:
     passed: bool
 
 
-def submartingale_test(ens: Ensemble, nu_flow, f: TestFunction,
-                       model: ModelSpec, time_pairs, confidence: float = 0.95,
+def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
+                       time_pairs, confidence: float = 0.95,
                        c_bias: float = 0.0,
                        skip_boundary_check: bool = False) -> SubmartingaleReport:
-    """One-sided test of E[Psi (M_f(t1) - M_f(t0))] >= 0 on simulated paths.
+    """One-sided test of E[Psi (M_f(t1) - M_f(t0))] >= 0 on the simulated
+    paths of one replica's ensemble.
 
-    The boundary condition on f is a hypothesis of the characterization;
-    violating functions are rejected unless skip_boundary_check is set
-    (the hook used by designed negative controls).  A confidence outside
-    (0, 1) or fewer than two paths raise InputError: the one-sided bound
-    needs a finite normal quantile and a sample standard deviation.  Every
-    path of ``ens`` is used.
+    An entry passes when its statistic is at least its threshold, i.e. when
+    statistic + z * std_error >= -c_bias * dt, so a higher confidence widens
+    the allowance.  The boundary condition on f is a hypothesis of the
+    characterization; violating functions are rejected unless
+    skip_boundary_check is set (the hook used by designed negative
+    controls).  A batch, a confidence outside (0, 1) or fewer than two paths
+    raise InputError: the one-sided bound needs a finite normal quantile and
+    a sample standard deviation.  Every path of ``ens`` is used.
     """
+    _check_single(ens, "submartingale_test")
     if not 0.0 < confidence < 1.0:
         raise InputError(f"confidence must lie in (0, 1), got {confidence}")
     if ens.n_particles < 2:
@@ -326,17 +309,12 @@ def submartingale_test(ens: Ensemble, nu_flow, f: TestFunction,
             raise InputError("time pairs must satisfy t0 < t1")
         pairs.append((t0, t1, k0, k1))
 
-    w_t0 = dict.fromkeys(k0 for _, _, k0, _ in pairs)
-
-    def noise_rows():
-        """w(t_k) of every path, keeping the rows at the t0 nodes."""
-        for k, w in enumerate(cumulative_noise(ens.noises)):
-            if k in w_t0:
-                w_t0[k] = w
-            yield w
-
-    m = mf_process(f, ens.states, ens.controls, noise_rows(), nu_flow, model,
-                   ens.grid)
+    m = mf_process(f, ens, model)
+    # the psi weights read w(t0): a second walk of the noise, up to the last t0
+    t0_nodes = {k0 for _, _, k0, _ in pairs}
+    w_t0 = {k: w for k, w in zip(range(max(t0_nodes, default=-1) + 1),
+                                 cumulative_noise(ens.noises))
+            if k in t0_nodes}
 
     z_crit = float(ndtri(confidence))  # the standard normal quantile
     dt = ens.grid.dt
@@ -348,12 +326,11 @@ def submartingale_test(ens: Ensemble, nu_flow, f: TestFunction,
             if np.any(wts < 0):
                 raise InputError(f"psi {name} produced negative weights")
             stat, se = _mean_and_error(wts * dm)
-            lower = stat - z_crit * se
             threshold = -(z_crit * se + c_bias * dt)
             entries.append(SubmartingaleEntry(
                 t0=float(t0), t1=float(t1), psi=name, statistic=stat,
-                std_error=se, lower_bound=lower, threshold=threshold,
-                passed=bool(lower >= threshold)))
+                std_error=se, lower_bound=stat - z_crit * se,
+                threshold=threshold, passed=bool(stat >= threshold)))
     return SubmartingaleReport(
         function=f.id, confidence=confidence, c_bias=c_bias,
         entries=tuple(entries), passed=all(e.passed for e in entries))
@@ -374,9 +351,7 @@ def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
             raise InputError("base grid must allow 4x/2x coarsening")
         grid = TimeGrid(base_grid.horizon, base_grid.n_steps // factor)
         ens = simulate_particle_system(model, n_paths, grid, seed=seed)
-        flow = marginal_flow(ens)
-        m = mf_process(f, ens.states, ens.controls,
-                       cumulative_noise(ens.noises), flow, model, grid)
+        m = mf_process(f, ens, model)
         slopes_x.append(grid.dt)
         slopes_y.append(abs(float(np.mean(m[-1]))))
     x = np.asarray(slopes_x)

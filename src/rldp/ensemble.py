@@ -62,8 +62,8 @@ class Ensemble:
     For a batch (``replica`` a range of R replicas) every path array has an
     R axis after time, e.g. states (n+1, R, N, d), and each summary is
     batched; replica j is read in place, as ``[:, j]`` of a path array and
-    ``summary.replica(j)`` of a node measure.  ``write_paths_csv`` takes
-    one replica's ensemble; ``noise_paths`` takes either.
+    ``summary.replica(j)`` of a node measure.  ``write_paths_csv`` and the
+    submartingale diagnostics take one replica's ensemble.
 
     The reflection is held as ``events``, the particle-steps with a nonzero
     overshoot.  ``reflection`` (n+1, N, d), ``local_time`` (n+1, N) and
@@ -97,17 +97,6 @@ class Ensemble:
     def boundary_hits(self) -> np.ndarray:
         """Whether each particle-step hit the boundary, (n, N) bool."""
         return self.events.hits()
-
-    def noise_paths(self) -> np.ndarray:
-        """Cumulative driving noise w(t_k), shape (n+1, ..., N, d1), w(0) = 0.
-
-        The rows of ``cumulative_noise`` stacked, bitwise ``np.cumsum``
-        along time, for one replica or a batch.
-        """
-        w = np.empty((self.noises.shape[0] + 1, *self.noises.shape[1:]))
-        for k, row in enumerate(cumulative_noise(self.noises)):
-            w[k] = row
-        return w
 
 
 def cumulative_noise(noises: np.ndarray):

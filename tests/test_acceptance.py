@@ -16,8 +16,7 @@ from rldp.cli import main as cli_main
 from rldp.controls import ZeroPolicy, constant_family
 from rldp.diagnostics import (calibrate_bias_allowance, generator_apply,
                               standard_test_functions, submartingale_test)
-from rldp.ensemble import (empirical_measure_at, marginal_flow,
-                           simulate_particle_system,
+from rldp.ensemble import (empirical_measure_at, simulate_particle_system,
                            solve_mckean_vlasov_reference)
 from rldp.geometry import BOUNDARY, ConvexDomain, skorokhod_1d
 from rldp.integrator import TimeGrid, coarsen_increments, simulate_reflected_path
@@ -266,7 +265,7 @@ def test_09_submartingale_test_and_detection(capfd):
         c_bias = calibrate_bias_allowance(model, f_ok, grid, n_paths=512,
                                           seed=90)
         ens = simulate_particle_system(model, 10_000, grid, seed=91)
-        rep = submartingale_test(ens, marginal_flow(ens), f_ok, model,
+        rep = submartingale_test(ens, f_ok, model,
                                  [(0.0, 0.128), (0.128, 0.256)],
                                  confidence=0.95, c_bias=c_bias)
         assert rep.passed, [e.lower_bound - e.threshold for e in rep.entries]
@@ -280,8 +279,7 @@ def test_09_submartingale_test_and_detection(capfd):
         for k in range(20):
             ens_v = simulate_particle_system(viol_model, 512, viol_grid,
                                              seed=900 + k)
-            rep_v = submartingale_test(ens_v, marginal_flow(ens_v), f_bad,
-                                       viol_model, [(0.0, 0.5)],
+            rep_v = submartingale_test(ens_v, f_bad, viol_model, [(0.0, 0.5)],
                                        confidence=0.95,
                                        skip_boundary_check=True)
             detected += not rep_v.passed

@@ -190,38 +190,35 @@ class TestMfProcess:
     def _setup(self, n_particles=4, n_steps=16):
         m = make_m1(BOX1, sigma_scale=0.5)
         grid = TimeGrid(0.5, n_steps)
-        ens = simulate_particle_system(m, n_particles, grid, seed=3)
-        return m, grid, ens, marginal_flow(ens)
+        return m, simulate_particle_system(m, n_particles, grid, seed=3)
 
     def test_constant_function_identically_zero(self):
-        m, grid, ens, flow = self._setup()
+        m, ens = self._setup()
         f = standard_test_functions(1, 1)["constant"]
-        mf = mf_process(f, ens.states, ens.controls, ens.noise_paths(),
-                        flow, m, grid)
-        assert np.allclose(mf, 0.0)
+        assert np.allclose(mf_process(f, ens, m), 0.0)
 
     def test_time_function_identically_zero(self):
-        m, grid, ens, flow = self._setup()
+        m, ens = self._setup()
         f = standard_test_functions(1, 1)["time"]
-        mf = mf_process(f, ens.states, ens.controls, ens.noise_paths(),
-                        flow, m, grid)
-        assert np.allclose(mf, 0.0, atol=1e-12)
+        assert np.allclose(mf_process(f, ens, m), 0.0, atol=1e-12)
 
-    def test_single_path_states_rejected(self):
-        # one path is an ensemble of one particle, (n+1, 1, d), not (n+1, d)
-        m, grid, ens, flow = self._setup()
+    def test_batch_rejected(self):
+        # M_f and the test take the ensemble of one replica, not a batch
+        m = make_m1(BOX1, sigma_scale=0.5)
+        ens = simulate_particle_system(m, 4, TimeGrid(0.5, 16), seed=3,
+                                       replica=range(2))
         f = standard_test_functions(1, 1)["neg_x_sq"]
-        with pytest.raises(InputError, match="shape"):
-            mf_process(f, ens.states[:, 0, :], ens.controls[:, 0, :],
-                       ens.noise_paths()[:, 0, :], flow, m, grid)
+        with pytest.raises(InputError, match="not a batch"):
+            mf_process(f, ens, m)
+        with pytest.raises(InputError, match="not a batch"):
+            submartingale_test(ens, f, m, [(0.0, 0.5)])
 
     def test_noise_coordinate_is_discrete_martingale(self):
         # f = z1: M_f(t) = w1(t) exactly, and E[w1(T)] = 0
-        m, grid, ens, flow = self._setup(n_particles=1000)
+        m, ens = self._setup(n_particles=1000)
         f = standard_test_functions(1, 1)["linear_z1"]
-        w = ens.noise_paths()
-        mf = mf_process(f, ens.states, ens.controls, w, flow, m, grid)
-        assert np.allclose(mf, w[:, :, 0], atol=1e-12)
+        mf = mf_process(f, ens, m)
+        assert np.allclose(mf, stored_noise_path(ens)[:, :, 0], atol=1e-12)
         terminal = mf[-1]
         se = terminal.std(ddof=1) / np.sqrt(len(terminal))
         assert abs(terminal.mean()) <= 3 * se
@@ -233,8 +230,7 @@ class TestSubmartingaleTest:
         grid = TimeGrid(0.5, 16)
         ens = simulate_particle_system(m, 64, grid, seed=0)
         f = standard_test_functions(1, 1)["constant"]
-        rep = submartingale_test(ens, marginal_flow(ens), f, m,
-                                 [(0.0, 0.25), (0.25, 0.5)])
+        rep = submartingale_test(ens, f, m, [(0.0, 0.25), (0.25, 0.5)])
         assert rep.passed
         assert all(e.statistic == 0.0 for e in rep.entries)
 
@@ -244,7 +240,7 @@ class TestSubmartingaleTest:
         ens = simulate_particle_system(m, 16, grid, seed=0)
         f = standard_test_functions(1, 1)["linear_x1"]
         with pytest.raises(PreconditionError):
-            submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)])
+            submartingale_test(ens, f, m, [(0.0, 0.5)])
 
     def test_compliant_function_passes(self):
         m = make_m1(BOX1, sigma_scale=1.0)
@@ -252,8 +248,7 @@ class TestSubmartingaleTest:
         ens = simulate_particle_system(m, 512, grid, seed=1)
         f = standard_test_functions(1, 1)["neg_x_sq"]
         c_bias = calibrate_bias_allowance(m, f, grid, n_paths=256, seed=2)
-        rep = submartingale_test(ens, marginal_flow(ens), f, m,
-                                 [(0.0, 0.25)], c_bias=c_bias)
+        rep = submartingale_test(ens, f, m, [(0.0, 0.25)], c_bias=c_bias)
         assert rep.passed
 
     def test_designed_violation_detected(self):
@@ -264,17 +259,31 @@ class TestSubmartingaleTest:
         grid = TimeGrid(0.5, 64)
         ens = simulate_particle_system(m, 512, grid, seed=5)
         f = standard_test_functions(1, 1)["linear_x1"]
-        rep = submartingale_test(ens, marginal_flow(ens), f, m,
-                                 [(0.0, 0.5)], skip_boundary_check=True)
+        rep = submartingale_test(ens, f, m, [(0.0, 0.5)],
+                                 skip_boundary_check=True)
         assert not rep.passed
         assert min(e.statistic for e in rep.entries) < 0
+
+    def test_verdict_reads_the_confidence(self):
+        # f = z1 makes M_f = w1 exactly, a martingale.  At seed 1 some
+        # weighted mean is negative, so the test rejects at confidence 0.5
+        # (z = 0), but lies within its 0.999 lower bound.
+        m = make_m1(BOX1)
+        ens = simulate_particle_system(m, 256, TimeGrid(0.5, 16), seed=1)
+        f = standard_test_functions(1, 1)["linear_z1"]
+        reps = [submartingale_test(ens, f, m, [(0.0, 0.5)], confidence=c)
+                for c in (0.5, 0.95, 0.999)]
+        assert not reps[0].passed and reps[-1].passed
+        for rep in reps:
+            assert all(e.passed == (e.statistic >= e.threshold)
+                       for e in rep.entries)
 
     def test_report_serializable(self):
         m = make_m1(BOX1, sigma_scale=0.5)
         grid = TimeGrid(0.5, 8)
         ens = simulate_particle_system(m, 16, grid, seed=0)
         f = standard_test_functions(1, 1)["constant"]
-        rep = submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)])
+        rep = submartingale_test(ens, f, m, [(0.0, 0.5)])
         d = json.loads(canonical_json(dataclasses.asdict(rep)))
         assert d["passed"] is True
         assert isinstance(d["entries"], list)
@@ -293,6 +302,13 @@ def reference_generator_batch(model, f, t, x, y, z, nu_t):
     cross_term = np.einsum("...ij,...ij->...", sig, hxz)
     noise_term = 0.5 * np.einsum("...ii->...", hzz)
     return drift_term + diff_term + cross_term + noise_term
+
+
+def stored_noise_path(ens):
+    """The cumulative noise w(t_k) of every path stored whole, (n+1, N, d1):
+    a zero row, then ``np.cumsum`` of the increments along time."""
+    return np.concatenate([np.zeros((1, *ens.noises.shape[1:])),
+                           np.cumsum(ens.noises, axis=0)])
 
 
 def reference_mf_process(f, states, controls, noise_path, nu_flow, model,
@@ -355,9 +371,9 @@ class TestMfProcessBitwise:
     @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
     def test_equals_reference(self, model, v):
         grid, ens, flow = self._run(model, v)
-        w = ens.noise_paths()
+        w = stored_noise_path(ens)
         for fid, f in standard_test_functions(model.d, model.d1).items():
-            got = mf_process(f, ens.states, ens.controls, w, flow, model, grid)
+            got = mf_process(f, ens, model)
             ref = reference_mf_process(f, ens.states, ens.controls, w, flow,
                                        model, grid)
             assert np.array_equal(got, ref), fid
@@ -366,16 +382,14 @@ class TestMfProcessBitwise:
     def test_hessian_views_equal_copies(self, model, v):
         """Read-only broadcast Hessians give the bits of one fresh array per
         particle, signed zeros included."""
-        grid, ens, flow = self._run(model, v)
-        w = ens.noise_paths()
+        _, ens, _ = self._run(model, v)
         for fid, f in standard_test_functions(model.d, model.d1).items():
             copying = dataclasses.replace(f, **{
                 name: (lambda h: lambda t, x, z: np.array(h(t, x, z)))(
                     getattr(f, name))
                 for name in ("hess_xx", "hess_xz", "hess_zz")})
-            got = mf_process(f, ens.states, ens.controls, w, flow, model, grid)
-            ref = mf_process(copying, ens.states, ens.controls, w, flow,
-                             model, grid)
+            got = mf_process(f, ens, model)
+            ref = mf_process(copying, ens, model)
             assert got.tobytes() == ref.tobytes(), fid
 
     def test_constant_hessians_are_read_only_views(self):
@@ -447,29 +461,29 @@ class TestSubmartingaleInputs:
         m, ens = self._ens()
         f = standard_test_functions(1, 1)["constant"]
         with pytest.raises(InputError, match="confidence"):
-            submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)],
-                               confidence=confidence)
+            submartingale_test(ens, f, m, [(0.0, 0.5)], confidence=confidence)
 
     def test_fewer_than_two_paths(self):
         m, ens = self._ens(1)
         f = standard_test_functions(1, 1)["constant"]
         with pytest.raises(InputError, match="two paths"):
-            submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)])
+            submartingale_test(ens, f, m, [(0.0, 0.5)])
 
     def test_two_paths_suffice(self):
         m, ens = self._ens(2)
         f = standard_test_functions(1, 1)["constant"]
-        rep = submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.5)])
+        rep = submartingale_test(ens, f, m, [(0.0, 0.5)])
         assert rep.passed
 
 
 def reference_report_entries(ens, flow, f, model, time_pairs,
                              confidence=0.95):
-    """The test's entries from a stored noise path: M_f over
-    ``noise_paths()`` and the psi weights on its row at t0."""
+    """The test's entries from a stored noise path: the reference M_f over
+    ``stored_noise_path`` and the psi weights on its row at t0."""
     from scipy.special import ndtri
-    states, w = ens.states, ens.noise_paths()
-    m = mf_process(f, states, ens.controls, w, flow, model, ens.grid)
+    states, w = ens.states, stored_noise_path(ens)
+    m = reference_mf_process(f, states, ens.controls, w, flow, model,
+                             ens.grid)
     z = float(ndtri(confidence))
     entries = []
     for t0, t1 in time_pairs:
@@ -499,7 +513,7 @@ class TestStreamedNoise:
                                        seed=6)
         flow = marginal_flow(ens)
         for fid, f in standard_test_functions(3, 3).items():
-            rep = submartingale_test(ens, flow, f, model, self.PAIRS,
+            rep = submartingale_test(ens, f, model, self.PAIRS,
                                      skip_boundary_check=True)
             got = [(e.t0, e.t1, e.psi, e.statistic, e.std_error,
                     e.lower_bound, e.threshold) for e in rep.entries]
@@ -514,25 +528,14 @@ class TestStreamedNoise:
         for factor in (4, 2, 1):
             grid = TimeGrid(0.25, 16 // factor)
             ens = simulate_particle_system(model, 48, grid, seed=3)
-            m = mf_process(f, ens.states, ens.controls, ens.noise_paths(),
-                           marginal_flow(ens), model, grid)
+            m = reference_mf_process(f, ens.states, ens.controls,
+                                     stored_noise_path(ens),
+                                     marginal_flow(ens), model, grid)
             xs.append(grid.dt)
             ys.append(abs(float(np.mean(m[-1]))))
         x, y = np.asarray(xs), np.asarray(ys)
         assert calibrate_bias_allowance(model, f, base, n_paths=48,
                                         seed=3) == float((x @ y) / (x @ x))
-
-    @pytest.mark.parametrize("rows", [8, 10], ids=["short", "long"])
-    @pytest.mark.parametrize("stream", [False, True], ids=["array", "iter"])
-    def test_wrong_row_count(self, rows, stream):
-        m = make_m1(BOX1, sigma_scale=0.5)
-        grid = TimeGrid(0.5, 8)
-        ens = simulate_particle_system(m, 4, grid, seed=0)
-        w = np.zeros((rows, 4, 1))
-        f = standard_test_functions(1, 1)["linear_z1"]
-        with pytest.raises(InputError, match="one row per node"):
-            mf_process(f, ens.states, ens.controls, iter(w) if stream else w,
-                       marginal_flow(ens), m, grid)
 
     @pytest.mark.parametrize("pairs", [[(0.0, 0.25), (0.25, 0.25)],
                                        [(0.5, 0.25)], [(0.0, 0.3)]],
@@ -550,9 +553,9 @@ class TestStreamedNoise:
         monkeypatch.setattr(diagnostics_mod, "mf_process", spy)
         f = standard_test_functions(1, 1)["constant"]
         with pytest.raises(InputError):
-            submartingale_test(ens, marginal_flow(ens), f, m, pairs)
+            submartingale_test(ens, f, m, pairs)
         assert calls == []
-        submartingale_test(ens, marginal_flow(ens), f, m, [(0.0, 0.25)])
+        submartingale_test(ens, f, m, [(0.0, 0.25)])
         assert calls == [1]
 
     def test_peak_memory_holds_no_dense_path_arrays(self):
@@ -565,8 +568,7 @@ class TestStreamedNoise:
         tracemalloc.start()
         try:
             ens = simulate_particle_system(model, n_particles, grid, seed=0)
-            submartingale_test(ens, marginal_flow(ens), f, model,
-                               [(0.0, 0.125), (0.125, 0.25)])
+            submartingale_test(ens, f, model, [(0.0, 0.125), (0.125, 0.25)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,13 +1,13 @@
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rldp.ensemble as ensemble_mod
 from rldp.controls import ConstantPolicy, ZeroPolicy
-from rldp.ensemble import (empirical_measure_at, marginal_flow,
-                           shared_replica_draws, simulate_particle_system,
+from rldp.ensemble import (cumulative_noise, empirical_measure_at,
+                           marginal_flow, shared_replica_draws,
+                           simulate_particle_system,
                            solve_mckean_vlasov_reference, write_paths_csv)
 from rldp.errors import BudgetError, InputError
 from rldp.geometry import ConvexDomain
@@ -21,6 +21,11 @@ BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
 BALL3 = ConvexDomain.ball([0.0, 0.0, 0.0], 1.0)
 
 SUMMARY_FIELDS = ("points", "weights", "mean")
+
+
+def _noise_path(noises):
+    """The rows of ``cumulative_noise`` stacked: w(t_0), ..., w(t_n)."""
+    return np.stack(list(cumulative_noise(noises)))
 
 
 def _assert_same_summary(a, b):
@@ -137,7 +142,7 @@ class TestNoiseContract:
         ens = simulate_particle_system(m, 129, grid, seed=8)
         ref = np.zeros((grid.n_steps + 1, 129, m.d1))
         ref[1:] = np.cumsum(np.ascontiguousarray(ens.noises), axis=0)
-        assert np.array_equal(ens.noise_paths(), ref)
+        assert np.array_equal(_noise_path(ens.noises), ref)
 
     def test_grid_past_model_horizon_rejected(self):
         m = make_m1(BOX1, horizon=0.5)
@@ -362,7 +367,8 @@ class TestTimeMajorNoise:
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         for a, b in zip(ens.summaries, ref.summaries, strict=True):
             _assert_same_summary(a, b)
-        assert ens.noise_paths().tobytes() == ref.noise_paths().tobytes()
+        assert _noise_path(ens.noises).tobytes() == \
+            _noise_path(ref.noises).tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 64, 10**6],
                              ids=["one", "two", "all", "default"])
@@ -391,21 +397,19 @@ class TestTimeMajorNoise:
         ens = simulate_particle_system(m, 7, grid, seed=8, replica=range(3))
         ref = np.zeros((grid.n_steps + 1, 3, 7, m.d1))
         np.cumsum(ens.noises, axis=0, out=ref[1:])
-        w = ens.noise_paths()
+        w = _noise_path(ens.noises)
         assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
         for j in range(3):
             one = simulate_particle_system(m, 7, grid, seed=8, replica=j)
-            assert one.noise_paths().tobytes() == \
+            assert _noise_path(one.noises).tobytes() == \
                 np.ascontiguousarray(w[:, j]).tobytes()
 
     def test_noise_paths_keep_signed_zeros(self):
-        # np.cumsum copies the first increment, so a -0.0 stays -0.0
-        ens = simulate_particle_system(make_m2(BALL3, theta=0.5), 2,
-                                       TimeGrid(1.0, 3), seed=8,
-                                       replica=range(2))
-        noises = np.full(ens.noises.shape, -0.0)
+        # np.cumsum copies the first increment, so a -0.0 stays -0.0; the
+        # increments are (n, R, N, d1) of a 3-step batch of two replicas
+        noises = np.full((3, 2, 2, 3), -0.0)
         noises[2, 1, 0] = 0.5
-        w = replace(ens, noises=noises).noise_paths()
+        w = _noise_path(noises)
         ref = np.zeros_like(w)
         np.cumsum(noises, axis=0, out=ref[1:])
         assert w.tobytes() == ref.tobytes()
@@ -414,7 +418,7 @@ class TestTimeMajorNoise:
     def test_noise_paths_one_step(self):
         m = make_m2(BALL3, theta=0.5)
         ens = simulate_particle_system(m, 3, TimeGrid(1.0, 1), seed=8)
-        w = ens.noise_paths()
+        w = _noise_path(ens.noises)
         assert np.all(w[0] == 0.0) and w[1].tobytes() == ens.noises[0].tobytes()
 
 

@@ -1,7 +1,8 @@
-"""Every name ``rldp`` exports, and every top-level function, class or
-constant of an ``rldp`` module, public or private, has a reader: a library
-module, or the acceptance criteria.  A name that only its own unit tests
-read is dead weight on the package."""
+"""Every name ``rldp`` exports, every top-level function, class or constant
+of an ``rldp`` module, public or private, and every public method or
+property of an ``rldp`` class has a reader: a library module, the
+acceptance criteria, or the benchmark (``perfbench``).  A name that only its
+own unit tests read is dead weight on the package."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,17 @@ def _top_level(path):
                 yield name.id, False
 
 
+def _methods(path):
+    """The public methods and properties, as (class, name), of the classes a
+    module defines at its top level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield node.name, item.name
+
+
 def _defined(path):
     """The public functions and classes a module defines at its top level."""
     return [name for name, public in _top_level(path) if public]
@@ -50,6 +62,7 @@ def _defined(path):
 def _read():
     readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     readers.append(ROOT / "tests" / "test_acceptance.py")
+    readers.extend((ROOT / "perfbench").glob("*.py"))
     return set().union(*map(_loaded, readers))
 
 
@@ -71,6 +84,14 @@ def test_every_public_definition_has_a_reader():
     read = _read()
     unread = [(m, name) for m, name in defined if name not in read]
     assert unread == _AWAITING_REMOVAL
+
+
+def test_every_public_method_has_a_reader():
+    methods = [(p.name, cls, name) for p in sorted(PACKAGE.glob("*.py"))
+               for cls, name in _methods(p)]
+    assert methods
+    read = _read()
+    assert [m for m in methods if m[2] not in read] == []
 
 
 def _summary_builders(path):
