@@ -268,7 +268,7 @@ def test_09_submartingale_test_and_detection(capfd):
         rep = submartingale_test(ens, f_ok, model,
                                  [(0.0, 0.128), (0.128, 0.256)],
                                  confidence=0.95, c_bias=c_bias)
-        assert rep.passed, [e.lower_bound - e.threshold for e in rep.entries]
+        assert rep.passed, [e.statistic - e.threshold for e in rep.entries]
 
         # designed violation: f = +x1 with drift pushing onto the face
         viol_model = make_drifted(BOX1, b_const=2.0, sigma_scale=0.5,

@@ -169,6 +169,34 @@ def test_output_bytes_pinned(tmp_path, case):
     assert {name: _digest(out / name) for name in digests} == digests
 
 
+def test_chaos_ball2d_bytes_with_a_cold_memo(tmp_path, monkeypatch):
+    # the pinned chaos-ball2d shape, at seeds where a replica lies inside the
+    # reference's box, so that the first run reads integrals from the memo;
+    # the second clears the memo before every distance
+    parts, _ = PINNED["chaos-ball2d"]
+    memo, real = measures_mod._own_box_integrals, cli_mod.bl_distance
+
+    def cold_bl_distance(mu, nu):
+        memo.cache_clear()
+        return real(mu, nu)
+    for seed in (7, 10, 11):
+        cfg_path = _write(tmp_path, f"cfg{seed}.json", {
+            "schema_version": 1, "seed": seed, "model": BASE_MODEL,
+            "grid": {"horizon": 0.5, "n_steps": 8}, **parts})
+        outs = []
+        for cold in (False, True):
+            memo.cache_clear()
+            out = tmp_path / f"out{seed}-{cold}"
+            with monkeypatch.context() as patch:
+                if cold:
+                    patch.setattr(cli_mod, "bl_distance", cold_bl_distance)
+                assert main(["chaos", "--config", cfg_path, "--out", str(out)]) == 0
+            assert (memo.cache_info().hits > 0) != cold, seed
+            outs.append(out)
+        for name in ("result.json", "distances.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 class TestDeterminism:
     def test_same_config_identical_bytes(self, tmp_path):
         cfg = {"schema_version": 1, "seed": 4, "model": BASE_MODEL,

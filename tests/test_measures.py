@@ -1,13 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
+from rldp import measures
 from rldp import rng as rngmod
+from rldp.ensemble import empirical_measure_at, simulate_particle_system
 from rldp.errors import InputError
 from rldp.integrator import TimeGrid
 from rldp.measures import _bl_dictionary, _row_norm, bl_distance
-from rldp.model import MeasureSummary
+from rldp.model import MeasureSummary, model_from_config
 
 
 def unequal_masses(rng, points):
@@ -144,6 +149,110 @@ class TestBLDictionaryBlocks:
                 closure_bl_dictionary(mu, nu, size, 1)
             assert _bl_dictionary(nu, mu, size, 1) == \
                 closure_bl_dictionary(nu, mu, size, 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_memo_is_transparent(self, d):
+        # nu's box is [-1, 1]^d: its own box is the joint box against every
+        # partner inside it, and those calls read nu's integrals back
+        rng = np.random.default_rng(40 + d)
+        nu = _symmetric_cloud(rng, 4096, d)
+        partners = [MeasureSummary.from_points(rng.uniform(-0.9, 0.9, (n, d)))
+                    for n in (7, 64, 1024)]
+        partners += [MeasureSummary.from_points(rng.uniform(-0.8, 1.2, (n, d)))
+                     for n in (7, 1024)]
+        partners += [MeasureSummary.dirac(rng.uniform(-0.5, 0.5, d)),
+                     MeasureSummary.dirac(np.zeros(d)),  # equal means
+                     _symmetric_cloud(rng, 64, d)]       # equal means
+        hits = 0
+        for size, seed in ((256, 0), (255, 7)):
+            for mu in partners:
+                for a, b in ((mu, nu), (nu, mu)):
+                    want = closure_bl_dictionary(a, b, size, seed)
+                    for _ in range(2):
+                        before = measures._own_box_integrals.cache_info().hits
+                        assert _bl_dictionary(a, b, size, seed) == want
+                        hits += measures._own_box_integrals.cache_info().hits > before
+                    measures._own_box_integrals.cache_clear()
+                    assert _bl_dictionary(a, b, size, seed) == want
+        assert hits > 0
+
+    def test_memo_is_keyed_on_the_atoms(self):
+        rng = np.random.default_rng(50)
+        half = rng.integers(-64, 65, size=(2048, 2)) / 64.0
+        nu = MeasureSummary.from_points(np.concatenate([half, -half]))
+        inner = np.all(np.abs(half) < 1.0, axis=1)
+        half[inner] *= 0.5  # the box keeps its bits and the mean stays 0
+        moved = np.concatenate([half, -half])
+        other = MeasureSummary.from_points(moved)
+        box = [np.concatenate([m.points.min(axis=0), m.points.max(axis=0)]).tobytes()
+               for m in (nu, other)]
+        assert box[0] == box[1]
+        mu = _symmetric_cloud(rng, 64, 2)  # equal means: no witness row
+        before = _bl_dictionary(mu, nu, 256, 0)
+        assert before == closure_bl_dictionary(mu, nu, 256, 0)
+        got = _bl_dictionary(mu, other, 256, 0)
+        assert got == closure_bl_dictionary(mu, other, 256, 0) != before
+        nu.points[:] = moved  # nu's atoms changed in place
+        assert _bl_dictionary(mu, nu, 256, 0) == got
+
+    def test_reference_integrated_once_per_joint_box(self, monkeypatch):
+        # a chaos-like loop: 24 replicas against one 4096-atom reference, a
+        # quarter of them drawn wider than it
+        rng = np.random.default_rng(60)
+
+        def disc(n, radius):
+            x = rng.standard_normal((n, 2))
+            x *= radius * np.sqrt(rng.uniform(0, 1, (n, 1))) / _row_norm(x)[:, None]
+            return MeasureSummary.from_points(x)
+        ref = disc(4096, 1.0)
+        seen = []
+        real = measures._integrals
+
+        def spy(points, *rows):
+            seen.append(len(points) == ref.n_atoms)
+            return real(points, *rows)
+        monkeypatch.setattr(measures, "_integrals", spy)
+        measures._own_box_integrals.cache_clear()
+        boxes = set()
+        for n in (64, 256, 1024):
+            for rep in range(8):
+                replica = disc(n, 1.0 if rep % 4 else 1.05)
+                support = np.concatenate([replica.points, ref.points])
+                boxes.add(support.min(axis=0).tobytes() + support.max(axis=0).tobytes())
+                bl_distance(replica, ref)
+        assert len(seen) >= 24
+        assert sum(seen) <= len(boxes) < 24
+
+    def test_memo_keeps_no_ensemble_alive(self):
+        model = model_from_config({"model": "m2", "horizon": 0.5, "domain": {
+            "kind": "ball", "center": [0.0, 0.0], "radius": 1.0}})
+        grid = TimeGrid(0.5, 8)
+        ens = simulate_particle_system(model, 64, grid, seed=1)
+        states = weakref.ref(ens.states)
+        replica = empirical_measure_at(ens, grid.horizon)
+        # a partner inside the replica's box, so that the replica is memoized
+        inside = MeasureSummary.from_points((replica.points + replica.mean) / 2.0)
+        measures._own_box_integrals.cache_clear()
+        bl_distance(replica, inside)
+        assert measures._own_box_integrals.cache_info().currsize == 1
+        del ens, replica
+        gc.collect()
+        assert states() is None
+
+    def test_memo_is_bounded(self):
+        rng = np.random.default_rng(70)
+        measures._own_box_integrals.cache_clear()
+        for _ in range(3 * measures._MEMO_ENTRIES):
+            mu = MeasureSummary.from_points(rng.uniform(-1, 1, (16, 2)))
+            inside = MeasureSummary.from_points((mu.points + mu.mean) / 2.0)
+            _bl_dictionary(mu, inside, 8, 0)
+        info = measures._own_box_integrals.cache_info()
+        assert info.misses == 3 * measures._MEMO_ENTRIES
+        assert info.currsize == info.maxsize == measures._MEMO_ENTRIES
+        lo, hi = mu.points.min(axis=0), mu.points.max(axis=0)
+        values = measures._own_box_integrals(mu.points.tobytes(), 2,
+                                             lo.tobytes() + hi.tobytes(), 8, 0)
+        assert not values.flags.writeable
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_row_norm_is_numpy_norm(self, d):
