@@ -22,9 +22,11 @@ Noise is pre-assigned per (replica, particle) substream, so results do not
 depend on execution order, batching or worker count.  The Philox keys of a
 replica's particles are derived in one batch (``rng.substream_keys``) and
 are bit-identical to the per-particle ``SeedSequence`` keys of
-``rng.substream``.  Each particle is still drawn from its own substream,
-but all replicas of a call are stored in one time-major (n, R, N, d1)
-buffer, filled a block of particles at a time, so the stepping core reads
+``rng.substream``.  Each particle is still drawn from its own substream
+(``rng.iter_substreams`` re-keys one generator per particle), but all
+replicas of a call are stored in one time-major (n, R, N, d1) buffer,
+filled a block of particles at a time by one
+``integrator.brownian_increments`` call each, so the stepping core reads
 each step's noise contiguously; ``Ensemble.noises`` is a read-only view of
 that buffer.
 
@@ -133,20 +135,16 @@ def _particle_noise(seed: int, replica: int, n_particles: int, n_steps: int,
                     d1: int, dt: float, out: np.ndarray) -> None:
     """Pre-assigned increments, one substream per (replica, particle).
 
-    Written time-major into ``out``, of shape (n, N, d1).  Particles are
-    drawn in order into a particle-major block of at most ``_BLOCK_BYTES``
-    (at least one particle), which is copied transposed into ``out``: one
-    strided write per block rather than per particle.
+    Written time-major into ``out``, of shape (n, N, d1), by one
+    ``brownian_increments`` call per block of at most ``_BLOCK_BYTES`` of
+    particles (at least one), drawn in order: one strided write per block
+    rather than per particle.
     """
     gens = rngmod.iter_substreams(seed, rngmod.NOISE, replica,
                                   last=np.arange(n_particles))
     b = max(1, _BLOCK_BYTES // (n_steps * d1 * 8))
-    block = np.empty((min(b, n_particles), n_steps, d1))
     for lo in range(0, n_particles, b):
-        hi = min(lo + b, n_particles)
-        for i in range(lo, hi):
-            block[i - lo] = brownian_increments(next(gens), n_steps, d1, dt)
-        out[:, lo:hi] = block[:hi - lo].transpose(1, 0, 2)
+        brownian_increments(gens, dt, out[:, lo:lo + b])
 
 
 # Memo of the active shared_replica_draws scope, or None outside one.

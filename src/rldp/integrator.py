@@ -22,6 +22,10 @@ local-time paths; those, |y - p| and the hits are rebuilt from the events,
 bit for bit, when read.
 
 Controls are piecewise constant on grid cells, one value per cell.
+
+``brownian_increments`` is the one noise draw: it fills a time-major block
+of P paths, each from its own generator, and a single path is the case
+P = 1.
 """
 
 from __future__ import annotations
@@ -43,6 +47,12 @@ def _is_count(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= 1
 
 
+def _is_positive(v) -> bool:
+    """Whether ``v`` is a finite real number > 0 (a bool is not)."""
+    return (not isinstance(v, bool) and isinstance(v, numbers.Real)
+            and math.isfinite(v) and v > 0)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k dt on [0, T]."""
@@ -52,8 +62,7 @@ class TimeGrid:
 
     def __post_init__(self):
         h, n = self.horizon, self.n_steps
-        if (isinstance(h, bool) or not isinstance(h, numbers.Real)
-                or not math.isfinite(h) or h <= 0):
+        if not _is_positive(h):
             raise InputError(f"horizon must be a finite number > 0, got {h!r}")
         if not _is_count(n):
             raise InputError(f"n_steps must be an integer >= 1, got {n!r}")
@@ -255,10 +264,28 @@ def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
 
 # -- Brownian increment helpers -------------------------------------------------
 
-def brownian_increments(rng: np.random.Generator, n_steps: int, d1: int,
-                        dt: float) -> np.ndarray:
-    """(n_steps, d1) i.i.d. N(0, dt I) increments."""
-    return rng.standard_normal((n_steps, d1)) * np.sqrt(dt)
+def brownian_increments(gens, dt: float, out: np.ndarray) -> np.ndarray:
+    """Write i.i.d. N(0, dt I) increments of P paths into ``out``, time-major
+    (n_steps, P, d1), and return it.
+
+    ``gens`` yields one generator per path, drawn from in turn and never
+    advanced past the P-th; path j's increments ``out[:, j]`` are
+    ``gen.standard_normal((n_steps, d1)) * np.sqrt(dt)`` of its generator,
+    bit for bit.  The paths are drawn into a particle-major scratch block,
+    which is scaled into ``out`` by one transposed multiply.  One path is
+    the case P = 1.
+    """
+    if not _is_positive(dt):
+        raise InputError(f"dt must be a finite number > 0, got {dt!r}")
+    n_steps, n_paths, d1 = out.shape
+    block = np.empty((n_paths, n_steps, d1))
+    drawn = 0
+    for drawn, (row, gen) in enumerate(zip(block, gens), 1):
+        gen.standard_normal(out=row)
+    if drawn < n_paths:
+        raise InputError(f"{n_paths} paths need as many generators, "
+                         f"got {drawn}")
+    return np.multiply(block.transpose(1, 0, 2), np.sqrt(dt), out=out)
 
 
 def coarsen_increments(dW: np.ndarray, factor: int) -> np.ndarray:

@@ -9,8 +9,9 @@ A substream is a Philox generator at counter zero whose 128-bit key is
 ``SeedSequence(master_seed, spawn_key=key).generate_state(2, np.uint64)``.
 Philox is counter-based, so the key alone fixes the stream.  For the many
 particles of one replica, ``substream_keys`` derives all keys in one
-vectorized pass and ``iter_substreams`` resets a single generator to each of
-them; both are bit-identical to building one ``substream`` per particle,
+vectorized pass and ``iter_substreams`` re-keys a single generator to each of
+them, from a state of plain Python ints made a bounded chunk of keys at a
+time; both are bit-identical to building one ``substream`` per particle,
 which is the noise scheme (v1) that every seeded output depends on.
 """
 
@@ -35,6 +36,11 @@ _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Keys turned into Python ints at once by iter_substreams: the state setter
+# reads plain ints faster than numpy scalars, and a chunk bounds the ints
+# alive at a time whatever the particle count.
+_KEY_CHUNK = 1024
 
 
 def _check_nonnegative(master_seed: int, key) -> None:
@@ -138,15 +144,20 @@ def iter_substreams(master_seed: int, *key: int,
                     last) -> Iterator[np.random.Generator]:
     """Yield ``substream(master_seed, *key, i)`` for every i in ``last``.
 
-    One Philox generator is built per call and, before each yield, reset to
-    the next key at counter zero with an empty buffer.  Each item is that same
-    generator, so draw from it before advancing the iterator.
+    One Philox generator is built per call and, before each yield, re-keyed
+    to the next key at counter zero with an empty buffer and no spare 32-bit
+    half.  Each item is that same generator, so draw from it before
+    advancing the iterator.
     """
     keys = substream_keys(master_seed, *key, last=last)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter zero, empty buffer
-    for k in keys:
-        fresh["state"]["key"] = k
-        bitgen.state = fresh
-        yield gen
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for lo in range(0, len(keys), _KEY_CHUNK):
+        for k in keys[lo:lo + _KEY_CHUNK].tolist():
+            fresh["state"]["key"] = k
+            bitgen.state = fresh
+            yield gen

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from rldp.ensemble import (cumulative_noise, empirical_measure_at,
                            solve_mckean_vlasov_reference, write_paths_csv)
 from rldp.errors import BudgetError, InputError
 from rldp.geometry import ConvexDomain
-from rldp.integrator import (TimeGrid, brownian_increments,
-                             simulate_reflected_path)
+from rldp.integrator import TimeGrid, simulate_reflected_path
 from rldp.model import (MeasureSummary, ModelSpec, make_m1, make_m2)
-from rldp.rng import INIT, NOISE, iter_substreams, substream
+from rldp.rng import INIT, NOISE, substream
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
@@ -34,10 +34,10 @@ def _assert_same_summary(a, b):
     assert np.array_equal(a.cov_trace(), b.cov_trace())
 
 
-def _substream_noise(seed, replica, i, grid, d1):
+def _substream_noise(seed, replica, i, n_steps, d1, dt):
     """Particle i's increments drawn from its own substream (scheme v1)."""
-    return brownian_increments(substream(seed, NOISE, replica, i),
-                               grid.n_steps, d1, grid.dt)
+    return (substream(seed, NOISE, replica, i).standard_normal(
+        (n_steps, d1)) * np.sqrt(dt))
 
 
 class TestParticleSystem:
@@ -127,7 +127,8 @@ class TestNoiseContract:
         assert ens.noises.shape == (12, 300, m.d1)
         for i in (0, 1, 17, 150, 299):
             assert np.array_equal(ens.noises[:, i],
-                                  _substream_noise(41, replica, i, grid, m.d1))
+                                  _substream_noise(41, replica, i, grid.n_steps,
+                                                   m.d1, grid.dt))
 
     def test_noises_read_only(self):
         ens = simulate_particle_system(make_m1(BOX1), 4, TimeGrid(1.0, 4),
@@ -304,10 +305,10 @@ class TestOutputs:
 # -- time-major noise: bitwise the particle-major layout ----------------------------
 
 def _particle_major_noise(seed, replica, n_particles, n_steps, d1, dt, out):
-    """Reference: each particle's increments written to out[i], (N, n, d1)."""
-    gens = iter_substreams(seed, NOISE, replica, last=np.arange(n_particles))
-    for i, gen in enumerate(gens):
-        out[i] = brownian_increments(gen, n_steps, d1, dt)
+    """Reference: each particle's increments written to out[i], (N, n, d1),
+    by the scheme v1 formula on its own substream."""
+    for i in range(n_particles):
+        out[i] = _substream_noise(seed, replica, i, n_steps, d1, dt)
 
 
 def _particle_major_draws(model, grid, n_particles, seed, replica):
@@ -389,6 +390,40 @@ class TestTimeMajorNoise:
         _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, 5, 2, 1)
         _, ref = _particle_major_draws(m, NOISE_GRID, 5, 2, 1)
         assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
+    @pytest.mark.parametrize("replica", [2, range(3)], ids=["int2", "range3"])
+    @pytest.mark.parametrize("n_particles", [1, 3, 4, 5, 11],
+                             ids=["1", "b-1", "b", "b+1", "2b+3"])
+    def test_block_edges_equal_v1(self, monkeypatch, domain, replica,
+                                  n_particles):
+        # a block of b = 4 particles: the last block full, partial or alone
+        m = make_m2(domain, theta=0.5)
+        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+                            _block_particles(4, m, NOISE_GRID))
+        _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, n_particles, 9,
+                                                replica)
+        _, ref = _particle_major_draws(m, NOISE_GRID, n_particles, 9, replica)
+        assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_subnormal_step_equals_v1(self):
+        grid = TimeGrid(5e-324, 1)
+        m = make_m2(BALL3, theta=0.5)
+        _, noises = ensemble_mod._replica_draws(m, grid, 6, 9, range(3))
+        _, ref = _particle_major_draws(m, grid, 6, 9, range(3))
+        assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_draw_memory_is_bounded(self):
+        # the submart_ball3d replica: keys, one block and a chunk of keys as
+        # Python ints, never every particle's keys as ints at once
+        out = np.empty((128, 16384, 3))
+        tracemalloc.start()
+        try:
+            ensemble_mod._particle_noise(0, 0, 16384, 128, 3, 0.25 / 128, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
     @pytest.mark.parametrize("domain", [BOX1, BALL3], ids=["d1=1", "d1=3"])
     def test_batch_noise_paths_equal_cumsum(self, domain):

@@ -19,6 +19,11 @@ BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
 BALL3 = ConvexDomain.ball([0.0, 0.0, 0.0], 1.0)
 
 
+def _v1_noise(gen, n_steps, d1, dt):
+    """One path's increments by the scheme v1 formula."""
+    return gen.standard_normal((n_steps, d1)) * np.sqrt(dt)
+
+
 class TestTimeGrid:
     def test_basic(self):
         g = TimeGrid(1.0, 4)
@@ -120,8 +125,7 @@ class TestSimulateReflectedPath:
     def test_matches_skorokhod_map(self):
         m = make_m1(BOX1)
         grid = TimeGrid(1.0, 256)
-        rng = substream(42, NOISE, 0, 0)
-        noise = brownian_increments(rng, 256, 1, grid.dt)
+        noise = _v1_noise(substream(42, NOISE, 0, 0), 256, 1, grid.dt)
         x0 = 0.5
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
                                        noise, [x0])
@@ -134,8 +138,7 @@ class TestSimulateReflectedPath:
     def test_containment_always(self):
         m = make_m1(BOX1, sigma_scale=2.0)
         grid = TimeGrid(1.0, 64)
-        rng = substream(7, NOISE, 0, 0)
-        noise = brownian_increments(rng, 64, 1, grid.dt)
+        noise = _v1_noise(substream(7, NOISE, 0, 0), 64, 1, grid.dt)
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),
                                        noise, [0.5])
         assert m.domain.contains_all(path.states).all()
@@ -216,7 +219,7 @@ class TestReflectionProperties:
         grid = TimeGrid(1.0, 32)
         gen = np.random.default_rng(seed)
         x0 = domain.sample_interior(gen, 1)[0]
-        noise = brownian_increments(gen, 32, d, grid.dt)
+        noise = _v1_noise(gen, 32, d, grid.dt)
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, x0),
                                        noise, x0)
         assert domain.contains_all(path.states).all()
@@ -227,7 +230,7 @@ class TestReflectionProperties:
 class TestBrownianCoupling:
     @pytest.mark.parametrize("factor", [1, 2, 3, 4, 6, 12, np.int64(3)])
     def test_coarsen_is_block_sums(self, factor):
-        dW = brownian_increments(substream(11, NOISE, 0, 0), 12, 2, 0.25)
+        dW = _v1_noise(substream(11, NOISE, 0, 0), 12, 2, 0.25)
         got = coarsen_increments(dW, factor)
         ref = dW.reshape(12 // factor, factor, 2).sum(axis=1)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -239,5 +242,39 @@ class TestBrownianCoupling:
 
     def test_increment_variance(self):
         rng = np.random.default_rng(0)
-        dW = brownian_increments(rng, 20000, 1, 0.01)
+        dW = brownian_increments([rng], 0.01, np.empty((20000, 1, 1)))
         assert np.var(dW) == pytest.approx(0.01, rel=0.05)
+
+
+class TestBrownianIncrements:
+    @pytest.mark.parametrize("d1", [1, 3])
+    def test_paths_equal_v1(self, d1):
+        gens = (substream(5, NOISE, 1, i) for i in range(4))
+        out = brownian_increments(gens, 0.3, np.empty((7, 4, d1)))
+        for i in range(4):
+            ref = _v1_noise(substream(5, NOISE, 1, i), 7, d1, 0.3)
+            assert out[:, i].tobytes() == ref.tobytes()
+
+    def test_writes_into_a_strided_out(self):
+        buf = np.full((7, 6, 2), np.nan)
+        out = brownian_increments([substream(5, NOISE, 1, 0)], 0.3,
+                                  buf[:, 2:3])
+        assert out.base is buf and np.isnan(np.delete(buf, 2, axis=1)).all()
+        ref = _v1_noise(substream(5, NOISE, 1, 0), 7, 2, 0.3)
+        assert buf[:, 2].tobytes() == ref.tobytes()
+
+    def test_draws_no_generator_past_the_last_path(self):
+        gens = iter([substream(5, NOISE, 1, i) for i in range(3)])
+        brownian_increments(gens, 0.3, np.empty((2, 2, 1)))
+        assert len(list(gens)) == 1
+
+    def test_too_few_generators_rejected(self):
+        with pytest.raises(InputError):
+            brownian_increments([substream(5, NOISE, 1, 0)], 0.3,
+                                np.empty((2, 2, 1)))
+
+    @pytest.mark.parametrize("dt", [-1.0, np.nan, np.inf])
+    def test_bad_step_rejected(self, dt):
+        with pytest.raises(InputError):
+            brownian_increments([substream(1, NOISE, 0, 0)], dt,
+                                np.empty((3, 1, 1)))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rldp.rng import NOISE, iter_substreams, substream, substream_keys
+from rldp.rng import (_KEY_CHUNK, NOISE, iter_substreams, substream,
+                      substream_keys)
 
 
 def _reference_keys(seed, key, last):
@@ -63,3 +64,15 @@ class TestIterSubstreams:
             assert (gen.integers(2**31, dtype=np.uint32)
                     == expected.integers(2**31, dtype=np.uint32))
         assert i == 39
+
+    @pytest.mark.parametrize("n", [_KEY_CHUNK - 1, _KEY_CHUNK, _KEY_CHUNK + 1],
+                             ids=["chunk-1", "chunk", "chunk+1"])
+    def test_draws_equal_across_key_chunks(self, n):
+        for i, gen in enumerate(iter_substreams(3, NOISE, 1, last=np.arange(n))):
+            # the same partly used buffer and spare 32-bit half as above
+            expected = substream(3, NOISE, 1, i)
+            assert np.array_equal(gen.standard_normal(3),
+                                  expected.standard_normal(3))
+            assert (gen.integers(2**31, dtype=np.uint32)
+                    == expected.integers(2**31, dtype=np.uint32))
+        assert i == n - 1
