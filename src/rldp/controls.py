@@ -5,9 +5,11 @@ A control is an ordinary feedback rule h, that is an atomic relaxed control
 controls are optimal anyway.
 
 Policies follow the coefficient contract of ``model``: states of shape
-(..., N, d), with the matching (batched) node summary, give h of shape
-(..., N, d1).  A stack of replicas shares one policy; per-particle
-piecewise values are the same in every replica.
+(..., N, d), with the matching (batched) node summary, give h that
+broadcasts to (..., N, d1).  A control that is the same for every particle
+is handed on as its one read-only (d1,) vector, and the stepping core
+broadcasts it.  A stack of replicas shares one policy; per-particle
+piecewise values, (N, d1) a cell, are the same in every replica.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class ControlPolicy:
 
     def evaluate(self, t: float, states: np.ndarray,
                  mu: MeasureSummary) -> np.ndarray:
-        """Return h values, shape (..., N, d1), for states (..., N, d)."""
+        """Return h values that broadcast to (..., N, d1), for states
+        (..., N, d)."""
         raise NotImplementedError
 
     @property
@@ -68,7 +71,7 @@ class ConstantPolicy(ControlPolicy):
         self.v = np.atleast_1d(_bounded(v, "constant control"))
 
     def evaluate(self, t, states, mu):
-        return np.broadcast_to(self.v, states.shape[:-1] + self.v.shape).copy()
+        return self.v  # (d1,), read-only
 
     @property
     def policy_id(self):
@@ -79,7 +82,8 @@ class ConstantPolicy(ControlPolicy):
 
 
 class PiecewiseConstantPolicy(ControlPolicy):
-    """Shared per-cell values, or per-particle when values is 3-d."""
+    """Shared per-cell values, or per-particle when values is 3-d; cell k
+    holds on [t_k, t_{k+1}) of ``grid``, the last also at its horizon."""
 
     family = "piecewise_constant"
 
@@ -93,9 +97,12 @@ class PiecewiseConstantPolicy(ControlPolicy):
         self.grid = grid
 
     def evaluate(self, t, states, mu):
-        k = min(int(np.floor(t / self.grid.dt + 1e-12)), self.grid.n_steps - 1)
-        v = self.values[k]  # (d1,) shared, or (N, d1) per particle
-        return np.broadcast_to(v, states.shape[:-1] + v.shape[-1:]).copy()
+        u, n = t / self.grid.dt, self.grid.n_steps  # u in cells, 1e-12 slack
+        if not -1e-12 <= u <= n + 1e-12:  # NaN too
+            raise InputError(f"time {t} outside [0, {self.grid.horizon}], "
+                             "the policy's grid")
+        k = min(int(np.floor(u + 1e-12)), n - 1)
+        return self.values[k]  # (d1,) shared, or (N, d1) per particle
 
     def is_zero(self):
         return bool(np.all(self.values == 0.0))

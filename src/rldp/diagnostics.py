@@ -9,7 +9,10 @@ For a test function f(t, x, z) with boundary condition
 must be a submartingale when the law of (X, control, W) solves the
 controlled reflected equation.  The generator A carries four terms:
 drift+control against grad_x f, the second-order x-diffusion, the x-z
-cross term, and the z-noise Laplacian.
+cross term, and the z-noise Laplacian.  A test function gives f, f_t and
+grad_x per point; a Hessian that is the same at every point, as each
+registered one is, is its one read-only matrix, which the generator
+broadcasts over the points as it does sigma.
 
 Statistical testing uses nonnegative weights measurable at the earlier
 time, a one-sided lower confidence bound, and a discretization-bias
@@ -29,42 +32,38 @@ from .errors import InputError, ModelError, PreconditionError
 from .geometry import ConvexDomain, _row_sumsq
 from .integrator import TimeGrid
 from .ldp import _mean_and_error
-from .model import MeasureSummary, ModelSpec, coefficients_batch
+from .model import MeasureSummary, ModelSpec, _constant, coefficients_batch
 from . import rng as rngmod
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """f(t, x, z) with the analytic partials the generator reads, broadcast
-    over leading axes of x (..., d) and z (..., d1).  No z-gradient: (X, W)
+    """f(t, x, z) with the analytic partials the generator reads, over
+    leading axes of x (..., d) and z (..., d1).  f, f_t and grad_x are given
+    per point; a Hessian broadcasts to the points, and one that is the
+    same at every point is its one read-only matrix.  No z-gradient: (X, W)
     has no z-drift, so z enters only through hess_xz and hess_zz."""
 
     id: str
     d: int
     d1: int
-    f: object = field(repr=False)
-    f_t: object = field(repr=False)
+    f: object = field(repr=False)        # (...)
+    f_t: object = field(repr=False)      # (...)
     grad_x: object = field(repr=False)   # (..., d)
-    hess_xx: object = field(repr=False)  # (..., d, d)
-    hess_xz: object = field(repr=False)  # (..., d, d1)
-    hess_zz: object = field(repr=False)  # (..., d1, d1)
-
-
-def _const_mat(x, core):
-    """A particle-invariant Hessian: ``core`` broadcast over the leading axes
-    of x as a read-only view, not one copy per particle."""
-    return np.broadcast_to(core, np.shape(x)[:-1] + core.shape)
+    hess_xx: object = field(repr=False)  # (d, d), or (..., d, d)
+    hess_xz: object = field(repr=False)  # (d, d1), or (..., d, d1)
+    hess_zz: object = field(repr=False)  # (d1, d1), or (..., d1, d1)
 
 
 def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
-    """Registered test functions for a given state/noise dimension."""
-    neg2_xx, neg2_zz = -2.0 * np.eye(d), -2.0 * np.eye(d1)
+    """Registered test functions for a given state/noise dimension.  Their
+    Hessians are constant: each is one read-only matrix, built once here."""
     zero_partials = {
         "f_t": lambda t, x, z: np.zeros(np.shape(x)[:-1]),
         "grad_x": lambda t, x, z: np.zeros(np.shape(x)[:-1] + (d,)),
-        "hess_xx": lambda t, x, z: _const_mat(x, np.zeros((d, d))),
-        "hess_xz": lambda t, x, z: _const_mat(x, np.zeros((d, d1))),
-        "hess_zz": lambda t, x, z: _const_mat(x, np.zeros((d1, d1))),
+        "hess_xx": _constant(np.zeros((d, d))),
+        "hess_xz": _constant(np.zeros((d, d1))),
+        "hess_zz": _constant(np.zeros((d1, d1))),
     }
 
     def make(fid, f, **partials):
@@ -77,30 +76,25 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
         g[..., 0] = 1.0
         return g
 
-    def x1z1_hess_xz(x):
-        h = np.zeros(np.shape(x)[:-1] + (d, d1))
-        h[..., 0, 0] = 1.0
-        return h
-
+    e1e1 = np.zeros((d, d1))
+    e1e1[0, 0] = 1.0
     funcs = [
-        make("constant",
-             lambda t, x, z: np.broadcast_to(1.0, np.shape(x)[:-1]).copy()),
+        make("constant", lambda t, x, z: np.ones(np.shape(x)[:-1])),
         make("time",
-             lambda t, x, z: np.broadcast_to(np.asarray(t, dtype=float),
-                                             np.shape(x)[:-1]).copy(),
+             lambda t, x, z: np.full(np.shape(x)[:-1], t, dtype=float),
              f_t=lambda t, x, z: np.ones(np.shape(x)[:-1])),
         make("neg_x_sq", lambda t, x, z: -_row_sumsq(np.asarray(x, dtype=float)),
              grad_x=lambda t, x, z: -2.0 * np.asarray(x, dtype=float),
-             hess_xx=lambda t, x, z: _const_mat(x, neg2_xx)),
+             hess_xx=_constant(-2.0 * np.eye(d))),
         make("linear_x1", lambda t, x, z: np.asarray(x)[..., 0].copy(),
              grad_x=lambda t, x, z: e_x1(x)),
         make("linear_z1", lambda t, x, z: np.asarray(z)[..., 0].copy()),
         make("x1_z1",
              lambda t, x, z: np.asarray(x)[..., 0] * np.asarray(z)[..., 0],
              grad_x=lambda t, x, z: e_x1(x) * np.asarray(z)[..., 0, None],
-             hess_xz=lambda t, x, z: x1z1_hess_xz(x)),
+             hess_xz=_constant(e1e1)),
         make("neg_z_sq", lambda t, x, z: -_row_sumsq(np.asarray(z, dtype=float)),
-             hess_zz=lambda t, x, z: _const_mat(x, neg2_zz)),
+             hess_zz=_constant(-2.0 * np.eye(d1))),
     ]
     return {tf.id: tf for tf in funcs}
 
@@ -156,12 +150,6 @@ def generator_apply(model: ModelSpec, f: TestFunction, t: float, x, y, z,
     return float(val)
 
 
-def _core(m: np.ndarray) -> np.ndarray:
-    """m's one matrix when m is that matrix broadcast over the batch (every
-    leading stride 0), else m itself."""
-    return m[(0,) * (m.ndim - 2)] if not any(m.strides[:-2]) else m
-
-
 def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
                      x: np.ndarray, y: np.ndarray, z: np.ndarray,
                      nu_t: MeasureSummary) -> np.ndarray:
@@ -169,14 +157,10 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
 
     ``y`` None stands for an all-zero control: the sigma h term is not
     formed, and b is made contiguous as the sum would have made it, so that
-    einsum picks the same kernel.  ``coefficients_batch`` hands back sigma
-    broadcast over the batch when the diffusion is one (d, d1) matrix, as it
-    is for every zoo model, and a particle-invariant Hessian comes as one
-    matrix broadcast the same way.
-    Each such operand is reduced to its one matrix, so the diffusion, cross
-    and noise terms are formed once, not once per point, and broadcast in
-    the final sum; a state-dependent operand goes through the same
-    expression per point.  Both give the same bits.
+    einsum picks the same kernel.  Sigma and the Hessians come as computed,
+    so a particle-invariant one is one matrix: the diffusion, cross and
+    noise terms are then formed once, not once per point, and broadcast in
+    the final sum.
     """
     b, sig = coefficients_batch(model, t, x, nu_t)
     gx = f.grad_x(t, x, z)
@@ -185,12 +169,10 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
     else:
         b = b + np.einsum("...ij,...j->...i", sig, y)
     drift_term = np.einsum("...i,...i->...", b, gx)
-    sig = _core(sig)
     a = np.einsum("...ik,...jk->...ij", sig, sig)  # sigma sigma^T
-    diff_term = 0.5 * np.einsum("...ij,...ij->...", a,
-                                _core(f.hess_xx(t, x, z)))
-    cross_term = np.einsum("...ij,...ij->...", sig, _core(f.hess_xz(t, x, z)))
-    noise_term = 0.5 * np.einsum("...ii->...", _core(f.hess_zz(t, x, z)))
+    diff_term = 0.5 * np.einsum("...ij,...ij->...", a, f.hess_xx(t, x, z))
+    cross_term = np.einsum("...ij,...ij->...", sig, f.hess_xz(t, x, z))
+    noise_term = 0.5 * np.einsum("...ii->...", f.hess_zz(t, x, z))
     return drift_term + diff_term + cross_term + noise_term
 
 

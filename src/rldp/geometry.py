@@ -44,12 +44,14 @@ def _as_point(x, d: int) -> np.ndarray:
 
 
 def _bounded(values, what: str) -> np.ndarray:
-    """``values`` as a float array, unless an entry is NaN or more than
-    ``_MAGNITUDE_MAX`` in magnitude."""
-    values = np.asarray(values, dtype=float)
+    """``values`` as a read-only float copy, unless an entry is NaN or more
+    than ``_MAGNITUDE_MAX`` in magnitude.  The copy keeps a caller's later
+    edit of its own array from bypassing the checks made on it."""
+    values = np.array(values, dtype=float)
     if not np.all(np.abs(values) <= _MAGNITUDE_MAX):  # NaN too
         raise InputError(f"{what} must be finite and at most "
                          f"{_MAGNITUDE_MAX:g} in magnitude")
+    values.flags.writeable = False
     return values
 
 

@@ -3,8 +3,14 @@
 Coefficient callables take (t, x, mu) where mu is a MeasureSummary.  They
 must accept x of shape (d,), (N, d) or (..., N, d), and return arrays that
 broadcast to x.shape for the drift and x.shape[:-1] + (d, d1) for the
-diffusion.  A state of shape (..., N, d) with leading batch axes is a stack
-of independent N-particle systems (replicas); its node summary is batched
+diffusion.  ``coefficients_batch`` hands them on as computed, and the
+stepping core and the generator broadcast them where they are used: a
+coefficient that is the same for every particle, such as every zoo
+model's sigma, stays one (d, d1) matrix (m3's: one per replica), never a
+copy per particle, and a constant coefficient (``_constant``) is one
+read-only array.  A state of
+shape (..., N, d) with leading batch axes is a stack of independent
+N-particle systems (replicas); its node summary is batched
 the same way: ``points`` (..., N, d) and ``mean`` (..., 1, d), which
 broadcasts against x.  An unbatched summary keeps its (d,) mean;
 ``replica(j)`` reads one measure of a batch as an unbatched summary,
@@ -119,7 +125,7 @@ class ModelSpec:
     horizon: float
     drift: Callable          # (t, x, mu) -> (..., d)
     diffusion: Callable      # (t, x, mu) -> (..., d, d1)
-    init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d)
+    init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d), read-only
     init_sampler: Callable | None = None       # (rng, n) -> (n, d)
     params: dict = field(default_factory=dict)
 
@@ -131,12 +137,14 @@ class ModelSpec:
         if self.init_points is None and self.init_sampler is None:
             raise InputError("model needs deterministic inits or a sampler")
         if self.init_points is not None:
-            pts = np.asarray(self.init_points, dtype=float)
+            pts = np.array(self.init_points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != self.d or len(pts) == 0:
                 raise InputError(f"init points must have shape (m, {self.d}), "
                                  f"got {pts.shape}")
             if not np.all(self.domain.contains_all(pts)):
                 raise InputError("init points must lie in the closed domain")
+            pts.flags.writeable = False  # a copy the caller cannot edit unchecked
+            object.__setattr__(self, "init_points", pts)
 
     @property
     def d(self) -> int:
@@ -145,9 +153,8 @@ class ModelSpec:
     def initial_states(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n initial states: cycled deterministic points or i.i.d. samples."""
         if self.init_points is not None:
-            pts = np.asarray(self.init_points, dtype=float)
-            reps = int(np.ceil(n / pts.shape[0]))
-            return np.tile(pts, (reps, 1))[:n]
+            reps = int(np.ceil(n / self.init_points.shape[0]))
+            return np.tile(self.init_points, (reps, 1))[:n]
         return np.asarray(self.init_sampler(rng, n), dtype=float)
 
 
@@ -157,7 +164,9 @@ def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (model.d,):
         raise InputError(f"x must be a single state of dimension {model.d}")
-    b, sig = (v.copy() for v in coefficients_batch(model, t, x, mu))
+    b, sig = coefficients_batch(model, t, x, mu)
+    b = np.broadcast_to(b, x.shape).copy()
+    sig = np.broadcast_to(sig, (model.d, model.d1)).copy()
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
         raise ModelError(f"non-finite coefficients at t={t}, x={x}")
     return b, sig
@@ -168,15 +177,14 @@ def coefficients_batch(model: ModelSpec, t: float, x: np.ndarray,
     """Batched coefficient evaluation for the stepping core.
 
     x has shape (..., N, d) and mu is the matching (batched) node summary;
-    returns b broadcast to x.shape and sigma to x.shape[:-1] + (d, d1).
+    returns (b, sigma) as the model computes them, b broadcastable to
+    x.shape and sigma to x.shape[:-1] + (d, d1).  A constant is the model's
+    one read-only array.
     """
     if not 0.0 <= t <= model.horizon + 1e-12:
         raise InputError(f"time {t} outside [0, {model.horizon}]")
-    b = np.asarray(model.drift(t, x, mu), dtype=float)
-    sig = np.asarray(model.diffusion(t, x, mu), dtype=float)
-    b = np.broadcast_to(b, x.shape)
-    sig = np.broadcast_to(sig, x.shape[:-1] + (model.d, model.d1))
-    return b, sig
+    return (np.asarray(model.drift(t, x, mu), dtype=float),
+            np.asarray(model.diffusion(t, x, mu), dtype=float))
 
 
 # -- Model zoo -----------------------------------------------------------------
@@ -218,12 +226,11 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
         params=params)
 
 
-def _zero_drift(t, x, mu):
-    return np.zeros(np.shape(x))
-
-
 def _constant(value):
-    """The coefficient (t, x, mu) -> value."""
+    """The coefficient (t, x, mu) -> value, a read-only copy of ``value``
+    handed on for every state."""
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
     return lambda t, x, mu: value
 
 
@@ -231,8 +238,8 @@ def make_m1(domain: ConvexDomain, d1: int | None = None, horizon: float = 1.0,
             sigma_scale: float = 1.0, init=None) -> ModelSpec:
     """M1: zero drift, constant (identity-like) diffusion."""
     def build(d1):
-        return _zero_drift, _constant(_identity_sigma(domain.dimension, d1,
-                                                      sigma_scale))
+        return _constant(np.zeros(domain.dimension)), _constant(
+            _identity_sigma(domain.dimension, d1, sigma_scale))
 
     return _zoo_model("m1", domain, d1, horizon, init, build,
                       sigma_scale=sigma_scale)
@@ -271,7 +278,7 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
                 s = s[..., None, None, None]
             return s * eye
 
-        return _zero_drift, diffusion
+        return _constant(np.zeros(domain.dimension)), diffusion
 
     return _zoo_model("m3", domain, d1, horizon, init, build,
                       sigma_scale=sigma_scale, alpha=alpha, clip_L=clip_L)
@@ -282,13 +289,9 @@ def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
     """Constant-drift, constant-diffusion model (diagnostic negative controls)."""
     def build(d1):
         b = np.broadcast_to(np.asarray(b_const, dtype=float),
-                            (domain.dimension,)).copy()
-
-        def drift(t, x, mu):
-            return np.broadcast_to(b, np.shape(x))
-
-        return drift, _constant(_identity_sigma(domain.dimension, d1,
-                                                sigma_scale))
+                            (domain.dimension,))
+        return _constant(b), _constant(_identity_sigma(domain.dimension, d1,
+                                                       sigma_scale))
 
     return _zoo_model("drifted", domain, d1, horizon, init, build,
                       b_const=b_const, sigma_scale=sigma_scale)

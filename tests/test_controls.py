@@ -5,6 +5,7 @@ from rldp import cli
 from rldp.controls import (ConstantPolicy, FeedbackPolicy,
                            PiecewiseConstantPolicy, ZeroPolicy,
                            constant_family, ensemble_cost, feedback_family)
+from rldp.ensemble import simulate_particle_system
 from rldp.errors import ConfigError, InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
@@ -71,8 +72,51 @@ class TestPolicies:
     def test_piecewise_lookup(self):
         grid = TimeGrid(1.0, 2)
         p = PiecewiseConstantPolicy(np.array([[1.0], [2.0]]), grid)
-        assert p.evaluate(0.0, np.zeros((1, 1)), self._mu())[0, 0] == 1.0
-        assert p.evaluate(0.5, np.zeros((1, 1)), self._mu())[0, 0] == 2.0
+        assert p.evaluate(0.0, np.zeros((1, 1)), self._mu())[0] == 1.0
+        assert p.evaluate(0.5, np.zeros((1, 1)), self._mu())[0] == 2.0
+        assert p.evaluate(1.0, np.zeros((1, 1)), self._mu())[0] == 2.0
+
+    def test_piecewise_outside_its_grid(self):
+        # t < 0 used to read a wrapped row (values[-2] at -0.3), and a time
+        # past the horizon the last cell
+        p = PiecewiseConstantPolicy(np.arange(4.0)[:, None], TimeGrid(1.0, 4))
+        x = np.zeros((1, 1))
+        for t in (-0.3, -1e-9, 1.0 + 1e-9, 1.3, np.nan):
+            with pytest.raises(InputError, match="outside"):
+                p.evaluate(t, x, self._mu())
+        assert p.evaluate(-1e-14, x, self._mu())[0] == 0.0
+        assert p.evaluate(1.0 + 1e-14, x, self._mu())[0] == 3.0
+
+    def test_piecewise_on_another_run_grid(self):
+        """A run on a finer grid within the policy's horizon reads the cell
+        of each node; a run past the horizon is an error, not the last cell
+        repeated."""
+        model = make_m1(ConvexDomain.box([0.0], [1.0]), horizon=2.0)
+        p = PiecewiseConstantPolicy([[1.0], [2.0]], TimeGrid(0.5, 2))
+        for run, want in ((TimeGrid(0.5, 8), [1, 1, 1, 1, 2, 2, 2, 2]),
+                          (TimeGrid(0.25, 4), [1, 1, 1, 1]),
+                          (TimeGrid(0.5, 2), [1, 2])):
+            ens = simulate_particle_system(model, 3, run, policy=p)
+            assert np.all(ens.controls[..., 0] == np.array(want, float)[:, None])
+        with pytest.raises(InputError, match="policy's grid"):
+            simulate_particle_system(model, 2, TimeGrid(2.0, 8), policy=p)
+
+    def test_constructors_copy_and_values_are_read_only(self):
+        """A caller's later edit of the array it passed changes no policy,
+        and neither a policy's values nor the h it hands out can be
+        written."""
+        v, w = np.array([0.5]), np.zeros(FeedbackPolicy.n_features(1))
+        values = np.array([[1.0], [2.0]])
+        const, fb = ConstantPolicy(v), FeedbackPolicy(w, 1, 1)
+        pw = PiecewiseConstantPolicy(values, TimeGrid(1.0, 2))
+        v[0] = w[0] = values[0, 0] = 7.0
+        x = np.zeros((3, 1))
+        assert np.array_equal(const.evaluate(0.0, x, self._mu()), [0.5])
+        assert fb.is_zero() and pw.values[0, 0] == 1.0
+        for a in (const.v, const.evaluate(0.0, x, self._mu()), fb.weights,
+                  pw.values, pw.evaluate(0.0, x, self._mu())):
+            with pytest.raises(ValueError):
+                a[...] = 7.0
 
     def test_feedback_zero_theta_is_zero(self):
         d, d1 = 1, 1

@@ -359,6 +359,14 @@ _BITWISE_IDS = ["m1-box", "m1-ball", "m2-box", "m2-ball", "m3-box", "m3-ball",
                 "dense-sigma-control", "state-sigma-control"]
 
 
+def _per_point(h):
+    """Hessian ``h`` materialised as one fresh array per point of x."""
+    def hess(t, x, z):
+        m = h(t, x, z)
+        return np.array(np.broadcast_to(m, np.shape(x)[:-1] + m.shape[-2:]))
+    return hess
+
+
 class TestMfProcessBitwise:
     """mf_process equals the per-point sigma sigma^T reference bit for bit."""
 
@@ -380,26 +388,32 @@ class TestMfProcessBitwise:
 
     @pytest.mark.parametrize("model, v", _BITWISE_CASES, ids=_BITWISE_IDS)
     def test_hessian_views_equal_copies(self, model, v):
-        """Read-only broadcast Hessians give the bits of one fresh array per
-        particle, signed zeros included."""
+        """Each read-only constant Hessian gives the bits of one fresh array
+        per particle, signed zeros included."""
         _, ens, _ = self._run(model, v)
         for fid, f in standard_test_functions(model.d, model.d1).items():
             copying = dataclasses.replace(f, **{
-                name: (lambda h: lambda t, x, z: np.array(h(t, x, z)))(
-                    getattr(f, name))
+                name: _per_point(getattr(f, name))
                 for name in ("hess_xx", "hess_xz", "hess_zz")})
             got = mf_process(f, ens, model)
             ref = mf_process(copying, ens, model)
             assert got.tobytes() == ref.tobytes(), fid
 
     def test_constant_hessians_are_read_only_views(self):
-        x = np.zeros((257, 3))
-        f = standard_test_functions(3, 2)["neg_x_sq"]
-        for h, shape in ((f.hess_xx(0.0, x, x[:, :2]), (257, 3, 3)),
-                         (f.hess_xz(0.0, x, x[:, :2]), (257, 3, 2)),
-                         (f.hess_zz(0.0, x, x[:, :2]), (257, 2, 2))):
-            assert h.shape == shape
-            assert h.strides[0] == 0 and not h.flags.writeable
+        """A constant Hessian is one read-only matrix, the same array for
+        any points."""
+        x, z = np.zeros((257, 3)), np.zeros((257, 2))
+        fs = standard_test_functions(3, 2)
+        e1e1 = np.zeros((3, 2))
+        e1e1[0, 0] = 1.0
+        for h, want in ((fs["neg_x_sq"].hess_xx, -2.0 * np.eye(3)),
+                        (fs["neg_x_sq"].hess_xz, np.zeros((3, 2))),
+                        (fs["neg_x_sq"].hess_zz, np.zeros((2, 2))),
+                        (fs["x1_z1"].hess_xz, e1e1),
+                        (fs["neg_z_sq"].hess_zz, -2.0 * np.eye(2))):
+            m = h(0.0, x, z)
+            assert np.array_equal(m, want) and not m.flags.writeable
+            assert h(0.3, x[0], z[0]) is m
 
 
 class TestSquareFunctions:
@@ -427,9 +441,9 @@ _CORE_IDS = ["m2-d1", "m2-d3", "state-sigma-d1", "dense-sigma-d3"]
 class TestGeneratorCores:
     @pytest.mark.parametrize("model", _CORE_MODELS, ids=_CORE_IDS)
     def test_broadcast_hessians_equal_materialised(self, model):
-        """A particle-invariant Hessian, reduced to its one matrix, gives the
-        bits of the same Hessian materialised per particle, with and without
-        a control."""
+        """A particle-invariant Hessian, as its one matrix, gives the bits
+        of the same Hessian materialised per particle, with and without a
+        control."""
         rng = np.random.default_rng(10 * model.d + model.d1)
         x = model.domain.sample_interior(rng, 65)
         z = rng.normal(size=(65, model.d1))
@@ -439,15 +453,13 @@ class TestGeneratorCores:
         for y in (None, rng.normal(size=(65, model.d1))):
             for fid, f in standard_test_functions(model.d, model.d1).items():
                 dense = dataclasses.replace(f, **{
-                    name: (lambda h: lambda t, x, z: np.ascontiguousarray(
-                        h(t, x, z)))(getattr(f, name)) for name in names})
+                    name: _per_point(getattr(f, name)) for name in names})
                 got = generator(model, f, 0.1, x, y, z, nu)
                 ref = generator(model, dense, 0.1, x, y, z, nu)
                 assert got.shape == (65,), fid
                 assert got.tobytes() == ref.tobytes(), fid
         f = standard_test_functions(model.d, model.d1)["neg_x_sq"]
-        assert all(diagnostics_mod._core(getattr(f, name)(0.1, x, z)).ndim
-                   == 2 for name in names)
+        assert all(getattr(f, name)(0.1, x, z).ndim == 2 for name in names)
 
 
 class TestSubmartingaleInputs:

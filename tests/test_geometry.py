@@ -193,6 +193,18 @@ class TestConstruction:
         assert np.isfinite(_row_sumsq(far[1] - far[0]))
 
 
+    def test_bounds_are_read_only_copies(self):
+        # a caller's edit of its bound arrays used to reach the domain: hi
+        # edited below lo left a box with hi < lo
+        lo, hi, c = np.zeros(2), np.ones(2), np.zeros(2)
+        box, ball = ConvexDomain.box(lo, hi), ConvexDomain.ball(c, 1.0)
+        hi[0], c[0] = -1.0, 5.0
+        assert np.all(box.hi > box.lo) and np.all(ball.center == 0.0)
+        for a in (box.lo, box.hi, ball.center):
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+
+
 class TestConfigRoundTrip:
     def test_box_and_ball(self):
         box = ConvexDomain.from_config({"kind": "box", "lo": [0.0, -1.0],

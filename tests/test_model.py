@@ -3,11 +3,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from rldp.ensemble import simulate_particle_system
 from rldp.errors import InputError, ModelError
 from rldp.geometry import ConvexDomain
-from rldp.model import (MeasureSummary, ModelSpec, eval_coefficients,
-                        make_drifted, make_m1, make_m2, make_m3,
-                        model_from_config)
+from rldp.integrator import TimeGrid
+from rldp.model import (MeasureSummary, ModelSpec, coefficients_batch,
+                        eval_coefficients, make_drifted, make_m1, make_m2,
+                        make_m3, model_from_config)
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 BOX1_CFG = {"kind": "box", "lo": [0.0], "hi": [1.0]}
@@ -135,6 +137,21 @@ class TestEvalCoefficients:
         assert b.shape == (1,) and sig.shape == (1, 1)
         b[0] = sig[0, 0] = 2.0
 
+    def test_constant_coefficients_are_one_read_only_array(self):
+        """A constant coefficient is handed on as the model's one array,
+        which no caller can write into."""
+        x = np.full((2, 4, 1), 0.5)
+        mu = MeasureSummary.from_points(x)
+        for m in (make_m1(BOX1), make_m2(BOX1), make_drifted(BOX1, 0.3)):
+            b, sig = coefficients_batch(m, 0.0, x, mu)
+            assert sig.shape == (1, 1)
+            with pytest.raises(ValueError):
+                sig[0, 0] = 2.0
+            if m.name != "m2":
+                assert b.shape == (1,)
+                with pytest.raises(ValueError):
+                    b[0] = 2.0
+
     def test_nonfinite_coefficients_raise(self):
         m = make_m1(BOX1)
         bad = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
@@ -161,6 +178,21 @@ class TestModelZoo:
         rng = np.random.default_rng(0)
         x0 = m.initial_states(5, rng)
         assert np.allclose(x0[:, 0], [0.2, 0.5, 0.8, 0.2, 0.5])
+
+    def test_init_points_are_a_read_only_copy(self):
+        # a caller's edit of its init array after construction used to move
+        # the particles' start, here outside [0, 1], past every check
+        init = np.array([[0.5]])
+        m = make_m1(BOX1, init=init)
+        init[0, 0] = 7.0
+        ens = simulate_particle_system(m, 2, TimeGrid(0.5, 2))
+        assert np.all(ens.states[0] == 0.5)
+        direct = ModelSpec(name="m", domain=BOX1, d1=1, horizon=1.0,
+                           drift=m.drift, diffusion=m.diffusion,
+                           init_points=np.array([[0.25]]))
+        for pts in (m.init_points, direct.init_points):
+            with pytest.raises(ValueError):
+                pts[0, 0] = 7.0
 
     def test_initial_states_sampler_inside(self):
         m = make_drifted(BOX1, b_const=1.0)
