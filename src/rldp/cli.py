@@ -61,10 +61,6 @@ def _to_jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)  # JSON has no NaN or infinity: write them as strings
         return v if math.isfinite(v) else str(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -477,7 +473,11 @@ def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:
     p = _parse(table, cfg["run"], "run",
                {"model": model, "grid": grid, "workers": workers})
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: "
+                          f"{exc}") from exc
     try:
         result, extra_files = runner(cfg, p, out)
         result.update(kind=cfg["kind"], seed=cfg["seed"],

@@ -118,8 +118,6 @@ class FeedbackPolicy(ControlPolicy):
     family = "feedback"
 
     def __init__(self, weights, d: int, d1: int, bound: float = 3.0):
-        self.d = d
-        self.d1 = d1
         self.bound = float(bound)
         if not 0 < self.bound <= _MAGNITUDE_MAX:  # NaN too
             raise InputError(f"feedback bound must be in (0, {_MAGNITUDE_MAX:g}], "
@@ -162,7 +160,6 @@ class FeedbackPolicy(ControlPolicy):
 class PolicyFamily:
     """Parameter space plus constructor for one policy family."""
 
-    name: str
     dim: int
     make: object = field(repr=False)  # callable theta -> ControlPolicy
     bound: float = 3.0
@@ -171,7 +168,7 @@ class PolicyFamily:
 def constant_family(d1: int, bound: float = 3.0) -> PolicyFamily:
     def make(theta):
         return ConstantPolicy(np.clip(np.asarray(theta, dtype=float), -bound, bound))
-    return PolicyFamily(name="constant", dim=d1, make=make, bound=bound)
+    return PolicyFamily(dim=d1, make=make, bound=bound)
 
 
 def feedback_family(d: int, d1: int, bound: float = 3.0) -> PolicyFamily:
@@ -179,5 +176,5 @@ def feedback_family(d: int, d1: int, bound: float = 3.0) -> PolicyFamily:
 
     def make(theta):
         return FeedbackPolicy(theta, d=d, d1=d1, bound=bound)
-    return PolicyFamily(name="feedback", dim=n_feat * d1, make=make, bound=bound)
+    return PolicyFamily(dim=n_feat * d1, make=make, bound=bound)
 

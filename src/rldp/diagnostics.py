@@ -45,7 +45,6 @@ class TestFunction:
     has no z-drift, so z enters only through hess_xz and hess_zz."""
 
     id: str
-    d: int
     d1: int
     f: object = field(repr=False)        # (...)
     f_t: object = field(repr=False)      # (...)
@@ -68,7 +67,7 @@ def standard_test_functions(d: int, d1: int) -> dict[str, TestFunction]:
 
     def make(fid, f, **partials):
         """f with the given partials; every other partial is zero."""
-        return TestFunction(id=fid, d=d, d1=d1, f=f,
+        return TestFunction(id=fid, d1=d1, f=f,
                             **{**zero_partials, **partials})
 
     def e_x1(x):

@@ -25,8 +25,8 @@ are bit-identical to the per-particle ``SeedSequence`` keys of
 ``rng.substream``.  Each particle is still drawn from its own substream
 (``rng.iter_substreams`` re-keys one generator per particle), but all
 replicas of a call are stored in one time-major (n, R, N, d1) buffer,
-filled a block of particles at a time by one
-``integrator.brownian_increments`` call each, so the stepping core reads
+filled by one ``integrator.brownian_increments`` call per replica (which
+draws a bounded block of particles at a time), so the stepping core reads
 each step's noise contiguously; ``Ensemble.noises`` is a read-only view of
 that buffer.
 
@@ -54,7 +54,6 @@ from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod
 
 DEFAULT_STEP_BUDGET = 500_000_000  # particle-steps x max(d, d1) values
-_BLOCK_BYTES = 256 * 1024  # cap on the particle-major block of noise draws
 
 
 @dataclass(frozen=True)
@@ -131,22 +130,6 @@ def _check_budget(n_particles: int, n_steps: int, width: int,
             f"exceeds budget {budget}")
 
 
-def _particle_noise(seed: int, replica: int, n_particles: int, n_steps: int,
-                    d1: int, dt: float, out: np.ndarray) -> None:
-    """Pre-assigned increments, one substream per (replica, particle).
-
-    Written time-major into ``out``, of shape (n, N, d1), by one
-    ``brownian_increments`` call per block of at most ``_BLOCK_BYTES`` of
-    particles (at least one), drawn in order: one strided write per block
-    rather than per particle.
-    """
-    gens = rngmod.iter_substreams(seed, rngmod.NOISE, replica,
-                                  last=np.arange(n_particles))
-    b = max(1, _BLOCK_BYTES // (n_steps * d1 * 8))
-    for lo in range(0, n_particles, b):
-        brownian_increments(gens, dt, out[:, lo:lo + b])
-
-
 # Memo of the active shared_replica_draws scope, or None outside one.
 _REPLICA_DRAWS: ContextVar[dict | None] = ContextVar("rldp_replica_draws",
                                                      default=None)
@@ -178,7 +161,8 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
     a range of them, memoized inside a scope.
 
     The noise of all replicas is drawn into one time-major (n, R, N, d1)
-    buffer, returned read-only.
+    buffer, returned read-only: one ``brownian_increments`` call a replica,
+    one substream per (replica, particle).
     """
     memo = _REPLICA_DRAWS.get()
     key = (id(model), seed, replica, n_particles, grid)
@@ -191,8 +175,9 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
     for j, r in enumerate(replicas):
         init_rng = rngmod.substream(seed, rngmod.INIT, r)
         states0[j] = model.initial_states(n_particles, init_rng)
-        _particle_noise(seed, r, n_particles, grid.n_steps, model.d1,
-                        grid.dt, noises[:, j])
+        gens = rngmod.iter_substreams(seed, rngmod.NOISE, r,
+                                      last=np.arange(n_particles))
+        brownian_increments(gens, grid.dt, noises[:, j])
     noises.flags.writeable = False
     if not batch:
         states0, noises = states0[0], noises[:, 0]

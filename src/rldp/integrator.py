@@ -23,9 +23,9 @@ bit for bit, when read.
 
 Controls are piecewise constant on grid cells, one value per cell.
 
-``brownian_increments`` is the one noise draw: it fills a time-major block
-of P paths, each from its own generator, and a single path is the case
-P = 1.
+``brownian_increments`` is the one noise draw: it fills a time-major array
+of P paths, each from its own generator, through a particle-major scratch
+block it bounds itself, and a single path is the case P = 1.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class TimeGrid:
 class ReflectedPath:
     """One trajectory with its reflection bookkeeping."""
 
-    grid: TimeGrid
     states: np.ndarray          # (n+1, d), all in the closed domain
     reflection: np.ndarray      # (n+1, d), accumulated y - project(y)
     local_time: np.ndarray      # (n+1,), accumulated |y - project(y)|
@@ -256,13 +255,16 @@ def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
         raise PreconditionError("initial state outside the closed domain")
     states, events, *_ = _advance(
         model, grid, x[None, :], noise[:, None, :], None, mu_flow)
-    return ReflectedPath(grid=grid, states=states[:, 0],
+    return ReflectedPath(states=states[:, 0],
                          reflection=events.reflection()[:, 0],
                          local_time=events.local_time()[:, 0],
                          boundary_hits=events.hits()[:, 0])
 
 
 # -- Brownian increment helpers -------------------------------------------------
+
+_BLOCK_BYTES = 256 * 1024  # cap on the particle-major scratch of noise draws
+
 
 def brownian_increments(gens, dt: float, out: np.ndarray) -> np.ndarray:
     """Write i.i.d. N(0, dt I) increments of P paths into ``out``, time-major
@@ -271,21 +273,29 @@ def brownian_increments(gens, dt: float, out: np.ndarray) -> np.ndarray:
     ``gens`` yields one generator per path, drawn from in turn and never
     advanced past the P-th; path j's increments ``out[:, j]`` are
     ``gen.standard_normal((n_steps, d1)) * np.sqrt(dt)`` of its generator,
-    bit for bit.  The paths are drawn into a particle-major scratch block,
-    which is scaled into ``out`` by one transposed multiply.  One path is
-    the case P = 1.
+    bit for bit.  The paths are drawn a block at a time into one
+    particle-major scratch block of at most ``_BLOCK_BYTES`` (at least one
+    path), and each block is scaled into ``out`` by one transposed
+    multiply: one strided write per block rather than per path.  One path
+    is the case P = 1.
     """
     if not _is_positive(dt):
         raise InputError(f"dt must be a finite number > 0, got {dt!r}")
     n_steps, n_paths, d1 = out.shape
-    block = np.empty((n_paths, n_steps, d1))
-    drawn = 0
-    for drawn, (row, gen) in enumerate(zip(block, gens), 1):
-        gen.standard_normal(out=row)
-    if drawn < n_paths:
-        raise InputError(f"{n_paths} paths need as many generators, "
-                         f"got {drawn}")
-    return np.multiply(block.transpose(1, 0, 2), np.sqrt(dt), out=out)
+    per_block = max(1, _BLOCK_BYTES // max(1, 8 * n_steps * d1))
+    scratch = np.empty((min(per_block, n_paths), n_steps, d1))
+    gens = iter(gens)
+    for lo in range(0, n_paths, per_block):
+        block = scratch[:n_paths - lo]
+        drawn = 0
+        for drawn, (row, gen) in enumerate(zip(block, gens), 1):
+            gen.standard_normal(out=row)
+        if drawn < len(block):
+            raise InputError(f"{n_paths} paths need as many generators, "
+                             f"got {lo + drawn}")
+        np.multiply(block.transpose(1, 0, 2), np.sqrt(dt),
+                    out=out[:, lo:lo + len(block)])
+    return out
 
 
 def coarsen_increments(dW: np.ndarray, factor: int) -> np.ndarray:

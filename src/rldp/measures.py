@@ -63,7 +63,7 @@ def _bl_exact_1d(mu: MeasureSummary, nu: MeasureSummary) -> float:
                                 return_index=True, return_inverse=True)
     delta = np.bincount(where, weights=np.concatenate([mu.weights, -nu.weights]))
     m = atoms.shape[0]
-    if m == 1 or np.all(np.abs(delta) <= 1e-15):
+    if np.all(np.abs(delta) <= 1e-15):
         return 0.0
     gaps = np.diff(atoms)
     # rows: f_{i+1} - f_i <= g_i and f_i - f_{i+1} <= g_i

@@ -27,7 +27,7 @@ points and their mean.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -117,7 +117,11 @@ class MeasureSummary:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Coefficients, horizon and initial conditions of the particle system."""
+    """Coefficients, horizon and initial conditions of the particle system.
+
+    The initial states are the points ``init_points``, cycled, or with none
+    i.i.d. uniform on the domain.
+    """
 
     name: str
     domain: ConvexDomain
@@ -126,16 +130,12 @@ class ModelSpec:
     drift: Callable          # (t, x, mu) -> (..., d)
     diffusion: Callable      # (t, x, mu) -> (..., d, d1)
     init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d), read-only
-    init_sampler: Callable | None = None       # (rng, n) -> (n, d)
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise InputError("horizon must be positive")
         if self.d1 < 1:
             raise InputError("noise dimension must be >= 1")
-        if self.init_points is None and self.init_sampler is None:
-            raise InputError("model needs deterministic inits or a sampler")
         if self.init_points is not None:
             pts = np.array(self.init_points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != self.d or len(pts) == 0:
@@ -151,11 +151,12 @@ class ModelSpec:
         return self.domain.dimension
 
     def initial_states(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n initial states: cycled deterministic points or i.i.d. samples."""
+        """n initial states: the cycled ``init_points``, or with none n
+        i.i.d. uniform samples of the domain drawn from ``rng``."""
         if self.init_points is not None:
             reps = int(np.ceil(n / self.init_points.shape[0]))
             return np.tile(self.init_points, (reps, 1))[:n]
-        return np.asarray(self.init_sampler(rng, n), dtype=float)
+        return self.domain.sample_interior(rng, n)
 
 
 def eval_coefficients(model: ModelSpec, t: float, x, mu: MeasureSummary):
@@ -203,7 +204,8 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
     finite and at most ``_MAGNITUDE_MAX`` in magnitude, like the domain's
     bounds, ``d1`` an integer >= 1, d by default.  ``build(d1)`` gives
     (drift, diffusion) once they are; the initial states are the points
-    ``init``, else uniform on the domain.  ``params`` are kept as given.
+    ``init``, else uniform on the domain.  ``params`` are only checked: the
+    model keeps what ``build`` closes over.
     """
     for key, v in {**params, "horizon": horizon,
                    "init": [] if init is None else init}.items():
@@ -221,9 +223,7 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
         name=name, domain=domain, d1=d1, horizon=horizon, drift=drift,
         diffusion=diffusion,
         init_points=None if init is None else np.atleast_2d(
-            np.asarray(init, dtype=float)),
-        init_sampler=domain.sample_interior if init is None else None,
-        params=params)
+            np.asarray(init, dtype=float)))
 
 
 def _constant(value):
@@ -286,12 +286,15 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
 
 def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
                  d1: int | None = None, horizon: float = 1.0, init=None) -> ModelSpec:
-    """Constant-drift, constant-diffusion model (diagnostic negative controls)."""
+    """Constant-drift, constant-diffusion model (diagnostic negative controls);
+    ``b_const`` is one number for every coordinate, or d of them."""
     def build(d1):
-        b = np.broadcast_to(np.asarray(b_const, dtype=float),
-                            (domain.dimension,))
-        return _constant(b), _constant(_identity_sigma(domain.dimension, d1,
-                                                       sigma_scale))
+        d, b = domain.dimension, np.asarray(b_const, dtype=float)
+        if b.ndim > 1 or b.size not in (1, d):
+            raise InputError(f"drifted b_const must have length 1 or d = {d}, "
+                             f"got shape {b.shape}")
+        return _constant(np.broadcast_to(b, (d,))), _constant(
+            _identity_sigma(d, d1, sigma_scale))
 
     return _zoo_model("drifted", domain, d1, horizon, init, build,
                       b_const=b_const, sigma_scale=sigma_scale)

@@ -619,6 +619,32 @@ class TestConfigErrorsExit2:
         self._run(tmp_path, capsys, "simulate", self._cfg(**changes))
 
 
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["file", "under_file"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys,
+                                            monkeypatch, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        simulated = []
+        monkeypatch.setattr(cli_mod, "simulate_particle_system",
+                            lambda *a, **k: simulated.append(a))
+        cfg = _write(tmp_path, "c.json", self._cfg(run={"n_particles": 2}))
+        code = main(["simulate", "--config", cfg,
+                     "--out", str(taken / "sub" if below else taken)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "output directory" in json.loads(err)["detail"]
+        assert simulated == [] and taken.read_text() == "kept"
+        assert list(tmp_path.rglob("result.json")) == []
+
+    def test_drifted_b_const_of_wrong_length(self, tmp_path, capsys):
+        model = {**BASE_MODEL, "model": "drifted", "b_const": [1.0, 2.0]}
+        cfg = self._cfg(model=model, run={"n_particles": 2})
+        assert "b_const" in self._run(tmp_path, capsys, "simulate", cfg)
+        assert not (tmp_path / "o" / "result.json").exists()
+
+
 class TestOtherKinds:
     def test_variational_and_rate_and_submartingale(self, tmp_path):
         common = {"schema_version": 1, "seed": 6, "model": BASE_MODEL,

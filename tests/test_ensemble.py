@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rldp.ensemble as ensemble_mod
+import rldp.integrator as integrator_mod
 from rldp.controls import ConstantPolicy, ZeroPolicy
 from rldp.ensemble import (cumulative_noise, empirical_measure_at,
                            marginal_flow, shared_replica_draws,
@@ -12,9 +13,10 @@ from rldp.ensemble import (cumulative_noise, empirical_measure_at,
                            solve_mckean_vlasov_reference, write_paths_csv)
 from rldp.errors import BudgetError, InputError
 from rldp.geometry import ConvexDomain
-from rldp.integrator import TimeGrid, simulate_reflected_path
+from rldp.integrator import (TimeGrid, brownian_increments,
+                             simulate_reflected_path)
 from rldp.model import (MeasureSummary, ModelSpec, make_m1, make_m2)
-from rldp.rng import INIT, NOISE, substream
+from rldp.rng import INIT, NOISE, iter_substreams, substream
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 BALL2 = ConvexDomain.ball([0.0, 0.0], 1.0)
@@ -260,8 +262,7 @@ class TestReferenceFlow:
 
         m = ModelSpec(name="contract", domain=dom, d1=1, horizon=1.0,
                       drift=drift, diffusion=diffusion,
-                      init_points=np.array([[0.5]]), init_sampler=None,
-                      params={})
+                      init_points=np.array([[0.5]]))
         grid = TimeGrid(1.0, 100)
         flow = solve_mckean_vlasov_reference(m, grid, n_ref=64, seed=0)
         got = np.array([flow[k].mean[0] for k in range(101)])
@@ -354,7 +355,7 @@ class TestTimeMajorNoise:
         m = make_m2(domain, theta=0.5, sigma_scale=0.8)
         if policy is not None:
             policy = ConstantPolicy(np.linspace(-0.5, 0.5, m.d1))
-        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+        monkeypatch.setattr(integrator_mod, "_BLOCK_BYTES",
                             _block_particles(4, m, NOISE_GRID))
         ens = simulate_particle_system(m, n_particles, NOISE_GRID, policy,
                                        seed=17, replica=replica)
@@ -377,7 +378,7 @@ class TestTimeMajorNoise:
         m = make_m2(BALL3, theta=0.5)
         _, ref = _particle_major_draws(m, NOISE_GRID, 37, 5, range(3))
         if block != 10**6:
-            monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+            monkeypatch.setattr(integrator_mod, "_BLOCK_BYTES",
                                 _block_particles(block, m, NOISE_GRID))
         _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, 37, 5,
                                                 range(3))
@@ -386,7 +387,7 @@ class TestTimeMajorNoise:
 
     def test_block_below_one_particle_draws_one_at_a_time(self, monkeypatch):
         m = make_m2(BOX1, theta=0.5)
-        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(integrator_mod, "_BLOCK_BYTES", 1)
         _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, 5, 2, 1)
         _, ref = _particle_major_draws(m, NOISE_GRID, 5, 2, 1)
         assert noises.tobytes() == np.ascontiguousarray(ref).tobytes()
@@ -399,7 +400,7 @@ class TestTimeMajorNoise:
                                   n_particles):
         # a block of b = 4 particles: the last block full, partial or alone
         m = make_m2(domain, theta=0.5)
-        monkeypatch.setattr(ensemble_mod, "_BLOCK_BYTES",
+        monkeypatch.setattr(integrator_mod, "_BLOCK_BYTES",
                             _block_particles(4, m, NOISE_GRID))
         _, noises = ensemble_mod._replica_draws(m, NOISE_GRID, n_particles, 9,
                                                 replica)
@@ -419,7 +420,9 @@ class TestTimeMajorNoise:
         out = np.empty((128, 16384, 3))
         tracemalloc.start()
         try:
-            ensemble_mod._particle_noise(0, 0, 16384, 128, 3, 0.25 / 128, out)
+            brownian_increments(
+                iter_substreams(0, NOISE, 0, last=np.arange(16384)),
+                0.25 / 128, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -108,8 +108,7 @@ class TestSimulateReflectedPath:
 
         m = ModelSpec(name="ode", domain=BOX1, d1=1, horizon=1.0,
                       drift=drift, diffusion=diffusion,
-                      init_points=np.array([[0.1]]), init_sampler=None,
-                      params={})
+                      init_points=np.array([[0.1]]))
         grid = TimeGrid(1.0, 100)  # dt = 0.01
         path = simulate_reflected_path(m, grid, _frozen_flow(grid, [0.1]),
                                        np.zeros((100, 1)), [0.1])
@@ -156,8 +155,7 @@ class TestSimulateReflectedPath:
 
         m = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
                       drift=drift, diffusion=make_m1(BOX1).diffusion,
-                      init_points=np.array([[0.5]]), init_sampler=None,
-                      params={})
+                      init_points=np.array([[0.5]]))
         grid = TimeGrid(1.0, 4)
         with pytest.raises(InputError):
             simulate_reflected_path(m, grid, _frozen_flow(grid, [0.5]),

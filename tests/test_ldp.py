@@ -6,7 +6,8 @@ import pytest
 import rldp.ensemble as ensemble_mod
 import rldp.ldp as ldp_mod
 from rldp import cli
-from rldp.controls import ZeroPolicy, constant_family, feedback_family
+from rldp.controls import (ConstantPolicy, ZeroPolicy, constant_family,
+                           feedback_family)
 from rldp.ensemble import (marginal_flow, shared_replica_draws,
                            simulate_particle_system,
                            solve_mckean_vlasov_reference)
@@ -33,12 +34,12 @@ def functional_from_config(block, d=1):
 def _count_noise_draws(monkeypatch, reuse: bool) -> list:
     """Count replica noise draws; with reuse=False every call draws afresh."""
     calls = []
-    particle_noise = ensemble_mod._particle_noise
+    increments = ensemble_mod.brownian_increments
     replica_draws = ensemble_mod._replica_draws
 
     def counting_noise(*args):
         calls.append(args)
-        return particle_noise(*args)
+        return increments(*args)
 
     def unshared_draws(*args):
         token = ensemble_mod._REPLICA_DRAWS.set(None)
@@ -47,7 +48,7 @@ def _count_noise_draws(monkeypatch, reuse: bool) -> list:
         finally:
             ensemble_mod._REPLICA_DRAWS.reset(token)
 
-    monkeypatch.setattr(ensemble_mod, "_particle_noise", counting_noise)
+    monkeypatch.setattr(ensemble_mod, "brownian_increments", counting_noise)
     if not reuse:
         monkeypatch.setattr(ensemble_mod, "_replica_draws", unshared_draws)
     return calls
@@ -244,6 +245,52 @@ def test_optimizer_reports_its_best_recorded_evaluation(monkeypatch, family):
     best = objectives[int(np.argmin([est.objective for est in objectives]))]
     assert best == fresh
     assert res.cost_part == fresh.cost_part
+
+
+class TestGaussianMeanOracle:
+    """m1 from x0 = 0 in a box too wide for any particle to reach a wall, so
+    the terminal mean is (sigma / N) sum_i W_i(T), exactly Gaussian.  For
+    F = s * (terminal mean) the fixed-N value -(1/N) log E exp(-N F) is
+    -s^2 sigma^2 T / 2 at every N, and the variational infimum is attained
+    by the constant control h = -s sigma at cost s^2 sigma^2 T / 2 (Boue &
+    Dupuis, Ann. Probab. 26(4), 1998).  Tolerances are the estimators' own
+    standard errors, so the checks pin meaning, not bytes."""
+
+    SIGMA, S = 0.5, 1.0
+    EXACT = -S**2 * SIGMA**2 / 2  # T = 1: -0.125
+
+    def _setup(self):
+        model = make_m1(ConvexDomain.box([-20.0], [20.0]),
+                        sigma_scale=self.SIGMA, init=[[0.0]])
+        return (model, TimeGrid(1.0, 32),
+                terminal_mean_functional(scale=self.S, cap=10.0))
+
+    def test_laplace_value(self):
+        model, grid, f = self._setup()
+        est = laplace_functional_mc(model, f, 16, grid, 4096, seed=1)
+        assert not est.guard
+        assert abs(est.value - self.EXACT) <= 4 * est.std_error
+
+    def test_variational_value_at_the_optimal_control(self):
+        model, grid, f = self._setup()
+        h = ConstantPolicy([-self.S * self.SIGMA])
+        est = variational_objective(model, f, h, 16, grid, 1024, seed=1)
+        assert est.cost_part == -self.EXACT  # (1/2) h^2 T, exact in floats
+        assert abs(est.objective - self.EXACT) <= 4 * est.std_error
+
+    def test_optimizer_finds_the_optimal_control(self):
+        # Under common random numbers F does not see the noise through h, so
+        # the sample objective is h^2 / 2 + s sigma h + const and theta's
+        # excess over the optimum is (theta + s sigma)^2 / 2: theta must be
+        # closer than the excess the estimate's standard error can resolve.
+        model, grid, f = self._setup()
+        res = optimize_controls(model, f, constant_family(1), 16, grid, 64,
+                                40, seed=1)
+        at_opt = variational_objective(
+            model, f, ConstantPolicy([-self.S * self.SIGMA]), 16, grid, 64,
+            seed=1)
+        theta = res.policy.v[0]
+        assert abs(theta + self.S * self.SIGMA) <= math.sqrt(2 * at_opt.std_error)
 
 
 class TestSharedDraws:

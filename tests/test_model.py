@@ -167,7 +167,6 @@ class TestModelZoo:
                "sigma_scale": 0.3}
         m = model_from_config(cfg)
         assert m.name == "m2"
-        assert m.params["theta"] == 0.5
 
     def test_unknown_model_rejected(self):
         with pytest.raises(InputError):
@@ -193,6 +192,20 @@ class TestModelZoo:
         for pts in (m.init_points, direct.init_points):
             with pytest.raises(ValueError):
                 pts[0, 0] = 7.0
+
+    @pytest.mark.parametrize("b_const", [[1.0, 2.0], [], [[1.0]]],
+                             ids=["two", "empty", "nested"])
+    def test_drifted_b_const_length_checked(self, b_const):
+        with pytest.raises(InputError, match="b_const"):
+            make_drifted(BOX1, b_const)
+
+    @pytest.mark.parametrize("b_const, b", [(0.5, [0.5, 0.5]),
+                                            ([0.5], [0.5, 0.5]),
+                                            ([0.5, -1.0], [0.5, -1.0])])
+    def test_drifted_b_const_one_or_d_numbers(self, b_const, b):
+        box2 = ConvexDomain.box([0.0, 0.0], [1.0, 1.0])
+        m = make_drifted(box2, b_const)
+        assert m.drift(0.0, np.zeros((3, 2)), None).tolist() == b
 
     def test_initial_states_sampler_inside(self):
         m = make_drifted(BOX1, b_const=1.0)
@@ -234,7 +247,7 @@ class TestModelFromConfigChecks:
                "b_const": [0.0] if model == "drifted" else None}
         cfg = {k: v for k, v in cfg.items() if v is not None}
         edge = [1e50] if key == "b_const" else 1e50
-        assert model_from_config({**cfg, key: edge}).params[key] == edge
+        assert model_from_config({**cfg, key: edge}).name == model
         for far in (1.01e50, -1e200):
             with pytest.raises(InputError, match=key):
                 model_from_config({**cfg, key: [far] if key == "b_const" else far})

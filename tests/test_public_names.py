@@ -1,8 +1,8 @@
 """Every name ``rldp`` exports, every top-level function, class or constant
-of an ``rldp`` module, public or private, and every public method or
-property of an ``rldp`` class has a reader: a library module, the
-acceptance criteria, or the benchmark (``perfbench``).  A name that only its
-own unit tests read is dead weight on the package."""
+of an ``rldp`` module, public or private, every public method or property
+of an ``rldp`` class and every field it keeps has a reader: a library
+module, the acceptance criteria, or the benchmark (``perfbench``).  A name
+that only its own unit tests read is dead weight on the package."""
 
 import ast
 from pathlib import Path
@@ -59,11 +59,15 @@ def _defined(path):
     return [name for name, public in _top_level(path) if public]
 
 
-def _read():
+def _readers():
     readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     readers.append(ROOT / "tests" / "test_acceptance.py")
     readers.extend((ROOT / "perfbench").glob("*.py"))
-    return set().union(*map(_loaded, readers))
+    return readers
+
+
+def _read():
+    return set().union(*map(_loaded, _readers()))
 
 
 def test_every_public_name_has_a_reader():
@@ -129,3 +133,44 @@ def test_every_other_top_level_name_has_a_reader():
     assert others
     read = _read()
     assert [(m, name) for m, name in others if name not in read] == []
+
+
+# Results that ``cli`` writes whole into ``result.json`` through
+# ``dataclasses.asdict``: that call reads every field, so none needs a
+# reader by name.
+_WRITTEN_WHOLE = {"LaplaceEstimate", "VariationalEstimate", "RateEstimate",
+                  "SubmartingaleReport", "SubmartingaleEntry"}
+
+
+def _fields(path):
+    """(class, name) of each annotated field of a top-level class, and of
+    each attribute one of its methods sets on ``self``."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target,
+                                                              ast.Name):
+                yield node.name, item.target.id
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"):
+                yield node.name, sub.attr
+
+
+def _loaded_attributes(path):
+    """The attribute names a file loads, ``x.name`` read rather than set."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_field_has_a_reader():
+    # Like the checks above it matches by name alone, so a field is taken
+    # as read when any attribute of that name is: ``TestFunction.d`` would
+    # pass while some other ``.d`` is loaded.
+    fields = {(p.name, cls, name) for p in sorted(PACKAGE.glob("*.py"))
+              for cls, name in _fields(p) if cls not in _WRITTEN_WHOLE}
+    assert fields
+    read = set().union(*map(_loaded_attributes, _readers()))
+    assert sorted(f for f in fields if f[2] not in read) == []
