@@ -12,9 +12,11 @@ submartingale results are their ``ldp`` or ``diagnostics`` result dataclass
 as ``dataclasses.asdict`` writes it (laplace and variational add the
 functional id, variational the policy id, rate a description of its
 target): each key is its field's name.
-``--workers`` (>= 1; default 2) caps the threads of the chaos kind's pool
-for the exact 1D BL linear programs, at most one per CPU (``pool_size``); it
-changes no output byte, and with 1 no thread starts.  Exit codes: 0 ok, 2
+The chaos kind simulates every replica, one at a time, keeping only its
+terminal measure, then computes their BL distances.  ``--workers`` (>= 1;
+default 2) caps the threads on which it solves the exact 1D BL linear
+programs, at most one per CPU (``pool_size``); no output byte depends on
+it, and with 1, or in d >= 2, no thread starts.  Exit codes: 0 ok, 2
 config error, 3 budget or guard flag.
 """
 
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import asdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,7 +42,7 @@ from .controls import (ConstantPolicy, FeedbackPolicy, PiecewiseConstantPolicy,
 from .ensemble import (empirical_measure_at, simulate_particle_system,
                        solve_mckean_vlasov_reference, write_paths_csv)
 from .errors import BudgetError, ConfigError, InputError
-from .geometry import _MAGNITUDE_MAX, _json_reals
+from .geometry import _MAGNITUDE_MAX, _is_count, _is_positive, _json_reals
 from .integrator import TimeGrid
 from .measures import bl_distance
 from .model import MeasureSummary, model_from_config
@@ -101,9 +104,7 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     budget = cfg.get("budget")
-    if budget is not None and (isinstance(budget, bool)
-                               or not isinstance(budget, (int, float))
-                               or not 0 < budget < math.inf):
+    if budget is not None and not _is_positive(budget):
         raise ConfigError(f"budget must be a finite positive number, "
                           f"got {budget!r}")
     return cfg
@@ -266,21 +267,21 @@ def _run_chaos(cfg, p, out: Path):
                                         budget=cfg.get("budget"))
     # replica 0 feeds the reference
     keys = [(n, rep) for n in n_values for rep in range(1, p["n_replicas"] + 1)]
-    # HiGHS releases the GIL, so in 1D each replica's distance solves on the
-    # pool while the next replica simulates here, at most `size` at once; a
-    # d >= 2 distance (numpy holds the GIL) or a pool of one is computed here.
+
+    def terminal(n, rep):  # points copied: no path array outlives the call
+        ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
+                                       replica=rep, budget=cfg.get("budget"))
+        mu = empirical_measure_at(ens, grid.horizon)
+        return replace(mu, points=mu.points.copy())
+
+    terminals = [terminal(n, rep) for n, rep in keys]
+    # HiGHS releases the GIL, so in 1D the linear programs solve on a pool;
+    # a d >= 2 distance (numpy holds the GIL), or a pool of one, runs here.
     size = pool_size(p["workers"]) if model.d == 1 else 1
-    dists = []
     with ThreadPoolExecutor(size) as pool:
-        submit = pool.submit if size > 1 else _computed
-        for n, rep in keys:
-            ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
-                                           replica=rep, budget=cfg.get("budget"))
-            if len(dists) >= size:
-                dists[-size].result()
-            dists.append(submit(bl_distance, empirical_measure_at(ens, grid.horizon),
-                                ref[-1]))
-    rows = [(n, rep, d.result().value) for (n, rep), d in zip(keys, dists)]
+        dists = list((pool.map if size > 1 else map)(
+            bl_distance, terminals, itertools.repeat(ref[-1])))
+    rows = [(n, rep, d.value) for (n, rep), d in zip(keys, dists)]
     medians = {str(n): float(np.median([d for m, _, d in rows if m == n]))
                for n in n_values}
     with open(out / "distances.csv", "w", newline="") as fh:
@@ -441,17 +442,9 @@ def pool_size(workers: int | None = None) -> int:
     """The most threads the chaos kind starts: ``workers`` (default 2), at
     most the CPUs this process may use.  Each thread that has run HiGHS
     keeps its own working set, so the default stays at the two measured."""
-    if workers is not None and (isinstance(workers, bool)
-                                or not isinstance(workers, int) or workers < 1):
+    if workers is not None and not _is_count(workers):
         raise InputError(f"workers must be an integer >= 1, got {workers!r}")
     return min(2 if workers is None else workers, _cpus())
-
-
-def _computed(fn, *args) -> Future:
-    """The done future of ``fn(*args)``, computed on the calling thread."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
 
 
 def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:

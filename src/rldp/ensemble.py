@@ -48,7 +48,8 @@ import numpy as np
 
 from .controls import ControlPolicy
 from .errors import BudgetError, InputError
-from .integrator import (BoundaryEvents, TimeGrid, _advance, _is_count,
+from .geometry import _is_count
+from .integrator import (BoundaryEvents, TimeGrid, _advance,
                          brownian_increments)
 from .model import MeasureSummary, ModelSpec
 from . import rng as rngmod

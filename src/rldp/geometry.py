@@ -11,6 +11,8 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,17 @@ def _bounded(values, what: str) -> np.ndarray:
                          f"{_MAGNITUDE_MAX:g} in magnitude")
     values.flags.writeable = False
     return values
+
+
+def _is_count(v) -> bool:
+    """Whether ``v`` is an integer >= 1 (a bool is not)."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= 1
+
+
+def _is_positive(v) -> bool:
+    """Whether ``v`` is a real number in (0, inf) (a bool is not)."""
+    return (not isinstance(v, bool) and isinstance(v, numbers.Real)
+            and 0 < v < math.inf)
 
 
 def _json_reals(v) -> bool:

@@ -31,26 +31,15 @@ block it bounds itself, and a single path is the case P = 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .geometry import ConvexDomain, EXTERIOR, _row_norm
+from .geometry import (ConvexDomain, EXTERIOR, _is_count, _is_positive,
+                       _row_norm)
 from .model import MeasureSummary, ModelSpec, coefficients_batch
-
-
-def _is_count(v) -> bool:
-    """Whether ``v`` is an integer >= 1 (a bool is not)."""
-    return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= 1
-
-
-def _is_positive(v) -> bool:
-    """Whether ``v`` is a finite real number > 0 (a bool is not)."""
-    return (not isinstance(v, bool) and isinstance(v, numbers.Real)
-            and math.isfinite(v) and v > 0)
 
 
 @dataclass(frozen=True)

@@ -306,8 +306,8 @@ class RateEstimate:
     achieved_distances: tuple
     cost_values: tuple
     feasible: bool
-    upper_bound: float        # +inf when no penalty weight reaches the radius
-    selected_lambda: float | None
+    upper_bound: float        # least cost of a weight within the radius, or +inf
+    selected_lambda: float | None  # that weight (the smallest on a tie)
 
 
 def achieved_distance(model: ModelSpec, policy: ControlPolicy, target,
@@ -328,10 +328,11 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
     """Upper estimate of the rate of steering into a target neighborhood.
 
     For each penalty weight lambda the control family is optimized against
-    F_lambda = lambda * distance(flow, target); the reported bound is the
-    control cost at the largest lambda whose achieved distance is within
-    the radius.  No feasible lambda means the target is unreachable for
-    this family and budget (the inf-over-empty-set = infinity branch).
+    F_lambda = lambda * distance(flow, target); each control whose achieved
+    distance is within the radius bounds the rate from above by its cost,
+    and the least such cost is reported.  No feasible lambda means the
+    target is unreachable for this family and budget (the inf-over-empty-set
+    = infinity branch).
     All optimizations and achieved distances share one draw of each
     replica's initial states and noise.
     """
@@ -339,7 +340,7 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise InputError("lambda schedule must be increasing")
     dists, costs = [], []
-    selected = (None, math.inf)  # the largest feasible lambda and its cost
+    selected = (None, math.inf)  # the cheapest feasible lambda, its cost
     for lam in lambdas:
         f_lam = distance_to_target_functional(target, scale=lam,
                                               mode=distance_mode)
@@ -350,7 +351,7 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
                                  n_replicas, seed, distance_mode, budget=sim_budget)
         dists.append(dist)
         costs.append(res.cost_part)
-        if dist <= radius:
+        if dist <= radius and res.cost_part < selected[1]:
             selected = (lam, res.cost_part)
     return RateEstimate(
         radius=radius, lambdas=tuple(lambdas),

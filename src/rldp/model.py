@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, ModelError
-from .geometry import ConvexDomain, _bounded, _row_sumsq
+from .geometry import (ConvexDomain, _bounded, _is_count, _is_positive,
+                       _row_sumsq)
 
 
 @lru_cache(maxsize=8)
@@ -132,9 +133,9 @@ class ModelSpec:
     init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d), read-only
 
     def __post_init__(self):
-        if self.horizon <= 0:
+        if not _is_positive(self.horizon):
             raise InputError("horizon must be positive")
-        if self.d1 < 1:
+        if not _is_count(self.d1):
             raise InputError("noise dimension must be >= 1")
         if self.init_points is not None:
             pts = np.array(self.init_points, dtype=float)
@@ -216,7 +217,7 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
             raise InputError(f"{name} {key} must be a real number, got {v!r}")
         _bounded(vals, f"{name} {key}")
     d1 = domain.dimension if d1 is None else d1
-    if isinstance(d1, bool) or not isinstance(d1, numbers.Integral) or d1 < 1:
+    if not _is_count(d1):
         raise InputError(f"{name} d1 must be an integer >= 1, got {d1!r}")
     drift, diffusion = build(d1)
     return ModelSpec(

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -14,7 +15,7 @@ import pytest
 import rldp.cli as cli_mod
 import rldp.measures as measures_mod
 from rldp.cli import canonical_json, load_config, main, pool_size, run_scenario
-from rldp.errors import BudgetError, InputError
+from rldp.errors import InputError
 
 BASE_MODEL = {"model": "m1",
               "domain": {"kind": "box", "lo": [0.0], "hi": [1.0]},
@@ -321,8 +322,9 @@ CHAOS_1D = {"schema_version": 1, "seed": 5, "model": BASE_MODEL,
 
 class TestChaosPool:
     """The chaos kind's 1D distances on a pool of ``pool_size(workers)``
-    threads: the bytes of the one-worker run, at most that many threads and
-    distances in flight, and no thread left when ``run_scenario`` returns."""
+    threads, once every replica is simulated: the bytes of the one-worker
+    run, at most that many threads, and no thread left when
+    ``run_scenario`` returns or raises."""
 
     @pytest.fixture(autouse=True)
     def four_cpus_switching_often(self, monkeypatch):
@@ -359,44 +361,57 @@ class TestChaosPool:
             assert (out / name).read_bytes() == (one / name).read_bytes(), name
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_budget_error_while_distances_solve(self, tmp_path, monkeypatch,
-                                                workers):
-        # the first 512-particle replica exceeds the budget (16 steps x 512
-        # > 4096) while the slowed distances of the 32-particle ones solve
-        futures, most, at_error = [], [0], []
-        real_lp, real_sim = measures_mod._bl_exact_1d, cli_mod.simulate_particle_system
-
-        def pending():  # distances submitted and not yet done
-            return sum(not f.done() for f in futures)
+    def test_budget_error_before_any_distance(self, tmp_path, monkeypatch,
+                                              workers):
+        # every replica is simulated before any distance is computed, so the
+        # first 512-particle replica exceeds the budget (16 steps x 512 >
+        # 4096) before a distance is submitted or a thread starts
+        submitted = []
 
         class Counting(ThreadPoolExecutor):
             def submit(self, *args):
-                futures.append(super().submit(*args))
-                most[0] = max(most[0], pending())
-                return futures[-1]
+                submitted.append(args)
+                return super().submit(*args)
 
-        def slow_lp(mu, nu):
-            time.sleep(0.1)
-            return real_lp(mu, nu)
-
-        def simulate(*args, **kwargs):
-            try:
-                return real_sim(*args, **kwargs)
-            except BudgetError:
-                at_error.append(pending())
-                raise
+        def refuse(mu, nu):
+            raise AssertionError("a distance was computed")
 
         monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", Counting)
-        monkeypatch.setattr(measures_mod, "_bl_exact_1d", slow_lp)
-        monkeypatch.setattr(cli_mod, "simulate_particle_system", simulate)
+        monkeypatch.setattr(measures_mod, "_bl_exact_1d", refuse)
         cfg = {**CHAOS_1D, "budget": 4096,
                "run": {"n_values": [8, 32, 512], "n_replicas": 3, "n_ref": 128}}
         code, out, started = self._run(tmp_path, monkeypatch, workers, cfg)
         assert code == 3
         assert json.loads((out / "result.json").read_text())["error"] == \
             "budget_exceeded"
-        assert at_error[0] >= 1 and pending() == 0  # in flight, then done
-        assert most[0] <= workers and 1 <= len(started) <= workers
+        assert submitted == [] and started == []
+
+    def test_distance_error_with_threads_in_flight(self, tmp_path,
+                                                   monkeypatch):
+        # the third of six slowed linear programs fails while the other
+        # thread solves: the error leaves run_scenario, and the pool's
+        # threads have finished when it does
+        calls, real_lp = itertools.count(), measures_mod._bl_exact_1d
+        started, real_start = [], threading.Thread.start
+
+        def failing_lp(mu, nu):
+            if next(calls) == 2:
+                raise RuntimeError("third linear program")
+            time.sleep(0.05)
+            return real_lp(mu, nu)
+
+        def start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(measures_mod, "_bl_exact_1d", failing_lp)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        cfg = load_config(_write(tmp_path, "chaos.json", CHAOS_1D), "chaos")
+        with pytest.raises(RuntimeError, match="third linear program"):
+            run_scenario(cfg, str(tmp_path / "o"), 2)
+        assert 1 <= len(started) <= 2
+        assert not any(t.is_alive() for t in started)
+        assert not (tmp_path / "o" / "result.json").exists()
 
     def test_pool_size(self, monkeypatch):
         monkeypatch.setattr(cli_mod, "_cpus", lambda: 2)

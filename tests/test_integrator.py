@@ -225,6 +225,51 @@ class TestReflectionProperties:
         assert np.all(np.diff(path.local_time) >= 0.0)
 
 
+class TestReflectedWallOracle:
+    """m1 started at the wall of [0, 40], sigma = 0.5, T = 1; no path comes
+    near 40.  Reflected Brownian motion at one wall has the law of |sigma W|
+    (Levy), so E X_T = sigma sqrt(2T / pi).  Projected Euler is then the
+    Lindley recursion X_{k+1} = max(0, X_k + sigma dW_k), whose X_n has the
+    law of the walk's running maximum, so by Spitzer's identity
+    E X_n = sum_{k <= n} E[S_k^+] / k = sigma sqrt(dt / (2 pi))
+    sum_{k <= n} k^(-1/2) exactly.  The scheme's bias against Levy's value,
+    over sigma sqrt(dt), tends to zeta(1/2) / sqrt(2 pi) ~ -0.5826
+    (Asmussen, Glynn & Pitman, Ann. Appl. Probab. 5(4), 1995): weak order
+    1/2, and its constant.  Tolerances are four standard errors of the
+    sample mean over 65,536 paths, so the checks pin meaning, not bytes."""
+
+    SIGMA = 0.5
+    AGP = -1.4603545088095868 / np.sqrt(2 * np.pi)  # zeta(1/2) / sqrt(2 pi)
+
+    @pytest.fixture(scope="class", params=[16, 64])
+    def wall(self, request):
+        """(n, sigma sqrt(dt), mean and standard error of X_T)."""
+        n = request.param
+        m = make_m1(ConvexDomain.box([0.0], [40.0]), sigma_scale=self.SIGMA,
+                    init=[[0.0]])
+        grid = TimeGrid(1.0, n)
+        # m1's particles are independent: 16 replicas of 4096 paths
+        x = np.concatenate([simulate_particle_system(
+            m, 4096, grid, seed=1, replica=r).states[-1, :, 0]
+            for r in range(16)])
+        return (n, self.SIGMA * np.sqrt(grid.dt), x.mean(),
+                x.std(ddof=1) / np.sqrt(x.size))
+
+    def test_mean_is_spitzers(self, wall):
+        n, h, mean, se = wall
+        exact = h / np.sqrt(2 * np.pi) * sum(k ** -0.5 for k in range(1, n + 1))
+        assert abs(mean - exact) <= 4 * se
+
+    def test_bias_below_levy_at_the_agp_constant(self, wall):
+        # sum_{k <= n} k^(-1/2) = 2 sqrt(n) + zeta(1/2) + 1/(2 sqrt(n)) +
+        # O(n^(-3/2)), so at n steps the scaled bias sits above the limit by
+        # about 1 / (2 sqrt(2 pi n)): the tolerance allows for that term
+        n, h, mean, se = wall
+        bias = (mean - self.SIGMA * np.sqrt(2 / np.pi)) / h
+        assert bias + 4 * se / h < 0
+        assert abs(bias - self.AGP) <= 4 * se / h + 1 / (2 * np.sqrt(2 * np.pi * n))
+
+
 class TestBrownianCoupling:
     @pytest.mark.parametrize("factor", [1, 2, 3, 4, 6, 12, np.int64(3)])
     def test_coarsen_is_block_sums(self, factor):

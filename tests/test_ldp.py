@@ -357,6 +357,23 @@ class TestRate:
         assert not est.feasible
         assert est.upper_bound == math.inf
 
+    def test_bound_is_the_least_feasible_cost(self, monkeypatch):
+        # two weights reach the radius and the larger one costs more: any
+        # feasible control's cost bounds the rate, so the least one is the
+        # bound; the cheapest weight misses the radius and does not count
+        costs, dists = iter([0.1, 0.3, 0.7]), iter([0.5, 0.05, 0.02])
+        monkeypatch.setattr(ldp_mod, "optimize_controls",
+                            lambda *a, **k: ldp_mod.OptimizationResult(
+                                policy=ZeroPolicy(1), cost_part=next(costs),
+                                n_evaluations=1))
+        monkeypatch.setattr(ldp_mod, "achieved_distance",
+                            lambda *a, **k: next(dists))
+        est = estimate_rate(make_m1(BOX1), MeasureSummary.dirac([0.5]),
+                            [0.5, 1.0, 4.0], constant_family(1), 4,
+                            TimeGrid(0.25, 4), 2, 10, seed=0, radius=0.1)
+        assert est.feasible and est.cost_values == (0.1, 0.3, 0.7)
+        assert (est.upper_bound, est.selected_lambda) == (0.3, 1.0)
+
     @pytest.mark.parametrize("mode", ["bogus", "integrated"])
     def test_bad_mode_for_point_target_rejected_before_simulating(
             self, monkeypatch, mode):

@@ -193,6 +193,20 @@ class TestModelZoo:
             with pytest.raises(ValueError):
                 pts[0, 0] = 7.0
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("horizon", float("nan"), "horizon"), ("horizon", float("inf"), "horizon"),
+        ("horizon", True, "horizon"), ("horizon", 0.0, "horizon"),
+        ("d1", 1.5, "noise dimension"), ("d1", True, "noise dimension"),
+        ("d1", 0, "noise dimension")])
+    def test_direct_spec_checks_horizon_and_d1(self, key, value, message):
+        # a NaN horizon used to fail only at the first step ("time 0.0
+        # outside [0, nan]"), and d1 = 1.5 with numpy's TypeError
+        m = make_m1(BOX1)
+        spec = dict(name="m", domain=BOX1, d1=1, horizon=1.0, drift=m.drift,
+                    diffusion=m.diffusion)
+        with pytest.raises(InputError, match=message):
+            ModelSpec(**{**spec, key: value})
+
     @pytest.mark.parametrize("b_const", [[1.0, 2.0], [], [[1.0]]],
                              ids=["two", "empty", "nested"])
     def test_drifted_b_const_length_checked(self, b_const):

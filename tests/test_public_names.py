@@ -98,6 +98,30 @@ def test_every_public_method_has_a_reader():
     assert [m for m in methods if m[2] not in read] == []
 
 
+def _unread_imports(path):
+    """The names a module binds by an import and never loads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - loaded)
+
+
+def test_every_import_is_read():
+    # ``__init__`` imports in order to export; every other module imports
+    # only what it reads
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    unread = [(p.name, name) for p in modules for name in _unread_imports(p)]
+    assert unread == []
+
+
 def _summary_builders(path):
     """(module, enclosing function) of each direct ``MeasureSummary(...)``
     call in a module; the function is None at module level."""
