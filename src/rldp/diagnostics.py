@@ -16,11 +16,14 @@ broadcasts over the points as it does sigma.
 
 Statistical testing uses nonnegative weights measurable at the earlier
 time, a one-sided lower confidence bound, and a discretization-bias
-allowance proportional to the step size.
+allowance proportional to the step size.  The test reads M_f only at the
+nodes of its time pairs, and ``mf_process`` keeps only the nodes it is
+asked for, while its integral runs over every node before them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,29 +180,43 @@ def _generator_batch(model: ModelSpec, f: TestFunction, t: float,
 
 # -- the compensated process -----------------------------------------------------------
 
-def mf_process(f: TestFunction, ens: Ensemble,
-               model: ModelSpec) -> np.ndarray:
-    """Discrete M_f series of one replica's ensemble, (n+1, N), with
-    left-endpoint Riemann sums; M_f(0) = 0.
+def mf_process(f: TestFunction, ens: Ensemble, model: ModelSpec,
+               nodes=None) -> np.ndarray:
+    """Discrete M_f of one replica's ensemble at the grid-node indices
+    ``nodes``, in the order given, shape (len(nodes), N); every node
+    0..n by default.  Left-endpoint Riemann sums; M_f(0) = 0.
 
     The states, controls and grid are the ensemble's and the node measures
     ``marginal_flow(ens)``; the driving noise w(t_k) is streamed from
     ``cumulative_noise(ens.noises)`` one node at a time, so no (n+1, N, d1)
     noise path is stored.  The integrand is ``_generator_batch`` at each
-    node, which forms the particle-invariant generator terms once per node,
-    not once per path, and skips the sigma h term when every control is zero.
+    node up to the last one asked for, which forms the particle-invariant
+    generator terms once per node, not once per path, and skips the sigma h
+    term when every control is zero.  f(t_k, X_k, w_k) and the row of M_f
+    are formed only at the nodes asked for, each bitwise that node's row of
+    the full series.  A node that is not an integer in [0, n] raises
+    InputError.
     """
     _check_single(ens, "mf_process")
+    n = ens.grid.n_steps
+    asked = range(n + 1) if nodes is None else list(nodes)
+    at = {}  # node -> the rows of the result that hold it
+    for i, k in enumerate(asked):
+        if (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+                or not 0 <= k <= n):
+            raise InputError(f"M_f nodes must be integers in [0, {n}], "
+                             f"got {k!r}")
+        at.setdefault(k, []).append(i)
+    m = np.zeros((len(asked), ens.n_particles))
     states, controls, nu_flow = ens.states, ens.controls, marginal_flow(ens)
-    dt, nodes = ens.grid.dt, ens.grid.nodes
+    dt, times = ens.grid.dt, ens.grid.nodes
     controlled = bool(np.any(controls))
-    m = np.zeros((ens.grid.n_steps + 1, ens.n_particles))
     rows = cumulative_noise(ens.noises)
     w = next(rows)
-    f0 = np.asarray(f.f(nodes[0], states[0], w), dtype=float)
+    f0 = np.asarray(f.f(times[0], states[0], w), dtype=float)
     integral = None  # running left-endpoint sum, in cumsum's order
-    for k, w_next in enumerate(rows):
-        t = nodes[k]
+    for k, w_next in zip(range(max(at, default=0)), rows):
+        t = times[k]
         g = np.asarray(f.f_t(t, states[k], w)
                        + _generator_batch(model, f, t, states[k],
                                           controls[k] if controlled else None,
@@ -207,8 +224,9 @@ def mf_process(f: TestFunction, ens: Ensemble,
                        dtype=float)
         integral = g if integral is None else integral + g
         w = w_next
-        f1 = np.asarray(f.f(nodes[k + 1], states[k + 1], w), dtype=float)
-        m[k + 1] = (f1 - f0) - integral * dt
+        if k + 1 in at:
+            f1 = np.asarray(f.f(times[k + 1], states[k + 1], w), dtype=float)
+            m[at[k + 1]] = (f1 - f0) - integral * dt
     return m
 
 
@@ -266,9 +284,11 @@ def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
     the allowance.  The boundary condition on f is a hypothesis of the
     characterization; violating functions are rejected unless
     skip_boundary_check is set (the hook used by designed negative
-    controls).  A batch, a confidence outside (0, 1) or fewer than two paths
-    raise InputError: the one-sided bound needs a finite normal quantile and
-    a sample standard deviation.  Every path of ``ens`` is used.
+    controls).  A batch, a confidence outside (0, 1), fewer than two paths
+    or no time pair raise InputError: the one-sided bound needs a finite
+    normal quantile and a sample standard deviation, and a verdict needs an
+    entry.  Every path of ``ens`` is used.  M_f is formed only at the
+    distinct nodes of the pairs, so no (n+1, N) series is held.
     """
     _check_single(ens, "submartingale_test")
     if not 0.0 < confidence < 1.0:
@@ -289,11 +309,14 @@ def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
         if not k0 < k1:
             raise InputError("time pairs must satisfy t0 < t1")
         pairs.append((t0, t1, k0, k1))
+    if not pairs:
+        raise InputError("the submartingale test needs at least one time pair")
 
-    m = mf_process(f, ens, model)
+    nodes = sorted({k for _, _, k0, k1 in pairs for k in (k0, k1)})
+    m = dict(zip(nodes, mf_process(f, ens, model, nodes)))
     # the psi weights read w(t0): a second walk of the noise, up to the last t0
     t0_nodes = {k0 for _, _, k0, _ in pairs}
-    w_t0 = {k: w for k, w in zip(range(max(t0_nodes, default=-1) + 1),
+    w_t0 = {k: w for k, w in zip(range(max(t0_nodes) + 1),
                                  cumulative_noise(ens.noises))
             if k in t0_nodes}
 
@@ -332,9 +355,9 @@ def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
             raise InputError("base grid must allow 4x/2x coarsening")
         grid = TimeGrid(base_grid.horizon, base_grid.n_steps // factor)
         ens = simulate_particle_system(model, n_paths, grid, seed=seed)
-        m = mf_process(f, ens, model)
+        m_T = mf_process(f, ens, model, [grid.n_steps])[0]
         slopes_x.append(grid.dt)
-        slopes_y.append(abs(float(np.mean(m[-1]))))
+        slopes_y.append(abs(float(np.mean(m_T))))
     x = np.asarray(slopes_x)
     y = np.asarray(slopes_y)
     return float((x @ y) / (x @ x))  # x > 0 and y >= 0: never negative

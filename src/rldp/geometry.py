@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,14 @@ def _bounded(values, what: str) -> np.ndarray:
     """``values`` as a read-only float copy, unless an entry is NaN or more
     than ``_MAGNITUDE_MAX`` in magnitude.  The copy keeps a caller's later
     edit of its own array from bypassing the checks made on it."""
-    values = np.array(values, dtype=float)
+    message = (f"{what} must be finite and at most {_MAGNITUDE_MAX:g} in "
+               f"magnitude")
+    try:
+        values = np.array(values, dtype=float)
+    except OverflowError:  # an integer past the float range
+        raise InputError(message) from None
     if not np.all(np.abs(values) <= _MAGNITUDE_MAX):  # NaN too
-        raise InputError(f"{what} must be finite and at most "
-                         f"{_MAGNITUDE_MAX:g} in magnitude")
+        raise InputError(message)
     values.flags.writeable = False
     return values
 
@@ -66,6 +71,13 @@ def _is_positive(v) -> bool:
     """Whether ``v`` is a real number in (0, inf) (a bool is not)."""
     return (not isinstance(v, bool) and isinstance(v, numbers.Real)
             and 0 < v < math.inf)
+
+
+def _is_positive_float(v) -> bool:
+    """Whether ``v`` is a real number in (0, inf) that a float can hold: an
+    integer past the largest float is not, as float arithmetic overflows on
+    it."""
+    return _is_positive(v) and v <= sys.float_info.max
 
 
 def _json_reals(v) -> bool:

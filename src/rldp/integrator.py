@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .geometry import (ConvexDomain, EXTERIOR, _is_count, _is_positive,
-                       _row_norm)
+                       _is_positive_float, _row_norm)
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 
 
@@ -51,7 +51,7 @@ class TimeGrid:
 
     def __post_init__(self):
         h, n = self.horizon, self.n_steps
-        if not _is_positive(h):
+        if not _is_positive_float(h):
             raise InputError(f"horizon must be a finite number > 0, got {h!r}")
         if not _is_count(n):
             raise InputError(f"n_steps must be an integer >= 1, got {n!r}")

@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, ModelError
-from .geometry import (ConvexDomain, _bounded, _is_count, _is_positive,
-                       _row_sumsq)
+from .geometry import (ConvexDomain, _bounded, _is_count,
+                       _is_positive_float, _row_sumsq)
 
 
 @lru_cache(maxsize=8)
@@ -133,8 +133,9 @@ class ModelSpec:
     init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d), read-only
 
     def __post_init__(self):
-        if not _is_positive(self.horizon):
-            raise InputError("horizon must be positive")
+        if not _is_positive_float(self.horizon):
+            raise InputError(f"horizon must be a finite number > 0, "
+                             f"got {self.horizon!r}")
         if not _is_count(self.d1):
             raise InputError("noise dimension must be >= 1")
         if self.init_points is not None:

@@ -207,6 +207,21 @@ class TestModelZoo:
         with pytest.raises(InputError, match=message):
             ModelSpec(**{**spec, key: value})
 
+    @pytest.mark.parametrize("where", ["grid", "zoo", "direct"])
+    def test_integer_horizon_past_the_float_range(self, where):
+        # each raised OverflowError, or was accepted ("direct") and then
+        # overflowed at the first step
+        m = make_m1(BOX1)
+        build = {
+            "grid": lambda h: TimeGrid(h, 4),
+            "zoo": lambda h: make_m1(BOX1, horizon=h),
+            "direct": lambda h: ModelSpec(name="m", domain=BOX1, d1=1,
+                                          horizon=h, drift=m.drift,
+                                          diffusion=m.diffusion)}[where]
+        with pytest.raises(InputError, match="horizon"):
+            build(10**400)
+        assert build(2**100).horizon == 2**100  # an integer a float holds
+
     @pytest.mark.parametrize("b_const", [[1.0, 2.0], [], [[1.0]]],
                              ids=["two", "empty", "nested"])
     def test_drifted_b_const_length_checked(self, b_const):
