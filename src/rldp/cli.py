@@ -483,14 +483,13 @@ def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:
     (out / "result.json").write_text(canonical_json(result))
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "resolved_config": _to_jsonable(cfg),
+        "resolved_config": cfg,
         "seed": cfg["seed"],
         "config_hash": config_hash(cfg),
         "outputs": sorted({"result.json", "manifest.json", *extra_files}),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    (out / "manifest.json").write_text(canonical_json(manifest))
     return code
 
 

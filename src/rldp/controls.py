@@ -122,8 +122,12 @@ class FeedbackPolicy(ControlPolicy):
         if not 0 < self.bound <= _MAGNITUDE_MAX:  # NaN too
             raise InputError(f"feedback bound must be in (0, {_MAGNITUDE_MAX:g}], "
                              f"got {bound!r}")
-        self.weights = _bounded(weights, "feedback weights").reshape(
-            self.n_features(d), d1)
+        weights = _bounded(weights, "feedback weights")
+        k = self.n_features(d)
+        if weights.size != k * d1:
+            raise InputError(f"feedback weights: need n_features({d}) * {d1} "
+                             f"= {k * d1}, got {weights.size}")
+        self.weights = weights.reshape(k, d1)
 
     @staticmethod
     def n_features(d: int) -> int:

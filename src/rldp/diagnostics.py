@@ -348,16 +348,12 @@ def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
     Regression through the origin on grids coarsened from the base grid;
     calibrated once per model against a reference compliant function.
     """
-    slopes_x = []
-    slopes_y = []
-    for factor in (4, 2, 1):
-        if base_grid.n_steps % factor != 0:
-            raise InputError("base grid must allow 4x/2x coarsening")
+    if base_grid.n_steps % 4 != 0:  # then 2 and 1 divide it too
+        raise InputError("base grid must allow 4x/2x coarsening")
+    x, y = np.empty(3), np.empty(3)
+    for j, factor in enumerate((4, 2, 1)):
         grid = TimeGrid(base_grid.horizon, base_grid.n_steps // factor)
         ens = simulate_particle_system(model, n_paths, grid, seed=seed)
         m_T = mf_process(f, ens, model, [grid.n_steps])[0]
-        slopes_x.append(grid.dt)
-        slopes_y.append(abs(float(np.mean(m_T))))
-    x = np.asarray(slopes_x)
-    y = np.asarray(slopes_y)
+        x[j], y[j] = grid.dt, abs(float(np.mean(m_T)))
     return float((x @ y) / (x @ x))  # x > 0 and y >= 0: never negative

@@ -38,7 +38,6 @@ numbers avoid redrawing them on every evaluation.
 
 from __future__ import annotations
 
-import csv
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -242,18 +241,18 @@ def solve_mckean_vlasov_reference(model: ModelSpec, grid: TimeGrid,
 # -- export ---------------------------------------------------------------------------
 
 def write_paths_csv(ens: Ensemble, path: str):
-    """RFC-4180 CSV: one row per particle per node, for one replica."""
+    """RFC-4180 CSV: one row per particle per node, for one replica, written
+    as ``distances.csv`` is: fields joined by commas, floats by ``repr``,
+    rows ended by CRLF, nothing quoted; a node at a time."""
     _check_single(ens, "write_paths_csv")
     d = ens.states.shape[-1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replica", "particle", "k", "t"]
-                        + [f"x{c}" for c in range(d)] + ["abs_K"])
-        for k in range(ens.grid.n_steps + 1):
-            t = ens.grid.nodes[k]
-            for i in range(ens.n_particles):
-                writer.writerow(
-                    [ens.replica, i, k, repr(float(t))]
-                    + [repr(float(v)) for v in ens.states[k, i]]
-                    + [repr(float(ens.local_time[k, i]))])
+        fh.write(",".join(["replica", "particle", "k", "t"]
+                          + [f"x{c}" for c in range(d)] + ["abs_K"]) + "\r\n")
+        for k, t in enumerate(ens.grid.nodes.tolist()):
+            lead = f",{k},{t!r},"
+            fh.write("".join(
+                f"{ens.replica},{i}{lead}{','.join(map(repr, x))},{ell!r}\r\n"
+                for i, (x, ell) in enumerate(zip(ens.states[k].tolist(),
+                                                 ens.local_time[k].tolist()))))
 

@@ -30,9 +30,9 @@ BOUNDARY_TOL = 1e-12  # how far from the boundary a point still counts as on it
 # numbers stays finite.
 _MAGNITUDE_MAX = 1e50
 
-# Two-sided Skorokhod fixed-point iteration controls.
+# Two-sided Skorokhod fixed-point iteration: converged once no correction
+# moves by this much.
 _SK_TOL = 1e-14
-_SK_MAX_ITER = 100
 
 
 def _as_point(x, d: int) -> np.ndarray:
@@ -147,22 +147,20 @@ class ConvexDomain:
     # -- membership ---------------------------------------------------------
 
     def contains(self, x) -> str:
-        """Classify a single point as interior / boundary / exterior."""
+        """Classify a single point as interior / boundary / exterior: exterior
+        where ``contains_all`` fails, boundary within ``BOUNDARY_TOL`` of a
+        face or the sphere."""
         x = _as_point(x, self.dimension)
         if x.ndim != 1:
             raise InputError("contains expects a single point")
+        if not self.contains_all(x):
+            return EXTERIOR
         eps = BOUNDARY_TOL
         if self.kind == "box":
-            if np.any(x < self.lo - eps) or np.any(x > self.hi + eps):
-                return EXTERIOR
-            on_face = np.any(x <= self.lo + eps) or np.any(x >= self.hi - eps)
-            return BOUNDARY if on_face else INTERIOR
-        r = float(np.linalg.norm(x - self.center))
-        if r > self.radius + eps:
-            return EXTERIOR
-        if r >= self.radius - eps:
-            return BOUNDARY
-        return INTERIOR
+            on = np.any(x <= self.lo + eps) or np.any(x >= self.hi - eps)
+        else:
+            on = _row_norm(x - self.center) >= self.radius - eps
+        return BOUNDARY if on else INTERIOR
 
     def contains_all(self, x) -> np.ndarray:
         """Boolean membership in the closure, batched over leading axes."""
@@ -265,9 +263,11 @@ def skorokhod_1d(w, lo: float, hi: float):
 
     Fixed-point iteration of the one-sided maps
     x(t) = w(t) + max(0, sup_{s<=t}(lo - w(s))) (and its mirror at hi)
-    until the correction stabilizes.  Returns (x, ell) where ell is the
-    cumulative local time (total boundary push), nondecreasing with
-    ell[0] = 0.
+    until the correction stabilizes.  Each sweep settles the push at one
+    more change of wall, so ``len(w)`` sweeps suffice; a correction that
+    still moves after them raises ``RuntimeError``.  Returns (x, ell) where
+    ell is the cumulative local time (total boundary push), nondecreasing
+    with ell[0] = 0.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
@@ -283,13 +283,16 @@ def skorokhod_1d(w, lo: float, hi: float):
 
     lower = np.zeros_like(w)
     upper = np.zeros_like(w)
-    for _ in range(_SK_MAX_ITER):
+    for _ in range(len(w)):
         new_lower = np.maximum.accumulate(np.maximum(lo - w + upper, 0.0))
         new_upper = np.maximum.accumulate(np.maximum(w + new_lower - hi, 0.0))
         change = max(np.max(np.abs(new_lower - lower)), np.max(np.abs(new_upper - upper)))
         lower, upper = new_lower, new_upper
         if change < _SK_TOL:
             break
+    else:
+        raise RuntimeError(f"Skorokhod iteration did not converge in "
+                           f"{len(w)} sweeps")
     x = np.clip(w + lower - upper, lo, hi)  # clamp residual fp error at nodes
     ell = lower + upper
     return x, ell

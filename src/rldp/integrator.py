@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .geometry import (ConvexDomain, EXTERIOR, _is_count, _is_positive,
+from .geometry import (ConvexDomain, _is_count, _is_positive,
                        _is_positive_float, _row_norm)
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 
@@ -240,7 +240,9 @@ def simulate_reflected_path(model: ModelSpec, grid: TimeGrid,
     if len(mu_flow) != n + 1:
         raise InputError("mu_flow must supply one summary per grid node")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if model.domain.contains(x) == EXTERIOR:
+    if x.ndim != 1:
+        raise InputError("x0 must be a single point")
+    if not model.domain.contains_all(x):
         raise PreconditionError("initial state outside the closed domain")
     states, events, *_ = _advance(
         model, grid, x[None, :], noise[:, None, :], None, mu_flow)

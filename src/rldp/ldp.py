@@ -313,10 +313,11 @@ class RateEstimate:
 def achieved_distance(model: ModelSpec, policy: ControlPolicy, target,
                       n_particles: int, grid: TimeGrid, n_replicas: int,
                       seed: int, mode: str, budget=None) -> float:
-    vals = [flow_distance(flow, target, mode)
-            for _, flow in _replica_flows(model, n_particles, grid, n_replicas,
-                                          seed, policy=policy, budget=budget)]
-    return float(np.mean(vals))
+    """The mean distance to ``target`` of the replicas under ``policy``:
+    the f part of the variational objective of that distance."""
+    return variational_objective(
+        model, distance_to_target_functional(target, mode=mode), policy,
+        n_particles, grid, n_replicas, seed=seed, budget=budget).f_part
 
 
 @shared_replica_draws()

@@ -67,13 +67,10 @@ def _bl_exact_1d(mu: MeasureSummary, nu: MeasureSummary) -> float:
         return 0.0
     gaps = np.diff(atoms)
     # rows: f_{i+1} - f_i <= g_i and f_i - f_{i+1} <= g_i
-    rows = np.repeat(np.arange(2 * (m - 1)), 2)
-    cols = np.tile(np.stack([np.arange(m - 1), np.arange(1, m)], axis=1).ravel(), 2)
-    base = np.tile([-1.0, 1.0], m - 1)
-    data = np.concatenate([base, -base])
-    a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * (m - 1), m))
-    b_ub = np.concatenate([gaps, gaps])
-    res = linprog(-delta, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs")
+    step = sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m), format="csr")
+    res = linprog(-delta, A_ub=sparse.vstack([step, -step], format="csr"),
+                  b_ub=np.concatenate([gaps, gaps]), bounds=(-1.0, 1.0),
+                  method="highs")
     if not res.success:
         raise RuntimeError(f"BL dual LP failed: {res.message}")
     return float(min(2.0, max(0.0, -res.fun)))
@@ -174,6 +171,8 @@ def _bl_dictionary(mu: MeasureSummary, nu: MeasureSummary, size: int,
 def bl_distance(mu: MeasureSummary, nu: MeasureSummary) -> BLEstimate:
     """Bounded-Lipschitz distance: exact against any Dirac, in any dimension,
     and exact in d = 1; otherwise a dictionary lower bound in d >= 2."""
+    if mu.points.ndim != 2 or nu.points.ndim != 2:
+        raise InputError("bl_distance takes two single measures, not a batch")
     if mu.dimension != nu.dimension:
         raise InputError("measures live on different-dimensional domains")
     # canonical argument order so the metric is bitwise symmetric (the

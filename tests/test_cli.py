@@ -48,6 +48,8 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == result["config_hash"]
         assert "paths.csv" in manifest["outputs"]
+        # the manifest is written by the one JSON writer
+        assert (out / "manifest.json").read_text() == canonical_json(manifest)
 
     def test_result_has_no_timestamps(self, tmp_path):
         cfg = {"schema_version": 1, "seed": 1, "model": BASE_MODEL,
@@ -658,6 +660,14 @@ class TestConfigErrorsExit2:
         cfg = self._cfg(model=model, run={"n_particles": 2})
         assert "b_const" in self._run(tmp_path, capsys, "simulate", cfg)
         assert not (tmp_path / "o" / "result.json").exists()
+
+    def test_feedback_theta_of_wrong_length(self, tmp_path, capsys):
+        # a 1D model with d1 = 1 has 10 features: the detail names that
+        # count, not numpy's reshape message
+        cfg = self._cfg(run={"n_particles": 2, "policy": {
+            "policy": "feedback", "theta": [0.1, 0.2, 0.3]}})
+        detail = self._run(tmp_path, capsys, "simulate", cfg)
+        assert "10" in detail and "reshape" not in detail
 
 
 class TestOtherKinds:

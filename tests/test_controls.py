@@ -55,6 +55,16 @@ class TestPolicies:
         out = p.evaluate(0.0, np.zeros((2, 1)), self._mu())
         assert np.all(np.abs(out) <= 3.0 + 1e-12)
 
+    @pytest.mark.parametrize("d, d1", [(1, 1), (2, 3)])
+    def test_feedback_weight_count(self, d, d1):
+        """Too few or too many weights name the n_features(d) * d1 needed."""
+        need = FeedbackPolicy.n_features(d) * d1
+        assert FeedbackPolicy(np.zeros(need), d, d1).weights.shape == (
+            need // d1, d1)
+        for size in (3, need - 1, need + 1):
+            with pytest.raises(InputError, match=f"= {need}, got {size}"):
+                FeedbackPolicy([0.1] * size, d, d1)
+
     def test_control_magnitudes_bounded(self):
         grid = TimeGrid(1.0, 2)
         assert FeedbackPolicy(np.zeros(10), 1, 1, bound=1e50).bound == 1e50

@@ -302,6 +302,28 @@ class TestOutputs:
         # round-trip float fidelity
         assert float(rows[1][4]) == ens.states[0, 0, 0]
 
+    @pytest.mark.parametrize("domain", [BALL2, BALL3])
+    def test_paths_csv_is_csv_writer_bytes(self, tmp_path, domain):
+        """The rows written by hand are ``csv.writer``'s bytes, on a ball
+        whose walls leave nonzero local times."""
+        ens = simulate_particle_system(make_m2(domain, theta=1.0), 9,
+                                       TimeGrid(1.0, 12), seed=3, replica=2)
+        assert np.any(ens.local_time[-1] > 0)
+        write_paths_csv(ens, str(tmp_path / "paths.csv"))
+        d = domain.dimension
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["replica", "particle", "k", "t"]
+                            + [f"x{c}" for c in range(d)] + ["abs_K"])
+            for k in range(ens.grid.n_steps + 1):
+                for i in range(ens.n_particles):
+                    writer.writerow(
+                        [ens.replica, i, k, repr(float(ens.grid.nodes[k]))]
+                        + [repr(float(v)) for v in ens.states[k, i]]
+                        + [repr(float(ens.local_time[k, i]))])
+        assert ((tmp_path / "paths.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
 
 # -- time-major noise: bitwise the particle-major layout ----------------------------
 

@@ -25,6 +25,29 @@ class TestContains:
         with pytest.raises(InputError):
             dom.contains([np.nan])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_box_inequalities_and_numpy_norm(self, d):
+        """``contains`` reads ``contains_all`` and ``_row_norm``; its verdict
+        is that of the box inequalities and ``np.linalg.norm`` it replaced."""
+        def reference(dom, x):
+            eps = BOUNDARY_TOL
+            if dom.kind == "box":
+                if np.any(x < dom.lo - eps) or np.any(x > dom.hi + eps):
+                    return EXTERIOR
+                on_face = np.any(x <= dom.lo + eps) or np.any(x >= dom.hi - eps)
+                return BOUNDARY if on_face else INTERIOR
+            r = float(np.linalg.norm(x - dom.center))
+            if r > dom.radius + eps:
+                return EXTERIOR
+            return BOUNDARY if r >= dom.radius - eps else INTERIOR
+
+        rng = np.random.default_rng(500 + d)
+        for dom in _domains(d):
+            xs = _edge_points(dom, rng)
+            verdicts = [dom.contains(x) for x in xs]
+            assert verdicts == [reference(dom, x) for x in xs]
+            assert set(verdicts) == {INTERIOR, BOUNDARY, EXTERIOR}
+
 
 class TestProject:
     def test_ball_radial(self):
@@ -157,6 +180,17 @@ class TestSkorokhod1D:
     def test_invalid_barriers(self):
         with pytest.raises(InputError):
             skorokhod_1d([0.5, 0.6], 1.0, 0.0)
+
+    @pytest.mark.parametrize("m", [120, 300])
+    def test_many_wall_changes_converge(self, m):
+        """2m crossings of [0, 1] take m + 1 sweeps, past a fixed cap of
+        100: the first crossing pushes by 5 and each later one by 10, so
+        the local time is 5 + 10 (2m - 1) = 20m - 5 exactly."""
+        w = np.concatenate([[0.5], np.tile([-5.0, 6.0], m)])
+        x, ell = skorokhod_1d(w, 0.0, 1.0)
+        x_ref, _ = _brute_force_two_barrier(w, 0.0, 1.0)
+        assert ell[-1] == 20 * m - 5
+        assert np.array_equal(x, x_ref)
 
 
 class TestConstruction:

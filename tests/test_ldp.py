@@ -14,8 +14,9 @@ from rldp.ensemble import (marginal_flow, shared_replica_draws,
 from rldp.errors import ConfigError, InputError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
-from rldp.ldp import (constant_functional, distance_to_target_functional,
-                      estimate_rate, flow_distance,
+from rldp.ldp import (achieved_distance, constant_functional,
+                      distance_to_target_functional, estimate_rate,
+                      flow_distance,
                       laplace_functional_mc, optimize_controls,
                       terminal_mean_functional, variational_objective)
 from rldp.model import MeasureSummary, ModelSpec, make_m1
@@ -335,6 +336,22 @@ class TestSharedDraws:
 
 
 class TestRate:
+    @pytest.mark.parametrize("mode", ["terminal", "integrated"])
+    def test_achieved_distance_is_the_replica_mean(self, mode):
+        """The achieved distance, taken as the variational objective's f
+        part, is bitwise the mean of its own loop over the replica flows."""
+        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        grid = TimeGrid(0.25, 8)
+        target = solve_mckean_vlasov_reference(m, grid, n_ref=64, seed=3)
+        policy = ConstantPolicy([0.7])
+        loop = float(np.mean([
+            flow_distance(flow, target, mode)
+            for _, flow in ldp_mod._replica_flows(m, 6, grid, 5, 2,
+                                                  policy=policy)]))
+        got = achieved_distance(m, policy, target, 6, grid, 5, 2, mode)
+        assert np.float64(got).tobytes() == np.float64(loop).tobytes()
+        assert 0.0 < got <= 2.0
+
     def test_lln_target_near_zero(self):
         m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
         grid = TimeGrid(0.25, 16)

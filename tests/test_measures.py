@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
@@ -312,6 +313,83 @@ class TestBLDistance:
                 c, b_ub = seen[0]
                 assert (-c).tobytes() == delta.tobytes()
                 assert np.diff(atoms).tobytes() == b_ub[:len(atoms) - 1].tobytes()
+
+    def test_lp_matrix_matches_coo_assembly(self, monkeypatch):
+        """The difference matrix from ``sparse.diags`` is the hand-built
+        COO assembly entry for entry, and the value is that LP's, bit for
+        bit, on pairs with shared atoms."""
+        def coo_value(mu, nu):  # the value with the COO triplets
+            atoms, _, where = np.unique(
+                np.concatenate([mu.points[:, 0], nu.points[:, 0]]),
+                return_index=True, return_inverse=True)
+            delta = np.bincount(where, weights=np.concatenate(
+                [mu.weights, -nu.weights]))
+            m = atoms.shape[0]
+            if np.all(np.abs(delta) <= 1e-15):
+                return 0.0, None
+            gaps = np.diff(atoms)
+            rows = np.repeat(np.arange(2 * (m - 1)), 2)
+            cols = np.tile(np.stack([np.arange(m - 1), np.arange(1, m)],
+                                    axis=1).ravel(), 2)
+            base = np.tile([-1.0, 1.0], m - 1)
+            data = np.concatenate([base, -base])
+            a_ub = sparse.csr_matrix((data, (rows, cols)),
+                                     shape=(2 * (m - 1), m))
+            res = linprog(-delta, A_ub=a_ub, b_ub=np.concatenate([gaps, gaps]),
+                          bounds=(-1.0, 1.0), method="highs")
+            return float(min(2.0, max(0.0, -res.fun))), a_ub
+
+        seen = []
+        real = measures.linprog
+
+        def spy(c, **kw):
+            seen.append(kw["A_ub"])
+            return real(c, **kw)
+
+        monkeypatch.setattr(measures, "linprog", spy)
+        rng = np.random.default_rng(6)
+        solved = 0
+        for _ in range(50):
+            grid = int(rng.integers(2, 16))  # a coarse grid: shared atoms
+            n1, n2 = rng.integers(1, 30, size=2)
+            mu = unequal_masses(rng, rng.integers(0, grid, (n1, 1)) / grid * 3)
+            nu = MeasureSummary.from_points(
+                rng.integers(0, grid, (n2, 1)) / grid * 3)
+            seen.clear()
+            value = measures._bl_exact_1d(mu, nu)
+            ref, a_ub = coo_value(mu, nu)
+            assert np.float64(value).tobytes() == np.float64(ref).tobytes()
+            if a_ub is not None:
+                solved += 1
+                (got,) = seen
+                assert got.format == "csr" and got.shape == a_ub.shape
+                for attr in ("data", "indices", "indptr"):
+                    assert (getattr(got, attr).tobytes()
+                            == getattr(a_ub, attr).tobytes())
+        assert solved >= 40
+
+    def test_batched_summary_rejected(self):
+        """A batch of measures is not one measure: ``InputError``, before
+        numpy's stacking or scalar errors."""
+        def batch(model, n):
+            ens = simulate_particle_system(model, n, TimeGrid(0.5, 4),
+                                           seed=1, replica=range(3))
+            return ens.summaries[-1]
+
+        box1 = model_from_config({"model": "m1", "domain": {
+            "kind": "box", "lo": [0.0], "hi": [1.0]}, "horizon": 0.5})
+        ball2 = model_from_config({"model": "m2", "domain": {
+            "kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+            "horizon": 0.5})
+        rng = np.random.default_rng(7)
+        for model, other in (
+                (box1, MeasureSummary.from_points(rng.uniform(0, 1, (7, 1)))),
+                (ball2, MeasureSummary.from_points(rng.normal(0, 0.3, (9, 2)))),
+                (ball2, MeasureSummary.dirac([0.1, 0.2]))):
+            many = batch(model, 5)
+            for pair in ((many, other), (other, many)):
+                with pytest.raises(InputError, match="batch"):
+                    bl_distance(*pair)
 
     def test_bitwise_symmetry(self):
         rng = np.random.default_rng(1)
