@@ -337,7 +337,8 @@ def _run_submartingale(cfg, p, out: Path):
     c_bias = p["c_bias"]
     if p["calibrate"]:
         c_bias = diagnostics.calibrate_bias_allowance(
-            model, f, grid, n_paths=min(n, 512), seed=cfg["seed"])
+            model, f, grid, n_paths=min(n, 512), seed=cfg["seed"],
+            budget=cfg.get("budget"))
     report = diagnostics.submartingale_test(  # the run table checked f
         ens, f, model, p["time_pairs"], confidence=p["confidence"],
         c_bias=c_bias, skip_boundary_check=True)

@@ -97,11 +97,14 @@ class PiecewiseConstantPolicy(ControlPolicy):
         self.grid = grid
 
     def evaluate(self, t, states, mu):
-        u, n = t / self.grid.dt, self.grid.n_steps  # u in cells, 1e-12 slack
-        if not -1e-12 <= u <= n + 1e-12:  # NaN too
+        u, n = t / self.grid.dt, self.grid.n_steps  # u in cells
+        # t / dt is off by up to about u * 2**-52, so the slack grows with u:
+        # a node's u may fall just short of its cell, the horizon's past n.
+        slack = 1e-12 * max(1.0, u)
+        if not -slack <= u <= n + slack:  # NaN too
             raise InputError(f"time {t} outside [0, {self.grid.horizon}], "
                              "the policy's grid")
-        k = min(int(np.floor(u + 1e-12)), n - 1)
+        k = min(int(np.floor(u + slack)), n - 1)
         return self.values[k]  # (d1,) shared, or (N, d1) per particle
 
     def is_zero(self):
@@ -143,12 +146,9 @@ class FeedbackPolicy(ControlPolicy):
         col = states.shape[:-1] + (1,)
         mrow = np.broadcast_to(mean, states.shape)
         lin = np.concatenate([np.full(col, t), states, mrow], axis=-1)
-        cols = [np.ones(col), lin]
-        m = lin.shape[-1]
-        quad = [lin[..., [i]] * lin[..., [j]]
-                for i in range(m) for j in range(i, m)]
-        cols.extend(quad)
-        return np.concatenate(cols, axis=-1)
+        i, j = np.triu_indices(lin.shape[-1])  # pairs i <= j, row-major
+        return np.concatenate([np.ones(col), lin, lin[..., i] * lin[..., j]],
+                              axis=-1)
 
     def evaluate(self, t, states, mu):
         phi = self.features(t, states, mu.mean)

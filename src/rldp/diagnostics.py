@@ -342,18 +342,21 @@ def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
 
 def calibrate_bias_allowance(model: ModelSpec, f: TestFunction,
                              base_grid: TimeGrid, n_paths: int = 512,
-                             seed: int = 0) -> float:
+                             seed: int = 0, budget: int | None = None) -> float:
     """Slope of |mean M_f(T)| against dt over step sizes {4h, 2h, h}.
 
     Regression through the origin on grids coarsened from the base grid;
     calibrated once per model against a reference compliant function.
+    ``budget`` is the step budget of each simulation, as in
+    ``simulate_particle_system``.
     """
     if base_grid.n_steps % 4 != 0:  # then 2 and 1 divide it too
         raise InputError("base grid must allow 4x/2x coarsening")
     x, y = np.empty(3), np.empty(3)
     for j, factor in enumerate((4, 2, 1)):
         grid = TimeGrid(base_grid.horizon, base_grid.n_steps // factor)
-        ens = simulate_particle_system(model, n_paths, grid, seed=seed)
+        ens = simulate_particle_system(model, n_paths, grid, seed=seed,
+                                       budget=budget)
         m_T = mf_process(f, ens, model, [grid.n_steps])[0]
         x[j], y[j] = grid.dt, abs(float(np.mean(m_T)))
     return float((x @ y) / (x @ x))  # x > 0 and y >= 0: never negative

@@ -114,17 +114,12 @@ class BoundaryEvents:
         off the events: out[0] = 0 and out[k+1] = out[k] + step k's values by
         ``np.add``, shape (n+1, ..., N, ...)."""
         n, lead, tail = self.shape[0], self.shape[1:], values.shape[1:]
-        m = math.prod(lead)
-        out = np.zeros((n + 1, m, *tail))
-        step = np.zeros((m, *tail))
-        bounds = np.searchsorted(self.index, np.arange(n + 1) * m)
+        out = np.zeros((n + 1, *lead, *tail))
+        # step k's values at out[k + 1]; out is contiguous, so this is a view
+        out[1:].reshape(-1, *tail)[self.index] = values
         for k in range(n):
-            events = slice(bounds[k], bounds[k + 1])
-            at = self.index[events] - k * m
-            step[at] = values[events]
-            np.add(out[k], step, out=out[k + 1])
-            step[at] = 0.0
-        return out.reshape(n + 1, *lead, *tail)
+            np.add(out[k], out[k + 1], out=out[k + 1])
+        return out
 
     def reflection(self) -> np.ndarray:
         """Accumulated y - p, shape (n+1, ..., N, d)."""

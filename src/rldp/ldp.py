@@ -277,13 +277,11 @@ def optimize_controls(model: ModelSpec, functional: Functional,
         record.append((est, theta))
         return est.objective
 
-    start_rng = rngmod.substream(seed, rngmod.OPT)
-    starts = [np.zeros(family.dim)]
-    for _ in range(_N_RESTARTS - 1):
-        starts.append(start_rng.uniform(-family.bound / 2, family.bound / 2,
-                                        size=family.dim))
+    draws = rngmod.substream(seed, rngmod.OPT).uniform(
+        -family.bound / 2, family.bound / 2, size=(_N_RESTARTS - 1, family.dim))
+    starts = [np.zeros(family.dim), *draws]
 
-    per_restart = max(family.dim + 2, budget // max(1, len(starts)))
+    per_restart = max(family.dim + 2, budget // _N_RESTARTS)
     for x0 in starts:
         if len(record) >= budget:
             break

@@ -194,8 +194,7 @@ def coefficients_batch(model: ModelSpec, t: float, x: np.ndarray,
 
 def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
     sig = np.zeros((d, d1))
-    for i in range(min(d, d1)):
-        sig[i, i] = scale
+    np.fill_diagonal(sig, scale)
     return sig
 
 

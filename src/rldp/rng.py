@@ -30,7 +30,7 @@ SAMPLER = 3    # diagnostic sampling
 OPT = 4        # optimizer restart points
 
 # numpy's SeedSequence hashing constants (O'Neill's seed_seq_fe, pool of four
-# 32-bit words).  substream_keys reproduces SeedSequence with them.
+# 32-bit words).  substream_keys continues SeedSequence's mixing with them.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -62,14 +62,9 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 # -- batched key derivation ---------------------------------------------------
 
-def _words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative int (at least one)."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _n_words(value: int) -> int:
+    """How many 32-bit words SeedSequence makes of a nonnegative int."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
@@ -101,8 +96,9 @@ def substream_keys(master_seed: int, *key: int, last) -> np.ndarray:
 
     Returns a ``(len(last), 2)`` uint64 array whose row j equals
     ``SeedSequence(master_seed, spawn_key=(*key, last[j])).generate_state(2,
-    np.uint64)``.  The seed and ``key`` words are mixed once as Python ints;
-    only the final word, one per index, is hashed in uint32 arithmetic.
+    np.uint64)``.  numpy's ``SeedSequence(master_seed, spawn_key=key)`` mixes
+    the seed and ``key`` words once; only the final word, one per index, is
+    hashed here, in uint32 arithmetic.
     Indices must lie in [0, 2**32).
     """
     last = np.asarray(last)
@@ -112,24 +108,18 @@ def substream_keys(master_seed: int, *key: int, last) -> np.ndarray:
     if last.size and (last.min() < 0 or last.max() > _MASK32):
         raise ValueError("substream keys must be integers in [0, 2**32)")
 
-    # Assembled entropy: the seed's words zero-padded to the pool size (as
-    # SeedSequence does whenever a spawn key is given), then the key words.
-    entropy = _words(int(master_seed))
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy += [w for k in key for w in _words(int(k))]
-
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, constants) for w in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, constants))
-    # The index word comes last, so everything above is shared by all i.
+    # SeedSequence(master_seed, spawn_key=key) has mixed every word but the
+    # index into its pool, shared by all i, with four hashmix calls a word
+    # (the seed's words zero-padded to the pool size); the index word's
+    # hashes continue the constant sequence from there.
+    key = tuple(int(k) for k in key)
+    prefix = np.random.SeedSequence(int(master_seed), spawn_key=key).pool
+    words = (max(_POOL_SIZE, _n_words(int(master_seed)))
+             + sum(_n_words(k) for k in key))
+    constants = _hash_constants(
+        _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _MASK32, _MULT_A)
     index = last.astype(np.uint32)
-    pool = [_mix(p, _hashmix(index, constants)) for p in pool]
+    pool = [_mix(int(p), _hashmix(index, constants)) for p in prefix]
 
     # generate_state(2, np.uint64): one word per pool entry, the four paired
     # little-endian into two uint64.

@@ -703,6 +703,21 @@ class TestOtherKinds:
                      _write(tmp_path, "sub.json", sub_cfg),
                      "--out", str(out)]) == 0
 
+    def test_submartingale_calibration_honours_the_run_budget(
+            self, tmp_path, capsys, monkeypatch):
+        """The calibration's simulations run under the configured budget,
+        as the main simulation does, not under the default."""
+        monkeypatch.setattr("rldp.ensemble.DEFAULT_STEP_BUDGET", 1000)
+        cfg = {"schema_version": 1, "seed": 5, "model": BASE_MODEL,
+               "grid": {"horizon": 0.5, "n_steps": 16}, "budget": 1e9,
+               "run": {"function": "neg_x_sq", "n_particles": 64,
+                       "calibrate": True}}
+        out = tmp_path / "sub"
+        assert main(["submartingale", "--config",
+                     _write(tmp_path, "sub.json", cfg),
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+        assert json.loads((out / "result.json").read_text())["c_bias"] > 0.0
+
     def test_chaos_kind_small(self, tmp_path):
         cfg = {"schema_version": 1, "seed": 6, "model": BASE_MODEL,
                "grid": {"horizon": 0.5, "n_steps": 8},

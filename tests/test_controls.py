@@ -97,6 +97,19 @@ class TestPolicies:
         assert p.evaluate(-1e-14, x, self._mu())[0] == 0.0
         assert p.evaluate(1.0 + 1e-14, x, self._mu())[0] == 3.0
 
+    @pytest.mark.parametrize("horizon, n", [(3.0, 100_000), (0.1, 300_000),
+                                            (0.1, 100_000)])
+    def test_piecewise_every_node_of_a_fine_grid_reads_its_cell(self, horizon,
+                                                                n):
+        """t / dt at node k may round away from k by more than a fixed 1e-12
+        once k is in the tens of thousands; node k still reads cell k, and
+        the horizon (where t / dt may pass n) the last cell."""
+        grid = TimeGrid(horizon, n)
+        p = PiecewiseConstantPolicy(np.arange(float(n)), grid)
+        x, mu = np.zeros((1, 1)), self._mu()
+        got = [p.evaluate(t, x, mu)[0] for t in grid.nodes.tolist()]
+        assert np.array_equal(got, [*range(n), n - 1])
+
     def test_piecewise_on_another_run_grid(self):
         """A run on a finer grid within the policy's horizon reads the cell
         of each node; a run past the horizon is an error, not the last cell
@@ -127,6 +140,25 @@ class TestPolicies:
                   pw.values, pw.evaluate(0.0, x, self._mu())):
             with pytest.raises(ValueError):
                 a[...] = 7.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_feedback_features_match_pairwise_products(self, d):
+        """The quadratic columns are lin_i * lin_j for i <= j in row-major
+        order, bit for bit, under a mean batched over replicas."""
+        rng = np.random.default_rng(d)
+        states = rng.normal(size=(2, 5, d))
+        mean = rng.normal(size=(2, 1, d))
+        col = states.shape[:-1] + (1,)
+        lin = np.concatenate([np.full(col, 0.3), states,
+                              np.broadcast_to(mean, states.shape)], axis=-1)
+        m = lin.shape[-1]
+        want = np.concatenate(
+            [np.ones(col), lin] + [lin[..., [i]] * lin[..., [j]]
+                                   for i in range(m) for j in range(i, m)],
+            axis=-1)
+        got = FeedbackPolicy.features(0.3, states, mean)
+        assert got.shape[-1] == FeedbackPolicy.n_features(d)
+        assert got.tobytes() == want.tobytes()
 
     def test_feedback_zero_theta_is_zero(self):
         d, d1 = 1, 1

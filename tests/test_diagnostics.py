@@ -19,7 +19,7 @@ from rldp.diagnostics import (boundary_condition_check,
                               mf_process, psi_weights,
                               standard_test_functions, submartingale_test)
 from rldp.ensemble import marginal_flow, simulate_particle_system
-from rldp.errors import InputError, PreconditionError
+from rldp.errors import BudgetError, InputError, PreconditionError
 from rldp import rng as rngmod
 from rldp.geometry import BOUNDARY_TOL, ConvexDomain
 from rldp.integrator import TimeGrid
@@ -575,6 +575,19 @@ class TestStreamedNoise:
         x, y = np.asarray(xs), np.asarray(ys)
         assert calibrate_bias_allowance(model, f, base, n_paths=48,
                                         seed=3) == float((x @ y) / (x @ x))
+
+    def test_calibration_simulates_under_the_given_budget(self, monkeypatch):
+        """Each of the three simulations (at most 64 x 16 x 1 = 1,024
+        particle-steps) runs under ``budget``, not the default."""
+        model = make_m1(BOX1, sigma_scale=0.5)
+        f = standard_test_functions(1, 1)["neg_x_sq"]
+        base = TimeGrid(0.5, 16)
+        want = calibrate_bias_allowance(model, f, base, n_paths=64, seed=1)
+        monkeypatch.setattr("rldp.ensemble.DEFAULT_STEP_BUDGET", 1000)
+        with pytest.raises(BudgetError, match="budget 1000"):
+            calibrate_bias_allowance(model, f, base, n_paths=64, seed=1)
+        assert calibrate_bias_allowance(model, f, base, n_paths=64, seed=1,
+                                        budget=10**9) == want
 
     @pytest.mark.parametrize("pairs", [[(0.0, 0.25), (0.25, 0.25)],
                                        [(0.5, 0.25)], [(0.0, 0.3)], []],

@@ -26,7 +26,7 @@ class TestSubstreamKeys:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**130),
-           key=st.lists(st.integers(0, 2**40), max_size=4),
+           key=st.lists(st.integers(0, 2**100), max_size=4),
            last=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20))
     def test_matches_seed_sequence_property(self, seed, key, last):
         got = substream_keys(seed, *key, last=np.array(last, dtype=np.int64))
