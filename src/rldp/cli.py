@@ -18,6 +18,10 @@ default 2) caps the threads on which it solves the exact 1D BL linear
 programs, at most one per CPU (``pool_size``); no output byte depends on
 it, and with 1, or in d >= 2, no thread starts.  Exit codes: 0 ok, 2
 config error, 3 budget or guard flag.
+Importing this module loads no scipy: scipy serves only the exact 1D BL
+linear program, and ``load_config`` loads it for a run that can reach it
+(chaos, or rate against a reference flow, on a one-dimensional domain), so
+that ``run_scenario`` imports no module once its config is loaded.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import statistics
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -44,7 +49,7 @@ from .ensemble import (empirical_measure_at, simulate_particle_system,
 from .errors import BudgetError, ConfigError, InputError
 from .geometry import _MAGNITUDE_MAX, _is_count, _is_positive, _json_reals
 from .integrator import TimeGrid
-from .measures import bl_distance
+from .measures import _lp, bl_distance
 from .model import MeasureSummary, model_from_config
 
 SCHEMA_VERSION = 1
@@ -107,7 +112,27 @@ def load_config(path: str, kind: str, seed_override=None) -> dict:
     if budget is not None and not _is_positive(budget):
         raise ConfigError(f"budget must be a finite positive number, "
                           f"got {budget!r}")
+    if _can_solve_exact_lp(cfg):
+        _lp()  # load its solver now, before the run starts
     return cfg
+
+
+def _can_solve_exact_lp(cfg: dict) -> bool:
+    """Whether a run of ``cfg`` can reach the exact 1D BL linear program:
+    a chaos run, or a rate run against a reference flow, on a domain whose
+    ``lo`` or ``center`` has one coordinate.  A block of the wrong type
+    reads as False: ``run_scenario`` reports it."""
+    model, run = cfg["model"], cfg["run"]
+    if not (isinstance(model, dict) and isinstance(run, dict)
+            and isinstance(model.get("domain"), dict)):
+        return False
+    target = run.get("target", {})
+    reference = (isinstance(target, dict)
+                 and target.get("kind", "reference") == "reference")
+    if not (cfg["kind"] == "chaos" or cfg["kind"] == "rate" and reference):
+        return False
+    bound = model["domain"].get("lo", model["domain"].get("center"))
+    return len(bound if isinstance(bound, list) else [bound]) == 1
 
 
 # -- config schema ---------------------------------------------------------------
@@ -282,7 +307,7 @@ def _run_chaos(cfg, p, out: Path):
         dists = list((pool.map if size > 1 else map)(
             bl_distance, terminals, itertools.repeat(ref[-1])))
     rows = [(n, rep, d.value) for (n, rep), d in zip(keys, dists)]
-    medians = {str(n): float(np.median([d for m, _, d in rows if m == n]))
+    medians = {str(n): statistics.median([d for m, _, d in rows if m == n])
                for n in n_values}
     with open(out / "distances.csv", "w", newline="") as fh:
         fh.write("n_particles,replica,bl_distance\r\n")

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .controls import ControlPolicy, PolicyFamily, ensemble_cost
 from .ensemble import (marginal_flow, shared_replica_draws,
@@ -241,6 +240,78 @@ def variational_objective(model: ModelSpec, functional: Functional,
 
 # -- control optimization ---------------------------------------------------------------
 
+class _OutOfEvaluations(Exception):
+    """A call past the evaluation budget, refused before it runs."""
+
+
+def _nelder_mead(fun, x0: np.ndarray, maxfev: int, xatol: float,
+                 fatol: float) -> None:
+    """Minimize ``fun`` by Nelder & Mead's simplex (Computer Journal 7(4),
+    1965) as scipy 1.17.1's ``_minimize_neldermead`` codes it, unbounded
+    and not adaptive: reflection 1, expansion 2, contraction and shrink
+    1/2, a first simplex that moves each coordinate of ``x0`` by 5 %, or to
+    0.00025 from zero.  It issues scipy's points in scipy's order, each
+    handed to ``fun`` as a copy, and refuses a call past ``maxfev`` before
+    it runs; it stops there, or once the simplex is within ``xatol`` of its
+    best vertex and its values within ``fatol`` of the best.  ``fun`` keeps
+    what it needs: nothing is returned.
+    """
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _OutOfEvaluations
+        calls += 1
+        return fun(np.copy(x))
+
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+
+    def order():  # best vertex first, as scipy's argsort and take leave it
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+        sim, fsim = order()
+        sim, fsim = order()  # as scipy does: argsort may reorder ties
+        while calls < maxfev:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                return
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            sim, fsim = order()
+    except _OutOfEvaluations:
+        return
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     policy: ControlPolicy
@@ -285,9 +356,8 @@ def optimize_controls(model: ModelSpec, functional: Functional,
     for x0 in starts:
         if len(record) >= budget:
             break
-        minimize(objective_fn, x0, method="Nelder-Mead",
-                 options={"maxfev": min(per_restart, budget - len(record)),
-                          "xatol": 1e-4, "fatol": 1e-8})
+        _nelder_mead(objective_fn, x0, min(per_restart, budget - len(record)),
+                     xatol=1e-4, fatol=1e-8)
 
     best, theta = record[int(np.argmin([est.objective for est, _ in record]))]
     return OptimizationResult(policy=family.make(theta),

@@ -22,8 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import InputError
 from .geometry import _row_norm
@@ -51,6 +49,15 @@ class BLEstimate:
 
 # -- point-measure distance -------------------------------------------------------
 
+def _lp():
+    """scipy's ``linprog`` and ``sparse``, which solve the exact 1D LP: the
+    package's one import of scipy, so that a run that solves no such LP
+    never loads it (the CLI calls this before a run that can)."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+    return linprog, sparse
+
+
 def _bl_exact_1d(mu: MeasureSummary, nu: MeasureSummary) -> float:
     """Exact BL distance in d = 1 via the merged-support dual LP.
 
@@ -66,6 +73,7 @@ def _bl_exact_1d(mu: MeasureSummary, nu: MeasureSummary) -> float:
     if np.all(np.abs(delta) <= 1e-15):
         return 0.0
     gaps = np.diff(atoms)
+    linprog, sparse = _lp()
     # rows: f_{i+1} - f_i <= g_i and f_i - f_{i+1} <= g_i
     step = sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m), format="csr")
     res = linprog(-delta, A_ub=sparse.vstack([step, -step], format="csr"),

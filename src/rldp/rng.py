@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 # Namespace constants.  Keep these stable: they are part of the
 # reproducibility contract (same seed + config => same output).
@@ -50,14 +51,14 @@ def _check_nonnegative(master_seed: int, key) -> None:
         raise ValueError("substream keys must be nonnegative integers")
 
 
-def substream(master_seed: int, *key: int) -> np.random.Generator:
+def substream(master_seed: int, *key: int) -> Generator:
     """Return the generator for the substream named by ``key``.
 
     Deterministic in (master_seed, key) and independent across distinct keys.
     """
     _check_nonnegative(master_seed, key)
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    seq = SeedSequence(int(master_seed), spawn_key=tuple(int(k) for k in key))
+    return Generator(Philox(seq))
 
 
 # -- batched key derivation ---------------------------------------------------
@@ -113,7 +114,7 @@ def substream_keys(master_seed: int, *key: int, last) -> np.ndarray:
     # (the seed's words zero-padded to the pool size); the index word's
     # hashes continue the constant sequence from there.
     key = tuple(int(k) for k in key)
-    prefix = np.random.SeedSequence(int(master_seed), spawn_key=key).pool
+    prefix = SeedSequence(int(master_seed), spawn_key=key).pool
     words = (max(_POOL_SIZE, _n_words(int(master_seed)))
              + sum(_n_words(k) for k in key))
     constants = _hash_constants(
@@ -131,7 +132,7 @@ def substream_keys(master_seed: int, *key: int, last) -> np.ndarray:
 
 
 def iter_substreams(master_seed: int, *key: int,
-                    last) -> Iterator[np.random.Generator]:
+                    last) -> Iterator[Generator]:
     """Yield ``substream(master_seed, *key, i)`` for every i in ``last``.
 
     One Philox generator is built per call and, before each yield, re-keyed
@@ -140,8 +141,8 @@ def iter_substreams(master_seed: int, *key: int,
     advancing the iterator.
     """
     keys = substream_keys(master_seed, *key, last=last)
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(key=0)
+    gen = Generator(bitgen)
     fresh = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,

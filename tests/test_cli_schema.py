@@ -496,6 +496,16 @@ def _horizons(horizon, n_steps):
             (("model", "horizon"), horizon), (("run", "time_pairs"), DELETE)]
 
 
+def _fresh_env():
+    """This process's environment, with the tested ``rldp`` first on the
+    path, for a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rldp.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 # 5e-324 / 2 rounds to a step of 0, which escaped as a ZeroDivisionError.
 @pytest.mark.parametrize("kind", ["simulate", "submartingale"])
 def test_grid_step_underflow_exits_2(tmp_path, kind):
@@ -517,18 +527,90 @@ def test_huge_grid_exits_3_before_building_its_nodes(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_config("submartingale",
                                        _horizons(0.5, 10**11))))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(rldp.__file__).resolve().parents[1])]
-        + [p for p in [env.get("PYTHONPATH")] if p])
     script = ("import resource, sys; "
               "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
               "from rldp import cli; sys.exit(cli.main(sys.argv[1:]))")
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", script, "submartingale",
          "--config", str(path), "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_fresh_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     result = json.loads((tmp_path / "o" / "result.json").read_text())
     assert result["error"] == "budget_exceeded"
+
+
+# -- what a run loads ----------------------------------------------------------
+# scipy serves the exact 1D BL linear program alone.  ``import rldp.cli``
+# loads none of it; ``load_config`` loads it for a run that can reach that
+# LP, and a run loads no module of its own, so that no import is timed as
+# part of it.
+
+BALL2 = {"kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+REFERENCE = {"kind": "reference", "n_ref": 8}
+# case -> (kind, changes, whether load_config loads scipy.optimize)
+LOADS = {
+    "simulate": ("simulate", [], False),
+    "chaos-box1d": ("chaos", [], True),
+    "chaos-ball2d": ("chaos", [(("model", "domain"), BALL2)], False),
+    "laplace": ("laplace", [], False),
+    "variational": ("variational", [], False),
+    "rate-terminal_point": ("rate", [], False),
+    "rate-reference-box1d": ("rate", [(("run", "target"), REFERENCE)], True),
+    "rate-default-box1d": ("rate", [(("run", "target"), DELETE)], True),
+    "rate-reference-ball2d": ("rate", [(("run", "target"), REFERENCE),
+                                       (("model", "domain"), BALL2),
+                                       (("run", "opt_budget"), 4)], False),
+    "submartingale": ("submartingale", [], False),
+}
+_LOADS_SCRIPT = """
+import json, sys
+from rldp import cli
+at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+cfg = cli.load_config(sys.argv[2], sys.argv[1])
+ready = set(sys.modules)
+code = cli.run_scenario(cfg, sys.argv[3])
+print(json.dumps({"at_import": at_import, "lp": "scipy.optimize" in ready,
+                  "code": code, "run": sorted(set(sys.modules) - ready)}))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(LOADS))
+def test_run_loads_no_module_after_load_config(tmp_path, case):
+    kind, changes, lp = LOADS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(kind, changes)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _LOADS_SCRIPT, kind, str(path),
+         str(tmp_path / "o")],
+        env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"at_import": [], "lp": lp, "code": 0,
+                                       "run": []}
+
+
+# Blocks of the wrong shape, which load_config reads to decide whether to
+# load the LP before run_scenario checks them.
+MALFORMED_BLOCKS = [
+    ("chaos", [(("model",), 5)]),
+    ("chaos", [(("run",), [1])]),
+    ("chaos", [(("model", "domain"), "box")]),
+    ("chaos", [(("model", "domain", "lo"), DELETE)]),
+    ("chaos", [(("model", "domain", "lo"), [[0.0]])]),
+    ("rate", [(("run", "target"), 5)]),
+    ("rate", [(("run", "target"), {"kind": 7})]),
+    ("rate", [(("run", "target"), REFERENCE),
+              (("model", "domain", "center"), [0.0])]),
+]
+
+
+@pytest.mark.parametrize("kind, changes", MALFORMED_BLOCKS)
+def test_malformed_block_exits_2_in_a_fresh_process(tmp_path, kind, changes):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(kind, changes)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys; from rldp import cli; sys.exit(cli.main(sys.argv[1:]))",
+         kind, "--config", str(path), "--out", str(tmp_path / "o")],
+        env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    _assert_config_error(proc.returncode, proc.stderr, tmp_path)

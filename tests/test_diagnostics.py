@@ -636,24 +636,53 @@ class TestStreamedNoise:
         assert test_peak - base < 0.5 * m_f
 
 
+def _port_ndtri(p):
+    return np.array([diagnostics_mod._ndtri(float(y)) for y in p])
+
+
 class TestNormalQuantile:
-    """The test's quantile comes from ``scipy.special``, not ``scipy.stats``."""
+    """The test's quantile is a port of Cephes ``ndtri``, bit for bit
+    ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf``, so no scipy loads."""
+
+    CONFIDENCES = [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999]
 
     def test_ndtri_equals_norm_ppf_bitwise(self):
         from scipy import stats
-        from scipy.special import ndtri
         grid = np.concatenate([np.linspace(1e-9, 1.0 - 1e-9, 100_001),
-                               [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999]])
-        assert np.array_equal(ndtri(grid), stats.norm.ppf(grid))
-        assert float(ndtri(0.95)) == float(stats.norm.ppf(0.95))
+                               self.CONFIDENCES])
+        assert _port_ndtri(grid).tobytes() == stats.norm.ppf(grid).tobytes()
+        assert diagnostics_mod._ndtri(0.95) == float(stats.norm.ppf(0.95))
+
+    def test_port_equals_scipy_ndtri_bitwise(self):
+        """Both tails down to 1e-300 and 1 - 1e-16, the central range, the
+        edges of the three branches (e^-2, 1 - e^-2 and e^-32), a few ulps
+        either side, and 0 and 1 (-inf, inf)."""
+        from scipy.special import ndtri
+        rng = np.random.default_rng(36)
+        edges = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0),
+                          math.exp(-32.0)])
+        ulps = np.arange(-50, 51)
+        grid = np.concatenate([
+            rng.uniform(0.0, 1.0, 60_000),
+            10.0 ** rng.uniform(-300.0, 0.0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 20_000),
+            (edges[:, None] + ulps * np.spacing(edges)[:, None]).ravel(),
+            [0.0, 5e-324, 1.0 - 2.0**-53, 1.0], self.CONFIDENCES])
+        got = _port_ndtri(grid)
+        assert grid.size > 100_000
+        assert got.tobytes() == ndtri(grid).tobytes()
+        assert (got[-11], got[-8]) == (-math.inf, math.inf)
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
+        """Nor any scipy module at all: only a run that can solve the exact
+        1D BL linear program loads scipy, in ``load_config``."""
         src = str(Path(rldp.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         out = subprocess.run(
             [sys.executable, "-c",
-             "import sys, rldp.cli; print('scipy.stats' in sys.modules)"],
+             "import sys, rldp.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))"],
             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

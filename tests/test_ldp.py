@@ -1,13 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import rldp.ensemble as ensemble_mod
 import rldp.ldp as ldp_mod
 from rldp import cli
-from rldp.controls import (ConstantPolicy, ZeroPolicy, constant_family,
-                           feedback_family)
+from rldp.controls import (ConstantPolicy, PolicyFamily, ZeroPolicy,
+                           constant_family, feedback_family)
 from rldp.ensemble import (marginal_flow, shared_replica_draws,
                            simulate_particle_system,
                            solve_mckean_vlasov_reference)
@@ -246,6 +248,130 @@ def test_optimizer_reports_its_best_recorded_evaluation(monkeypatch, family):
     best = objectives[int(np.argmin([est.objective for est in objectives]))]
     assert best == fresh
     assert res.cost_part == fresh.cost_part
+
+
+# -- the Nelder-Mead port, against scipy's ---------------------------------------------
+
+_STAGES = {"initial", "reflection", "expansion", "outside contraction",
+           "inside contraction", "shrink"}
+
+
+def _scipy_points(fun, x0, maxfev, xatol=1e-4, fatol=1e-8):
+    """(point, stage) of each call ``minimize(method="Nelder-Mead")`` makes.
+
+    The stage is read off scipy's frame: the point it passes is its ``xr``,
+    ``xe``, ``xc`` or ``xcc`` (reflection, expansion, outside or inside
+    contraction), else a shrunk vertex once the iterations have begun, else
+    a vertex of the first simplex."""
+    calls = []
+
+    def spy(x):
+        passed = sys._getframe(1).f_locals["x"]
+        nm = sys._getframe(2).f_locals
+        stage = next((name for name, var in (
+            ("reflection", "xr"), ("expansion", "xe"),
+            ("outside contraction", "xc"), ("inside contraction", "xcc"))
+            if nm.get(var) is passed),
+            "shrink" if "iterations" in nm else "initial")
+        calls.append((x.copy(), stage))
+        return fun(x)
+    minimize(spy, x0, method="Nelder-Mead",
+             options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+    return calls
+
+
+def _port_points(fun, x0, maxfev, xatol=1e-4, fatol=1e-8):
+    """The points the port hands ``fun``."""
+    calls = []
+    ldp_mod._nelder_mead(lambda x: calls.append(x.copy()) or fun(x), x0,
+                         maxfev, xatol=xatol, fatol=fatol)
+    return calls
+
+
+def _scribbling(x):
+    """The quadratic, then its point overwritten: each call must get a copy,
+    so that the simplex does not change under it."""
+    value = float(np.sum((x - 0.3) ** 2))
+    x.fill(np.nan)
+    return value
+
+
+_OBJECTIVES = {
+    "quadratic": lambda x: float(np.sum((x - 0.3) ** 2)),
+    "abs": lambda x: float(np.sum(np.abs(x + 0.2))),
+    # plateaus: ties in the simplex, and shrinks
+    "steps": lambda x: float(np.floor(np.sum(np.abs(x - 0.01)) * 200)),
+    "scribbling": _scribbling,
+}
+
+
+class TestNelderMead:
+    """``_nelder_mead`` issues scipy 1.17.1's points, bit for bit and in
+    order, at the dimensions of the constant family (1) and the feedback
+    family (10 for d = d1 = 1), from zero (each vertex 0.00025 out) and
+    nonzero starts (5 % out), whatever ``maxfev`` cuts the search."""
+
+    @pytest.mark.parametrize("dim", [constant_family(1).dim,
+                                     feedback_family(1, 1).dim])
+    def test_every_cut_issues_scipys_points(self, dim):
+        rng = np.random.default_rng(dim)
+        cut_in = set()
+        for x0 in (np.zeros(dim), rng.uniform(-1.0, 1.0, dim)):
+            for fun in _OBJECTIVES.values():
+                full = _scipy_points(fun, x0, 400)
+                for maxfev in range(1, min(len(full), 80) + 2):
+                    ref = [p for p, _ in _scipy_points(fun, x0, maxfev)]
+                    got = _port_points(fun, x0, maxfev)
+                    assert len(got) == len(ref) == min(maxfev, len(full))
+                    assert all(a.tobytes() == b.tobytes()
+                               for a, b in zip(got, ref))
+                    if maxfev < len(full):  # the call the cut refuses
+                        cut_in.add(full[maxfev][1])
+        assert cut_in == _STAGES
+
+    @pytest.mark.parametrize("xatol, fatol", [(1e-4, 1e-8), (1e-2, 1e-3)])
+    def test_tolerance_stop_issues_scipys_points(self, xatol, fatol):
+        rng = np.random.default_rng(3)
+        stopped = 0
+        for dim in (1, 10):
+            for x0 in (np.zeros(dim), rng.uniform(-1.0, 1.0, dim)):
+                for fun in _OBJECTIVES.values():
+                    ref = _scipy_points(fun, x0, 2000, xatol, fatol)
+                    got = _port_points(fun, x0, 2000, xatol, fatol)
+                    assert [p.tobytes() for p in got] == [
+                        p.tobytes() for p, _ in ref]
+                    stopped += len(got) < 2000
+        assert stopped >= 6
+
+    @pytest.mark.parametrize("family", ["constant", "feedback"])
+    def test_optimizer_evaluates_scipys_points(self, monkeypatch, family):
+        """``optimize_controls`` evaluates the same parameters, in the same
+        order, and returns the same result with the port as with scipy's
+        ``minimize`` in its place."""
+        m = make_m1(BOX1, sigma_scale=0.5)
+        grid = TimeGrid(0.25, 8)
+        g = terminal_mean_functional(scale=1.0)
+        fam = (constant_family(1, bound=2.0) if family == "constant"
+               else feedback_family(1, 1, bound=2.0))
+
+        def run():
+            thetas, make = [], fam.make
+            spy = PolicyFamily(fam.dim, lambda theta: thetas.append(
+                theta.tobytes()) or make(theta), fam.bound)
+            res = optimize_controls(m, g, spy, 4, grid, 4, 3 * fam.dim + 30,
+                                    seed=2)
+            return thetas, res
+
+        thetas, res = run()
+
+        def scipy_nelder_mead(fun, x0, maxfev, xatol, fatol):
+            minimize(fun, x0, method="Nelder-Mead",
+                     options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})
+        monkeypatch.setattr(ldp_mod, "_nelder_mead", scipy_nelder_mead)
+        ref_thetas, ref = run()
+        assert thetas == ref_thetas
+        assert res.n_evaluations == ref.n_evaluations > fam.dim + 1
+        assert res.cost_part == ref.cost_part
 
 
 class TestGaussianMeanOracle:

@@ -293,13 +293,13 @@ class TestBLDistance:
     def test_merged_support_matches_loop_reference(self, monkeypatch):
         from rldp import measures
         seen = []
-        real = measures.linprog
+        real = measures._lp()[0]
 
         def spy(c, **kw):
             seen.append((c, kw["b_ub"]))
             return real(c, **kw)
 
-        monkeypatch.setattr(measures, "linprog", spy)
+        monkeypatch.setattr(measures, "_lp", lambda: (spy, sparse))
         rng = np.random.default_rng(5)
         for _ in range(40):
             grid = int(rng.integers(2, 12))  # a coarse grid: many equal atoms
@@ -340,13 +340,13 @@ class TestBLDistance:
             return float(min(2.0, max(0.0, -res.fun))), a_ub
 
         seen = []
-        real = measures.linprog
+        real = measures._lp()[0]
 
         def spy(c, **kw):
             seen.append(kw["A_ub"])
             return real(c, **kw)
 
-        monkeypatch.setattr(measures, "linprog", spy)
+        monkeypatch.setattr(measures, "_lp", lambda: (spy, sparse))
         rng = np.random.default_rng(6)
         solved = 0
         for _ in range(50):
@@ -526,7 +526,7 @@ class TestBLAgainstDirac:
         def refuse(*args, **kwargs):
             raise AssertionError("no LP or dictionary against a Dirac")
 
-        monkeypatch.setattr(measures, "linprog", refuse)
+        monkeypatch.setattr(measures, "_lp", refuse)
         monkeypatch.setattr(measures, "_bl_dictionary", refuse)
         m = make_m1(ConvexDomain.box([0.0], [1.0]), sigma_scale=0.5,
                     horizon=0.25)
