@@ -4,8 +4,10 @@
 
 Kinds: simulate, chaos, laplace, variational, rate, submartingale.
 Configs are JSON; flags override config fields (flag > file > default).
-``GRID`` and ``KINDS`` declare each key with its default and check, and a
-config is checked whole before anything runs.  Each run writes a manifest
+``CONFIG``, ``GRID`` and ``KINDS`` declare each key with its default and
+check.  ``load_config`` checks the whole config by them in one pass and
+builds the model, the grid and the run's objects; ``run_scenario`` only
+runs them.  Each run writes a manifest
 (resolved config + seed + content hash) and a result JSON whose bytes
 depend only on (config, seed).  The laplace, variational, rate and
 submartingale results are their ``ldp`` or ``diagnostics`` result dataclass
@@ -21,7 +23,7 @@ config error, 3 budget or guard flag.
 Importing this module loads no scipy: scipy serves only the exact 1D BL
 linear program, and ``load_config`` loads it for a run that can reach it
 (chaos, or rate against a reference flow, on a one-dimensional domain), so
-that ``run_scenario`` imports no module once its config is loaded.
+that ``run_scenario`` imports no module.
 """
 
 from __future__ import annotations
@@ -81,79 +83,56 @@ def config_hash(cfg: dict) -> str:
         json.dumps(_to_jsonable(cfg), sort_keys=True).encode()).hexdigest()
 
 
-def load_config(path: str, kind: str, seed_override=None) -> dict:
-    try:
+def load_config(path: str, kind: str, seed_override=None) -> tuple[dict, dict]:
+    """The config at ``path`` for a run of ``kind``, checked whole: the
+    resolved config, as the manifest records it, and its values parsed by
+    ``CONFIG``, the run block's under "run"."""
+    try:  # ValueError: not UTF-8, not JSON, or an int past the digit limit
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(cfg) - {"schema_version", "seed", "budget", "model",
-                                 "grid", "run", "kind"})
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {', '.join(unknown)}")
-    version = cfg.get("schema_version", SCHEMA_VERSION)
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise ConfigError(f"unrecognized schema_version {version!r}")
-    for key in ("model", "grid"):
-        if key not in cfg:
-            raise ConfigError(f"config missing required block {key!r}")
-    cfg.setdefault("schema_version", SCHEMA_VERSION)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("run", {})
-    cfg["kind"] = kind
+    cfg = {"schema_version": SCHEMA_VERSION, "seed": 0, "run": {}, **cfg,
+           "kind": kind}
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
-    seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    budget = cfg.get("budget")
-    if budget is not None and not _is_positive(budget):
-        raise ConfigError(f"budget must be a finite positive number, "
-                          f"got {budget!r}")
-    if _can_solve_exact_lp(cfg):
-        _lp()  # load its solver now, before the run starts
-    return cfg
-
-
-def _can_solve_exact_lp(cfg: dict) -> bool:
-    """Whether a run of ``cfg`` can reach the exact 1D BL linear program:
-    a chaos run, or a rate run against a reference flow, on a domain whose
-    ``lo`` or ``center`` has one coordinate.  A block of the wrong type
-    reads as False: ``run_scenario`` reports it."""
-    model, run = cfg["model"], cfg["run"]
-    if not (isinstance(model, dict) and isinstance(run, dict)
-            and isinstance(model.get("domain"), dict)):
-        return False
-    target = run.get("target", {})
-    reference = (isinstance(target, dict)
-                 and target.get("kind", "reference") == "reference")
-    if not (cfg["kind"] == "chaos" or cfg["kind"] == "rate" and reference):
-        return False
-    bound = model["domain"].get("lo", model["domain"].get("center"))
-    return len(bound if isinstance(bound, list) else [bound]) == 1
+    p = _parse(CONFIG, cfg, "", {})
+    if p["model"].d == 1 and (kind == "chaos" or kind == "rate" and not
+                              isinstance(p["run"]["target"], MeasureSummary)):
+        _lp()  # the run can reach the exact 1D BL LP: load its solver now
+    return cfg, p
 
 
 # -- config schema ---------------------------------------------------------------
 # A table maps each key, in parse order, to (default, cast).  A cast takes
-# the raw value and the values parsed so far (from "model" and "grid" on,
-# and those of the enclosing blocks), as does a callable default.  A (table,
-# build) pair in place of a cast is a nested JSON object; build turns its
-# parsed values into one.  A callable table is called with the block and
-# returns the table to parse it by.
+# the raw value and the values parsed so far, those of the enclosing blocks
+# included, as does a callable default.  A (table, build) pair in place of
+# a cast is a nested JSON object; build turns its parsed values into one.
+# A callable table is called with the block and returns the table to parse
+# it by.  A cast raises one of _BAD_VALUE on a bad value: a RecursionError
+# on a list nested some hundred deep, which json still reads.
+
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _checked(what, ok):
+    """The value as given, if ``ok`` holds for it and the parsed values."""
+    def cast(v, p=None):
+        if not ok(v, p):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return cast
 
 
 def _num(what, ok=lambda x, p: True, integer=False, keep=False):
     """A finite JSON number, an integer if asked, for which ``ok`` holds;
     a float unless ``integer`` or ``keep`` (the value as given)."""
-    def cast(v, p=None):
-        if (isinstance(v, bool) or not isinstance(v, (int, float))
-                or (integer and not isinstance(v, int))
-                or not math.isfinite(v) or not ok(v, p)):
-            raise ValueError(f"expected {what}, got {v!r}")
-        return v if integer or keep else float(v)
-    return cast
+    cast = _checked(what, lambda v, p: not isinstance(v, bool)
+                    and isinstance(v, int if integer else (int, float))
+                    and math.isfinite(v) and ok(v, p))
+    return cast if integer or keep else lambda v, p=None: float(cast(v, p))
 
 
 def _count(lo=1, why=""):
@@ -162,11 +141,8 @@ def _count(lo=1, why=""):
 
 def _choice(*options):
     """One of ``options``, of the same JSON type (so 0 is not false)."""
-    def cast(v, p):
-        if not any(type(v) is type(o) and v == o for o in options):
-            raise ValueError(f"expected one of {json.dumps(options)}, got {v!r}")
-        return v
-    return cast
+    return _checked(f"one of {json.dumps(options)}", lambda v, p: any(
+        type(v) is type(o) and v == o for o in options))
 
 
 def _ascending(elem):
@@ -183,11 +159,8 @@ def _ascending(elem):
 
 def _array(what, ok):
     """JSON numbers, in nested lists, as given, if their array has ``ok``."""
-    def cast(v, p):
-        if not _json_reals(v) or not ok(np.asarray(v, dtype=float), p):
-            raise ValueError(f"expected {what}, got {v!r}")
-        return v
-    return cast
+    return _checked(what, lambda v, p: _json_reals(v)
+                    and ok(np.asarray(v, dtype=float), p))
 
 
 def _coordinate(v, p):
@@ -206,6 +179,20 @@ def _variant(field, variants, default=None):
         return tables[name] if isinstance(name, str) and name in tables else pick
     table.tables = tables  # every variant's table, for the README check
     return table, lambda p: variants[p[field]][1](p)
+
+
+def _model(v, p):
+    """The model ``model_from_config`` builds, with the grid's horizon."""
+    try:
+        if not isinstance(v, dict):
+            raise TypeError(f"expected a JSON object, got {v!r}")
+        model = model_from_config(v)
+    except _BAD_VALUE as exc:
+        raise ConfigError(f"invalid model block: {exc}") from exc
+    if not math.isclose(p["grid"].horizon, model.horizon, rel_tol=1e-12):
+        raise ValueError(f"its horizon {model.horizon} differs from "
+                         f"grid.horizon {p['grid'].horizon}")
+    return model
 
 
 def _time_pairs(v, p):
@@ -241,38 +228,41 @@ def _calibrate(v, p):
 
 
 def _parse(table, block, where: str, env: dict) -> dict:
-    """Cast every key of ``table`` from ``block``, then reject unknown keys."""
+    """Cast every key of ``table`` from ``block``, named ``where`` ("" for
+    the top level), then reject unknown keys."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
     if callable(table):
         table = table(block)
     p = dict(env)
     for key, (default, cast) in table.items():
-        name = f"{where}.{key}"
+        name = f"{where}.{key}" if where else key
         value = block.get(key, default(p) if callable(default) else default)
         try:
             p[key] = (cast[1](_parse(cast[0], value, name, p))
                       if isinstance(cast, tuple) else cast(value, p))
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except _BAD_VALUE as exc:
             raise ConfigError(f"invalid {name}: {exc}") from exc
     unknown = sorted(set(block) - set(table))
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown {where or 'top-level'} keys: "
+                          f"{', '.join(unknown)}")
     return p
 
 
 # -- run kinds -------------------------------------------------------------------
-# A runner takes the config, the parsed run block (with the worker cap, which
-# only chaos reads, under "workers") and the output directory, and returns
-# its result fields and the files it wrote.
+# A runner takes the parsed run block, with the top level's values ("seed",
+# "budget", "model", "grid", ...) and the chaos kind's thread count
+# ("workers"), and the output directory; it returns its result fields and
+# the files it wrote.
 
-def _run_simulate(cfg, p, out: Path):
+def _run_simulate(p, out: Path):
     grid = p["grid"]
     ens = simulate_particle_system(p["model"], p["n_particles"], grid,
-                                   policy=p["policy"], seed=cfg["seed"],
-                                   budget=cfg.get("budget"))
+                                   policy=p["policy"], seed=p["seed"],
+                                   budget=p["budget"])
     write_paths_csv(ens, str(out / "paths.csv"))
     terminal = empirical_measure_at(ens, grid.horizon)
     return {
@@ -285,24 +275,23 @@ def _run_simulate(cfg, p, out: Path):
     }, ["paths.csv"]
 
 
-def _run_chaos(cfg, p, out: Path):
+def _run_chaos(p, out: Path):
     model, grid, n_values = p["model"], p["grid"], p["n_values"]
     ref = solve_mckean_vlasov_reference(model, grid, n_ref=p["n_ref"],
-                                        seed=cfg["seed"],
-                                        budget=cfg.get("budget"))
+                                        seed=p["seed"], budget=p["budget"])
     # replica 0 feeds the reference
     keys = [(n, rep) for n in n_values for rep in range(1, p["n_replicas"] + 1)]
 
     def terminal(n, rep):  # points copied: no path array outlives the call
-        ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
-                                       replica=rep, budget=cfg.get("budget"))
+        ens = simulate_particle_system(model, n, grid, seed=p["seed"],
+                                       replica=rep, budget=p["budget"])
         mu = empirical_measure_at(ens, grid.horizon)
         return replace(mu, points=mu.points.copy())
 
     terminals = [terminal(n, rep) for n, rep in keys]
     # HiGHS releases the GIL, so in 1D the linear programs solve on a pool;
     # a d >= 2 distance (numpy holds the GIL), or a pool of one, runs here.
-    size = pool_size(p["workers"]) if model.d == 1 else 1
+    size = p["workers"] if model.d == 1 else 1
     with ThreadPoolExecutor(size) as pool:
         dists = list((pool.map if size > 1 else map)(
             bl_distance, terminals, itertools.repeat(ref[-1])))
@@ -323,22 +312,22 @@ def _run_chaos(cfg, p, out: Path):
     }, ["distances.csv"]
 
 
-def _run_laplace(cfg, p, out: Path):
+def _run_laplace(p, out: Path):
     est = ldp.laplace_functional_mc(
         p["model"], p["functional"], p["n_particles"], p["grid"],
-        p["n_replicas"], seed=cfg["seed"], budget=cfg.get("budget"))
+        p["n_replicas"], seed=p["seed"], budget=p["budget"])
     return {"functional": p["functional"].id, **asdict(est)}, []
 
 
-def _run_variational(cfg, p, out: Path):
+def _run_variational(p, out: Path):
     est = ldp.variational_objective(
         p["model"], p["functional"], p["policy"], p["n_particles"], p["grid"],
-        p["n_replicas"], seed=cfg["seed"], budget=cfg.get("budget"))
+        p["n_replicas"], seed=p["seed"], budget=p["budget"])
     return {"functional": p["functional"].id,
             "policy": p["policy"].policy_id, **asdict(est)}, []
 
 
-def _run_rate(cfg, p, out: Path):
+def _run_rate(p, out: Path):
     model, grid, target = p["model"], p["grid"], p["target"]
     if isinstance(target, MeasureSummary):
         desc = f"terminal summary, mean={np.array2string(target.mean, precision=4)}"
@@ -346,24 +335,24 @@ def _run_rate(cfg, p, out: Path):
         desc = "measure flow (large_N)"
         target = solve_mckean_vlasov_reference(
             model, grid, n_ref=target["n_ref"],
-            seed=cfg["seed"] + target["seed_offset"], budget=cfg.get("budget"))
+            seed=p["seed"] + target["seed_offset"], budget=p["budget"])
     est = ldp.estimate_rate(
         model, target, p["lambdas"], p["family"], p["n_particles"], grid,
-        p["n_replicas"], p["opt_budget"], seed=cfg["seed"],
+        p["n_replicas"], p["opt_budget"], seed=p["seed"],
         radius=p["radius"], distance_mode=p["distance_mode"],
-        sim_budget=cfg.get("budget"))
+        sim_budget=p["budget"])
     return {"target": desc, **asdict(est)}, []
 
 
-def _run_submartingale(cfg, p, out: Path):
+def _run_submartingale(p, out: Path):
     model, grid, f, n = p["model"], p["grid"], p["function"], p["n_particles"]
-    ens = simulate_particle_system(model, n, grid, seed=cfg["seed"],
-                                   budget=cfg.get("budget"))
+    ens = simulate_particle_system(model, n, grid, seed=p["seed"],
+                                   budget=p["budget"])
     c_bias = p["c_bias"]
     if p["calibrate"]:
         c_bias = diagnostics.calibrate_bias_allowance(
-            model, f, grid, n_paths=min(n, 512), seed=cfg["seed"],
-            budget=cfg.get("budget"))
+            model, f, grid, n_paths=min(n, 512), seed=p["seed"],
+            budget=p["budget"])
     report = diagnostics.submartingale_test(  # the run table checked f
         ens, f, model, p["time_pairs"], confidence=p["confidence"],
         c_bias=c_bias, skip_boundary_check=True)
@@ -456,6 +445,19 @@ KINDS = {  # kind -> (runner, run-block table)
         "calibrate": (False, _calibrate)}),
 }
 
+CONFIG = {  # the top level; "kind" is the command line's
+    "schema_version": (SCHEMA_VERSION, _num(
+        str(SCHEMA_VERSION), lambda x, p: x == SCHEMA_VERSION, keep=True)),
+    "kind": (None, _choice(*KINDS)),
+    "seed": (0, _checked("an integer >= 0",
+                         lambda v, p: type(v) is int and v >= 0)),
+    "budget": (None, _checked("a finite number > 0",
+                              lambda v, p: v is None or _is_positive(v))),
+    "grid": (None, (GRID, lambda g: TimeGrid(g["horizon"], g["n_steps"]))),
+    "model": (None, _model),
+    "run": ({}, lambda v, p: _parse(KINDS[p["kind"]][1], v, "run", p)),
+}
+
 
 def _cpus() -> int:
     """The CPUs this process may use."""
@@ -473,34 +475,27 @@ def pool_size(workers: int | None = None) -> int:
     return min(2 if workers is None else workers, _cpus())
 
 
-def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:
-    """Check the whole config, then run it: result.json, manifest.json, CSVs.
+def run_scenario(scenario: tuple[dict, dict], out_dir: str,
+                 workers: int | None = None) -> int:
+    """Run a config as ``load_config`` returns it: result.json,
+    manifest.json, CSVs.
 
     ``workers`` caps the chaos kind's threads (``pool_size``); the output
     bytes do not depend on it.
     """
-    runner, table = KINDS[cfg["kind"]]
-    pool_size(workers)  # a bad cap fails before anything runs
-    grid = TimeGrid(**_parse(GRID, cfg["grid"], "grid", {}))
-    try:
-        model = model_from_config(cfg["model"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid model block: {exc}") from exc
-    if not math.isclose(grid.horizon, model.horizon, rel_tol=1e-12):
-        raise ConfigError(f"grid horizon {grid.horizon} differs from model "
-                          f"horizon {model.horizon}")
-    p = _parse(table, cfg["run"], "run",
-               {"model": model, "grid": grid, "workers": workers})
+    cfg, p = scenario
+    size = pool_size(workers)  # a bad cap fails before anything runs
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {out_dir}: "
                           f"{exc}") from exc
+    digest = config_hash(cfg)
     try:
-        result, extra_files = runner(cfg, p, out)
-        result.update(kind=cfg["kind"], seed=cfg["seed"],
-                      config_hash=config_hash(cfg))
+        result, extra_files = KINDS[cfg["kind"]][0](
+            {**p["run"], "workers": size}, out)
+        result.update(kind=cfg["kind"], seed=cfg["seed"], config_hash=digest)
         code = EXIT_BUDGET if result.get("guard", False) else EXIT_OK
     except BudgetError as exc:
         result, extra_files = {"kind": cfg["kind"], "error": "budget_exceeded",
@@ -511,7 +506,7 @@ def run_scenario(cfg: dict, out_dir: str, workers: int | None = None) -> int:
         "schema_version": SCHEMA_VERSION,
         "resolved_config": cfg,
         "seed": cfg["seed"],
-        "config_hash": config_hash(cfg),
+        "config_hash": digest,
         "outputs": sorted({"result.json", "manifest.json", *extra_files}),
         "created_at": datetime.now(timezone.utc).isoformat(),
     }

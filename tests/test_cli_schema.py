@@ -333,6 +333,9 @@ def test_readme_names_every_config_key():
     declared = {(kind, key) for kind, (_, table) in cli.KINDS.items()
                 for key in keys(cli.GRID, "grid.") | keys(table, "")}
     assert _readme_keys("### Config keys") == declared
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = readme.split("### Config keys", 1)[1].split("\n| ", 1)[0]
+    assert set(cli.CONFIG) <= set(re.findall(r"`(\w+)`", prose))
 
 
 def test_readme_names_every_result_key(tmp_path):
@@ -589,8 +592,29 @@ def test_run_loads_no_module_after_load_config(tmp_path, case):
                                        "run": []}
 
 
-# Blocks of the wrong shape, which load_config reads to decide whether to
-# load the LP before run_scenario checks them.
+@pytest.mark.parametrize("kind", ["chaos", "submartingale"])
+def test_run_scenario_parses_nothing(tmp_path, monkeypatch, kind):
+    """``load_config`` checks the whole config once and builds its model,
+    grid and run objects (the submartingale function's boundary check
+    included); ``run_scenario`` only runs them."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_config(kind)))
+    scenario = cli.load_config(str(path), kind)
+    assert cli.run_scenario(scenario, str(tmp_path / "a")) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_scenario checked its config again")
+
+    for module, name in [(cli, "_parse"), (cli, "model_from_config"),
+                         (diagnostics, "boundary_condition_check")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert cli.run_scenario(scenario, str(tmp_path / "b")) == 0
+    assert ((tmp_path / "b" / "result.json").read_bytes()
+            == (tmp_path / "a" / "result.json").read_bytes())
+
+
+# Blocks of the wrong shape, among them those that load_config once read
+# before it had parsed them, to decide whether to load the LP.
 MALFORMED_BLOCKS = [
     ("chaos", [(("model",), 5)]),
     ("chaos", [(("run",), [1])]),
@@ -602,12 +626,34 @@ MALFORMED_BLOCKS = [
     ("rate", [(("run", "target"), REFERENCE),
               (("model", "domain", "center"), [0.0])]),
 ]
+# Lists nested 600 deep, which json reads but whose checks recursed past
+# the interpreter's limit; then files that json cannot read: not UTF-8,
+# nested past that limit, and an integer past the 4300 digits Python
+# converts.
+DEEP = 0.5
+for _ in range(600):
+    DEEP = [DEEP]
+NAMED_BLOCKS = {
+    "policy_v_nested_600": ("simulate", [
+        (("run", "policy"), {"policy": "constant", "v": DEEP})]),
+    "target_point_nested_600": ("rate", [
+        (("run", "target"), {"kind": "terminal_point", "point": DEEP})]),
+    "domain_lo_nested_600": ("simulate", [(("model", "domain", "lo"), DEEP)]),
+    "not_utf8": ("simulate", b"\xff\xfe{}"),
+    "nested_100000": ("simulate", b"[" * 100000 + b"]" * 100000),
+    "int_5000_digits": ("simulate", b'{"seed": ' + b"1" * 5000 + b"}"),
+}
 
 
-@pytest.mark.parametrize("kind, changes", MALFORMED_BLOCKS)
+@pytest.mark.parametrize("kind, changes", MALFORMED_BLOCKS + [
+    pytest.param(kind, changes, id=name)
+    for name, (kind, changes) in NAMED_BLOCKS.items()])
 def test_malformed_block_exits_2_in_a_fresh_process(tmp_path, kind, changes):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_config(kind, changes)))
+    if isinstance(changes, bytes):
+        path.write_bytes(changes)
+    else:
+        path.write_text(json.dumps(_config(kind, changes)))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c",
          "import sys; from rldp import cli; sys.exit(cli.main(sys.argv[1:]))",

@@ -420,6 +420,35 @@ class TestGaussianMeanOracle:
         assert abs(theta + self.S * self.SIGMA) <= math.sqrt(2 * at_opt.std_error)
 
 
+class TestFoldedNormalOracle:
+    """m1 from x0 in a box too wide for any particle to reach a wall, under
+    a constant control h: the particles are independent, each X_T is
+    N(x0 + sigma h T, sigma^2 T), and the BL distance of their empirical
+    measure to the Dirac at a is the mean of min(|X_T - a|, 2).  Its
+    expectation, at every N, is the folded-normal mean E|Y| of
+    Y = X_T - a ~ N(m, s^2) (the cap at 2 lies 10 s away):
+    s sqrt(2/pi) exp(-m^2 / 2s^2) + m erf(m / (s sqrt 2)).  The tolerance
+    is the estimate's own standard error."""
+
+    SIGMA, T, X0, A = 0.4, 0.25, 0.5, 0.75
+
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    @pytest.mark.parametrize("h", [0.0, 1.5, -2.0])
+    def test_distance_part_is_the_folded_normal_mean(self, h, n):
+        model = make_m1(ConvexDomain.box([-20.0], [20.0]),
+                        sigma_scale=self.SIGMA, horizon=self.T,
+                        init=[[self.X0]])
+        f = distance_to_target_functional(MeasureSummary.dirac([self.A]))
+        est = variational_objective(model, f, ConstantPolicy([h]), n,
+                                    TimeGrid(self.T, 8), 256, seed=3)
+        m = self.X0 + self.SIGMA * h * self.T - self.A
+        s = self.SIGMA * math.sqrt(self.T)
+        folded = (s * math.sqrt(2 / math.pi) * math.exp(-m * m / (2 * s * s))
+                  + m * math.erf(m / (s * math.sqrt(2))))
+        assert est.cost_part == 0.5 * h * h * self.T  # exact in floats
+        assert abs(est.f_part - folded) <= 4 * est.std_error
+
+
 class TestSharedDraws:
     def _optimize(self):
         m = make_m1(BOX1, sigma_scale=0.5)
