@@ -7,7 +7,9 @@ Configs are JSON; flags override config fields (flag > file > default).
 ``CONFIG``, ``GRID`` and ``KINDS`` declare each key with its default and
 check.  ``load_config`` checks the whole config by them in one pass and
 builds the model, the grid and the run's objects; ``run_scenario`` only
-runs them.  Each run writes a manifest
+runs them.  The grid holds the run's one horizon: a model block may
+restate it as ``horizon``, equal to ``grid.horizon``, and the model is
+built without it.  Each run writes a manifest
 (resolved config + seed + content hash) and a result JSON whose bytes
 depend only on (config, seed).  The laplace, variational, rate and
 submartingale results are their ``ldp`` or ``diagnostics`` result dataclass
@@ -182,15 +184,18 @@ def _variant(field, variants, default=None):
 
 
 def _model(v, p):
-    """The model ``model_from_config`` builds, with the grid's horizon."""
+    """The model ``model_from_config`` builds from the block less its
+    optional ``horizon``, a number equal to the grid's if given."""
     try:
         if not isinstance(v, dict):
             raise TypeError(f"expected a JSON object, got {v!r}")
-        model = model_from_config(v)
+        model = model_from_config({k: v[k] for k in v if k != "horizon"})
     except _BAD_VALUE as exc:
         raise ConfigError(f"invalid model block: {exc}") from exc
-    if not math.isclose(p["grid"].horizon, model.horizon, rel_tol=1e-12):
-        raise ValueError(f"its horizon {model.horizon} differs from "
+    horizon = v.get("horizon", p["grid"].horizon)
+    if not (type(horizon) in (int, float) and abs(horizon) <= _MAGNITUDE_MAX
+            and math.isclose(p["grid"].horizon, horizon, rel_tol=1e-12)):
+        raise ValueError(f"its horizon {horizon!r} differs from "
                          f"grid.horizon {p['grid'].horizon}")
     return model
 
@@ -211,8 +216,8 @@ def _test_function(v, p):
     funcs = diagnostics.standard_test_functions(model.d, model.d1)
     f = funcs[_choice(*funcs)(v, p)]
     if not p["skip_boundary_check"]:
-        check = diagnostics.boundary_condition_check(f, model.domain,
-                                                     horizon=model.horizon)
+        check = diagnostics.boundary_condition_check(
+            f, model.domain, horizon=p["grid"].horizon)
         if not check.passed:
             raise ValueError(f"test function {f.id} violates the boundary "
                              f"condition (worst value {check.worst_value:.3g})")

@@ -69,6 +69,8 @@ class ConstantPolicy(ControlPolicy):
 
     def __init__(self, v):
         self.v = np.atleast_1d(_bounded(v, "constant control"))
+        if self.v.ndim != 1:
+            raise InputError(f"a constant control is one vector, got {v!r}")
 
     def evaluate(self, t, states, mu):
         return self.v  # (d1,), read-only

@@ -365,7 +365,7 @@ def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
                          f"got {ens.n_particles}")
     if not skip_boundary_check:
         check = boundary_condition_check(f, model.domain,
-                                         horizon=model.horizon)
+                                         horizon=ens.grid.horizon)
         if not check.passed:
             raise PreconditionError(
                 f"test function {f.id} violates the boundary condition "

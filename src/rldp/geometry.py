@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +23,12 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
-BOUNDARY_TOL = 1e-12  # how far from the boundary a point still counts as on it
+# How far from the boundary a point still counts as on it, on a domain whose
+# bounds are at most 1 in magnitude; ``ConvexDomain._scale`` scales it.
+BOUNDARY_TOL = 1e-12
 # The largest magnitude of a domain bound (box corner, ball centre or
-# radius), a model parameter or a control value: a product of two such
-# numbers stays finite.
+# radius), a model parameter, a control value or a grid horizon: a product
+# of two such numbers stays finite.
 _MAGNITUDE_MAX = 1e50
 
 # Two-sided Skorokhod fixed-point iteration: converged once no correction
@@ -71,13 +72,6 @@ def _is_positive(v) -> bool:
     """Whether ``v`` is a real number in (0, inf) (a bool is not)."""
     return (not isinstance(v, bool) and isinstance(v, numbers.Real)
             and 0 < v < math.inf)
-
-
-def _is_positive_float(v) -> bool:
-    """Whether ``v`` is a real number in (0, inf) that a float can hold: an
-    integer past the largest float is not, as float arithmetic overflows on
-    it."""
-    return _is_positive(v) and v <= sys.float_info.max
 
 
 def _json_reals(v) -> bool:
@@ -131,12 +125,12 @@ class ConvexDomain:
     @staticmethod
     def ball(center, radius) -> "ConvexDomain":
         center = np.atleast_1d(_bounded(center, "ball center"))
-        radius = float(_bounded(radius, "ball radius"))
+        radius = _bounded(radius, "ball radius")
         if center.ndim != 1 or center.size == 0:
             raise InputError("ball center must be a nonempty 1-d array")
-        if radius <= 0:
-            raise InputError("ball requires radius > 0")
-        return ConvexDomain(kind="ball", center=center, radius=radius)
+        if radius.ndim or radius <= 0:
+            raise InputError("ball radius must be one number > 0")
+        return ConvexDomain(kind="ball", center=center, radius=float(radius))
 
     @property
     def dimension(self) -> int:
@@ -144,18 +138,26 @@ class ConvexDomain:
             return self.lo.shape[0]
         return self.center.shape[0]
 
+    @property
+    def _scale(self) -> float:
+        """max(1, the largest bound magnitude), the factor of the boundary
+        tolerances: a coordinate of that size is known to within a few ulps
+        of it, so an absolute band is lost in the rounding."""
+        return max(1.0, *(float(np.max(np.abs(b))) for b in (
+            self.lo, self.hi, self.center, self.radius) if b is not None))
+
     # -- membership ---------------------------------------------------------
 
     def contains(self, x) -> str:
         """Classify a single point as interior / boundary / exterior: exterior
         where ``contains_all`` fails, boundary within ``BOUNDARY_TOL`` of a
-        face or the sphere."""
+        face or the sphere, times ``_scale``."""
         x = _as_point(x, self.dimension)
         if x.ndim != 1:
             raise InputError("contains expects a single point")
         if not self.contains_all(x):
             return EXTERIOR
-        eps = BOUNDARY_TOL
+        eps = BOUNDARY_TOL * self._scale
         if self.kind == "box":
             on = np.any(x <= self.lo + eps) or np.any(x >= self.hi - eps)
         else:
@@ -163,9 +165,10 @@ class ConvexDomain:
         return BOUNDARY if on else INTERIOR
 
     def contains_all(self, x) -> np.ndarray:
-        """Boolean membership in the closure, batched over leading axes."""
+        """Boolean membership in the closure, to ``BOUNDARY_TOL`` times
+        ``_scale``, batched over leading axes."""
         x = _as_point(x, self.dimension)
-        eps = BOUNDARY_TOL
+        eps = BOUNDARY_TOL * self._scale
         if self.kind == "box":
             inside = np.all(x >= self.lo - eps, axis=-1) & np.all(x <= self.hi + eps, axis=-1)
             return inside
@@ -195,9 +198,17 @@ class ConvexDomain:
     # -- normals ------------------------------------------------------------
 
     def normals_at(self, x) -> np.ndarray:
-        """Batched outward normals; rows not on the boundary are zero."""
+        """Batched outward unit normals, to a tolerance of 1e-9 times
+        ``_scale`` (looser than membership's).
+
+        A ball row within that tolerance of the sphere gets the radial
+        normal; any other ball row is zero.  A box row gets the normalised
+        sum of the outward normals of the faces it is within that tolerance
+        of or beyond, so a row outside the box has a normal too; a row
+        farther than the tolerance inside every face is zero.
+        """
         x = _as_point(x, self.dimension)
-        eps = 1e-9  # looser than membership's BOUNDARY_TOL
+        eps = 1e-9 * self._scale
         if self.kind == "ball":
             delta = x - self.center
             r = _row_norm(delta)[..., None]

@@ -37,22 +37,23 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .geometry import (ConvexDomain, _is_count, _is_positive,
-                       _is_positive_float, _row_norm)
+from .geometry import (_MAGNITUDE_MAX, ConvexDomain, _is_count, _is_positive,
+                       _row_norm)
 from .model import MeasureSummary, ModelSpec, coefficients_batch
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = k dt on [0, T]."""
+    """Uniform grid t_k = k dt on [0, T], the one horizon T of a run: a
+    number in (0, ``_MAGNITUDE_MAX``]."""
 
     horizon: float
     n_steps: int
 
     def __post_init__(self):
         h, n = self.horizon, self.n_steps
-        if not _is_positive_float(h):
-            raise InputError(f"horizon must be a finite number > 0, got {h!r}")
+        if not (_is_positive(h) and h <= _MAGNITUDE_MAX):
+            raise InputError(f"horizon {h!r} not in (0, {_MAGNITUDE_MAX:g}]")
         if not _is_count(n):
             raise InputError(f"n_steps must be an integer >= 1, got {n!r}")
         if n > 2**1023 or not h / n > 0.0:  # past the float range, or 0

@@ -225,6 +225,8 @@ def variational_objective(model: ModelSpec, functional: Functional,
                           grid: TimeGrid, n_replicas: int, seed: int = 0,
                           budget=None) -> VariationalEstimate:
     """Mean control cost plus mean F over controlled replicas."""
+    if n_replicas < 1:
+        raise InputError("need at least one replica")
     costs = np.empty(n_replicas)
     f_vals = np.empty(n_replicas)
     for m, (h, flow) in enumerate(_replica_flows(model, n_particles, grid,
@@ -406,8 +408,8 @@ def estimate_rate(model: ModelSpec, target, lambda_schedule, family: PolicyFamil
     replica's initial states and noise.
     """
     lambdas = [float(l) for l in lambda_schedule]
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise InputError("lambda schedule must be increasing")
+    if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+        raise InputError("lambda schedule must be nonempty and increasing")
     dists, costs = [], []
     selected = (None, math.inf)  # the cheapest feasible lambda, its cost
     for lam in lambdas:

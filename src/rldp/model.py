@@ -34,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, ModelError
-from .geometry import (ConvexDomain, _bounded, _is_count,
-                       _is_positive_float, _row_sumsq)
+from .geometry import ConvexDomain, _bounded, _is_count, _row_sumsq
 
 
 @lru_cache(maxsize=8)
@@ -118,24 +117,21 @@ class MeasureSummary:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Coefficients, horizon and initial conditions of the particle system.
+    """Coefficients and initial conditions of the particle system.
 
     The initial states are the points ``init_points``, cycled, or with none
-    i.i.d. uniform on the domain.
+    i.i.d. uniform on the domain.  A model has no horizon: the ``TimeGrid``
+    it is simulated on sets it.
     """
 
     name: str
     domain: ConvexDomain
     d1: int
-    horizon: float
     drift: Callable          # (t, x, mu) -> (..., d)
     diffusion: Callable      # (t, x, mu) -> (..., d, d1)
     init_points: np.ndarray | None = None      # deterministic x^{i,N}, (m, d), read-only
 
     def __post_init__(self):
-        if not _is_positive_float(self.horizon):
-            raise InputError(f"horizon must be a finite number > 0, "
-                             f"got {self.horizon!r}")
         if not _is_count(self.d1):
             raise InputError("noise dimension must be >= 1")
         if self.init_points is not None:
@@ -184,8 +180,6 @@ def coefficients_batch(model: ModelSpec, t: float, x: np.ndarray,
     x.shape and sigma to x.shape[:-1] + (d, d1).  A constant is the model's
     one read-only array.
     """
-    if not 0.0 <= t <= model.horizon + 1e-12:
-        raise InputError(f"time {t} outside [0, {model.horizon}]")
     return (np.asarray(model.drift(t, x, mu), dtype=float),
             np.asarray(model.diffusion(t, x, mu), dtype=float))
 
@@ -198,18 +192,17 @@ def _identity_sigma(d: int, d1: int, scale: float = 1.0) -> np.ndarray:
     return sig
 
 
-def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
+def _zoo_model(name: str, domain: ConvexDomain, d1, init, build,
                **params) -> ModelSpec:
-    """A zoo model, its parameters checked first: ``params``, ``horizon``
-    and ``init`` real numbers (``b_const`` and ``init`` arrays of them),
-    finite and at most ``_MAGNITUDE_MAX`` in magnitude, like the domain's
-    bounds, ``d1`` an integer >= 1, d by default.  ``build(d1)`` gives
+    """A zoo model, its parameters checked first: ``params`` and ``init``
+    real numbers (``b_const`` and ``init`` arrays of them), finite and at
+    most ``_MAGNITUDE_MAX`` in magnitude, like the domain's bounds, ``d1``
+    an integer >= 1, d by default.  ``build(d1)`` gives
     (drift, diffusion) once they are; the initial states are the points
     ``init``, else uniform on the domain.  ``params`` are only checked: the
     model keeps what ``build`` closes over.
     """
-    for key, v in {**params, "horizon": horizon,
-                   "init": [] if init is None else init}.items():
+    for key, v in {**params, "init": [] if init is None else init}.items():
         vals = (np.ravel(np.asarray(v, dtype=object))
                 if key in ("b_const", "init") else [v])
         if not all(isinstance(u, numbers.Real) and not isinstance(u, bool)
@@ -221,8 +214,7 @@ def _zoo_model(name: str, domain: ConvexDomain, d1, horizon, init, build,
         raise InputError(f"{name} d1 must be an integer >= 1, got {d1!r}")
     drift, diffusion = build(d1)
     return ModelSpec(
-        name=name, domain=domain, d1=d1, horizon=horizon, drift=drift,
-        diffusion=diffusion,
+        name=name, domain=domain, d1=d1, drift=drift, diffusion=diffusion,
         init_points=None if init is None else np.atleast_2d(
             np.asarray(init, dtype=float)))
 
@@ -235,19 +227,19 @@ def _constant(value):
     return lambda t, x, mu: value
 
 
-def make_m1(domain: ConvexDomain, d1: int | None = None, horizon: float = 1.0,
+def make_m1(domain: ConvexDomain, d1: int | None = None,
             sigma_scale: float = 1.0, init=None) -> ModelSpec:
     """M1: zero drift, constant (identity-like) diffusion."""
     def build(d1):
         return _constant(np.zeros(domain.dimension)), _constant(
             _identity_sigma(domain.dimension, d1, sigma_scale))
 
-    return _zoo_model("m1", domain, d1, horizon, init, build,
+    return _zoo_model("m1", domain, d1, init, build,
                       sigma_scale=sigma_scale)
 
 
 def make_m2(domain: ConvexDomain, theta: float = 1.0, sigma_scale: float = 0.5,
-            d1: int | None = None, horizon: float = 1.0, init=None) -> ModelSpec:
+            d1: int | None = None, init=None) -> ModelSpec:
     """M2: mean attraction b = theta (mean(mu) - x), sigma = s I."""
     def drift(t, x, mu):
         return theta * (mu.mean - np.asarray(x, dtype=float))
@@ -256,12 +248,12 @@ def make_m2(domain: ConvexDomain, theta: float = 1.0, sigma_scale: float = 0.5,
         return drift, _constant(_identity_sigma(domain.dimension, d1,
                                                 sigma_scale))
 
-    return _zoo_model("m2", domain, d1, horizon, init, build,
+    return _zoo_model("m2", domain, d1, init, build,
                       theta=theta, sigma_scale=sigma_scale)
 
 
 def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
-            clip_L: float = 2.0, d1: int | None = None, horizon: float = 1.0,
+            clip_L: float = 2.0, d1: int | None = None,
             init=None) -> ModelSpec:
     """M3: distribution-dependent diffusion s I, s = sigma_scale (1 + alpha
     tr cov(mu)) clipped from above at c = clip_L / max(|I|, 1) and from
@@ -281,12 +273,12 @@ def make_m3(domain: ConvexDomain, sigma_scale: float = 0.5, alpha: float = 1.0,
 
         return _constant(np.zeros(domain.dimension)), diffusion
 
-    return _zoo_model("m3", domain, d1, horizon, init, build,
+    return _zoo_model("m3", domain, d1, init, build,
                       sigma_scale=sigma_scale, alpha=alpha, clip_L=clip_L)
 
 
 def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
-                 d1: int | None = None, horizon: float = 1.0, init=None) -> ModelSpec:
+                 d1: int | None = None, init=None) -> ModelSpec:
     """Constant-drift, constant-diffusion model (diagnostic negative controls);
     ``b_const`` is one number for every coordinate, or d of them."""
     def build(d1):
@@ -297,7 +289,7 @@ def make_drifted(domain: ConvexDomain, b_const, sigma_scale: float = 1.0,
         return _constant(np.broadcast_to(b, (d,))), _constant(
             _identity_sigma(d, d1, sigma_scale))
 
-    return _zoo_model("drifted", domain, d1, horizon, init, build,
+    return _zoo_model("drifted", domain, d1, init, build,
                       b_const=b_const, sigma_scale=sigma_scale)
 
 

@@ -145,9 +145,8 @@ def test_03_two_point_bl_exactness(capfd):
 def test_04_propagation_of_chaos(capfd):
     def run():
         grid = TimeGrid(0.5, 32)
-        for model in (make_m1(BOX1, sigma_scale=0.7, horizon=0.5),
-                      make_m2(BOX1, theta=1.0, sigma_scale=0.5,
-                              horizon=0.5)):
+        for model in (make_m1(BOX1, sigma_scale=0.7),
+                      make_m2(BOX1, theta=1.0, sigma_scale=0.5)):
             ref = solve_mckean_vlasov_reference(model, grid, n_ref=4096,
                                                 seed=777)
             medians = []
@@ -166,7 +165,7 @@ def test_04_propagation_of_chaos(capfd):
 
 def test_05_constant_functional_exactness(capfd):
     def run():
-        model = make_m1(BOX1, sigma_scale=0.5, horizon=0.25)
+        model = make_m1(BOX1, sigma_scale=0.5)
         grid = TimeGrid(0.25, 16)
         c = 0.42
         lap = laplace_functional_mc(model, constant_functional(c), 8, grid,
@@ -189,9 +188,8 @@ def test_06_representation_inequality(capfd):
         rng = np.random.default_rng(606)
         successes = 0
         total = 0
-        for model in (make_m1(BOX1, sigma_scale=0.6, horizon=0.25),
-                      make_m2(BOX1, theta=0.8, sigma_scale=0.5,
-                              horizon=0.25)):
+        for model in (make_m1(BOX1, sigma_scale=0.6),
+                      make_m2(BOX1, theta=0.8, sigma_scale=0.5)):
             lap = laplace_functional_mc(model, functional, 32, grid, 256,
                                         seed=60)
             for _ in range(10):
@@ -209,7 +207,7 @@ def test_06_representation_inequality(capfd):
 
 def test_07_rate_zero_at_lln_limit(capfd):
     def run():
-        model = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        model = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]])
         grid = TimeGrid(0.25, 16)
         ref = solve_mckean_vlasov_reference(model, grid, n_ref=2048, seed=70)
         fam = constant_family(1, bound=2.0)
@@ -230,7 +228,7 @@ def test_07_rate_zero_at_lln_limit(capfd):
 
 def test_08_rate_grid_oracle_agreement(capfd):
     def run():
-        model = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        model = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]])
         grid = TimeGrid(0.25, 16)
         target = MeasureSummary.dirac([0.75])
         radius = 0.16
@@ -258,7 +256,7 @@ def test_08_rate_grid_oracle_agreement(capfd):
 def test_09_submartingale_test_and_detection(capfd):
     def run():
         # compliant direction: f = -x1^2 at dt = 1e-3, 10^4 paths
-        model = make_m1(BOX1, sigma_scale=1.0, horizon=0.256)
+        model = make_m1(BOX1, sigma_scale=1.0)
         grid = TimeGrid(0.256, 256)  # dt = 1e-3
         funcs = standard_test_functions(1, 1)
         f_ok = funcs["neg_x_sq"]
@@ -272,7 +270,7 @@ def test_09_submartingale_test_and_detection(capfd):
 
         # designed violation: f = +x1 with drift pushing onto the face
         viol_model = make_drifted(BOX1, b_const=2.0, sigma_scale=0.5,
-                                  init=[[0.9]], horizon=0.5)
+                                  init=[[0.9]])
         viol_grid = TimeGrid(0.5, 64)
         f_bad = funcs["linear_x1"]
         detected = 0

@@ -162,7 +162,7 @@ def test_batched_summary_replica_is_its_measure():
 
 # -- the Monte Carlo estimates --------------------------------------------------
 
-M1 = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+M1 = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]])
 RATE_GRID = TimeGrid(0.25, 8)
 TARGET = MeasureSummary.dirac([0.65])
 

@@ -146,6 +146,51 @@ def test_tiny_configs_run(tmp_path, kind):
     assert code == 0, err
 
 
+# The grid holds the run's one horizon.  A model block may restate it, equal
+# to grid.horizon, or leave it out, which exited 2 ("its horizon 1.0 differs
+# from grid.horizon 0.5").  Either way the run writes the same bytes, but
+# for the hash of the config as written.
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_model_horizon_is_optional(tmp_path, kind):
+    written = []
+    for name, changes in (("with", []),
+                          ("without", [(("model", "horizon"), DELETE)])):
+        (tmp_path / name).mkdir()
+        cfg = _config(kind, changes)
+        code, err = _main(kind, cfg, tmp_path / name)
+        assert code == 0, err
+        text = (tmp_path / name / "o" / "result.json").read_text()
+        digest = cli.config_hash({**cfg, "kind": kind})
+        assert text.count(digest) == 1
+        written.append(text.replace(digest, ""))
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("horizon", [True, False, "0.5", None, [0.5], {},
+                                     NAN, 10**400, 0.5 * (1 + 1e-9), 1.0],
+                         ids=["true", "false", "string", "null", "list",
+                              "object", "nan", "int_401_digits", "near",
+                              "default"])
+def test_model_horizon_must_be_the_grids(tmp_path, horizon):
+    cfg = _config("simulate", [(("model", "horizon"), horizon)])
+    code, err = _main("simulate", cfg, tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    assert "horizon" in json.loads(err)["detail"]
+
+
+# A point rounded 1.16e-10 past a sphere of radius 1e6 is on it, as its
+# image on the unit sphere is: a fixed 1e-12 band put it outside the
+# closed domain, and the run exited 2.
+def test_init_on_a_large_sphere_runs(tmp_path):
+    model = {**MODEL, "domain": {"kind": "ball", "center": [0.0, 0.0],
+                                 "radius": 1e6},
+             "init": [[707106.7811865476, 707106.7811865476]]}
+    cfg = _config("simulate", [(("model",), model),
+                               (("run", "policy"), {"policy": "zero"})])
+    code, err = _main("simulate", cfg, tmp_path)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("change, rejected", [
     ({}, False),
     ({"distance_mode": "bogus"}, True),
@@ -249,7 +294,8 @@ def test_calibrated_bias_is_the_calibration(tmp_path):
     code, err = _main("submartingale", cfg, tmp_path)
     assert code == 0, err
     result = json.loads((tmp_path / "o" / "result.json").read_text())
-    model = model_from_config(MODEL)
+    model = model_from_config({k: v for k, v in MODEL.items()
+                               if k != "horizon"})
     f = diagnostics.standard_test_functions(1, 1)["neg_x_sq"]
     n = cfg["run"]["n_particles"]
     c_bias = diagnostics.calibrate_bias_allowance(
@@ -514,6 +560,20 @@ def _fresh_env():
 def test_grid_step_underflow_exits_2(tmp_path, kind):
     code, err = _main(kind, _config(kind, _horizons(5e-324, 2)), tmp_path)
     _assert_config_error(code, err, tmp_path)
+
+
+# The grid horizon follows the 1e50 rule of the model's numbers, with or
+# without a model horizon restating it.
+@pytest.mark.parametrize("kind", ["simulate", "submartingale"])
+@pytest.mark.parametrize("restated", [True, False], ids=["restated", "grid"])
+def test_grid_horizon_past_the_magnitude_cap_exits_2(tmp_path, kind,
+                                                      restated):
+    changes = _horizons(1.01e50, 4)
+    if not restated:
+        changes.append((("model", "horizon"), DELETE))
+    code, err = _main(kind, _config(kind, changes), tmp_path)
+    _assert_config_error(code, err, tmp_path)
+    assert "grid" in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize("kind", ["simulate", "submartingale"])

@@ -79,6 +79,13 @@ class TestPolicies:
             with pytest.raises(InputError, match="magnitude"):
                 PiecewiseConstantPolicy([[0.0], [far]], grid)
 
+    @pytest.mark.parametrize("v", [[[1.0], [-1.0]], [[0.5]]])
+    def test_constant_control_is_one_vector(self, v):
+        # [[1.0], [-1.0]] gave each particle its own control and a two-line
+        # policy_id
+        with pytest.raises(InputError, match="one vector"):
+            ConstantPolicy(v)
+
     def test_piecewise_lookup(self):
         grid = TimeGrid(1.0, 2)
         p = PiecewiseConstantPolicy(np.array([[1.0], [2.0]]), grid)
@@ -114,7 +121,7 @@ class TestPolicies:
         """A run on a finer grid within the policy's horizon reads the cell
         of each node; a run past the horizon is an error, not the last cell
         repeated."""
-        model = make_m1(ConvexDomain.box([0.0], [1.0]), horizon=2.0)
+        model = make_m1(ConvexDomain.box([0.0], [1.0]))
         p = PiecewiseConstantPolicy([[1.0], [2.0]], TimeGrid(0.5, 2))
         for run, want in ((TimeGrid(0.5, 8), [1, 1, 1, 1, 2, 2, 2, 2]),
                           (TimeGrid(0.25, 4), [1, 1, 1, 1]),

@@ -26,14 +26,12 @@ DOMAINS = (ConvexDomain.box([0.0], [1.0]),
            ConvexDomain.ball([0.3, -0.2], 0.8),
            ConvexDomain.box(np.linspace(-1.0, 0.0, 9), np.linspace(0.5, 2.0, 9)))
 MODELS = {
-    "m1": lambda dom, d1: make_m1(dom, d1=d1, sigma_scale=0.9, horizon=0.5),
+    "m1": lambda dom, d1: make_m1(dom, d1=d1, sigma_scale=0.9),
     "m2-neg-sigma": lambda dom, d1: make_m2(dom, theta=0.7, sigma_scale=-0.8,
-                                            d1=d1, horizon=0.5),
-    "m3": lambda dom, d1: make_m3(dom, sigma_scale=0.6, alpha=2.0, d1=d1,
-                                  horizon=0.5),
+                                            d1=d1),
+    "m3": lambda dom, d1: make_m3(dom, sigma_scale=0.6, alpha=2.0, d1=d1),
     "drifted": lambda dom, d1: make_drifted(
-        dom, np.linspace(-1.5, 1.0, dom.dimension), sigma_scale=0.7, d1=d1,
-        horizon=0.5),
+        dom, np.linspace(-1.5, 1.0, dom.dimension), sigma_scale=0.7, d1=d1),
 }
 # sha256 of every output below, recorded on an x86-64 host (numpy 2.4.6,
 # OpenBLAS 0.3.31).  Like test_cli's PINNED and perfbench's digests they

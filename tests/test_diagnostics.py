@@ -268,7 +268,7 @@ class TestSubmartingaleTest:
         # f = +x1 pushed onto the face x1 = 1 by a strong drift: the
         # reflection term makes M_f drift downward
         m = make_drifted(BOX1, b_const=2.0, sigma_scale=0.5,
-                         init=[[0.9]], horizon=0.5)
+                         init=[[0.9]])
         grid = TimeGrid(0.5, 64)
         ens = simulate_particle_system(m, 512, grid, seed=5)
         f = standard_test_functions(1, 1)["linear_x1"]
@@ -355,7 +355,7 @@ def _custom_model(domain, d1, sigma_of_x):
         return (1.0 + np.asarray(x)[..., 0, None, None]) * sig
 
     return ModelSpec(
-        name="custom", domain=domain, d1=d1, horizon=0.5,
+        name="custom", domain=domain, d1=d1,
         drift=lambda t, x, mu: 0.3 * (mu.mean - np.asarray(x)),
         diffusion=diffusion)
 
@@ -616,7 +616,7 @@ class TestStreamedNoise:
         itself adds less than half of a whole (n+1, N) M_f series, as it
         keeps M_f only at its pair nodes; on this long grid the per-node
         O(N d) temporaries are small beside that series."""
-        model = make_m2(BALL3, sigma_scale=0.5, horizon=0.25)
+        model = make_m2(BALL3, sigma_scale=0.5)
         grid = TimeGrid(0.25, 256)
         n_particles = 2048
         f = standard_test_functions(3, 3)["neg_x_sq"]

@@ -147,11 +147,6 @@ class TestNoiseContract:
         ref[1:] = np.cumsum(np.ascontiguousarray(ens.noises), axis=0)
         assert np.array_equal(_noise_path(ens.noises), ref)
 
-    def test_grid_past_model_horizon_rejected(self):
-        m = make_m1(BOX1, horizon=0.5)
-        with pytest.raises(InputError):
-            simulate_particle_system(m, 2, TimeGrid(2.0, 8), seed=0)
-
 
 class TestSharedReplicaDraws:
     def test_draws_reused_and_bit_identical(self):
@@ -260,7 +255,7 @@ class TestReferenceFlow:
         def diffusion(t, x, mu):
             return np.zeros((1, 1))
 
-        m = ModelSpec(name="contract", domain=dom, d1=1, horizon=1.0,
+        m = ModelSpec(name="contract", domain=dom, d1=1,
                       drift=drift, diffusion=diffusion,
                       init_points=np.array([[0.5]]))
         grid = TimeGrid(1.0, 100)

@@ -211,7 +211,9 @@ class TestConstruction:
     @pytest.mark.parametrize("center, radius", [
         ([], 1.0), ([[0.0, 0.0]], 1.0), ([1e308], 1e308),
         ([0.0, -1e308], 1e308), ([0.0, 0.0], 1e200), ([6.7e153], 1e152),
-        ([0.0], 2e50), ([0.0, 2e50], 1.0)])
+        ([0.0], 2e50), ([0.0, 2e50], 1.0),
+        # a radius that is not one number raised numpy's TypeError
+        ([0.0], [1.0]), ([0.0], [[1.0]]), ([0.0], [1.0, 2.0])])
     def test_ball_needs_dimensions_and_finite_extent(self, center, radius):
         with pytest.raises(InputError):
             ConvexDomain.ball(center, radius)
@@ -269,6 +271,45 @@ class TestConfigRoundTrip:
     def test_from_config_takes_integers_and_scalars(self):
         dom = ConvexDomain.from_config({"kind": "ball", "center": 0, "radius": 1})
         assert dom.dimension == 1 and dom.radius == 1.0
+
+
+class TestToleranceScalesWithTheDomain:
+    """The membership and normal tolerances are relative to max(1, the
+    largest bound magnitude): a coordinate near 1e6 is known only to about
+    1e-10, so a fixed 1e-12 band called rounded boundary points exterior."""
+
+    def test_point_rounded_past_a_large_sphere_is_on_it(self):
+        # 1.16e-10 past the radius; the same point scaled to the unit ball
+        # was already on its sphere
+        x = np.array([707106.7811865476, 707106.7811865476])
+        assert ConvexDomain.ball([0.0, 0.0], 1e6).contains(x) == BOUNDARY
+        assert ConvexDomain.ball([0.0, 0.0], 1.0).contains(x / 1e6) == BOUNDARY
+
+    @pytest.mark.parametrize("center, radius", [
+        ([0.0, 0.0], 1e6), ([3e6, -2e6], 1e6), ([0.0, 0.0], 1e9),
+        ([0.0, 0.0], 1e12), ([-4e12, 2.5e12], 1e12)],
+        ids=["1e6", "1e6_off_centre", "1e9", "1e12", "1e12_off_centre"])
+    def test_projected_points_and_boundary_normals(self, center, radius):
+        dom = ConvexDomain.ball(center, radius)
+        rng = np.random.default_rng(17)
+        x = dom.center + radius * rng.normal(0.0, 2.0, size=(1000, 2))
+        p = dom.project(x)
+        moved = np.any(p != x, axis=-1)
+        assert moved.sum() > 500
+        assert np.all(dom.contains_all(p))
+        assert all(dom.contains(q) == BOUNDARY for q in p[moved])
+        for pts in (p[moved], dom.sample_boundary(rng, 256)):
+            n = dom.normals_at(pts)
+            assert np.allclose(np.linalg.norm(n, axis=-1), 1.0)
+            assert np.allclose(n, (pts - dom.center) / radius)
+
+    def test_factor_is_the_largest_bound_magnitude_at_least_1(self):
+        for dom in (ConvexDomain.box([0.0], [1.0]),
+                    ConvexDomain.ball([0.0, 0.0], 1.0),
+                    ConvexDomain.ball([0.3, -0.2], 0.8)):
+            assert dom._scale == 1.0
+        assert ConvexDomain.box([-3.0, 0.0], [2.0, 1.0])._scale == 3.0
+        assert ConvexDomain.ball([1.0, -5.0], 2.0)._scale == 5.0
 
 
 # -- row norms: bitwise the np.linalg.norm formulas --------------------------------

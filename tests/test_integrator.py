@@ -58,6 +58,13 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid(horizon, n_steps)
 
+    def test_horizon_at_most_the_magnitude_cap(self):
+        # the 1e50 rule of the domain bounds and the model parameters
+        assert TimeGrid(1e50, 4).horizon == 1e50
+        for far in (1.01e50, 10**51, 1e308):
+            with pytest.raises(InputError, match="horizon"):
+                TimeGrid(far, 4)
+
     def test_step_underflow_rejected(self):
         # 5e-324 / 2 rounds to 0, and 1.0 / 10**400 has no float at all
         for horizon, n_steps in [(5e-324, 2), (1.0, 10**400)]:
@@ -106,7 +113,7 @@ class TestSimulateReflectedPath:
         def diffusion(t, x, mu):
             return np.zeros((1, 1))
 
-        m = ModelSpec(name="ode", domain=BOX1, d1=1, horizon=1.0,
+        m = ModelSpec(name="ode", domain=BOX1, d1=1,
                       drift=drift, diffusion=diffusion,
                       init_points=np.array([[0.1]]))
         grid = TimeGrid(1.0, 100)  # dt = 0.01
@@ -153,7 +160,7 @@ class TestSimulateReflectedPath:
         def drift(t, x, mu):
             return np.full(np.shape(x), np.nan)
 
-        m = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
+        m = ModelSpec(name="nan", domain=BOX1, d1=1,
                       drift=drift, diffusion=make_m1(BOX1).diffusion,
                       init_points=np.array([[0.5]]))
         grid = TimeGrid(1.0, 4)

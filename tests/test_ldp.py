@@ -436,7 +436,7 @@ class TestFoldedNormalOracle:
     @pytest.mark.parametrize("h", [0.0, 1.5, -2.0])
     def test_distance_part_is_the_folded_normal_mean(self, h, n):
         model = make_m1(ConvexDomain.box([-20.0], [20.0]),
-                        sigma_scale=self.SIGMA, horizon=self.T,
+                        sigma_scale=self.SIGMA,
                         init=[[self.X0]])
         f = distance_to_target_functional(MeasureSummary.dirac([self.A]))
         est = variational_objective(model, f, ConstantPolicy([h]), n,
@@ -472,7 +472,7 @@ class TestSharedDraws:
         assert shared.n_evaluations == plain.n_evaluations
 
     def test_rate_bit_identical_with_and_without_reuse(self, monkeypatch):
-        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]])
         target = MeasureSummary.dirac([0.6])
         fam = constant_family(1, bound=2.0)
 
@@ -495,7 +495,7 @@ class TestRate:
     def test_achieved_distance_is_the_replica_mean(self, mode):
         """The achieved distance, taken as the variational objective's f
         part, is bitwise the mean of its own loop over the replica flows."""
-        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]])
         grid = TimeGrid(0.25, 8)
         target = solve_mckean_vlasov_reference(m, grid, n_ref=64, seed=3)
         policy = ConstantPolicy([0.7])
@@ -508,7 +508,7 @@ class TestRate:
         assert 0.0 < got <= 2.0
 
     def test_lln_target_near_zero(self):
-        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]], horizon=0.25)
+        m = make_m1(BOX1, sigma_scale=0.4, init=[[0.5]])
         grid = TimeGrid(0.25, 16)
         ref = solve_mckean_vlasov_reference(m, grid, n_ref=1024, seed=9)
         fam = constant_family(1, bound=2.0)
@@ -520,7 +520,7 @@ class TestRate:
     def test_unreachable_target_infeasible(self):
         # sigma = 0 and bounded controls cannot move delta_{0.1} to
         # a distant target within the short horizon
-        m = make_m1(BOX1, sigma_scale=0.0, init=[[0.1]], horizon=0.05)
+        m = make_m1(BOX1, sigma_scale=0.0, init=[[0.1]])
         grid = TimeGrid(0.05, 8)
         target = MeasureSummary.dirac([0.95])
         fam = constant_family(1, bound=1.0)
@@ -579,6 +579,30 @@ class TestRate:
         for a, b in ((coarse, fine), (fine, coarse)):
             with pytest.raises(InputError, match="one grid"):
                 flow_distance(a, b, "integrated")
+
+    @pytest.mark.parametrize("call", ["variational", "optimize", "achieved",
+                                      "rate"])
+    def test_no_replica_rejected(self, call):
+        # each raised numpy's "zero-size array to reduction operation"
+        m, grid, fam = make_m1(BOX1), TimeGrid(0.25, 4), constant_family(1)
+        zero, target = constant_functional(0.0), MeasureSummary.dirac([0.5])
+        run = {
+            "variational": lambda: variational_objective(
+                m, zero, ZeroPolicy(1), 4, grid, 0),
+            "optimize": lambda: optimize_controls(m, zero, fam, 4, grid, 0, 5),
+            "achieved": lambda: achieved_distance(
+                m, ZeroPolicy(1), target, 4, grid, 0, 0, "terminal"),
+            "rate": lambda: estimate_rate(m, target, [1.0], fam, 4, grid, 0,
+                                          5)}[call]
+        with pytest.raises(InputError, match="replica"):
+            run()
+
+    def test_empty_schedule_rejected(self):
+        # it returned feasible: False, upper_bound: inf, as if every
+        # weight had failed
+        with pytest.raises(InputError, match="schedule"):
+            estimate_rate(make_m1(BOX1), MeasureSummary.dirac([0.5]), [],
+                          constant_family(1), 4, TimeGrid(0.25, 4), 4, 15)
 
     def test_bad_schedule_rejected(self):
         m = make_m1(BOX1)

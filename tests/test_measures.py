@@ -225,7 +225,7 @@ class TestBLDictionaryBlocks:
         assert sum(seen) <= len(boxes) < 24
 
     def test_memo_keeps_no_ensemble_alive(self):
-        model = model_from_config({"model": "m2", "horizon": 0.5, "domain": {
+        model = model_from_config({"model": "m2", "domain": {
             "kind": "ball", "center": [0.0, 0.0], "radius": 1.0}})
         grid = TimeGrid(0.5, 8)
         ens = simulate_particle_system(model, 64, grid, seed=1)
@@ -377,10 +377,9 @@ class TestBLDistance:
             return ens.summaries[-1]
 
         box1 = model_from_config({"model": "m1", "domain": {
-            "kind": "box", "lo": [0.0], "hi": [1.0]}, "horizon": 0.5})
+            "kind": "box", "lo": [0.0], "hi": [1.0]}})
         ball2 = model_from_config({"model": "m2", "domain": {
-            "kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
-            "horizon": 0.5})
+            "kind": "ball", "center": [0.0, 0.0], "radius": 1.0}})
         rng = np.random.default_rng(7)
         for model, other in (
                 (box1, MeasureSummary.from_points(rng.uniform(0, 1, (7, 1)))),
@@ -528,8 +527,7 @@ class TestBLAgainstDirac:
 
         monkeypatch.setattr(measures, "_lp", refuse)
         monkeypatch.setattr(measures, "_bl_dictionary", refuse)
-        m = make_m1(ConvexDomain.box([0.0], [1.0]), sigma_scale=0.5,
-                    horizon=0.25)
+        m = make_m1(ConvexDomain.box([0.0], [1.0]), sigma_scale=0.5)
         est = estimate_rate(m, MeasureSummary.dirac([0.7]), [1.0, 4.0],
                             constant_family(1, bound=2.0), 8,
                             TimeGrid(0.25, 8), 4, 10, seed=3, radius=0.3)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -8,8 +9,8 @@ from rldp.errors import InputError, ModelError
 from rldp.geometry import ConvexDomain
 from rldp.integrator import TimeGrid
 from rldp.model import (MeasureSummary, ModelSpec, coefficients_batch,
-                        eval_coefficients, make_drifted, make_m1, make_m2,
-                        make_m3, model_from_config)
+                        MODEL_REGISTRY, eval_coefficients, make_drifted,
+                        make_m1, make_m2, make_m3, model_from_config)
 
 BOX1 = ConvexDomain.box([0.0], [1.0])
 BOX1_CFG = {"kind": "box", "lo": [0.0], "hi": [1.0]}
@@ -119,12 +120,6 @@ class TestEvalCoefficients:
         want = upper if abs(upper) <= abs(lim) else -abs(lim)
         assert np.array_equal(sig, want * np.eye(2))
 
-    @pytest.mark.parametrize("t", [-0.1, 1.5])
-    def test_time_outside_horizon_rejected(self, t):
-        with pytest.raises(InputError):
-            eval_coefficients(make_m1(BOX1), t, [0.5],
-                              MeasureSummary.dirac([0.5]))
-
     @pytest.mark.parametrize("x", [[0.2, 0.4], [[0.2], [0.4]]])
     def test_not_a_single_state_rejected(self, x):
         with pytest.raises(InputError):
@@ -154,7 +149,7 @@ class TestEvalCoefficients:
 
     def test_nonfinite_coefficients_raise(self):
         m = make_m1(BOX1)
-        bad = ModelSpec(name="nan", domain=BOX1, d1=1, horizon=1.0,
+        bad = ModelSpec(name="nan", domain=BOX1, d1=1,
                         drift=lambda t, x, mu: np.full(np.shape(x), np.nan),
                         diffusion=m.diffusion, init_points=np.array([[0.5]]))
         with pytest.raises(ModelError):
@@ -186,7 +181,7 @@ class TestModelZoo:
         init[0, 0] = 7.0
         ens = simulate_particle_system(m, 2, TimeGrid(0.5, 2))
         assert np.all(ens.states[0] == 0.5)
-        direct = ModelSpec(name="m", domain=BOX1, d1=1, horizon=1.0,
+        direct = ModelSpec(name="m", domain=BOX1, d1=1,
                            drift=m.drift, diffusion=m.diffusion,
                            init_points=np.array([[0.25]]))
         for pts in (m.init_points, direct.init_points):
@@ -194,33 +189,34 @@ class TestModelZoo:
                 pts[0, 0] = 7.0
 
     @pytest.mark.parametrize("key, value, message", [
-        ("horizon", float("nan"), "horizon"), ("horizon", float("inf"), "horizon"),
-        ("horizon", True, "horizon"), ("horizon", 0.0, "horizon"),
         ("d1", 1.5, "noise dimension"), ("d1", True, "noise dimension"),
         ("d1", 0, "noise dimension")])
     def test_direct_spec_checks_horizon_and_d1(self, key, value, message):
-        # a NaN horizon used to fail only at the first step ("time 0.0
-        # outside [0, nan]"), and d1 = 1.5 with numpy's TypeError
+        # d1 = 1.5 used to fail with numpy's TypeError
         m = make_m1(BOX1)
-        spec = dict(name="m", domain=BOX1, d1=1, horizon=1.0, drift=m.drift,
+        spec = dict(name="m", domain=BOX1, d1=1, drift=m.drift,
                     diffusion=m.diffusion)
         with pytest.raises(InputError, match=message):
             ModelSpec(**{**spec, key: value})
 
-    @pytest.mark.parametrize("where", ["grid", "zoo", "direct"])
+    def test_the_grid_sets_the_horizon(self):
+        # a model carried a horizon of its own, and a grid past it failed
+        # mid-run ("time 0.625 outside [0, 0.5]")
+        assert "horizon" not in {f.name for f in fields(ModelSpec)}
+        for make in MODEL_REGISTRY.values():
+            assert "horizon" not in inspect.signature(make).parameters
+        m = make_m2(BOX1)
+        ens = simulate_particle_system(m, 4, TimeGrid(4.0, 8), seed=0)
+        assert np.all(m.domain.contains_all(ens.states))
+        b, _ = coefficients_batch(m, 4.0, ens.states[-1], ens.summaries[-1])
+        assert b.shape == (4, 1)
+
+    @pytest.mark.parametrize("where", ["grid"])
     def test_integer_horizon_past_the_float_range(self, where):
-        # each raised OverflowError, or was accepted ("direct") and then
-        # overflowed at the first step
-        m = make_m1(BOX1)
-        build = {
-            "grid": lambda h: TimeGrid(h, 4),
-            "zoo": lambda h: make_m1(BOX1, horizon=h),
-            "direct": lambda h: ModelSpec(name="m", domain=BOX1, d1=1,
-                                          horizon=h, drift=m.drift,
-                                          diffusion=m.diffusion)}[where]
+        # raised OverflowError
         with pytest.raises(InputError, match="horizon"):
-            build(10**400)
-        assert build(2**100).horizon == 2**100  # an integer a float holds
+            TimeGrid(10**400, 4)
+        assert TimeGrid(2**100, 4).horizon == 2**100  # an integer a float holds
 
     @pytest.mark.parametrize("b_const", [[1.0, 2.0], [], [[1.0]]],
                              ids=["two", "empty", "nested"])
