@@ -99,3 +99,29 @@ def _digest(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_core_bytes_pinned(name):
     assert _digest(name) == DIGESTS[name]
+
+
+# m2 on the 3-D unit ball at a size where the stepping core's large-array
+# paths run: 4096 particles, one replica and a batch of two.  Recorded like
+# DIGESTS above.
+LARGE_BALL_DIGEST = ("ef148068fdc927fe43871f708e50ba63"
+                     "c48169cda7c8769abd258dbe7610dd97")
+
+
+def _large_ball_digest():
+    model = make_m2(ConvexDomain.ball([0.0, 0.0, 0.0], 1.0))
+    grid = TimeGrid(0.25, 16)
+    h = hashlib.sha256()
+    for replica in (0, range(2)):
+        ens = simulate_particle_system(model, 4096, grid, seed=91,
+                                       replica=replica)
+        assert len(ens.events.index) > 0
+        for a in (ens.states, ens.events.index, ens.events.overshoot,
+                  *(mu.mean for mu in ens.summaries)):
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_large_ball_bytes_pinned():
+    assert _large_ball_digest() == LARGE_BALL_DIGEST
