@@ -85,7 +85,10 @@ def _json_reals(v) -> bool:
 def _row_sumsq(x: np.ndarray) -> np.ndarray:
     """``np.sum(x ** 2, axis=-1)`` bit for bit, and faster: numpy sums the
     squares left to right on a last axis shorter than 8, pairwise beyond.
-    A single point gives a 0-d array, or a numpy scalar when d >= 8."""
+    The pairwise rule holds for a contiguous last axis only, so for d >= 8
+    ``x`` must have one; below 8 any layout is exact, and a Fortran-ordered
+    x is read a contiguous column at a time.  A single point gives a 0-d
+    array, or a numpy scalar when d >= 8."""
     if x.shape[-1] >= 8:
         return np.sum(x * x, axis=-1)
     acc = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
@@ -176,24 +179,35 @@ class ConvexDomain:
 
     # -- projection ---------------------------------------------------------
 
-    def project(self, x) -> np.ndarray:
+    def project(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """Euclidean projection onto the closure, batched over leading axes.
 
         Only points outside the closure move: every point of the closure,
         -0.0 coordinates included, comes back bit for bit.  The overshoot
         ``x - project(x)`` is nonzero exactly when the projection moved x.
-        A ball writes only the rows outside it, into a copy of x, so the
-        result is always a new array.
+
+        The projection is written into ``out`` (a float array of x's shape)
+        and ``out`` returned; without it the result is always a new array.  A ball copies x into the result and then writes
+        only the rows outside it.  Below d = 8 it forms x - centre in
+        Fortran order, so that the subtraction and the row norms run along
+        the particle axis rather than over d coordinates at a time.
         """
         x = _as_point(x, self.dimension)
         if self.kind == "box":
-            return np.clip(x, self.lo, self.hi)
-        delta = x - self.center
+            return np.clip(x, self.lo, self.hi, out=out)
+        # _row_sumsq's pairwise sums for d >= 8 need a contiguous last axis
+        delta = np.subtract(x, self.center,
+                            order="F" if self.dimension < 8 else "C")
         r = _row_norm(delta)
-        out = r > self.radius  # a 0-d mask for a single point
-        p = x.copy()
-        p[out] = self.center + delta[out] * (self.radius / r[out])[:, None]
-        return p
+        moved = r > self.radius  # a 0-d mask for a single point
+        if moved.ndim:  # rows by index: a faster gather and scatter
+            moved = np.nonzero(moved)
+        if out is None:
+            out = x.copy()
+        else:
+            np.copyto(out, x)
+        out[moved] = self.center + delta[moved] * (self.radius / r[moved])[:, None]
+        return out
 
     # -- normals ------------------------------------------------------------
 

@@ -138,18 +138,20 @@ class BoundaryEvents:
         return hits.reshape(self.shape)
 
 
-def _step(domain: ConvexDomain, x, drift, control, noise, dt: float):
+def _step(domain: ConvexDomain, x, drift, control, noise, dt: float,
+          out: np.ndarray | None = None):
     """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.
 
     ``control`` (or None) and ``noise`` are already multiplied by sigma.
     Returns (p, y - p), with p the projection of y; the overshoot y - p is
-    nonzero exactly on the particle-steps the projection moved.
+    nonzero exactly on the particle-steps the projection moved.  With
+    ``out`` the projection is written into it and p is ``out``.
     """
     move = drift * dt + noise
     if control is not None:
         move += control * dt
     y = x + move
-    p = domain.project(y)
+    p = domain.project(y, out=out)
     return p, y - p
 
 
@@ -170,6 +172,10 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     interacting system); otherwise the frozen flow mu_flow[k] is used
     (i.i.d. paths driven by an external law).
 
+    Each step's projection is written straight into ``states[k + 1]``, and
+    the coefficients and the policy of every step read the view
+    ``states[k]``: no step copies the states.
+
     The uniform empirical measure of every node is built here, once, from
     the view ``states[k]`` (so it shares the states' memory), and returned
     as a tuple of n + 1 summaries after the controls: it is the
@@ -189,10 +195,9 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
 
     controlled = policy is not None and not policy.is_zero()
     states[0] = states0
-    x = states[0]
     for k in range(n):
-        t = grid.nodes[k]
-        summaries.append(MeasureSummary.from_points(states[k]))
+        t, x = grid.nodes[k], states[k]
+        summaries.append(MeasureSummary.from_points(x))
         mu = summaries[k] if mu_flow is None else mu_flow[k]
         b, sig = coefficients_batch(model, t, x, mu)
         if controlled:
@@ -201,20 +206,20 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
             control = np.einsum("...ij,...j->...i", sig, h)
         else:
             control = None
-        p, overshoot = _step(
+        _, overshoot = _step(
             domain, x, b, control,
-            np.einsum("...ij,...j->...i", sig, noises[k]), dt)
-        states[k + 1] = p
+            np.einsum("...ij,...j->...i", sig, noises[k]), dt,
+            out=states[k + 1])
         pending.append(overshoot)
         if len(pending) == per_scan or k == n - 1:
             # the pending particle-steps with a nonzero y - p, each once
-            block = np.concatenate(pending).reshape(-1, d)
+            block = (pending[0] if len(pending) == 1
+                     else np.concatenate(pending)).reshape(-1, d)
             at = np.flatnonzero(block != 0.0) // d
             at = at[np.diff(at, prepend=-1) != 0]
             index.append(at + (k + 1 - len(pending)) * m)
             rows.append(block[at])
             pending = []
-        x = p
     summaries.append(MeasureSummary.from_points(states[n]))
     events = BoundaryEvents((n, *lead), np.concatenate(index),
                             np.concatenate(rows))
@@ -262,13 +267,20 @@ def brownian_increments(gens, dt: float, out: np.ndarray) -> np.ndarray:
     ``gen.standard_normal((n_steps, d1)) * np.sqrt(dt)`` of its generator,
     bit for bit.  The paths are drawn a block at a time into one
     particle-major scratch block of at most ``_BLOCK_BYTES`` (at least one
-    path), and each block is scaled into ``out`` by one transposed
-    multiply: one strided write per block rather than per path.  One path
-    is the case P = 1.
+    path), scaled there in place, and moved into ``out`` as d1-wide
+    records, one per (step, path): one strided copy per block rather than
+    per path, and none whose innermost loop runs over d1 numbers.  ``out``
+    must be a float64 array with a contiguous last axis (any strides
+    before it), else ``InputError``.  One path is the case P = 1.
     """
     if not _is_positive(dt):
         raise InputError(f"dt must be a finite number > 0, got {dt!r}")
     n_steps, n_paths, d1 = out.shape
+    if out.dtype != np.float64 or (d1 > 1 and out.strides[-1] != 8):
+        raise InputError(f"out must be a float64 array with a contiguous "
+                         f"last axis, got {out.dtype} with strides "
+                         f"{out.strides}")
+    records = out.view(f"V{8 * d1}")  # (n_steps, P, 1)
     per_block = max(1, _BLOCK_BYTES // max(1, 8 * n_steps * d1))
     scratch = np.empty((min(per_block, n_paths), n_steps, d1))
     gens = iter(gens)
@@ -280,8 +292,9 @@ def brownian_increments(gens, dt: float, out: np.ndarray) -> np.ndarray:
         if drawn < len(block):
             raise InputError(f"{n_paths} paths need as many generators, "
                              f"got {lo + drawn}")
-        np.multiply(block.transpose(1, 0, 2), np.sqrt(dt),
-                    out=out[:, lo:lo + len(block)])
+        np.multiply(block, np.sqrt(dt), out=block)
+        records[:, lo:lo + len(block)] = block.view(
+            records.dtype).transpose(1, 0, 2)
     return out
 
 

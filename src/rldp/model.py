@@ -240,9 +240,19 @@ def make_m1(domain: ConvexDomain, d1: int | None = None,
 
 def make_m2(domain: ConvexDomain, theta: float = 1.0, sigma_scale: float = 0.5,
             d1: int | None = None, init=None) -> ModelSpec:
-    """M2: mean attraction b = theta (mean(mu) - x), sigma = s I."""
+    """M2: mean attraction b = theta (mean(mu) - x), sigma = s I.
+
+    The drift forms mean(mu) - x a coordinate at a time into one C-ordered
+    array, each a subtraction along the particle axis, and returns theta
+    times it: bit for bit ``theta * (mu.mean - x)``, without a loop whose
+    innermost axis is the d coordinates against a broadcast mean.
+    """
     def drift(t, x, mu):
-        return theta * (mu.mean - np.asarray(x, dtype=float))
+        x, mean = np.asarray(x, dtype=float), mu.mean
+        diff = np.empty(np.broadcast_shapes(mean.shape, x.shape))
+        for k in range(diff.shape[-1]):
+            np.subtract(mean[..., k], x[..., k], out=diff[..., k])
+        return theta * diff
 
     def build(d1):
         return drift, _constant(_identity_sigma(domain.dimension, d1,

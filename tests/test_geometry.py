@@ -398,6 +398,22 @@ class TestRowNormBitwise:
                 assert _same_bytes(dom.project(x), _project_reference(dom, x))
 
     @pytest.mark.parametrize("d", range(1, 10))
+    def test_project_into_out(self, d):
+        """``project(x, out=buf)`` writes the bytes of ``project(x)`` into
+        ``buf`` and returns it, a contiguous or a strided one, for batches
+        and single points, signed zeros among them."""
+        rng = np.random.default_rng(900 + d)
+        for dom in _domains(d):
+            xs = _edge_points(dom, rng)
+            for x in (xs, np.stack([xs, xs[::-1]]), *xs):
+                want = dom.project(x)
+                assert _same_bytes(want, _project_reference(dom, x))
+                wide = np.full((*x.shape[:-1], 2 * d), np.nan)
+                for buf in (np.full(x.shape, np.nan), wide[..., ::2]):
+                    assert dom.project(x, out=buf) is buf
+                    assert _same_bytes(buf, want)
+
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_step_overshoot_norm(self, d):
         """``_step`` returns p = project(y) and dK = y - p, and the
         ``_row_norm`` of dK, whose sign is the hit, is
@@ -473,8 +489,9 @@ class TestRowSumsq:
 
 
 class TestProjectCopies:
-    """A ball's projection is always a new array, since it writes the rows
-    outside into a copy: writing into the result never changes the input."""
+    """Without ``out``, a ball's projection is always a new array, since it
+    writes the rows outside into a copy: writing into the result never
+    changes the input."""
 
     @staticmethod
     def _assert_new_array(dom, x):

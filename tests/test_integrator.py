@@ -65,6 +65,12 @@ class TestTimeGrid:
             with pytest.raises(InputError, match="horizon"):
                 TimeGrid(far, 4)
 
+    def test_integer_horizon_past_the_float_range(self):
+        # raised OverflowError
+        with pytest.raises(InputError, match="horizon"):
+            TimeGrid(10**400, 4)
+        assert TimeGrid(2**100, 4).horizon == 2**100  # an integer a float holds
+
     def test_step_underflow_rejected(self):
         # 5e-324 / 2 rounds to 0, and 1.0 / 10**400 has no float at all
         for horizon, n_steps in [(5e-324, 2), (1.0, 10**400)]:
@@ -312,6 +318,31 @@ class TestBrownianIncrements:
         assert out.base is buf and np.isnan(np.delete(buf, 2, axis=1)).all()
         ref = _v1_noise(substream(5, NOISE, 1, 0), 7, 2, 0.3)
         assert buf[:, 2].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d1", range(1, 10))
+    def test_blocks_equal_per_path_reference(self, d1, monkeypatch):
+        """Seven paths drawn three to a block, the last block short: each
+        path is its own generator's increments, bit for bit."""
+        n_steps, n_paths = 5, 7
+        monkeypatch.setattr("rldp.integrator._BLOCK_BYTES",
+                            3 * 8 * n_steps * d1)
+        gens = (substream(5, NOISE, 2, i) for i in range(n_paths))
+        out = brownian_increments(gens, 0.3,
+                                  np.full((n_steps, n_paths, d1), np.nan))
+        for i in range(n_paths):
+            ref = _v1_noise(substream(5, NOISE, 2, i), n_steps, d1, 0.3)
+            assert out[:, i].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((2, 2, 6))[..., ::2], np.empty((2, 2, 3))[..., ::-1],
+        np.empty((2, 2, 3), dtype=np.float32),
+        np.empty((2, 2, 3), dtype=np.int64)],
+        ids=["strided", "reversed", "float32", "int64"])
+    def test_out_needs_float64_and_a_contiguous_last_axis(self, out):
+        gens = iter([substream(5, NOISE, 1, i) for i in range(2)])
+        with pytest.raises(InputError, match="contiguous last axis"):
+            brownian_increments(gens, 0.3, out)
+        assert len(list(gens)) == 2  # nothing drawn
 
     def test_draws_no_generator_past_the_last_path(self):
         gens = iter([substream(5, NOISE, 1, i) for i in range(3)])

@@ -191,7 +191,7 @@ class TestModelZoo:
     @pytest.mark.parametrize("key, value, message", [
         ("d1", 1.5, "noise dimension"), ("d1", True, "noise dimension"),
         ("d1", 0, "noise dimension")])
-    def test_direct_spec_checks_horizon_and_d1(self, key, value, message):
+    def test_direct_spec_checks_d1(self, key, value, message):
         # d1 = 1.5 used to fail with numpy's TypeError
         m = make_m1(BOX1)
         spec = dict(name="m", domain=BOX1, d1=1, drift=m.drift,
@@ -210,13 +210,6 @@ class TestModelZoo:
         assert np.all(m.domain.contains_all(ens.states))
         b, _ = coefficients_batch(m, 4.0, ens.states[-1], ens.summaries[-1])
         assert b.shape == (4, 1)
-
-    @pytest.mark.parametrize("where", ["grid"])
-    def test_integer_horizon_past_the_float_range(self, where):
-        # raised OverflowError
-        with pytest.raises(InputError, match="horizon"):
-            TimeGrid(10**400, 4)
-        assert TimeGrid(2**100, 4).horizon == 2**100  # an integer a float holds
 
     @pytest.mark.parametrize("b_const", [[1.0, 2.0], [], [[1.0]]],
                              ids=["two", "empty", "nested"])
@@ -237,6 +230,30 @@ class TestModelZoo:
         rng = np.random.default_rng(0)
         x0 = m.initial_states(100, rng)
         assert m.domain.contains_all(x0).all()
+
+
+class TestM2DriftBitwise:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_drift_is_theta_times_mean_minus_x(self, d):
+        """m2's drift, formed a coordinate at a time, is
+        ``theta * (mu.mean - x)`` bit for bit: for a single point and a
+        system with an unbatched (d,) mean, and for a batch of systems with
+        its (R, 1, d) mean."""
+        rng = np.random.default_rng(40 + d)
+        dom = ConvexDomain.ball(np.linspace(-0.2, 0.3, d), 1.5)
+        x = dom.sample_interior(rng, 3 * 17).reshape(3, 17, d)
+        x[0, 0] = -0.0
+        x[1, 2, 0] = -0.0
+        cases = [(x[0], MeasureSummary.from_points(x[0])),
+                 (x[1, 2], MeasureSummary.from_points(x[1])),
+                 (x, MeasureSummary.from_points(x))]
+        for theta in (1.0, -0.7, 3):
+            m = make_m2(dom, theta=theta)
+            for pts, mu in cases:
+                got = m.drift(0.0, pts, mu)
+                want = theta * (mu.mean - pts)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestModelFromConfigChecks:
