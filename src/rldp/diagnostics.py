@@ -304,7 +304,9 @@ def psi_weights(domain: ConvexDomain):
     measurable at the conditioning time.
 
     Each entry maps (states_t0 (N, d), noise_t0 (N, d1)) -> weights (N,).
-    Includes the constant weight (the unconditional test).
+    Includes the constant weight (the unconditional test).  Every weight is
+    one or a clip into [0, 1] over a finite span > 0, so on finite states
+    and noise each lies in [0, 1].
     """
     lo = domain.lo[0] if domain.kind == "box" else domain.center[0] - domain.radius
     hi = domain.hi[0] if domain.kind == "box" else domain.center[0] + domain.radius
@@ -355,7 +357,9 @@ def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
     or no time pair raise InputError: the one-sided bound needs a finite
     normal quantile and a sample standard deviation, and a verdict needs an
     entry.  Every path of ``ens`` is used.  M_f is formed only at the
-    distinct nodes of the pairs, so no (n+1, N) series is held.
+    distinct nodes of the pairs, so no (n+1, N) series is held.  The
+    ``psi_weights`` are built once and trusted: they lie in [0, 1] by
+    construction.
     """
     _check_single(ens, "submartingale_test")
     if not 0.0 < confidence < 1.0:
@@ -390,13 +394,11 @@ def submartingale_test(ens: Ensemble, f: TestFunction, model: ModelSpec,
     z_crit = _ndtri(float(confidence))  # the standard normal quantile
     dt = ens.grid.dt
     entries = []
+    psis = psi_weights(model.domain)
     for t0, t1, k0, k1 in pairs:
         dm = m[k1] - m[k0]
-        for name, psi in psi_weights(model.domain).items():
-            wts = np.asarray(psi(ens.states[k0], w_t0[k0]), dtype=float)
-            if np.any(wts < 0):
-                raise InputError(f"psi {name} produced negative weights")
-            stat, se = _mean_and_error(wts * dm)
+        for name, psi in psis.items():
+            stat, se = _mean_and_error(psi(ens.states[k0], w_t0[k0]) * dm)
             threshold = -(z_crit * se + c_bias * dt)
             entries.append(SubmartingaleEntry(
                 t0=float(t0), t1=float(t1), psi=name, statistic=stat,

@@ -162,12 +162,13 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
 
     The noise of all replicas is drawn into one time-major (n, R, N, d1)
     buffer, returned read-only: one ``brownian_increments`` call a replica,
-    one substream per (replica, particle).
+    one substream per (replica, particle).  The memo is keyed on the model
+    object itself, which hashes by identity.
     """
     memo = _REPLICA_DRAWS.get()
-    key = (id(model), seed, replica, n_particles, grid)
+    key = (model, seed, replica, n_particles, grid)
     if memo is not None and key in memo:
-        return memo[key][1:]
+        return memo[key]
     batch = isinstance(replica, range)
     replicas = replica if batch else range(replica, replica + 1)
     states0 = np.empty((len(replicas), n_particles, model.d))
@@ -183,7 +184,7 @@ def _replica_draws(model: ModelSpec, grid: TimeGrid, n_particles: int,
         states0, noises = states0[0], noises[:, 0]
     if memo is not None:
         states0.flags.writeable = False
-        memo[key] = (model, states0, noises)  # the model pins its id
+        memo[key] = states0, noises
     return states0, noises
 
 

@@ -83,14 +83,15 @@ def _json_reals(v) -> bool:
 
 
 def _row_sumsq(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x ** 2, axis=-1)`` bit for bit, and faster: numpy sums the
-    squares left to right on a last axis shorter than 8, pairwise beyond.
-    The pairwise rule holds for a contiguous last axis only, so for d >= 8
-    ``x`` must have one; below 8 any layout is exact, and a Fortran-ordered
-    x is read a contiguous column at a time.  A single point gives a 0-d
-    array, or a numpy scalar when d >= 8."""
+    """``np.sum(np.ascontiguousarray(x) ** 2, axis=-1)`` bit for bit, for x
+    of any layout, and faster: numpy sums the squares left to right on a
+    last axis shorter than 8, pairwise beyond.  The pairwise sums hold for
+    a contiguous last axis only, so for d >= 8 the squares are written in C
+    order; below 8 the sum runs a column at a time, which reads a
+    Fortran-ordered x contiguously.  A single point gives a 0-d array, or a
+    numpy scalar when d >= 8."""
     if x.shape[-1] >= 8:
-        return np.sum(x * x, axis=-1)
+        return np.sum(np.multiply(x, x, order="C"), axis=-1)
     acc = np.multiply(x[..., 0], x[..., 0], out=np.empty(x.shape[:-1]))
     for k in range(1, x.shape[-1]):
         acc += x[..., k] * x[..., k]
@@ -187,17 +188,16 @@ class ConvexDomain:
         ``x - project(x)`` is nonzero exactly when the projection moved x.
 
         The projection is written into ``out`` (a float array of x's shape)
-        and ``out`` returned; without it the result is always a new array.  A ball copies x into the result and then writes
-        only the rows outside it.  Below d = 8 it forms x - centre in
-        Fortran order, so that the subtraction and the row norms run along
-        the particle axis rather than over d coordinates at a time.
+        and ``out`` returned; without it the result is always a new array.
+        A ball copies x into the result and then writes only the rows
+        outside it.  It forms x - centre in Fortran order, so that the
+        subtraction and, below d = 8, the row norms run along the particle
+        axis rather than over d coordinates at a time.
         """
         x = _as_point(x, self.dimension)
         if self.kind == "box":
             return np.clip(x, self.lo, self.hi, out=out)
-        # _row_sumsq's pairwise sums for d >= 8 need a contiguous last axis
-        delta = np.subtract(x, self.center,
-                            order="F" if self.dimension < 8 else "C")
+        delta = np.subtract(x, self.center, order="F")
         r = _row_norm(delta)
         moved = r > self.radius  # a 0-d mask for a single point
         if moved.ndim:  # rows by index: a faster gather and scatter

@@ -139,20 +139,19 @@ class BoundaryEvents:
 
 
 def _step(domain: ConvexDomain, x, drift, control, noise, dt: float,
-          out: np.ndarray | None = None):
+          out: np.ndarray) -> np.ndarray:
     """y = x + (b dt + sigma dW [+ sigma h dt]) projected onto the domain.
 
     ``control`` (or None) and ``noise`` are already multiplied by sigma.
-    Returns (p, y - p), with p the projection of y; the overshoot y - p is
-    nonzero exactly on the particle-steps the projection moved.  With
-    ``out`` the projection is written into it and p is ``out``.
+    The projection p of y is written into ``out``, a float array of y's
+    shape, and the overshoot y - p returned: it is nonzero exactly on the
+    particle-steps the projection moved.
     """
     move = drift * dt + noise
     if control is not None:
         move += control * dt
     y = x + move
-    p = domain.project(y, out=out)
-    return p, y - p
+    return y - domain.project(y, out=out)
 
 
 def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
@@ -172,9 +171,9 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
     interacting system); otherwise the frozen flow mu_flow[k] is used
     (i.i.d. paths driven by an external law).
 
-    Each step's projection is written straight into ``states[k + 1]``, and
-    the coefficients and the policy of every step read the view
-    ``states[k]``: no step copies the states.
+    ``_step`` writes each step's projection straight into ``states[k + 1]``
+    and hands back only the overshoot, and the coefficients and the policy
+    of every step read the view ``states[k]``: no step copies the states.
 
     The uniform empirical measure of every node is built here, once, from
     the view ``states[k]`` (so it shares the states' memory), and returned
@@ -206,11 +205,9 @@ def _advance(model: ModelSpec, grid: TimeGrid, states0: np.ndarray,
             control = np.einsum("...ij,...j->...i", sig, h)
         else:
             control = None
-        _, overshoot = _step(
+        pending.append(_step(
             domain, x, b, control,
-            np.einsum("...ij,...j->...i", sig, noises[k]), dt,
-            out=states[k + 1])
-        pending.append(overshoot)
+            np.einsum("...ij,...j->...i", sig, noises[k]), dt, states[k + 1]))
         if len(pending) == per_scan or k == n - 1:
             # the pending particle-steps with a nonzero y - p, each once
             block = (pending[0] if len(pending) == 1

@@ -115,13 +115,16 @@ class MeasureSummary:
         return self.n_atoms == 1 or bool(np.all(self.points == self.points[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Coefficients and initial conditions of the particle system.
 
     The initial states are the points ``init_points``, cycled, or with none
     i.i.d. uniform on the domain.  A model has no horizon: the ``TimeGrid``
     it is simulated on sets it.
+
+    A model compares and hashes by identity: its coefficients are closures,
+    which have no value equality, so two models built alike are two models.
     """
 
     name: str

@@ -42,15 +42,15 @@ def dense_advance(model, grid, states0, noises, policy, mu_flow=None):
         b, sig = coefficients_batch(model, t, x, mu)
         control = (np.einsum("...ij,...j->...i", sig, policy.evaluate(t, x, mu))
                    if controlled else None)
-        p, overshoot = _step(
+        overshoot = _step(
             model.domain, x, b, control,
-            np.einsum("...ij,...j->...i", sig, noises[k]), grid.dt)
+            np.einsum("...ij,...j->...i", sig, noises[k]), grid.dt,
+            states[k + 1])
         disp = np.linalg.norm(overshoot, axis=-1)
         hits[k] = disp > 0.0
-        states[k + 1] = p
         np.add(reflection[k], overshoot, out=reflection[k + 1])
         np.add(local_time[k], disp, out=local_time[k + 1])
-        x = p
+        x = states[k + 1]
     return {"states": states, "reflection": reflection,
             "local_time": local_time, "boundary_hits": hits}
 

@@ -176,6 +176,20 @@ class TestSharedReplicaDraws:
         assert np.array_equal(b.noises[:, :4], a.noises)
 
 
+    def test_key_is_the_model_object(self):
+        grid = TimeGrid(1.0, 8)
+        m, twin = make_m2(BALL2), make_m2(BALL2)
+        with shared_replica_draws():
+            a = simulate_particle_system(m, 8, grid, seed=4, replica=range(2))
+            b = simulate_particle_system(m, 8, grid, seed=4, replica=range(2))
+            c = simulate_particle_system(twin, 8, grid, seed=4,
+                                         replica=range(2))
+        assert b.noises is a.noises
+        assert c.noises is not a.noises
+        assert c.noises.tobytes() == a.noises.tobytes()
+        assert c.states.tobytes() == a.states.tobytes()
+
+
 class TestEmpiricalMeasure:
     def test_two_particles(self):
         m = make_m1(BOX1, sigma_scale=0.0, init=[[0.0], [1.0]])

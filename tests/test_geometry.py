@@ -415,8 +415,8 @@ class TestRowNormBitwise:
 
     @pytest.mark.parametrize("d", range(1, 10))
     def test_step_overshoot_norm(self, d):
-        """``_step`` returns p = project(y) and dK = y - p, and the
-        ``_row_norm`` of dK, whose sign is the hit, is
+        """``_step`` writes p = project(y) into its ``out`` and returns
+        dK = y - p, and the ``_row_norm`` of dK, whose sign is the hit, is
         ``np.linalg.norm(y - p, axis=-1)``: for a batch and each point."""
         rng = np.random.default_rng(300 + d)
         for dom in _domains(d):
@@ -426,7 +426,8 @@ class TestRowNormBitwise:
             for x in (xs, *xs):
                 zero, noise = np.zeros_like(x), x - mid
                 y = mid + (zero * 1.0 + noise)
-                p, dK = _step(dom, mid, zero, None, noise, 1.0)
+                p = np.empty(x.shape)
+                dK = _step(dom, mid, zero, None, noise, 1.0, p)
                 ref = _project_reference(dom, y)
                 assert _same_bytes(p, ref)
                 assert _same_bytes(dK, y - p)
@@ -486,6 +487,25 @@ class TestRowSumsq:
         for v in (x, x[1], x[0, 0], x[1, 5]):
             assert _same_bytes(_row_sumsq(v), np.sum(v ** 2, axis=-1))
             assert _same_bytes(_row_norm(v), np.linalg.norm(v, axis=-1))
+
+
+class TestRowSumsqAnyLayout:
+    """``_row_sumsq`` and ``_row_norm`` of a Fortran-ordered x, or of an x
+    with a strided last axis, are the sums of squares of its C-ordered copy
+    and their roots, bit for bit: numpy sums pairwise only along a
+    contiguous last axis, so the layout rule for d >= 8 is the helper's."""
+
+    @pytest.mark.parametrize("d", [*range(1, 10), 16])
+    def test_fortran_and_strided(self, d):
+        rng = np.random.default_rng(700 + d)
+        x = rng.normal(size=(2, 33, d)) * np.logspace(-3, 3, 33)[:, None]
+        wide = np.full((*x.shape[:-1], 2 * d), np.nan)
+        wide[..., ::2] = x
+        for v in (np.asfortranarray(x), np.asfortranarray(x[1]),
+                  wide[..., ::2], wide[1, :, ::2], wide[1, 5, ::2]):
+            want = np.sum(np.ascontiguousarray(v) ** 2, axis=-1)
+            assert _same_bytes(_row_sumsq(v), want)
+            assert _same_bytes(_row_norm(v), np.sqrt(want))
 
 
 class TestProjectCopies:

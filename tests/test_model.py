@@ -232,6 +232,32 @@ class TestModelZoo:
         assert m.domain.contains_all(x0).all()
 
 
+class TestIdentity:
+    """A model compares and hashes by identity: its drift and diffusion are
+    closures, which have no value equality."""
+
+    @staticmethod
+    def _zoo():
+        ball2 = ConvexDomain.ball([0.0, 0.0], 1.0)
+        return [make(dom, **({"b_const": 0.5} if name == "drifted" else {}))
+                for dom in (BOX1, ball2)
+                for name, make in MODEL_REGISTRY.items()]
+
+    def test_every_zoo_model_hashes(self):
+        # hash(model) raised TypeError on the ndarray fields of its domain
+        models = self._zoo()
+        table = {m: j for j, m in enumerate(models)}
+        assert [table[m] for m in models] == list(range(len(models)))
+        assert all(hash(m) == hash(m) for m in models)
+
+    def test_twins_are_two_models(self):
+        # field-wise equality called two m2 twins on a box unequal (their
+        # drift closures differ) and raised ValueError on a ball
+        for a, b in zip(self._zoo(), self._zoo()):
+            assert a == a and a != b
+            assert len({a, b}) == 2
+
+
 class TestM2DriftBitwise:
     @pytest.mark.parametrize("d", range(1, 10))
     def test_drift_is_theta_times_mean_minus_x(self, d):
