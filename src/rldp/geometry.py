@@ -192,14 +192,25 @@ class ConvexDomain:
         A ball copies x into the result and then writes only the rows
         outside it.  It forms x - centre in Fortran order, so that the
         subtraction and, below d = 8, the row norms run along the particle
-        axis rather than over d coordinates at a time.
+        axis rather than over d coordinates at a time.  A row whose norm
+        overflows, past ~1.3e154 from the centre, is scaled down to a
+        largest coordinate of 1 before it moves; every other row keeps its
+        bits.
         """
         x = _as_point(x, self.dimension)
         if self.kind == "box":
             return np.clip(x, self.lo, self.hi, out=out)
         delta = np.subtract(x, self.center, order="F")
-        r = _row_norm(delta)
+        with np.errstate(over="ignore"):
+            r = _row_norm(delta)
         moved = r > self.radius  # a 0-d mask for a single point
+        if r.max(initial=0.0) == np.inf:
+            # a norm past ~1.3e154 overflows: scale its row to a largest
+            # coordinate of 1, which keeps its direction, and take that norm
+            big = r == np.inf
+            delta[big] /= np.max(np.abs(delta[big]), axis=-1, keepdims=True)
+            r = np.asarray(r)
+            r[big] = _row_norm(delta[big])
         if moved.ndim:  # rows by index: a faster gather and scatter
             moved = np.nonzero(moved)
         if out is None:

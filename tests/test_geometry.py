@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,41 @@ class TestProject:
             py = dom.project(y)
             assert np.all(np.linalg.norm(px - py, axis=1)
                           <= np.linalg.norm(x - y, axis=1) + 1e-12)
+
+
+class TestProjectFarPoints:
+    """A point past ~1.3e154 from the centre, whose sum of squares
+    overflows, still projects along its direction: the ball projection
+    used to raise an overflow warning, or return the centre."""
+
+    BALL = ConvexDomain.ball([0.0, 0.0], 1.0)
+
+    def test_single_far_points(self):
+        assert _same_bytes(self.BALL.project([1e200, 0.0]),
+                           np.array([1.0, 0.0]))
+        h = 1.0 / math.sqrt(2.0)
+        np.testing.assert_allclose(self.BALL.project([-1e300, 1e300]),
+                                   [-h, h], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 9])
+    def test_batch_keeps_the_ordinary_rows(self, d):
+        rng = np.random.default_rng(800 + d)
+        dom = ConvexDomain.ball(rng.uniform(-1.0, 1.0, d), 1.5)
+        ordinary = rng.normal(0.0, 2.0, (6, d))
+        far = rng.normal(0.0, 1.0, (3, d)) * np.array([[1e200], [1e300],
+                                                       [1e160]])
+        x = np.concatenate([ordinary[:3], far, ordinary[3:]])
+        keep = np.r_[0:3, 6:9]
+        want = dom.project(ordinary)
+        unit = far / np.max(np.abs(far), axis=-1, keepdims=True)
+        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+        for got in (dom.project(x), dom.project(x, out=np.empty_like(x))):
+            assert _same_bytes(got[keep], want)
+            np.testing.assert_allclose(got[3:6], dom.center + 1.5 * unit,
+                                       rtol=1e-14, atol=1e-14)
+        for row, p in zip(ordinary, want):
+            assert _same_bytes(dom.project(row), p)
+
 
 
 class TestOutwardNormal:
