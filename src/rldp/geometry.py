@@ -132,8 +132,12 @@ class ConvexDomain:
         radius = _bounded(radius, "ball radius")
         if center.ndim != 1 or center.size == 0:
             raise InputError("ball center must be a nonempty 1-d array")
-        if radius.ndim or radius <= 0:
-            raise InputError("ball radius must be one number > 0")
+        # centre - radius < centre + radius fails for a radius <= 0, and for
+        # one lost in rounding against the centre, where the ball has no
+        # width: psi_weights divides by it
+        if radius.ndim or not np.all(center - radius < center + radius):
+            raise InputError("ball radius must be one number > 0, and not "
+                             "lost in rounding against the centre")
         return ConvexDomain(kind="ball", center=center, radius=float(radius))
 
     @property

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rldp
 import rldp.diagnostics as diagnostics_mod
@@ -235,6 +237,50 @@ class TestMfProcess:
         terminal = mf[-1]
         se = terminal.std(ddof=1) / np.sqrt(len(terminal))
         assert abs(terminal.mean()) <= 3 * se
+
+
+_COORD = st.floats(-1e50, 1e50)
+
+
+@st.composite
+def _domain_states_noise(draw):
+    """A box or a ball, centred at 0 or not, with bounds up to 1e50; states
+    projected into its closure, where every ensemble's states lie; and
+    finite noise up to 1e50 in magnitude."""
+    d, d1, n = (draw(st.integers(1, 3)) for _ in range(3))
+    centred = draw(st.booleans())
+    try:
+        if draw(st.booleans()):
+            a, b = (np.array(draw(st.lists(_COORD, min_size=d, max_size=d)))
+                    for _ in range(2))
+            dom = (ConvexDomain.box(-np.abs(a), np.abs(a)) if centred
+                   else ConvexDomain.box(np.minimum(a, b), np.maximum(a, b)))
+        else:
+            center = ([0.0] * d if centred
+                      else draw(st.lists(_COORD, min_size=d, max_size=d)))
+            dom = ConvexDomain.ball(center, draw(st.floats(
+                0.0, 1e50, exclude_min=True)))
+    except InputError:  # equal bounds, or a radius lost against the centre
+        assume(False)
+    raw = st.lists(st.floats(-1e51, 1e51), min_size=n * d, max_size=n * d)
+    states = dom.project(np.reshape(draw(raw), (n, d)))
+    noise = np.reshape(draw(st.lists(_COORD, min_size=n * d1,
+                                     max_size=n * d1)), (n, d1))
+    return dom, states, noise
+
+
+class TestPsiWeights:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(case=_domain_states_noise())
+    def test_every_weight_lies_in_unit_interval(self, case):
+        """``submartingale_test`` trusts its weights unchecked: on states in
+        the closed domain and finite noise each lies in [0, 1]."""
+        dom, states, noise = case
+        for psi in psi_weights(dom).values():
+            w = psi(states, noise)
+            assert w.shape == (len(states),)
+            assert np.all((0.0 <= w) & (w <= 1.0))  # NaN fails too
 
 
 class TestSubmartingaleTest:

@@ -255,6 +255,17 @@ class TestConstruction:
         with pytest.raises(InputError):
             ConvexDomain.ball(center, radius)
 
+    @pytest.mark.parametrize("center, radius", [
+        ([1e50, 0.0], 1.0), ([0.0, -1e50], 1e30), ([1.0], 1e-17),
+        ([0.0], 0.0), ([0.0], -1.0)])
+    def test_ball_radius_must_not_vanish_against_the_centre(self, center,
+                                                            radius):
+        # centre 1e50 and radius 1 gave a ball with no width on its first
+        # axis, and the submartingale weights divided by that width
+        with pytest.raises(InputError, match="ball radius"):
+            ConvexDomain.ball(center, radius)
+        ConvexDomain.ball(center, 1e36 if max(map(abs, center)) else 1e-17)
+
     def test_widest_finite_domains_accepted(self):
         for dom in (ConvexDomain.ball([0.0], 1e50),
                     ConvexDomain.ball([-1e50], 1e50),
