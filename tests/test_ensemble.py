@@ -175,7 +175,6 @@ class TestSharedReplicaDraws:
         assert b.noises.shape[1] == 6 and c.noises.shape[0] == 16
         assert np.array_equal(b.noises[:, :4], a.noises)
 
-
     def test_key_is_the_model_object(self):
         grid = TimeGrid(1.0, 8)
         m, twin = make_m2(BALL2), make_m2(BALL2)
